@@ -2,8 +2,8 @@
 
 Subcommands cover the whole workflow: ``locate`` finds injection sites,
 ``inject`` writes buggy contracts plus bug logs, ``oracle`` fabricates
-analyzer reports with planted truth, ``evaluate`` scores reports against
-bug logs, and ``bench`` times the injection pipeline.
+analyzer reports with planted truth, and ``evaluate`` scores reports
+against bug logs.
 
 Exit codes: 0 all ok, 1 usage or configuration error, 2 at least one
 per-file failure (processing continues and a summary is printed).
@@ -14,15 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
-from .errors import MissingBugLog, SolBugSmithError
-from .evaluator import (FNScore, FPCell, Finding, derive_thresholds,
+from .errors import DomainError, MissingBugLog, PoolError, SolBugSmithError
+from .evaluator import (ADAPTERS, FNScore, FPCell, Finding, derive_thresholds,
                         estimate_false_positives, filter_by_majority, fn_cell,
                         ingest_report, load_capabilities, render_fn_table,
                         render_fp_table, restrict_to_scope,
@@ -32,23 +29,38 @@ from .front import parse, validate
 from .injector import (BugLogEntry, emit_buglog_csv, emit_buglog_json,
                        inject_all, load_buglog)
 from .locator import dump_profile, find_all_potential_locations
-from .model import BugType, bug_type_from_name
+from .model import BugType
 from .oracle import OracleSpec, child_seed, dump_report, generate_tool_report
 from .pool import BugPool, default_pool, load_pool
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad flags; the contract here reserves 2
-    for per-file failures, so usage errors map to 1 instead."""
+    for per-file failures, so usage errors map to 1 instead. The error is
+    one line; ``--help`` shows the usage."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
 
 class _ConfigError(Exception):
     pass
+
+
+def _int_at_least(low: int):
+    """argparse ``type`` for an integer flag with a lower bound."""
+
+    def convert(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {raw!r}")
+        return value
+    return convert
 
 
 def _build_parser() -> _Parser:
@@ -77,8 +89,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("inject", help="write buggy contracts and bug logs")
     p.add_argument("--corpus", required=True, metavar="PATH")
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--counter-start", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--counter-start", type=_int_at_least(0), default=0)
     common(p)
 
     p = sub.add_parser("oracle", help="fabricate analyzer reports with truth")
@@ -95,20 +106,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--buglogs", required=True, metavar="DIR")
     p.add_argument("--reports", required=True, metavar="DIR")
     p.add_argument("--out", metavar="DIR")
-    p.add_argument("--adapter", default="synthetic-oracle",
-                   choices=("normalized-json", "synthetic-oracle"))
+    p.add_argument("--adapter", default="synthetic-oracle", choices=ADAPTERS)
     p.add_argument("--capabilities", metavar="FILE")
-    p.add_argument("--line-slack", type=int, default=0)
-    p.add_argument("--sample-size", type=int, default=20)
+    p.add_argument("--line-slack", type=_int_at_least(0), default=0)
+    p.add_argument("--sample-size", type=_int_at_least(1), default=20)
     p.add_argument("--confirmed", metavar="FILE",
                    help="JSON {tool: {bugType: confirmed count}} from manual "
                         "inspection; truth files win when present")
     p.add_argument("--seed", type=int, default=None)
-
-    p = sub.add_parser("bench", help="time locate+inject over the corpus")
-    p.add_argument("--corpus", required=True, metavar="PATH")
-    p.add_argument("--repeats", type=int, default=5)
-    common(p)
 
     return parser
 
@@ -136,27 +141,36 @@ def _resolve_bug_types(raw: str | None) -> list[BugType]:
         if not name:
             continue
         try:
-            types.append(bug_type_from_name(name))
-        except ValueError as exc:
-            raise _ConfigError(str(exc))
+            types.append(BugType(name))
+        except ValueError:
+            raise _ConfigError(f"unknown bug type: {name!r}")
     seen: set[BugType] = set()
     unique = [bt for bt in types if not (bt in seen or seen.add(bt))]
     return unique
 
 
+def _load_config(path: str, load):
+    """``load`` applied to the text of a configuration file; any failure to
+    read or decode it becomes a one-line error naming the file."""
+    try:
+        return load(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise _ConfigError(f"cannot read {path}: {exc.strerror}")
+    except (ValueError, PoolError) as exc:
+        raise _ConfigError(f"{path}: {exc}")
+
+
 def _resolve_pool(path: str | None) -> BugPool:
     if path is None:
         return default_pool()
-    return load_pool(Path(path).read_text(encoding="utf-8"))
+    return _load_config(path, load_pool)
 
 
 def _resolve_capabilities(path: str | None) -> dict[str, frozenset[BugType]]:
     if path is None:
-        text = (resources.files("solbugsmith") / "data"
-                / "capabilities.json").read_text(encoding="utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    return load_capabilities(text)
+        bundled = resources.files("solbugsmith") / "data" / "capabilities.json"
+        return load_capabilities(bundled.read_text(encoding="utf-8"))
+    return _load_config(path, load_capabilities)
 
 
 def _corpus_files(raw: str) -> list[Path]:
@@ -253,63 +267,40 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     files = _corpus_files(args.corpus)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.jobs < 1:
-        raise _ConfigError("--jobs must be >= 1")
-
-    pairs = [(path, bug_type) for path in files for bug_type in bug_types]
-    sources = {path: path.read_text(encoding="utf-8") for path in files}
-
-    def run(pair):
-        path, bug_type = pair
-        out_name = f"{path.stem}.{bug_type.value}.sol"
-        return _inject_one(sources[path], bug_type, pool, out_name,
-                           args.counter_start)
-
-    results: dict[tuple[Path, BugType], object] = {}
-    if args.jobs == 1:
-        for pair in pairs:
-            try:
-                results[pair] = run(pair)
-            except SolBugSmithError as exc:
-                results[pair] = exc
-    else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool_exec:
-            for pair, outcome in zip(pairs, pool_exec.map(
-                    lambda p: _catch(run, p), pairs)):
-                results[pair] = outcome
 
     failures: list[tuple[str, str]] = []
     written = 0
     total_bugs = 0
-    for path, bug_type in pairs:
-        outcome = results[(path, bug_type)]
-        out_name = f"{path.stem}.{bug_type.value}.sol"
-        if isinstance(outcome, SolBugSmithError):
-            failures.append((out_name, str(outcome)))
-            continue
-        (out_dir / out_name).write_text(outcome.text, encoding="utf-8")
-        stem = out_name[:-len(".sol")]
-        (out_dir / f"{stem}.buglog.json").write_text(
-            emit_buglog_json(outcome.entries), encoding="utf-8")
-        (out_dir / f"{stem}.buglog.csv").write_text(
-            emit_buglog_csv(outcome.entries), encoding="utf-8")
-        written += 1
-        total_bugs += len(outcome.entries)
+    for path in files:
+        source = path.read_text(encoding="utf-8")
+        for bug_type in bug_types:
+            out_name = f"{path.stem}.{bug_type.value}.sol"
+            try:
+                result = _inject_one(source, bug_type, pool, out_name,
+                                     args.counter_start)
+            except SolBugSmithError as exc:
+                failures.append((out_name, str(exc)))
+                continue
+            (out_dir / out_name).write_text(result.text, encoding="utf-8")
+            stem = out_name[:-len(".sol")]
+            (out_dir / f"{stem}.buglog.json").write_text(
+                emit_buglog_json(result.entries), encoding="utf-8")
+            (out_dir / f"{stem}.buglog.csv").write_text(
+                emit_buglog_csv(result.entries), encoding="utf-8")
+            written += 1
+            total_bugs += len(result.entries)
     print(f"wrote {written} buggy file(s), {total_bugs} bug(s) total")
     return _summarize(failures)
 
 
-def _catch(fn, arg):
-    try:
-        return fn(arg)
-    except SolBugSmithError as exc:
-        return exc
-
-
 def _cmd_oracle(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    spec = OracleSpec(miss_rate=args.miss_rate, mistype_rate=args.mistype_rate,
-                      extra_per_file=args.extra_per_file, seed=seed)
+    try:
+        spec = OracleSpec(miss_rate=args.miss_rate,
+                          mistype_rate=args.mistype_rate,
+                          extra_per_file=args.extra_per_file, seed=seed)
+    except DomainError as exc:
+        raise _ConfigError(str(exc))
     capabilities = _resolve_capabilities(args.capabilities)
     buglogs = _read_buglogs(args.buglogs)
     root = Path(args.buglogs)
@@ -376,6 +367,8 @@ def _load_truth_extras(reports_dir: Path) -> dict[str, set[tuple[str, int, str]]
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     capabilities = _resolve_capabilities(args.capabilities)
+    confirmed_doc = _load_config(args.confirmed, json.loads) \
+        if args.confirmed else {}
     buglogs = _read_buglogs(args.buglogs)
     all_entries = [e for name in sorted(buglogs) for e in buglogs[name]]
     reports_dir = Path(args.reports)
@@ -416,9 +409,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     pooled = [f for tool in sorted(scores) for f in findings_by_tool[tool]]
     majority = filter_by_majority(pooled, all_entries, thresholds)
     truth_extras = _load_truth_extras(reports_dir)
-    confirmed_doc: dict = {}
-    if args.confirmed:
-        confirmed_doc = json.loads(Path(args.confirmed).read_text("utf-8"))
 
     cells: dict[str, dict[BugType, FPCell]] = {}
     misc_counts: dict[str, int] = {}
@@ -505,47 +495,11 @@ def _fp_csv(cells: dict[str, dict[BugType, FPCell]],
     return "\n".join(lines) + "\n"
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    pool = _resolve_pool(args.pool)
-    bug_types = _resolve_bug_types(args.bug_types)
-    files = _corpus_files(args.corpus)
-    if args.repeats < 1:
-        raise _ConfigError("--repeats must be >= 1")
-    failures: list[tuple[str, str]] = []
-    overall: list[float] = []
-
-    for path in files:
-        source = path.read_text(encoding="utf-8")
-        durations: list[float] = []
-        try:
-            for _ in range(args.repeats):
-                begin = time.perf_counter()
-                for bug_type in bug_types:
-                    profile = find_all_potential_locations(source, bug_type,
-                                                           pool,
-                                                           source_id=path.name)
-                    inject_all(source, profile, pool, file_name=path.name)
-                durations.append(time.perf_counter() - begin)
-        except SolBugSmithError as exc:
-            failures.append((path.name, str(exc)))
-            continue
-        overall.extend(durations)
-        print(f"{path.name}: min={min(durations):.4f}s "
-              f"mean={statistics.mean(durations):.4f}s "
-              f"max={max(durations):.4f}s "
-              f"({len(bug_types)} bug type(s), {args.repeats} repeat(s))")
-    if overall:
-        print(f"overall: mean={statistics.mean(overall):.4f}s "
-              f"over {len(overall)} timed run(s)")
-    return _summarize(failures)
-
-
 _COMMANDS = {
     "locate": _cmd_locate,
     "inject": _cmd_inject,
     "oracle": _cmd_oracle,
     "evaluate": _cmd_evaluate,
-    "bench": _cmd_bench,
 }
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, FormatError, MissingThreshold, ScopeError
 from .injector import BugLogEntry
@@ -75,7 +75,10 @@ def ingest_report(text: str, adapter: str = "normalized-json",
         if not isinstance(line, int) or isinstance(line, bool) or line < 1:
             raise FormatError(idx, f"line must be a positive integer, got {line!r}")
         type_name = raw.get("type", MISCELLANEOUS)
-        reported = next((bt for bt in BugType if bt.value == type_name), None)
+        try:
+            reported = BugType(type_name)
+        except ValueError:
+            reported = None
         message = raw.get("message", "")
         if not isinstance(message, str):
             raise FormatError(idx, "message must be a string")
@@ -250,16 +253,7 @@ def estimate_false_positives(filtered: int, sampled: int, confirmed: int) -> int
 
 def load_capabilities(text: str) -> dict[str, frozenset[BugType]]:
     doc = json.loads(text)
-    caps = {}
-    for tool, names in doc.items():
-        types = []
-        for name in names:
-            bug_type = next((bt for bt in BugType if bt.value == name), None)
-            if bug_type is None:
-                raise ValueError(f"unknown bug type {name!r} for tool {tool}")
-            types.append(bug_type)
-        caps[tool] = frozenset(types)
-    return caps
+    return {tool: frozenset(map(BugType, names)) for tool, names in doc.items()}
 
 
 # -- table rendering -----------------------------------------------------------

@@ -10,15 +10,10 @@ from .spans import LineIndex, Span, column_of
 from .validate import Diagnostic, validate
 
 
-def line_of(source: str, offset: int) -> int:
-    """1-based line containing the byte at ``offset`` of the UTF-8 encoding."""
-    return LineIndex(source.encode("utf-8")).line_of(offset)
-
-
 __all__ = [
     "ContractDef", "Diagnostic", "EventDef", "FunctionDef", "LineIndex",
     "Member", "OpaqueMember", "SourceUnit", "Span", "StateVarDecl", "Stmt",
-    "Token", "TokenKind", "column_of", "line_of", "parse",
+    "Token", "TokenKind", "column_of", "parse",
     "parse_member_fragment", "parse_statement_fragment", "reconstruct",
     "tokenize", "validate",
 ]

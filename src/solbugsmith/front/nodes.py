@@ -39,7 +39,6 @@ class Stmt:
 @dataclass
 class StateVarDecl:
     name: str
-    type_text: str
     span: Span
 
     kind = "stateVar"
@@ -80,10 +79,6 @@ class FunctionDef:
 
     kind: str  # "function" | "constructor" | "modifier"
     name: str | None
-    params: list[tuple[str, str | None]]  # (type text, optional name)
-    visibility: str  # public | private | internal | external
-    mutability: str  # none | payable | view | pure
-    returns_: list[str] | None
     span: Span
     body_span: Span  # between the braces (exclusive of both)
     statements: list[Stmt]

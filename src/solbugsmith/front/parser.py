@@ -20,6 +20,7 @@ from .spans import LineIndex, Span
 
 _VISIBILITY = frozenset({"public", "private", "internal", "external"})
 _MUTABILITY = frozenset({"payable", "view", "pure", "constant"})
+_HEADER_KEYWORDS = _VISIBILITY | _MUTABILITY
 _DATA_LOCATION = frozenset({"memory", "storage", "calldata"})
 _ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%="})
 _OPEN = {"(": ")", "[": "]", "{": "}"}
@@ -162,7 +163,7 @@ class _Parser:
 
     def _state_var(self) -> StateVarDecl:
         start = self.i
-        type_text = self._type_ref()
+        self._type_ref()
         while True:
             tok = self._cur()
             if tok is not None and tok.kind is TokenKind.KEYWORD and \
@@ -175,10 +176,9 @@ class _Parser:
             self._advance()
             self._expression()
         self._expect_punct(";")
-        return StateVarDecl(name.text, type_text, self._span_from(start))
+        return StateVarDecl(name.text, self._span_from(start))
 
-    def _type_ref(self) -> str:
-        start = self.i
+    def _type_ref(self) -> None:
         tok = self._cur()
         if tok is None:
             raise self._error("type")
@@ -202,7 +202,6 @@ class _Parser:
             if not self._is_punct("]"):
                 self._expression()
             self._expect_punct("]")
-        return self._text_of(self._span_from(start))
 
     def _function_def(self, kind_word: str) -> FunctionDef | OpaqueMember:
         start = self.i
@@ -212,28 +211,19 @@ class _Parser:
                                        and not self._is_punct("(")):
             # A nameless function () is the fallback function.
             name = self._expect_identifier(f"{kind_word} name").text
-        params: list[tuple[str, str | None]] = []
         if self._is_punct("("):
-            params = self._param_list()
-        visibility: str | None = None
-        mutability = "none"
-        returns_: list[str] | None = None
+            self._param_list()
         while not self._is_punct("{") and not self._is_punct(";"):
             tok = self._cur()
             if tok is None:
                 raise self._error("'{' or ';'")
-            if tok.kind is TokenKind.KEYWORD and tok.text in _VISIBILITY:
-                visibility = tok.text
-                self._advance()
-            elif tok.kind is TokenKind.KEYWORD and tok.text in _MUTABILITY:
-                mutability = "view" if tok.text == "constant" else tok.text
+            if tok.kind is TokenKind.KEYWORD and tok.text in _HEADER_KEYWORDS:
                 self._advance()
             elif tok.kind is TokenKind.KEYWORD and tok.text == "returns":
                 self._advance()
                 self._expect_punct("(")
-                returns_ = []
                 while not self._is_punct(")"):
-                    returns_.append(self._type_ref())
+                    self._type_ref()
                     while True:
                         cur = self._cur()
                         if cur is not None and cur.kind is TokenKind.KEYWORD \
@@ -269,15 +259,13 @@ class _Parser:
         rbrace = self._expect_punct("}")
         body_span = Span(lbrace.span.end, rbrace.span.start,
                          lbrace.span.end_line, rbrace.span.start_line)
-        return FunctionDef(kind_word, name, params, visibility or "public",
-                           mutability, returns_, self._span_from(start),
-                           body_span, statements)
+        return FunctionDef(kind_word, name, self._span_from(start), body_span,
+                           statements)
 
-    def _param_list(self) -> list[tuple[str, str | None]]:
+    def _param_list(self) -> None:
         self._expect_punct("(")
-        params: list[tuple[str, str | None]] = []
         while not self._is_punct(")"):
-            type_text = self._type_ref()
+            self._type_ref()
             while True:
                 tok = self._cur()
                 if tok is not None and tok.kind is TokenKind.KEYWORD and \
@@ -285,17 +273,14 @@ class _Parser:
                     self._advance()
                 else:
                     break
-            name = None
             tok = self._cur()
             if tok is not None and tok.kind is TokenKind.IDENTIFIER:
-                name = self._advance().text
-            params.append((type_text, name))
+                self._advance()
             if self._is_punct(","):
                 self._advance()
             elif not self._is_punct(")"):
                 raise self._error("',' or ')'")
         self._expect_punct(")")
-        return params
 
     def _event_def(self) -> EventDef:
         start = self.i

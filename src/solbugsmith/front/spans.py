@@ -17,9 +17,6 @@ class Span:
     start_line: int
     end_line: int
 
-    def contains(self, other: "Span") -> bool:
-        return self.start <= other.start and other.end <= self.end
-
     def overlaps(self, other: "Span") -> bool:
         return self.start < other.end and other.start < self.end
 

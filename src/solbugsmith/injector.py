@@ -16,10 +16,10 @@ import json
 from dataclasses import dataclass
 
 from .errors import EditConflict, StaleProfile
-from .front import FunctionDef, LineIndex, parse
+from .front import LineIndex, parse
 from .locator import (InjectionProfile, SnippetSite, TransformSite,
                       WeakenSite, source_digest)
-from .model import Approach, BugType, bug_type_from_name
+from .model import Approach, BugType
 from .pool import BugPool, BugSnippet, instantiate, lead_identifier
 
 CSV_COLUMNS = ("bugId", "bugType", "approach", "snippetId", "file",
@@ -265,15 +265,8 @@ def load_buglog(text: str) -> list[BugLogEntry]:
     for raw in json.loads(text):
         span = raw["byteSpan"]
         entries.append(BugLogEntry(
-            raw["bugId"], bug_type_from_name(raw["bugType"]),
-            _approach_from_name(raw["approach"]), raw.get("snippetId"),
+            raw["bugId"], BugType(raw["bugType"]),
+            Approach(raw["approach"]), raw.get("snippetId"),
             raw["file"], raw["startLine"], raw["endLine"],
             span["start"], span["end"]))
     return entries
-
-
-def _approach_from_name(name: str) -> Approach:
-    for member in Approach:
-        if member.value == name:
-            return member
-    raise ValueError(f"unknown approach: {name!r}")

@@ -20,7 +20,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .front import (ContractDef, FunctionDef, SourceUnit, Span, Stmt, parse)
+from .front import FunctionDef, SourceUnit, Span, Stmt, parse
 from .front.lexer import Token, TokenKind, tokenize
 from .model import BugType, SnippetForm
 from .pool import BugPool, TransformPattern, WeakeningRule
@@ -289,7 +289,7 @@ def find_transformable_code(unit: SourceUnit, bug_type: BugType,
             first = stream[start].span
             last = stream[start + len(needle) - 1].span
             span = Span(first.start, last.end, first.start_line, last.end_line)
-            if any(o.start < span.end and span.start < o.end for o in opaque):
+            if any(o.overlaps(span) for o in opaque):
                 continue
             candidates.append((span, pattern))
     candidates.sort(key=lambda c: (c[0].start, -(c[0].end - c[0].start)))

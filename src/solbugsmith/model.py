@@ -34,17 +34,3 @@ class Approach(Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-def bug_type_from_name(name: str) -> BugType:
-    for member in BugType:
-        if member.value == name:
-            return member
-    raise ValueError(f"unknown bug type: {name!r}")
-
-
-def form_from_name(name: str) -> SnippetForm:
-    for member in SnippetForm:
-        if member.value == name:
-            return member
-    raise ValueError(f"unknown snippet form: {name!r}")

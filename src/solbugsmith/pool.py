@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -19,7 +19,7 @@ from .errors import ParseError, PoolError
 from .front import FunctionDef, parse_member_fragment, parse_statement_fragment
 from .front.lexer import TokenKind, tokenize
 from .front.nodes import COMPOUND_STMT_KINDS, SIMPLE_STMT_KINDS, Stmt
-from .model import BugType, SnippetForm, bug_type_from_name, form_from_name
+from .model import BugType, SnippetForm
 
 GUARD_SHAPES = frozenset({"guardedSendRevert"})
 
@@ -102,15 +102,6 @@ def lead_identifier(snippet: BugSnippet, counter: int) -> str | None:
     return f"{match.group(1)}{counter}"
 
 
-def marked_identifiers(snippet: BugSnippet, counter: int) -> tuple[str, ...]:
-    names = []
-    for match in _MARKED_NAME.finditer(snippet.template):
-        name = f"{match.group(1)}{counter}"
-        if name not in names:
-            names.append(name)
-    return tuple(names)
-
-
 def load_pool(text: str) -> BugPool:
     """Parse and verify a pool document, raising PoolError on the first bad entry."""
     try:
@@ -166,8 +157,8 @@ def _snippet_from_json(raw: object) -> BugSnippet:
     if not isinstance(entry_id, str) or not entry_id:
         raise PoolError("<snippet>", "missing or empty id")
     try:
-        bug_type = bug_type_from_name(raw["bugType"])
-        form = form_from_name(raw["form"])
+        bug_type = BugType(raw["bugType"])
+        form = SnippetForm(raw["form"])
     except (KeyError, ValueError, TypeError) as err:
         raise PoolError(entry_id, str(err)) from None
     template = raw.get("template")
@@ -237,7 +228,7 @@ def _transform_from_json(raw: object, idx: int) -> TransformPattern:
     if not isinstance(raw, dict):
         raise PoolError(label, "transform entry must be an object")
     try:
-        bug_type = bug_type_from_name(raw["bugType"])
+        bug_type = BugType(raw["bugType"])
     except (KeyError, ValueError, TypeError) as err:
         raise PoolError(label, str(err)) from None
     match = raw.get("match")
@@ -269,7 +260,7 @@ def _weakening_from_json(raw: object, idx: int) -> WeakeningRule:
     if not isinstance(raw, dict):
         raise PoolError(label, "weakening entry must be an object")
     try:
-        bug_type = bug_type_from_name(raw["bugType"])
+        bug_type = BugType(raw["bugType"])
     except (KeyError, ValueError, TypeError) as err:
         raise PoolError(label, str(err)) from None
     shape = raw.get("guardShape")

@@ -92,9 +92,9 @@ class TestInject:
 
     def test_reruns_are_byte_identical(self, mini_corpus, tmp_path, capsys):
         dirs = [tmp_path / "a", tmp_path / "b"]
-        for target, jobs in zip(dirs, ("1", "3")):
+        for target in dirs:
             assert main(["inject", "--corpus", str(mini_corpus),
-                         "--out", str(target), "--jobs", jobs,
+                         "--out", str(target),
                          "--bug-types", "UncheckedSend,TOD",
                          "--counter-start", "5"]) == 0
         capsys.readouterr()
@@ -220,16 +220,6 @@ class TestEvaluate:
         assert "Miscellaneous" in out
 
 
-class TestBench:
-    def test_reports_per_file_and_overall_timings(self, mini_corpus, capsys):
-        assert main(["bench", "--corpus", str(mini_corpus),
-                     "--repeats", "2", "--bug-types", "TxOrigin"]) == 0
-        out = capsys.readouterr().out
-        assert "Counter.sol: min=" in out
-        assert "PiggyBank.sol: min=" in out
-        assert out.strip().split("\n")[-1].startswith("overall: mean=")
-
-
 class TestExitCodes:
     def test_missing_required_flag_exits_one(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -264,3 +254,48 @@ class TestExitCodes:
                      "--reports", str(tmp_path / "empty")]) == 1
         err = capsys.readouterr().err
         assert "Mythril" in err and "Slither" in err
+
+    @pytest.mark.parametrize("argv, named", [
+        pytest.param(["inject", "--corpus", "{tmp}", "--out", "{tmp}/out",
+                      "--counter-start", "-5"], "--counter-start",
+                     id="negative-counter-start"),
+        pytest.param(["evaluate", "--buglogs", "{tmp}", "--reports", "{tmp}",
+                      "--line-slack", "-1"], "--line-slack",
+                     id="negative-line-slack"),
+        pytest.param(["evaluate", "--buglogs", "{tmp}", "--reports", "{tmp}",
+                      "--sample-size", "-1"], "--sample-size",
+                     id="negative-sample-size"),
+        pytest.param(["inject", "--corpus", "{tmp}", "--out", "{tmp}/out",
+                      "--pool", "{tmp}/missing.json"], "missing.json",
+                     id="missing-pool"),
+        pytest.param(["inject", "--corpus", "{tmp}", "--out", "{tmp}/out",
+                      "--pool", "{tmp}/bad.json"], "bad.json",
+                     id="invalid-pool-json"),
+        pytest.param(["oracle", "--buglogs", "{tmp}", "--out", "{tmp}/out",
+                      "--capabilities", "{tmp}/missing.json"], "missing.json",
+                     id="missing-capabilities"),
+        pytest.param(["oracle", "--buglogs", "{tmp}", "--out", "{tmp}/out",
+                      "--capabilities", "{tmp}/bad.json"], "bad.json",
+                     id="invalid-capabilities-json"),
+        pytest.param(["evaluate", "--buglogs", "{tmp}", "--reports", "{tmp}",
+                      "--confirmed", "{tmp}/missing.json"], "missing.json",
+                     id="missing-confirmed"),
+        pytest.param(["evaluate", "--buglogs", "{tmp}", "--reports", "{tmp}",
+                      "--confirmed", "{tmp}/bad.json"], "bad.json",
+                     id="invalid-confirmed-json"),
+        pytest.param(["oracle", "--buglogs", "{tmp}", "--out", "{tmp}/out",
+                      "--miss-rate", "2"], "miss rate",
+                     id="oracle-rate-out-of-range"),
+    ])
+    def test_bad_flag_or_config_file_exits_one_with_one_line(
+            self, argv, named, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
+        try:
+            code = main([arg.format(tmp=tmp_path) for arg in argv])
+        except SystemExit as exit_:  # argparse rejected a flag
+            code = exit_.code
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert named in err
+        assert "Traceback" not in err

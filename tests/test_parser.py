@@ -55,7 +55,6 @@ class TestStructure:
         fn = parse_member_fragment("function() public payable { x += 1; }")[0]
         assert isinstance(fn, FunctionDef)
         assert fn.name is None
-        assert fn.mutability == "payable"
 
     def test_modifier_bodies_hold_statements(self):
         mod = parse_member_fragment(

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from solbugsmith.errors import PoolError
 from solbugsmith.model import BugType, SnippetForm
-from solbugsmith.pool import (BugSnippet, instantiate, lead_identifier,
-                              load_pool, marked_identifiers, serialize_pool)
+from solbugsmith.pool import (instantiate, lead_identifier, load_pool,
+                              serialize_pool)
 
 
 class TestDefaultPool:
@@ -62,19 +62,12 @@ class TestInstantiate:
         assert lead.endswith("7")
         assert lead in instantiate(snippet, 7)
 
-    def test_marked_identifiers_found(self):
-        snippet = BugSnippet(
-            id="x", bug_type=BugType.TX_ORIGIN,
-            form=SnippetForm.SIMPLE_STATEMENT,
-            template="tally_tx{N} += other_tx{N};", required_context=())
-        assert marked_identifiers(snippet, 3) == ("tally_tx3", "other_tx3")
-
     @given(st.integers(min_value=0, max_value=10_000))
     def test_counters_resolve_all_markers(self, pool, counter):
         for snippet in pool.snippets:
             text = instantiate(snippet, counter)
             assert "{N}" not in text
-            if marked_identifiers(snippet, counter):
+            if lead_identifier(snippet, counter):
                 assert str(counter) in text
 
     @given(st.lists(st.integers(min_value=0, max_value=9999), min_size=2,
