@@ -18,7 +18,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .errors import DomainError, MissingBugLog, PoolError, SolBugSmithError
+from .errors import (DomainError, MalformedDocument, MissingBugLog, PoolError,
+                     SolBugSmithError)
 from .evaluator import (ADAPTERS, FNScore, FPCell, Finding, derive_thresholds,
                         estimate_false_positives, filter_by_majority, fn_cell,
                         ingest_report, load_capabilities, render_fn_table,
@@ -173,6 +174,17 @@ def _resolve_capabilities(path: str | None) -> dict[str, frozenset[BugType]]:
     return _load_config(path, load_capabilities)
 
 
+def _load_confirmed(text: str) -> dict[str, dict[str, int]]:
+    doc = json.loads(text)
+    if not isinstance(doc, dict) or not all(
+            isinstance(counts, dict)
+            and all(type(n) is int and n >= 0 for n in counts.values())
+            for counts in doc.values()):
+        raise ValueError("expected a JSON object mapping each tool to "
+                         "{bug type: count >= 0}")
+    return doc
+
+
 def _corpus_files(raw: str) -> list[Path]:
     path = Path(raw)
     if path.is_dir():
@@ -182,6 +194,16 @@ def _corpus_files(raw: str) -> list[Path]:
     raise _ConfigError(f"corpus path does not exist: {raw}")
 
 
+def _sources(files: list[Path], failures: list[tuple[str, str]]):
+    """``(path, text)`` for each corpus file that reads as UTF-8; the others
+    are recorded as per-file failures."""
+    for path in files:
+        try:
+            yield path, path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            failures.append((path.name, f"cannot read source: {exc}"))
+
+
 def _read_buglogs(raw: str) -> dict[str, list[BugLogEntry]]:
     root = Path(raw)
     if not root.is_dir():
@@ -189,7 +211,10 @@ def _read_buglogs(raw: str) -> dict[str, list[BugLogEntry]]:
     logs: dict[str, list[BugLogEntry]] = {}
     for path in sorted(root.glob("*.buglog.json")):
         sol_name = path.name[:-len(".buglog.json")] + ".sol"
-        logs[sol_name] = load_buglog(path.read_text(encoding="utf-8"))
+        try:
+            logs[sol_name] = load_buglog(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, MalformedDocument) as exc:
+            raise MalformedDocument(f"{path}: {exc}") from None
     if not logs:
         raise MissingBugLog(f"no *.buglog.json files in {raw}")
     return logs
@@ -213,8 +238,7 @@ def _cmd_locate(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     failures: list[tuple[str, str]] = []
 
-    for path in files:
-        source = path.read_text(encoding="utf-8")
+    for path, source in _sources(files, failures):
         if args.dump_ast:
             try:
                 doc = json.dumps(parse(source).to_json(), indent=2)
@@ -271,8 +295,7 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     failures: list[tuple[str, str]] = []
     written = 0
     total_bugs = 0
-    for path in files:
-        source = path.read_text(encoding="utf-8")
+    for path, source in _sources(files, failures):
         for bug_type in bug_types:
             out_name = f"{path.stem}.{bug_type.value}.sol"
             try:
@@ -314,9 +337,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         if not sol_path.is_file():
             failures.append((sol_name, "buggy source missing next to its log"))
             continue
-        text = sol_path.read_text(encoding="utf-8")
-        line_counts[sol_name] = text.count("\n") + (0 if text.endswith("\n")
-                                                    else 1)
+        for _, text in _sources([sol_path], failures):
+            line_counts[sol_name] = text.count("\n") + (
+                0 if text.endswith("\n") else 1)
     usable = {name: entries for name, entries in buglogs.items()
               if name in line_counts}
 
@@ -358,16 +381,23 @@ def _partition_scores(entries: list[BugLogEntry], findings: list[Finding],
 def _load_truth_extras(reports_dir: Path) -> dict[str, set[tuple[str, int, str]]]:
     extras: dict[str, set[tuple[str, int, str]]] = {}
     for path in sorted(reports_dir.glob("*.truth.json")):
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        extras[doc["tool"]] = {(e["file"], e["line"], e["type"])
-                               for e in doc.get("extras", ())}
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(doc, dict):
+                raise TypeError("expected a JSON object")
+            extras[doc["tool"]] = {(e["file"], e["line"], e["type"])
+                                   for e in doc.get("extras", ())}
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            reason = f"no {exc} field" if isinstance(exc, KeyError) else exc
+            raise MalformedDocument(
+                f"{path}: malformed truth file: {reason}") from None
     return extras
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     capabilities = _resolve_capabilities(args.capabilities)
-    confirmed_doc = _load_config(args.confirmed, json.loads) \
+    confirmed_doc = _load_config(args.confirmed, _load_confirmed) \
         if args.confirmed else {}
     buglogs = _read_buglogs(args.buglogs)
     all_entries = [e for name in sorted(buglogs) for e in buglogs[name]]
@@ -429,8 +459,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                                 if (f.file, f.line, f.type_label)
                                 in truth_extras[tool])
             elif confirmed_doc:
-                confirmed = int(confirmed_doc.get(tool, {})
-                                .get(bug_type.value, len(sample)))
+                confirmed = confirmed_doc.get(tool, {}).get(bug_type.value,
+                                                            len(sample))
+                if confirmed > len(sample):
+                    raise _ConfigError(
+                        f"{args.confirmed}: {tool} {bug_type.value}: "
+                        f"confirmed count {confirmed} exceeds the "
+                        f"{len(sample)} sampled finding(s)")
             else:
                 confirmed = len(sample)
             estimated = estimate_false_positives(len(filtered), len(sample),

@@ -76,3 +76,7 @@ class DomainError(SolBugSmithError):
 
 class MissingBugLog(SolBugSmithError):
     """No BugLog found where one is required."""
+
+
+class MalformedDocument(SolBugSmithError):
+    """A bug log or truth file does not have its documented shape."""

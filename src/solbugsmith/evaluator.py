@@ -252,7 +252,14 @@ def estimate_false_positives(filtered: int, sampled: int, confirmed: int) -> int
 
 
 def load_capabilities(text: str) -> dict[str, frozenset[BugType]]:
+    """``{tool: [bug type name, ...]}``; ValueError for any other shape or
+    an unknown bug type name."""
     doc = json.loads(text)
+    if not isinstance(doc, dict) or not all(
+            isinstance(names, list) and all(isinstance(n, str) for n in names)
+            for names in doc.values()):
+        raise ValueError("expected a JSON object mapping each tool to a list "
+                         "of bug type names")
     return {tool: frozenset(map(BugType, names)) for tool, names in doc.items()}
 
 

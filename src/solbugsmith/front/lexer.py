@@ -4,15 +4,25 @@ Comments are kept as first-class tokens and a ``pragma`` directive is one
 token running through its terminating semicolon, so re-serializing the
 stream (tokens plus the whitespace gaps between them) reproduces the input
 byte-for-byte.
+
+The token grammar is one table, the ``_TOKEN`` pattern, with one named
+alternative per line. At each offset the first alternative that matches
+wins, so their order is the longest-match and error policy: a complete
+comment, string or pragma is tried before its unterminated opener (a
+LexError at the opener), a word before a punctuator, three-character
+operators before two-character ones before single characters, and any
+other byte last (an illegal character). A LexError is raised at the start
+of the offending match.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from ..errors import LexError
-from .spans import Span
+from .spans import Span, column_of
 
 
 class TokenKind(enum.Enum):
@@ -59,170 +69,55 @@ STRUCTURAL_KEYWORDS = frozenset(
 
 KEYWORDS = STRUCTURAL_KEYWORDS | ELEMENTARY_TYPES | UNIT_KEYWORDS
 
-# Longest first so the two/three character operators win over their prefixes.
-_PUNCTUATORS = sorted(
-    [b">>=", b"<<=",
-     b"==", b"!=", b"<=", b">=", b"&&", b"||", b"+=", b"-=", b"*=", b"/=",
-     b"%=", b"++", b"--", b"=>", b"**", b"<<", b">>",
-     b"+", b"-", b"*", b"/", b"%", b"!", b"=", b"<", b">",
-     b"(", b")", b"{", b"}", b"[", b"]",
-     b";", b",", b".", b"?", b":", b"&", b"|", b"^", b"~"],
-    key=len,
-    reverse=True,
-)
+# Every alternative consumes at least one byte, so the matches tile the input.
+# Upper-case groups are TokenKind names; the others are skipped or errors.
+_TOKEN = re.compile(rb"""
+    (?P<whitespace>[ \t\r\n]+)
+  | (?P<COMMENT>//[^\n]*|/\*.*?\*/)
+  | (?P<open_comment>/\*)
+  | (?P<STRING>"(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*')
+  | (?P<open_string>["'])
+  | (?P<NUMBER>0[xX][0-9a-fA-F]*|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
+  | (?P<PRAGMA>pragma(?![A-Za-z0-9_$])[^;]*;)
+  | (?P<open_pragma>pragma(?![A-Za-z0-9_$]))
+  | (?P<IDENTIFIER>[A-Za-z_$][A-Za-z0-9_$]*)
+  | (?P<PUNCTUATOR>>>=|<<=|==|!=|<=|>=|&&|\|\||\+=|-=|\*=|/=|%=|\+\+|--|=>|\*\*
+                  |<<|>>|[-+*/%!=<>(){}\[\];,.?:&|^~])
+  | (?P<illegal>.)
+""", re.VERBOSE | re.DOTALL)
 
-_IDENT_START = frozenset(b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
-_IDENT_CONT = _IDENT_START | frozenset(b"0123456789")
-_DIGITS = frozenset(b"0123456789")
-_HEX_DIGITS = frozenset(b"0123456789abcdefABCDEF")
-_WS = frozenset(b" \t\r\n")
-
-
-class _Scanner:
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-        self.line = 1
-        self.line_start = 0
-
-    def column(self, offset: int | None = None) -> int:
-        if offset is None:
-            offset = self.pos
-        return offset - self.line_start + 1
-
-    def error(self, message: str, at: int | None = None) -> LexError:
-        return LexError(self.line, self.column(at), message)
-
-    def advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.data[self.pos] == 0x0A:
-                self.line += 1
-                self.line_start = self.pos + 1
-            self.pos += 1
+_ERRORS = {
+    "open_comment": "unterminated block comment",
+    "open_string": "unterminated string literal",
+    "open_pragma": "unterminated pragma directive",
+}
 
 
 def tokenize(source: str) -> list[Token]:
     """Lex ``source`` into a lossless token stream (byte-offset spans)."""
     data = source.encode("utf-8")
-    sc = _Scanner(data)
     tokens: list[Token] = []
-
-    while sc.pos < len(data):
-        b = data[sc.pos]
-        if b in _WS:
-            sc.advance()
+    kinds = TokenKind.__members__
+    line = 1
+    for match in _TOKEN.finditer(data):
+        group = match.lastgroup
+        start, end = match.span()
+        if group == "whitespace":
+            line += data.count(b"\n", start, end)
             continue
-
-        start = sc.pos
-        start_line = sc.line
-
-        if data.startswith(b"//", sc.pos):
-            end = data.find(b"\n", sc.pos)
-            end = len(data) if end == -1 else end
-            sc.advance(end - sc.pos)
-            tokens.append(_mk(TokenKind.COMMENT, data, start, end, start_line, sc.line))
-            continue
-
-        if data.startswith(b"/*", sc.pos):
-            end = data.find(b"*/", sc.pos + 2)
-            if end == -1:
-                raise sc.error("unterminated block comment", start)
-            sc.advance(end + 2 - sc.pos)
-            tokens.append(_mk(TokenKind.COMMENT, data, start, end + 2, start_line, sc.line))
-            continue
-
-        if b in (0x22, 0x27):  # " or '
-            end = _scan_string(sc, b)
-            tokens.append(_mk(TokenKind.STRING, data, start, end, start_line, sc.line))
-            continue
-
-        if b in _DIGITS:
-            end = _scan_number(data, sc.pos)
-            sc.advance(end - sc.pos)
-            tokens.append(_mk(TokenKind.NUMBER, data, start, end, start_line, sc.line))
-            continue
-
-        if b in _IDENT_START:
-            end = sc.pos + 1
-            while end < len(data) and data[end] in _IDENT_CONT:
-                end += 1
-            word = data[start:end].decode("ascii")
-            if word == "pragma":
-                semi = data.find(b";", end)
-                if semi == -1:
-                    raise sc.error("unterminated pragma directive", start)
-                sc.advance(semi + 1 - sc.pos)
-                tokens.append(_mk(TokenKind.PRAGMA, data, start, semi + 1, start_line, sc.line))
-                continue
-            sc.advance(end - sc.pos)
-            kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENTIFIER
-            tokens.append(_mk(kind, data, start, end, start_line, sc.line))
-            continue
-
-        matched = False
-        for punct in _PUNCTUATORS:
-            if data.startswith(punct, sc.pos):
-                sc.advance(len(punct))
-                tokens.append(
-                    _mk(TokenKind.PUNCTUATOR, data, start, start + len(punct), start_line, sc.line)
-                )
-                matched = True
-                break
-        if matched:
-            continue
-
-        raise sc.error(f"illegal character {bytes([b])!r}")
-
+        kind = kinds.get(group)
+        if kind is None:
+            message = _ERRORS.get(group) or f"illegal character {match[0]!r}"
+            raise LexError(line, column_of(data, start), message)
+        text = match[0].decode("utf-8")
+        if kind is TokenKind.IDENTIFIER and text in KEYWORDS:
+            kind = TokenKind.KEYWORD
+        newlines = data.count(b"\n", start, end)
+        # most tokens end on their first line; share its int object
+        end_line = line + newlines if newlines else line
+        tokens.append(Token(kind, text, Span(start, end, line, end_line)))
+        line = end_line
     return tokens
-
-
-def _mk(kind: TokenKind, data: bytes, start: int, end: int,
-        start_line: int, end_line: int) -> Token:
-    return Token(kind, data[start:end].decode("utf-8"), Span(start, end, start_line, end_line))
-
-
-def _scan_string(sc: _Scanner, quote: int) -> int:
-    data = sc.data
-    pos = sc.pos + 1
-    while pos < len(data):
-        b = data[pos]
-        if b == quote:
-            sc.advance(pos + 1 - sc.pos)
-            return pos + 1
-        if b == 0x5C:  # backslash escape: skip the escaped byte
-            pos += 2
-            continue
-        if b == 0x0A:
-            break
-        pos += 1
-    raise sc.error("unterminated string literal")
-
-
-def _scan_number(data: bytes, pos: int) -> int:
-    if data.startswith(b"0x", pos) or data.startswith(b"0X", pos):
-        end = pos + 2
-        while end < len(data) and data[end] in _HEX_DIGITS:
-            end += 1
-        return end
-    end = pos
-    while end < len(data) and data[end] in _DIGITS:
-        end += 1
-    if end < len(data) and data[end] == 0x2E:  # .
-        frac = end + 1
-        while frac < len(data) and data[frac] in _DIGITS:
-            frac += 1
-        if frac > end + 1:
-            end = frac
-    if end < len(data) and data[end] in (0x65, 0x45):  # e / E
-        exp = end + 1
-        if exp < len(data) and data[exp] in (0x2B, 0x2D):
-            exp += 1
-        digits = exp
-        while digits < len(data) and data[digits] in _DIGITS:
-            digits += 1
-        if digits > exp:
-            end = digits
-    return end
 
 
 def reconstruct(source: str, tokens: list[Token]) -> str:

@@ -16,12 +16,14 @@ from ..errors import ParseError
 from .lexer import ELEMENTARY_TYPES, Token, TokenKind, UNIT_KEYWORDS, tokenize
 from .nodes import (ContractDef, EventDef, FunctionDef, OpaqueMember,
                     SourceUnit, StateVarDecl, Stmt)
-from .spans import LineIndex, Span
+from .spans import LineIndex, Span, column_of
 
 _VISIBILITY = frozenset({"public", "private", "internal", "external"})
 _MUTABILITY = frozenset({"payable", "view", "pure", "constant"})
 _HEADER_KEYWORDS = _VISIBILITY | _MUTABILITY
 _DATA_LOCATION = frozenset({"memory", "storage", "calldata"})
+_STATE_VAR_WORDS = _VISIBILITY | {"constant"}
+_PARAM_WORDS = _DATA_LOCATION | {"indexed", "payable"}
 _ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%="})
 _OPEN = {"(": ")", "[": "]", "{": "}"}
 _CLOSE = frozenset(")]}")
@@ -37,6 +39,12 @@ def parse(source: str) -> SourceUnit:
     """Parse ``source`` into a span-annotated SourceUnit."""
     tokens = tokenize(source)
     return _Parser(source, tokens).parse_unit()
+
+
+def _between(open_tok: Token, close_tok: Token) -> Span:
+    """Span strictly inside a bracket pair (both brackets excluded)."""
+    return Span(open_tok.span.end, close_tok.span.start,
+                open_tok.span.end_line, close_tok.span.start_line)
 
 
 class _Parser:
@@ -72,12 +80,9 @@ class _Parser:
             else:
                 line, col = 1, 1
             return ParseError(line, col, expected, "end of input")
-        col = tok.span.start - self._line_start(tok.span.start) + 1
-        return ParseError(tok.span.start_line, col, expected, repr(tok.text))
-
-    def _line_start(self, offset: int) -> int:
-        nl = self.data.rfind(b"\n", 0, offset)
-        return nl + 1
+        return ParseError(tok.span.start_line,
+                          column_of(self.data, tok.span.start), expected,
+                          repr(tok.text))
 
     def _expect_punct(self, text: str) -> Token:
         tok = self._cur()
@@ -104,6 +109,13 @@ class _Parser:
     def _is_keyword(self, text: str) -> bool:
         tok = self._cur()
         return tok is not None and tok.kind is TokenKind.KEYWORD and tok.text == text
+
+    def _skip_keywords(self, words: frozenset[str]) -> None:
+        tok = self._cur()
+        while tok is not None and tok.kind is TokenKind.KEYWORD \
+                and tok.text in words:
+            self._advance()
+            tok = self._cur()
 
     def _span_from(self, start_idx: int) -> Span:
         first = self.toks[start_idx].span
@@ -136,16 +148,18 @@ class _Parser:
         start = self.i
         self._expect_keyword("contract")
         name = self._expect_identifier("contract name")
+        members, body = self._braced(self._member, "contract body")
+        return ContractDef(name.text, members, self._span_from(start), body)
+
+    def _braced(self, item, what: str) -> tuple[list, Span]:
+        """``{ item* }``: the items and the span between the braces."""
         lbrace = self._expect_punct("{")
-        members = []
+        items = []
         while not self._is_punct("}"):
             if self._at_end():
-                raise self._error("'}' closing contract body")
-            members.append(self._member())
-        rbrace = self._expect_punct("}")
-        body_span = Span(lbrace.span.end, rbrace.span.start,
-                         lbrace.span.end_line, rbrace.span.start_line)
-        return ContractDef(name.text, members, self._span_from(start), body_span)
+                raise self._error(f"'}}' closing {what}")
+            items.append(item())
+        return items, _between(lbrace, self._expect_punct("}"))
 
     # -- members -----------------------------------------------------------
 
@@ -164,13 +178,7 @@ class _Parser:
     def _state_var(self) -> StateVarDecl:
         start = self.i
         self._type_ref()
-        while True:
-            tok = self._cur()
-            if tok is not None and tok.kind is TokenKind.KEYWORD and \
-                    tok.text in (_VISIBILITY | {"constant"}):
-                self._advance()
-            else:
-                break
+        self._skip_keywords(_STATE_VAR_WORDS)
         name = self._expect_identifier("state variable name")
         if self._is_punct("="):
             self._advance()
@@ -212,7 +220,7 @@ class _Parser:
             # A nameless function () is the fallback function.
             name = self._expect_identifier(f"{kind_word} name").text
         if self._is_punct("("):
-            self._param_list()
+            self._param_list(_PARAM_WORDS)
         while not self._is_punct("{") and not self._is_punct(";"):
             tok = self._cur()
             if tok is None:
@@ -221,24 +229,7 @@ class _Parser:
                 self._advance()
             elif tok.kind is TokenKind.KEYWORD and tok.text == "returns":
                 self._advance()
-                self._expect_punct("(")
-                while not self._is_punct(")"):
-                    self._type_ref()
-                    while True:
-                        cur = self._cur()
-                        if cur is not None and cur.kind is TokenKind.KEYWORD \
-                                and cur.text in _DATA_LOCATION:
-                            self._advance()
-                        else:
-                            break
-                    cur = self._cur()
-                    if cur is not None and cur.kind is TokenKind.IDENTIFIER:
-                        self._advance()  # optional return value name
-                    if self._is_punct(","):
-                        self._advance()
-                    elif not self._is_punct(")"):
-                        raise self._error("',' or ')'")
-                self._expect_punct(")")
+                self._param_list(_DATA_LOCATION)
             elif tok.kind is TokenKind.IDENTIFIER:
                 self._advance()  # modifier invocation
                 if self._is_punct("("):
@@ -250,29 +241,17 @@ class _Parser:
             self._advance()
             span = self._span_from(start)
             return OpaqueMember(span, self._text_of(span))
-        lbrace = self._expect_punct("{")
-        statements = []
-        while not self._is_punct("}"):
-            if self._at_end():
-                raise self._error("'}' closing function body")
-            statements.append(self._statement())
-        rbrace = self._expect_punct("}")
-        body_span = Span(lbrace.span.end, rbrace.span.start,
-                         lbrace.span.end_line, rbrace.span.start_line)
-        return FunctionDef(kind_word, name, self._span_from(start), body_span,
+        statements, body = self._braced(self._statement, "function body")
+        return FunctionDef(kind_word, name, self._span_from(start), body,
                            statements)
 
-    def _param_list(self) -> None:
+    def _param_list(self, words: frozenset[str]) -> None:
+        """``( type words* [name], ... )``; ``words`` are the keywords
+        allowed between a type and its optional name."""
         self._expect_punct("(")
         while not self._is_punct(")"):
             self._type_ref()
-            while True:
-                tok = self._cur()
-                if tok is not None and tok.kind is TokenKind.KEYWORD and \
-                        tok.text in (_DATA_LOCATION | {"indexed", "payable"}):
-                    self._advance()
-                else:
-                    break
+            self._skip_keywords(words)
             tok = self._cur()
             if tok is not None and tok.kind is TokenKind.IDENTIFIER:
                 self._advance()
@@ -286,7 +265,7 @@ class _Parser:
         start = self.i
         self._expect_keyword("event")
         name = self._expect_identifier("event name")
-        self._param_list()
+        self._param_list(_PARAM_WORDS)
         self._expect_punct(";")
         return EventDef(name.text, self._span_from(start))
 
@@ -356,11 +335,8 @@ class _Parser:
             if text == "emit":
                 return self._emit_stmt()
             if text == "function":
-                col = tok.span.start - self._line_start(tok.span.start) + 1
-                raise ParseError(
-                    tok.span.start_line, col,
-                    "statement (nested function definition is not supported)",
-                    "'function'")
+                raise self._error(
+                    "statement (nested function definition is not supported)")
             if text == "else":
                 # No construct starts with 'else'; letting the opaque
                 # fallback swallow one would hide a broken if/else pairing.
@@ -404,60 +380,44 @@ class _Parser:
         if self._is_punct(","):
             self._advance()
             self._expression()
-        rparen = self._expect_punct(")")
+        cond = _between(lparen, self._expect_punct(")"))
         self._expect_punct(";")
-        cond = Span(lparen.span.end, rparen.span.start,
-                    lparen.span.end_line, rparen.span.start_line)
         return self._stmt("requireStmt", start, cond_span=cond)
 
     def _revert_stmt(self) -> Stmt:
         start = self.i
         self._advance()  # revert
-        self._expect_punct("(")
-        if not self._is_punct(")"):
-            self._expression()
-            while self._is_punct(","):
-                self._advance()
-                self._expression()
-        self._expect_punct(")")
+        self._call_args()
         self._expect_punct(";")
         return self._stmt("revertStmt", start)
 
     def _block(self) -> Stmt:
         start = self.i
-        self._expect_punct("{")
-        children = []
-        while not self._is_punct("}"):
-            if self._at_end():
-                raise self._error("'}' closing block")
-            children.append(self._statement())
-        self._expect_punct("}")
+        children, _ = self._braced(self._statement, "block")
         return self._stmt("block", start, children)
 
     def _if_stmt(self) -> Stmt:
         start = self.i
         self._expect_keyword("if")
-        lparen = self._expect_punct("(")
-        self._expression()
-        rparen = self._expect_punct(")")
+        cond = self._condition()
         children = [self._statement()]
         if self._is_keyword("else"):
             self._advance()
             children.append(self._statement())
-        cond = Span(lparen.span.end, rparen.span.start,
-                    lparen.span.end_line, rparen.span.start_line)
         return self._stmt("ifStmt", start, children, cond_span=cond)
 
     def _while_stmt(self) -> Stmt:
         start = self.i
         self._expect_keyword("while")
+        cond = self._condition()
+        children = [self._statement()]
+        return self._stmt("whileStmt", start, children, cond_span=cond)
+
+    def _condition(self) -> Span:
+        """``( expression )``; returns the span between the parentheses."""
         lparen = self._expect_punct("(")
         self._expression()
-        rparen = self._expect_punct(")")
-        children = [self._statement()]
-        cond = Span(lparen.span.end, rparen.span.start,
-                    lparen.span.end_line, rparen.span.start_line)
-        return self._stmt("whileStmt", start, children, cond_span=cond)
+        return _between(lparen, self._expect_punct(")"))
 
     def _for_stmt(self) -> Stmt:
         start = self.i
@@ -492,13 +452,7 @@ class _Parser:
         start = self.i
         self._expect_keyword("emit")
         self._expect_identifier("event name")
-        self._expect_punct("(")
-        if not self._is_punct(")"):
-            self._expression()
-            while self._is_punct(","):
-                self._advance()
-                self._expression()
-        self._expect_punct(")")
+        self._call_args()
         self._expect_punct(";")
         return self._stmt("emitStmt", start)
 
@@ -510,13 +464,7 @@ class _Parser:
 
     def _var_decl_core(self) -> None:
         self._type_ref()
-        while True:
-            tok = self._cur()
-            if tok is not None and tok.kind is TokenKind.KEYWORD and \
-                    tok.text in _DATA_LOCATION:
-                self._advance()
-            else:
-                break
+        self._skip_keywords(_DATA_LOCATION)
         self._expect_identifier("variable name")
         if self._is_punct("="):
             self._advance()

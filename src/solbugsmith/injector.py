@@ -15,7 +15,7 @@ import io
 import json
 from dataclasses import dataclass
 
-from .errors import EditConflict, StaleProfile
+from .errors import EditConflict, MalformedDocument, StaleProfile
 from .front import LineIndex, parse
 from .locator import (InjectionProfile, SnippetSite, TransformSite,
                       WeakenSite, source_digest)
@@ -261,12 +261,26 @@ def emit_buglog_csv(entries) -> str:
 
 
 def load_buglog(text: str) -> list[BugLogEntry]:
-    entries = []
-    for raw in json.loads(text):
-        span = raw["byteSpan"]
-        entries.append(BugLogEntry(
-            raw["bugId"], BugType(raw["bugType"]),
-            Approach(raw["approach"]), raw.get("snippetId"),
-            raw["file"], raw["startLine"], raw["endLine"],
-            span["start"], span["end"]))
-    return entries
+    """Entries of a bug-log document; MalformedDocument for any other shape."""
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, list):
+            raise TypeError("expected a JSON array of entries")
+        return [_entry_from_json(raw) for raw in doc]
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = f"entry without {exc}" if isinstance(exc, KeyError) else exc
+        raise MalformedDocument(f"malformed bug log: {reason}") from None
+
+
+def _entry_from_json(raw: object) -> BugLogEntry:
+    if not isinstance(raw, dict):
+        raise TypeError("each entry must be a JSON object")
+    span = raw["byteSpan"]
+    positions = (raw["startLine"], raw["endLine"], span["start"], span["end"])
+    if not all(type(n) is int for n in positions):
+        raise TypeError(f"lines and byte offsets must be integers: {positions}")
+    if not isinstance(raw["bugId"], str) or not isinstance(raw["file"], str):
+        raise TypeError("bugId and file must be strings")
+    return BugLogEntry(raw["bugId"], BugType(raw["bugType"]),
+                       Approach(raw["approach"]), raw.get("snippetId"),
+                       raw["file"], *positions)

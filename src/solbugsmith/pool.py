@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .errors import ParseError, PoolError
+from .errors import LexError, ParseError, PoolError
 from .front import FunctionDef, parse_member_fragment, parse_statement_fragment
 from .front.lexer import TokenKind, tokenize
 from .front.nodes import COMPOUND_STMT_KINDS, SIMPLE_STMT_KINDS, Stmt
@@ -242,16 +242,17 @@ def _transform_from_json(raw: object, idx: int) -> TransformPattern:
 
 def _check_transform(transform: TransformPattern, idx: int) -> None:
     label = f"<transform #{idx}>"
+    # tokenize encodes its input as UTF-8, which fails on a lone surrogate
     try:
         toks = [t for t in tokenize(transform.match)
                 if t.kind is not TokenKind.COMMENT]
-    except Exception as err:
+    except (LexError, UnicodeEncodeError) as err:
         raise PoolError(label, f"match pattern does not lex: {err}") from None
     if not toks:
         raise PoolError(label, "match pattern has no tokens")
     try:
         tokenize(" ".join(transform.replace.split()))
-    except Exception as err:
+    except (LexError, UnicodeEncodeError) as err:
         raise PoolError(label, f"replacement does not lex: {err}") from None
 
 

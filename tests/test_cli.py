@@ -2,6 +2,7 @@
 run-to-run reproducibility of everything written to disk."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -286,12 +287,45 @@ class TestExitCodes:
         pytest.param(["oracle", "--buglogs", "{tmp}", "--out", "{tmp}/out",
                       "--miss-rate", "2"], "miss rate",
                      id="oracle-rate-out-of-range"),
+        pytest.param(["oracle", "--buglogs", "{tmp}", "--out", "{tmp}/out",
+                      "--capabilities", "{tmp}/caps_list.json"],
+                     "caps_list.json: expected a JSON object",
+                     id="capabilities-not-an-object"),
+        pytest.param(["oracle", "--buglogs", "{tmp}", "--out", "{tmp}/out",
+                      "--capabilities", "{tmp}/caps_str.json"],
+                     "caps_str.json: expected a JSON object",
+                     id="capabilities-tool-maps-to-string"),
+        pytest.param(["evaluate", "--buglogs", "{tmp}", "--reports", "{tmp}",
+                      "--confirmed", "{tmp}/confirmed_int.json"],
+                     "confirmed_int.json: expected a JSON object",
+                     id="confirmed-tool-maps-to-int"),
+        pytest.param(["evaluate", "--buglogs", "{tmp}", "--reports", "{tmp}",
+                      "--confirmed", "{tmp}/confirmed_str.json"],
+                     "confirmed_str.json: expected a JSON object",
+                     id="confirmed-count-not-an-integer"),
+        pytest.param(["evaluate", "--buglogs", "{injected}",
+                      "--reports", "{tmp}/untruthed",
+                      "--confirmed", "{tmp}/confirmed_big.json"],
+                     "confirmed_big.json: Slither TxOrigin: confirmed count 999",
+                     id="confirmed-count-beyond-sample"),
     ])
     def test_bad_flag_or_config_file_exits_one_with_one_line(
-            self, argv, named, tmp_path, capsys):
-        (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
+            self, argv, named, tmp_path, injected, reports, capsys):
+        for name, text in {
+                "bad.json": "{not json",
+                "caps_list.json": '["Reentrancy"]',
+                "caps_str.json": '{"Slither": "Reentrancy"}',
+                "confirmed_int.json": '{"Slither": 3}',
+                "confirmed_str.json": '{"Slither": {"TxOrigin": "x"}}',
+                "confirmed_big.json": '{"Slither": {"TxOrigin": 999}}'}.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        # reports without truth files, so that --confirmed counts are used
+        (tmp_path / "untruthed").mkdir()
+        for path in reports.glob("*.report.json"):
+            shutil.copy(path, tmp_path / "untruthed")
         try:
-            code = main([arg.format(tmp=tmp_path) for arg in argv])
+            code = main([arg.format(tmp=tmp_path, injected=injected)
+                         for arg in argv])
         except SystemExit as exit_:  # argparse rejected a flag
             code = exit_.code
         err = capsys.readouterr().err
@@ -299,3 +333,42 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert named in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, named", [
+        pytest.param(["inject", "--corpus", "{tmp}/corpus", "--out",
+                      "{tmp}/out", "--bug-types", "Reentrancy"], "Bad.sol",
+                     id="inject-non-utf8-source"),
+        pytest.param(["locate", "--corpus", "{tmp}/corpus",
+                      "--bug-types", "Reentrancy"], "Bad.sol",
+                     id="locate-non-utf8-source"),
+        pytest.param(["evaluate", "--buglogs", "{tmp}/buglogs",
+                      "--reports", "{reports}"], "PiggyBank.Reentrancy.buglog.json",
+                     id="buglog-without-byte-span"),
+        pytest.param(["evaluate", "--buglogs", "{injected}",
+                      "--reports", "{tmp}/reports"], "Slither.truth.json",
+                     id="truth-file-holding-a-list"),
+    ])
+    def test_bad_input_file_exits_two_naming_it(
+            self, argv, named, tmp_path, mini_corpus, injected, reports,
+            capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "Bad.sol").write_bytes(b"contract Bad { \xff }")
+        shutil.copy(mini_corpus / "Counter.sol", corpus / "Good.sol")
+        shutil.copytree(injected, tmp_path / "buglogs")
+        log = tmp_path / "buglogs" / "PiggyBank.Reentrancy.buglog.json"
+        entries = json.loads(log.read_text(encoding="utf-8"))
+        del entries[0]["byteSpan"]
+        log.write_text(json.dumps(entries), encoding="utf-8")
+        shutil.copytree(reports, tmp_path / "reports")
+        (tmp_path / "reports" / "Slither.truth.json").write_text(
+            "[]", encoding="utf-8")
+
+        code = main([arg.format(tmp=tmp_path, injected=injected,
+                                reports=reports) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if named in line]) == 1
+        if argv[0] == "inject":  # the campaign goes on past the bad file
+            assert (tmp_path / "out" / "Good.Reentrancy.sol").is_file()

@@ -93,6 +93,45 @@ def test_lex_errors_carry_position(src, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("src, expected", [
+    pytest.param('x = "a\\\nb";', [
+        ("IDENTIFIER", "x", 1, 1), ("PUNCTUATOR", "=", 1, 1),
+        ("STRING", '"a\\\nb"', 1, 2), ("PUNCTUATOR", ";", 2, 2)],
+        id="escaped-newline-keeps-string-open"),
+    pytest.param("0x", [("NUMBER", "0x", 1, 1)], id="bare-hex-prefix"),
+    pytest.param("1.e5", [
+        ("NUMBER", "1", 1, 1), ("PUNCTUATOR", ".", 1, 1),
+        ("IDENTIFIER", "e5", 1, 1)], id="fraction-needs-digits"),
+    pytest.param("a &= b", [
+        ("IDENTIFIER", "a", 1, 1), ("PUNCTUATOR", "&", 1, 1),
+        ("PUNCTUATOR", "=", 1, 1), ("IDENTIFIER", "b", 1, 1)],
+        id="no-bitwise-compound-assign"),
+    pytest.param("pragmatic", [("IDENTIFIER", "pragmatic", 1, 1)],
+                 id="pragma-prefix-is-identifier"),
+    pytest.param("1 days", [
+        ("NUMBER", "1", 1, 1), ("KEYWORD", "days", 1, 1)], id="unit-keyword"),
+])
+def test_exact_token_stream(src, expected):
+    assert [(t.kind.name, t.text, t.span.start_line, t.span.end_line)
+            for t in tokenize(src)] == expected
+
+
+@pytest.mark.parametrize("src, line, column, message", [
+    pytest.param("a \u00e9", 1, 3, "illegal character b'\\xc3'", id="illegal"),
+    pytest.param("pragma", 1, 1, "unterminated pragma directive",
+                 id="open-pragma"),
+    pytest.param("a;\n  /* open", 2, 3, "unterminated block comment",
+                 id="open-comment"),
+    pytest.param("x;\n  'a\nb'", 2, 3, "unterminated string literal",
+                 id="open-string"),
+])
+def test_lex_error_position_and_message(src, line, column, message):
+    with pytest.raises(LexError) as err:
+        tokenize(src)
+    assert (err.value.line, err.value.column, err.value.message) == \
+        (line, column, message)
+
+
 @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126),
                max_size=80))
 def test_round_trip_or_clean_error(src):

@@ -173,6 +173,28 @@ class TestHardErrors:
         assert err.value.line == 2
 
 
+@pytest.mark.parametrize("src, column, expected, found", [
+    pytest.param("contract A { function f() public { function g() public {} } }",
+                 36, "statement (nested function definition is not supported)",
+                 "'function'", id="nested-function"),
+    pytest.param("contract A { function f() public returns (uint a b) {} }",
+                 50, "',' or ')'", "'b'", id="returns-missing-comma"),
+    pytest.param("contract A { function f() public returns (uint indexed a) {} }",
+                 48, "',' or ')'", "'indexed'", id="returns-rejects-indexed"),
+    pytest.param("contract A { event E(uint a b); }",
+                 29, "',' or ')'", "'b'", id="event-missing-comma"),
+    pytest.param("contract A { function f() public { emit E(1;); } }",
+                 44, "')'", "';'", id="emit-args-unclosed"),
+    pytest.param("contract A { function f() public { if (x y) {} } }",
+                 42, "')'", "'y'", id="if-condition-unclosed"),
+])
+def test_error_position_expected_and_found(src, column, expected, found):
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert (err.value.line, err.value.column, err.value.expected,
+            err.value.found) == (1, column, expected, found)
+
+
 @given(st.integers(min_value=0, max_value=11),
        st.sampled_from([" ", "\n", "\t", " /* pad */ ", " // pad\n"]))
 def test_whitespace_between_tokens_preserves_shape(gap_index, filler):
