@@ -3,7 +3,8 @@
 Subcommands cover the whole workflow: ``locate`` finds injection sites,
 ``inject`` writes buggy contracts plus bug logs, ``oracle`` fabricates
 analyzer reports with planted truth, and ``evaluate`` scores reports
-against bug logs.
+against bug logs. The driver only reads files, writes files and renders;
+every scoring decision is made by ``evaluator.evaluate_campaign``.
 
 Exit codes: 0 all ok, 1 usage or configuration error, 2 at least one
 per-file failure (processing continues and a summary is printed).
@@ -20,18 +21,17 @@ from pathlib import Path
 
 from .errors import (DomainError, MalformedDocument, MissingBugLog, PoolError,
                      SolBugSmithError)
-from .evaluator import (ADAPTERS, FNScore, FPCell, Finding, derive_thresholds,
-                        estimate_false_positives, filter_by_majority, fn_cell,
-                        ingest_report, load_capabilities, render_fn_table,
-                        render_fp_table, restrict_to_scope,
-                        sample_for_inspection, score_false_negatives,
-                        MISCELLANEOUS)
+from .evaluator import (ADAPTERS, Finding, evaluate_campaign, fn_csv, fp_csv,
+                        ingest_report, load_capabilities, load_truth_extras,
+                        render_fn_table, render_fp_table)
+# unused here, but perfbench/tracing.py rebinds these names in this module
+from .evaluator import filter_by_majority, score_false_negatives  # noqa: F401
 from .front import parse, validate
 from .injector import (BugLogEntry, emit_buglog_csv, emit_buglog_json,
                        inject_all, load_buglog)
 from .locator import dump_profile, find_all_potential_locations
 from .model import BugType
-from .oracle import OracleSpec, child_seed, dump_report, generate_tool_report
+from .oracle import OracleSpec, dump_report, generate_tool_report
 from .pool import BugPool, default_pool, load_pool
 
 
@@ -145,9 +145,7 @@ def _resolve_bug_types(raw: str | None) -> list[BugType]:
             types.append(BugType(name))
         except ValueError:
             raise _ConfigError(f"unknown bug type: {name!r}")
-    seen: set[BugType] = set()
-    unique = [bt for bt in types if not (bt in seen or seen.add(bt))]
-    return unique
+    return list(dict.fromkeys(types))
 
 
 def _load_config(path: str, load):
@@ -204,17 +202,26 @@ def _sources(files: list[Path], failures: list[tuple[str, str]]):
             failures.append((path.name, f"cannot read source: {exc}"))
 
 
+def _read_documents(root: Path, suffix: str, load) -> dict:
+    """``load`` applied to the text of each ``*suffix`` file in ``root``,
+    keyed by the file name less ``suffix``; a file that cannot be read or
+    loaded is a ``MalformedDocument`` naming it."""
+    docs = {}
+    for path in sorted(root.glob(f"*{suffix}")):
+        try:
+            docs[path.name[:-len(suffix)]] = load(
+                path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, MalformedDocument) as exc:
+            raise MalformedDocument(f"{path}: {exc}") from None
+    return docs
+
+
 def _read_buglogs(raw: str) -> dict[str, list[BugLogEntry]]:
     root = Path(raw)
     if not root.is_dir():
         raise _ConfigError(f"buglog directory does not exist: {raw}")
-    logs: dict[str, list[BugLogEntry]] = {}
-    for path in sorted(root.glob("*.buglog.json")):
-        sol_name = path.name[:-len(".buglog.json")] + ".sol"
-        try:
-            logs[sol_name] = load_buglog(path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, MalformedDocument) as exc:
-            raise MalformedDocument(f"{path}: {exc}") from None
+    logs = {f"{stem}.sol": entries for stem, entries in
+            _read_documents(root, ".buglog.json", load_buglog).items()}
     if not logs:
         raise MissingBugLog(f"no *.buglog.json files in {raw}")
     return logs
@@ -355,52 +362,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return _summarize(failures)
 
 
-def _partition_scores(entries: list[BugLogEntry], findings: list[Finding],
-                      line_slack: int) -> dict[BugType, FNScore]:
-    score = score_false_negatives(entries, findings, line_slack=line_slack)
-    by_id = {e.bug_id: e for e in entries}
-    per_type: dict[BugType, FNScore] = {}
-    groups: dict[BugType, list[BugLogEntry]] = {}
-    for entry in entries:
-        groups.setdefault(entry.bug_type, []).append(entry)
-    for bug_type, members in groups.items():
-        detected = tuple(i for i in score.detected_bug_ids
-                         if by_id[i].bug_type is bug_type)
-        misid = tuple(i for i in score.misidentified_bug_ids
-                      if by_id[i].bug_type is bug_type)
-        unreported = tuple(i for i in score.unreported_bug_ids
-                           if by_id[i].bug_type is bug_type)
-        per_type[bug_type] = FNScore(
-            injected=len(members), detected=len(detected),
-            misidentified=len(misid), unreported=len(unreported),
-            detected_bug_ids=detected, misidentified_bug_ids=misid,
-            unreported_bug_ids=unreported)
-    return per_type
-
-
-def _load_truth_extras(reports_dir: Path) -> dict[str, set[tuple[str, int, str]]]:
-    extras: dict[str, set[tuple[str, int, str]]] = {}
-    for path in sorted(reports_dir.glob("*.truth.json")):
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(doc, dict):
-                raise TypeError("expected a JSON object")
-            extras[doc["tool"]] = {(e["file"], e["line"], e["type"])
-                                   for e in doc.get("extras", ())}
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            reason = f"no {exc} field" if isinstance(exc, KeyError) else exc
-            raise MalformedDocument(
-                f"{path}: malformed truth file: {reason}") from None
-    return extras
-
-
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     capabilities = _resolve_capabilities(args.capabilities)
-    confirmed_doc = _load_config(args.confirmed, _load_confirmed) \
+    confirmed = _load_config(args.confirmed, _load_confirmed) \
         if args.confirmed else {}
     buglogs = _read_buglogs(args.buglogs)
-    all_entries = [e for name in sorted(buglogs) for e in buglogs[name]]
     reports_dir = Path(args.reports)
     if not reports_dir.is_dir():
         raise _ConfigError(f"reports directory does not exist: {args.reports}")
@@ -423,111 +390,39 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         for finding in findings:
             findings_by_tool.setdefault(finding.tool, []).append(finding)
 
-    scores: dict[str, dict[BugType, FNScore]] = {}
-    scoped_by_tool: dict[str, list[BugLogEntry]] = {}
-    for tool in sorted(findings_by_tool):
-        caps = capabilities.get(tool)
-        if caps is None:
-            failures.append((tool, "tool missing from the capabilities file"))
-            continue
-        scoped = restrict_to_scope(all_entries, caps)
-        scoped_by_tool[tool] = scoped
-        scores[tool] = _partition_scores(scoped, findings_by_tool[tool],
-                                         args.line_slack)
+    truth_extras = dict(_read_documents(reports_dir, ".truth.json",
+                                        load_truth_extras).values())
+    entries = [e for name in sorted(buglogs) for e in buglogs[name]]
+    try:
+        result = evaluate_campaign(entries, findings_by_tool, capabilities,
+                                   truth_extras, confirmed, args.line_slack,
+                                   args.sample_size, seed)
+    except DomainError as exc:  # a --confirmed count beyond its sample
+        raise _ConfigError(f"{args.confirmed}: {exc}")
+    failures += [(tool, "tool missing from the capabilities file")
+                 for tool in result.missing_tools]
 
-    thresholds = derive_thresholds(capabilities)
-    pooled = [f for tool in sorted(scores) for f in findings_by_tool[tool]]
-    majority = filter_by_majority(pooled, all_entries, thresholds)
-    truth_extras = _load_truth_extras(reports_dir)
-
-    cells: dict[str, dict[BugType, FPCell]] = {}
-    misc_counts: dict[str, int] = {}
-    for tool in sorted(scores):
-        cells[tool] = {}
-        misc_counts[tool] = sum(1 for f in majority.miscellaneous
-                                if f.tool == tool)
-        for bug_type in sorted(capabilities[tool], key=lambda b: b.value):
-            reported = [f for f in majority.candidates
-                        if f.tool == tool and f.reported_type is bug_type]
-            filtered = [f for f in majority.filtered
-                        if f.tool == tool and f.reported_type is bug_type]
-            sample = sample_for_inspection(
-                filtered, size=args.sample_size,
-                seed=child_seed(seed, "sample", tool, bug_type.value))
-            if tool in truth_extras:
-                confirmed = sum(1 for f in sample
-                                if (f.file, f.line, f.type_label)
-                                in truth_extras[tool])
-            elif confirmed_doc:
-                confirmed = confirmed_doc.get(tool, {}).get(bug_type.value,
-                                                            len(sample))
-                if confirmed > len(sample):
-                    raise _ConfigError(
-                        f"{args.confirmed}: {tool} {bug_type.value}: "
-                        f"confirmed count {confirmed} exceeds the "
-                        f"{len(sample)} sampled finding(s)")
-            else:
-                confirmed = len(sample)
-            estimated = estimate_false_positives(len(filtered), len(sample),
-                                                 confirmed)
-            cells[tool][bug_type] = FPCell(reported=len(reported),
-                                           filtered=len(filtered),
-                                           estimated=estimated)
-
-    fn_doc = render_fn_table(scores, capabilities)
-    fp_doc = render_fp_table(cells, thresholds, misc_counts)
-    fn_csv = _fn_csv(scores, capabilities)
-    fp_csv = _fp_csv(cells, thresholds, misc_counts)
-
+    documents = {
+        "fn_report.md": render_fn_table(result.scores, capabilities),
+        "fp_report.md": render_fp_table(result.cells, result.thresholds,
+                                        result.misc_counts),
+        "fn_scores.csv": fn_csv(result.scores, capabilities),
+        "fp_cells.csv": fp_csv(result.cells, result.thresholds,
+                               result.misc_counts),
+    }
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "fn_report.md").write_text(fn_doc, encoding="utf-8")
-        (out_dir / "fp_report.md").write_text(fp_doc, encoding="utf-8")
-        (out_dir / "fn_scores.csv").write_text(fn_csv, encoding="utf-8")
-        (out_dir / "fp_cells.csv").write_text(fp_csv, encoding="utf-8")
+        for name, text in documents.items():
+            (out_dir / name).write_text(text, encoding="utf-8")
         print(f"wrote evaluation documents to {out_dir}")
     else:
-        print(fn_doc)
-        print(fp_doc, end="")
+        print(documents["fn_report.md"])
+        print(documents["fp_report.md"], end="")
     if failures:
         print("partial results: some reports or tools were skipped",
               file=sys.stderr)
     return _summarize(failures)
-
-
-def _fn_csv(scores: dict[str, dict[BugType, FNScore]],
-            capabilities: dict[str, frozenset[BugType]]) -> str:
-    lines = ["tool,bugType,injected,detected,misidentified,unreported,cell"]
-    for tool in sorted(scores):
-        for bug_type in BugType:
-            capable = bug_type in capabilities.get(tool, frozenset())
-            score = scores[tool].get(bug_type)
-            if score is None:
-                cell = fn_cell(0, 0, 0, capable=capable)
-                lines.append(f"{tool},{bug_type.value},0,0,0,0,{cell}")
-            else:
-                cell = fn_cell(score.injected, score.misidentified,
-                               score.unreported, capable=capable)
-                lines.append(f"{tool},{bug_type.value},{score.injected},"
-                             f"{score.detected},{score.misidentified},"
-                             f"{score.unreported},{cell}")
-    return "\n".join(lines) + "\n"
-
-
-def _fp_csv(cells: dict[str, dict[BugType, FPCell]],
-            thresholds: dict[BugType, int],
-            misc_counts: dict[str, int]) -> str:
-    lines = ["tool,bugType,threshold,reported,filtered,estimated"]
-    for tool in sorted(cells):
-        for bug_type in BugType:
-            cell = cells[tool].get(bug_type)
-            if cell is None:
-                continue
-            lines.append(f"{tool},{bug_type.value},{thresholds[bug_type]},"
-                         f"{cell.reported},{cell.filtered},{cell.estimated}")
-        lines.append(f"{tool},{MISCELLANEOUS},,{misc_counts.get(tool, 0)},,")
-    return "\n".join(lines) + "\n"
 
 
 _COMMANDS = {

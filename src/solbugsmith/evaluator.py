@@ -10,17 +10,23 @@ False positives: findings on injected lines are set aside, then a finding
 is excluded from the suspect set when at least a threshold number of tools
 agree on the same (file, line, type); the rest are suspected false
 positives, confirmed by inspecting a fixed-size sample and extrapolating.
+
+``evaluate_campaign`` applies both to every tool of a campaign; the
+``render_*`` and ``*_csv`` functions turn its result into documents.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 
-from .errors import DomainError, FormatError, MissingThreshold, ScopeError
+from .errors import (DomainError, FormatError, MalformedDocument,
+                     MissingThreshold, ScopeError)
 from .injector import BugLogEntry
 from .model import BugType
+from .oracle import child_seed
 
 ADAPTERS = ("normalized-json", "synthetic-oracle")
 
@@ -125,9 +131,8 @@ def score_false_negatives(entries: list[BugLogEntry],
         range(len(entries)),
         key=lambda i: (entries[i].end_line - entries[i].start_line,
                        entries[i].start_line, entries[i].bug_id))
-    per_file: dict[str, list[int]] = {}
-    for i in entry_order:  # pairs never cross files, so scan per file
-        per_file.setdefault(entries[i].file, []).append(i)
+    # pairs never cross files, so scan per file
+    per_file = _group(entry_order, lambda i: entries[i].file)
     edges: list[list[int]] = []
     typed: list[bool] = []
     for finding in findings:
@@ -188,23 +193,12 @@ def filter_by_majority(findings: list[Finding],
                        entries: list[BugLogEntry],
                        thresholds: dict[BugType, int]) -> MajorityResult:
     """Drop injected-line findings, then split the rest by tool agreement."""
-    by_file: dict[str, list[BugLogEntry]] = {}
-    for entry in entries:
-        by_file.setdefault(entry.file, []).append(entry)
-
-    candidates = []
-    for finding in findings:
-        spans = by_file.get(finding.file, ())
-        if any(e.start_line <= finding.line <= e.end_line for e in spans):
-            continue
-        candidates.append(finding)
-
-    support: dict[tuple[str, int, BugType], set[str]] = {}
-    for finding in candidates:
-        if finding.reported_type is None:
-            continue
-        key = (finding.file, finding.line, finding.reported_type)
-        support.setdefault(key, set()).add(finding.tool)
+    covered = {(e.file, line) for e in entries
+               for line in range(e.start_line, e.end_line + 1)}
+    candidates = [f for f in findings if (f.file, f.line) not in covered]
+    by_key = _group(candidates, lambda f: (f.file, f.line, f.reported_type))
+    support = {key: len({f.tool for f in group})
+               for key, group in by_key.items()}
 
     excluded, filtered, misc = [], [], []
     for finding in candidates:
@@ -215,7 +209,7 @@ def filter_by_majority(findings: list[Finding],
         if threshold is None:
             raise MissingThreshold(finding.reported_type)
         key = (finding.file, finding.line, finding.reported_type)
-        if len(support[key]) >= threshold:
+        if support[key] >= threshold:
             excluded.append(finding)
         else:
             filtered.append(finding)
@@ -252,15 +246,127 @@ def estimate_false_positives(filtered: int, sampled: int, confirmed: int) -> int
 
 
 def load_capabilities(text: str) -> dict[str, frozenset[BugType]]:
-    """``{tool: [bug type name, ...]}``; ValueError for any other shape or
-    an unknown bug type name."""
+    """``{tool: [bug type name, ...]}``; ValueError for any other shape, an
+    empty list or an unknown bug type name."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or not all(
-            isinstance(names, list) and all(isinstance(n, str) for n in names)
+            isinstance(names, list) and names
+            and all(isinstance(n, str) for n in names)
             for names in doc.values()):
-        raise ValueError("expected a JSON object mapping each tool to a list "
-                         "of bug type names")
+        raise ValueError("expected a JSON object mapping each tool to a "
+                         "non-empty list of bug type names")
     return {tool: frozenset(map(BugType, names)) for tool, names in doc.items()}
+
+
+def load_truth_extras(text: str) -> tuple[str, set[tuple[str, int, str]]]:
+    """``(tool, {(file, line, type label)})`` of an oracle truth file: the
+    findings the oracle planted off the injected lines."""
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict) or not isinstance(doc.get("tool"), str):
+            raise TypeError("expected a JSON object with a string tool")
+        return doc["tool"], {(e["file"], e["line"], e["type"])
+                             for e in doc.get("extras", ())}
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = f"no {exc} field" if isinstance(exc, KeyError) else exc
+        raise MalformedDocument(f"malformed truth file: {reason}") from None
+
+
+@dataclass(frozen=True)
+class FPCell:
+    reported: int
+    filtered: int
+    estimated: int
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """Scores of every tool that has both findings and capabilities; the
+    tools with findings but no capabilities are in ``missing_tools``."""
+
+    scores: dict[str, dict[BugType, FNScore]]
+    cells: dict[str, dict[BugType, FPCell]]
+    misc_counts: dict[str, int]
+    thresholds: dict[BugType, int]
+    missing_tools: tuple[str, ...]
+
+
+def evaluate_campaign(entries: list[BugLogEntry],
+                      findings_by_tool: dict[str, list[Finding]],
+                      capabilities: dict[str, frozenset[BugType]],
+                      truth_extras: dict[str, set[tuple[str, int, str]]],
+                      confirmed: dict[str, dict[str, int]],
+                      line_slack: int = 0, sample_size: int = 20,
+                      seed: int = 0) -> Evaluation:
+    """FN scores per tool and type, and one FP cell per capable type. The
+    confirmed count of a cell is its sampled findings listed in the tool's
+    ``truth_extras``, else its ``confirmed`` count, else the whole sample;
+    one above the sample is a ``DomainError`` naming the tool and type."""
+    tools = sorted(t for t in findings_by_tool if t in capabilities)
+    scores = {tool: _partition_scores(
+                  restrict_to_scope(entries, capabilities[tool]),
+                  findings_by_tool[tool], line_slack)
+              for tool in tools}
+    thresholds = derive_thresholds(capabilities)
+    pooled = [f for tool in tools for f in findings_by_tool[tool]]
+    majority = filter_by_majority(pooled, entries, thresholds)
+
+    reported = Counter((f.tool, f.reported_type) for f in majority.candidates)
+    suspects = _group(majority.filtered, lambda f: (f.tool, f.reported_type))
+    cells: dict[str, dict[BugType, FPCell]] = {tool: {} for tool in tools}
+    for tool in tools:
+        for bug_type in sorted(capabilities[tool], key=lambda b: b.value):
+            filtered = suspects.get((tool, bug_type), [])
+            sample = sample_for_inspection(
+                filtered, size=sample_size,
+                seed=child_seed(seed, "sample", tool, bug_type.value))
+            if tool in truth_extras:
+                count = sum(1 for f in sample if (f.file, f.line, f.type_label)
+                            in truth_extras[tool])
+            else:
+                count = confirmed.get(tool, {}).get(bug_type.value,
+                                                    len(sample))
+            if count > len(sample):
+                raise DomainError(
+                    f"{tool} {bug_type.value}: confirmed count {count} "
+                    f"exceeds the {len(sample)} sampled finding(s)")
+            cells[tool][bug_type] = FPCell(
+                reported[tool, bug_type], len(filtered),
+                estimate_false_positives(len(filtered), len(sample), count))
+    misc = Counter(f.tool for f in majority.miscellaneous)
+    missing = tuple(sorted(set(findings_by_tool) - set(tools)))
+    return Evaluation(scores, cells, misc, thresholds, missing)
+
+
+def _partition_scores(entries: list[BugLogEntry], findings: list[Finding],
+                      line_slack: int) -> dict[BugType, FNScore]:
+    """One tool's FN score per bug type. Bug ids restart with every buggy
+    file, so each file is matched on its own and its ids are looked up
+    within it; pairs never cross files, so the matches are the same."""
+    findings_of = _group(findings, lambda f: f.file)
+    # bug type -> ids detected, misidentified, unreported
+    outcomes: dict[BugType, tuple[list[str], list[str], list[str]]] = {}
+    for file, members in _group(entries, lambda e: e.file).items():
+        score = score_false_negatives(members, findings_of.get(file, []),
+                                      line_slack=line_slack)
+        type_of = {e.bug_id: e.bug_type for e in members}
+        for slot, ids in enumerate((score.detected_bug_ids,
+                                    score.misidentified_bug_ids,
+                                    score.unreported_bug_ids)):
+            for bug_id in ids:
+                outcomes.setdefault(type_of[bug_id], ([], [], []))[slot] \
+                    .append(bug_id)
+    return {bug_type: FNScore(sum(map(len, ids)), *map(len, ids),
+                              *map(tuple, ids))
+            for bug_type, ids in outcomes.items()}
+
+
+def _group(items, key) -> dict:
+    """``items`` in lists by ``key(item)``, keeping their order."""
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return groups
 
 
 # -- table rendering -----------------------------------------------------------
@@ -269,14 +375,22 @@ def load_capabilities(text: str) -> dict[str, frozenset[BugType]]:
 def fn_cell(injected: int, misidentified: int, unreported: int,
             capable: bool = True) -> str:
     """One false-negative table cell: NA, a check mark, or "missed (unreported)"."""
-    if not capable:
-        return "NA"
-    if injected <= 0:
+    if not capable or injected <= 0:
         return "NA"
     missed = misidentified + unreported
     if missed == 0:
         return "✓"
     return f"{missed} ({unreported})"
+
+
+def _fn_entry(scores: dict[str, dict[BugType, FNScore]],
+              capabilities: dict[str, frozenset[BugType]],
+              tool: str, bug_type: BugType) -> tuple[FNScore, str]:
+    """A tool's score for one bug type, and its false-negative table cell."""
+    score = scores[tool].get(bug_type) or FNScore(0, 0, 0, 0)
+    capable = bug_type in capabilities.get(tool, frozenset())
+    return score, fn_cell(score.injected, score.misidentified,
+                          score.unreported, capable)
 
 
 def render_fn_table(scores: dict[str, dict[BugType, FNScore]],
@@ -285,24 +399,29 @@ def render_fn_table(scores: dict[str, dict[BugType, FNScore]],
     lines = ["| Bug type | " + " | ".join(tools) + " |",
              "| --- |" + " --- |" * len(tools)]
     for bug_type in BugType:
-        cells = []
-        for tool in tools:
-            capable = bug_type in capabilities.get(tool, frozenset())
-            score = scores[tool].get(bug_type)
-            if not capable or score is None:
-                cells.append("NA")
-            else:
-                cells.append(fn_cell(score.injected, score.misidentified,
-                                     score.unreported))
+        cells = [_fn_entry(scores, capabilities, tool, bug_type)[1]
+                 for tool in tools]
         lines.append(f"| {bug_type.value} | " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class FPCell:
-    reported: int
-    filtered: int
-    estimated: int
+def fn_csv(scores: dict[str, dict[BugType, FNScore]],
+           capabilities: dict[str, frozenset[BugType]]) -> str:
+    lines = ["tool,bugType,injected,detected,misidentified,unreported,cell"]
+    for tool in sorted(scores):
+        for bug_type in BugType:
+            score, cell = _fn_entry(scores, capabilities, tool, bug_type)
+            lines.append(f"{tool},{bug_type.value},{score.injected},"
+                         f"{score.detected},{score.misidentified},"
+                         f"{score.unreported},{cell}")
+    return "\n".join(lines) + "\n"
+
+
+def _fp_entry(cell: FPCell | None, sep: str) -> str:
+    """Reported, filtered and estimated false positives joined by ``sep``."""
+    if cell is None:
+        return "NA"
+    return sep.join(map(str, (cell.reported, cell.filtered, cell.estimated)))
 
 
 def render_fp_table(cells: dict[str, dict[BugType, FPCell]],
@@ -313,15 +432,24 @@ def render_fp_table(cells: dict[str, dict[BugType, FPCell]],
         " | ".join(f"{t} (Reported/FIL/FP)" for t in tools) + " |"
     lines = [header, "| --- | --- |" + " --- |" * len(tools)]
     for bug_type in BugType:
-        row = [bug_type.value, str(thresholds.get(bug_type, "-"))]
-        for tool in tools:
-            cell = cells[tool].get(bug_type)
-            row.append("NA" if cell is None else
-                       f"{cell.reported}/{cell.filtered}/{cell.estimated}")
+        row = [bug_type.value, str(thresholds.get(bug_type, "-"))] + \
+            [_fp_entry(cells[tool].get(bug_type), "/") for tool in tools]
         lines.append("| " + " | ".join(row) + " |")
     if misc_counts is not None:
-        row = [MISCELLANEOUS, "-"]
-        for tool in tools:
-            row.append(f"{misc_counts.get(tool, 0)}/-/-")
+        row = [MISCELLANEOUS, "-"] + \
+            [f"{misc_counts.get(tool, 0)}/-/-" for tool in tools]
         lines.append("| " + " | ".join(row) + " |")
+    return "\n".join(lines) + "\n"
+
+
+def fp_csv(cells: dict[str, dict[BugType, FPCell]],
+           thresholds: dict[BugType, int],
+           misc_counts: dict[str, int]) -> str:
+    lines = ["tool,bugType,threshold,reported,filtered,estimated"]
+    for tool in sorted(cells):
+        for bug_type in BugType:
+            if bug_type in cells[tool]:
+                lines.append(f"{tool},{bug_type.value},{thresholds[bug_type]},"
+                             f"{_fp_entry(cells[tool][bug_type], ',')}")
+        lines.append(f"{tool},{MISCELLANEOUS},,{misc_counts.get(tool, 0)},,")
     return "\n".join(lines) + "\n"

@@ -174,11 +174,7 @@ def _snippet_from_json(raw: object) -> BugSnippet:
 def _check_snippet(snippet: BugSnippet) -> None:
     probe = instantiate(snippet, 0)
     if snippet.form is SnippetForm.FUNCTION_DEFINITION:
-        try:
-            members = parse_member_fragment(probe)
-        except ParseError as err:
-            raise PoolError(snippet.id, f"template does not parse: {err}") \
-                from None
+        members = _parsed(snippet, "template", parse_member_fragment, probe)
         if not members:
             raise PoolError(snippet.id, "template declares no members")
         if any(m.kind == "opaqueMember" for m in members):
@@ -186,11 +182,7 @@ def _check_snippet(snippet: BugSnippet) -> None:
         if not any(isinstance(m, FunctionDef) for m in members):
             raise PoolError(snippet.id, "template declares no function")
     else:
-        try:
-            stmts = parse_statement_fragment(probe)
-        except ParseError as err:
-            raise PoolError(snippet.id, f"template does not parse: {err}") \
-                from None
+        stmts = _parsed(snippet, "template", parse_statement_fragment, probe)
         if len(stmts) != 1:
             raise PoolError(
                 snippet.id,
@@ -207,14 +199,19 @@ def _check_snippet(snippet: BugSnippet) -> None:
     for decl in snippet.required_context:
         if "{N}" in decl:
             raise PoolError(snippet.id, "context declarations must use fixed names")
-        try:
-            members = parse_member_fragment(decl)
-        except ParseError as err:
-            raise PoolError(snippet.id,
-                            f"context declaration does not parse: {err}") from None
+        members = _parsed(snippet, "context declaration",
+                          parse_member_fragment, decl)
         if len(members) != 1 or members[0].kind == "opaqueMember":
             raise PoolError(snippet.id,
                             "each context entry must be one parsable declaration")
+
+
+def _parsed(snippet: BugSnippet, what: str, parse, text: str):
+    # tokenize encodes its input as UTF-8, which fails on a lone surrogate
+    try:
+        return parse(text)
+    except (LexError, ParseError, UnicodeEncodeError) as err:
+        raise PoolError(snippet.id, f"{what} does not parse: {err}") from None
 
 
 def _has_opaque(stmt: Stmt) -> bool:

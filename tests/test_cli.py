@@ -1,6 +1,8 @@
 """Command line driver: each subcommand end to end, exit codes, and
 run-to-run reproducibility of everything written to disk."""
 
+import ast
+import importlib
 import json
 import shutil
 from pathlib import Path
@@ -41,6 +43,12 @@ def reports(tmp_path_factory, injected):
                  "--extra-per-file", "3", "--seed", "11"])
     assert code == 0
     return out
+
+
+def _one_snippet_pool(snippet_id: str, template: str) -> str:
+    return json.dumps({"snippets": [
+        {"id": snippet_id, "bugType": "TOD", "form": "SimpleStatement",
+         "template": template}]})
 
 
 class TestLocate:
@@ -212,6 +220,42 @@ class TestEvaluate:
             else:  # capable but nothing of this type was planted
                 assert injected_n == "0" and cell == "NA"
 
+    def test_repeated_bug_ids_are_scored_within_their_file(
+            self, corpus_dir, tmp_path, capsys):
+        # Both snippets declare bug{N}, so Counter.Reentrancy.sol and
+        # Counter.TOD.sol log the same bug ids under different types.
+        pool = {"snippets": [
+            {"id": "re-bug", "bugType": "Reentrancy",
+             "form": "FunctionDefinition",
+             "template": "function bug{N}() public {\n"
+                         "  msg.sender.call.value(1)(\"\");\n}"},
+            {"id": "tod-bug", "bugType": "TOD", "form": "FunctionDefinition",
+             "template": "function bug{N}() public {\n"
+                         "  winner_tod = msg.sender;\n}",
+             "requiredContext": ["address payable winner_tod;"]}]}
+        (tmp_path / "pool.json").write_text(json.dumps(pool),
+                                            encoding="utf-8")
+        buggy, reports, out = (tmp_path / d for d in ("b", "r", "e"))
+        assert main(["inject", "--corpus", str(corpus_dir / "Counter.sol"),
+                     "--out", str(buggy), "--bug-types", "Reentrancy,TOD",
+                     "--pool", str(tmp_path / "pool.json")]) == 0
+        assert main(["oracle", "--buglogs", str(buggy), "--out", str(reports),
+                     "--miss-rate", "0.5", "--seed", "3"]) == 0
+        assert main(["evaluate", "--buglogs", str(buggy), "--reports",
+                     str(reports), "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows = [r.split(",") for r in
+                (out / "fn_scores.csv").read_text().strip().split("\n")[1:]]
+        for tool in ("Oyente", "Securify"):  # capable of both types
+            mine = [r for r in rows if r[0] == tool and int(r[2])]
+            assert {r[1] for r in mine} == {"Reentrancy", "TOD"}
+            for row in mine:
+                injected_n, detected, misidentified, unreported = \
+                    map(int, row[2:6])
+                assert detected + misidentified + unreported == injected_n
+            truth = json.loads((reports / f"{tool}.truth.json").read_text())
+            assert sum(int(r[5]) for r in mine) == len(truth["missed"])
+
     def test_without_out_prints_both_tables(self, injected, reports, capsys):
         assert main(["evaluate", "--buglogs", str(injected),
                      "--reports", str(reports), "--seed", "11"]) == 0
@@ -308,6 +352,27 @@ class TestExitCodes:
                       "--confirmed", "{tmp}/confirmed_big.json"],
                      "confirmed_big.json: Slither TxOrigin: confirmed count 999",
                      id="confirmed-count-beyond-sample"),
+        pytest.param(["oracle", "--buglogs", "{injected}",
+                      "--out", "{tmp}/out",
+                      "--capabilities", "{tmp}/caps_empty.json"],
+                     "caps_empty.json: expected a JSON object mapping each "
+                     "tool to a non-empty list",
+                     id="oracle-empty-capability-list"),
+        pytest.param(["evaluate", "--buglogs", "{injected}",
+                      "--reports", "{reports}",
+                      "--capabilities", "{tmp}/caps_empty.json"],
+                     "caps_empty.json: expected a JSON object mapping each "
+                     "tool to a non-empty list",
+                     id="evaluate-empty-capability-list"),
+        pytest.param(["inject", "--corpus", "{tmp}", "--out", "{tmp}/out",
+                      "--pool", "{tmp}/pool_lex.json"],
+                     "pool_lex.json: bad-char: template does not parse:",
+                     id="snippet-with-illegal-character"),
+        pytest.param(["inject", "--corpus", "{tmp}", "--out", "{tmp}/out",
+                      "--pool", "{tmp}/pool_surrogate.json"],
+                     "pool_surrogate.json: surrogate: template does not "
+                     "parse:",
+                     id="snippet-with-lone-surrogate"),
     ])
     def test_bad_flag_or_config_file_exits_one_with_one_line(
             self, argv, named, tmp_path, injected, reports, capsys):
@@ -317,15 +382,20 @@ class TestExitCodes:
                 "caps_str.json": '{"Slither": "Reentrancy"}',
                 "confirmed_int.json": '{"Slither": 3}',
                 "confirmed_str.json": '{"Slither": {"TxOrigin": "x"}}',
-                "confirmed_big.json": '{"Slither": {"TxOrigin": 999}}'}.items():
+                "confirmed_big.json": '{"Slither": {"TxOrigin": 999}}',
+                "caps_empty.json": '{"Mythril": ["TOD"], "Slither": []}',
+                "pool_lex.json": _one_snippet_pool("bad-char",
+                                                   "uint a{N} = 1 # 2;"),
+                "pool_surrogate.json": _one_snippet_pool(
+                    "surrogate", "uint a{N} = \ud800;")}.items():
             (tmp_path / name).write_text(text, encoding="utf-8")
         # reports without truth files, so that --confirmed counts are used
         (tmp_path / "untruthed").mkdir()
         for path in reports.glob("*.report.json"):
             shutil.copy(path, tmp_path / "untruthed")
         try:
-            code = main([arg.format(tmp=tmp_path, injected=injected)
-                         for arg in argv])
+            code = main([arg.format(tmp=tmp_path, injected=injected,
+                                    reports=reports) for arg in argv])
         except SystemExit as exit_:  # argparse rejected a flag
             code = exit_.code
         err = capsys.readouterr().err
@@ -372,3 +442,18 @@ class TestExitCodes:
         assert len([line for line in err.splitlines() if named in line]) == 1
         if argv[0] == "inject":  # the campaign goes on past the bad file
             assert (tmp_path / "out" / "Good.Reentrancy.sol").is_file()
+
+
+def test_traced_bindings_exist_in_every_importing_module():
+    """The benchmark's tracer rebinds each function of ``_TARGETS`` by name
+    in its defining module and in every module listed as importing it."""
+    tracing = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(encoding="utf-8"))
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["_TARGETS"])
+    assert targets
+    for home, attr, importers in targets.values():
+        for owner in (home, *importers):
+            module = importlib.import_module(f"solbugsmith.{owner}")
+            assert hasattr(module, attr), f"solbugsmith.{owner}.{attr}"

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from solbugsmith.errors import (DomainError, FormatError, MissingThreshold,
                                 ScopeError)
-from solbugsmith.evaluator import (MISCELLANEOUS, Finding, FPCell,
+from solbugsmith.evaluator import (MISCELLANEOUS, Finding, FNScore, FPCell,
                                    derive_thresholds,
                                    estimate_false_positives,
-                                   filter_by_majority, fn_cell,
-                                   ingest_report, load_capabilities,
-                                   render_fn_table, render_fp_table,
-                                   restrict_to_scope, sample_for_inspection,
+                                   evaluate_campaign, filter_by_majority,
+                                   fn_cell, fn_csv, fp_csv, ingest_report,
+                                   load_capabilities, render_fn_table,
+                                   render_fp_table, restrict_to_scope,
+                                   sample_for_inspection,
                                    score_false_negatives)
 from solbugsmith.injector import BugLogEntry
 from solbugsmith.model import Approach, BugType
@@ -305,7 +306,6 @@ class TestRendering:
         assert fn_cell(0, 0, 0) == "NA"
 
     def test_fn_table_scopes_by_capability(self):
-        from solbugsmith.evaluator import FNScore
         scores = {"t1": {BugType.TOD: FNScore(10, 8, 1, 1)},
                   "t2": {BugType.TOD: FNScore(10, 10, 0, 0)}}
         caps = {"t1": frozenset({BugType.TOD}), "t2": frozenset()}
@@ -325,3 +325,84 @@ class TestRendering:
         assert f"| {MISCELLANEOUS} | - | 5/-/- |" in lines
         missing = next(l for l in lines if l.startswith("| Reentrancy"))
         assert missing.endswith("| NA |")
+
+
+class TestEvaluateCampaign:
+    """Two capable tools and one tool missing from the capabilities. Bug ids
+    restart per file, so ``b0`` is a TOD bug in a.sol and a Reentrancy bug
+    in b.sol."""
+
+    ENTRIES = [entry("b0", BugType.TOD, 3, 4),
+               entry("b1", BugType.REENTRANCY, 10, 10),
+               entry("b0", BugType.REENTRANCY, 5, 5, file="b.sol")]
+    CAPS = {"t1": frozenset({BugType.TOD, BugType.REENTRANCY}),
+            "t2": frozenset({BugType.TOD})}
+    FINDINGS = {
+        "t1": [finding(3, BugType.TOD),          # detects a.sol b0
+               finding(10, BugType.TOD),         # misidentifies a.sol b1
+               finding(20, BugType.TOD),         # t2 agrees: excluded
+               finding(21, BugType.TOD),
+               finding(22, BugType.TOD),
+               finding(30, None)],               # miscellaneous
+        "t2": [finding(20, BugType.TOD, tool="t2"),
+               finding(40, BugType.TOD, tool="t2"),
+               finding(5, BugType.TOD, file="b.sol", tool="t2")],
+        "t3": [finding(50, BugType.TOD, tool="t3")],
+    }
+
+    def run(self, truth_extras=None, confirmed=None, sample_size=20):
+        return evaluate_campaign(self.ENTRIES, self.FINDINGS, self.CAPS,
+                                 truth_extras or {}, confirmed or {},
+                                 sample_size=sample_size, seed=7)
+
+    def test_fn_scores_split_by_type_within_each_file(self):
+        got = self.run().scores
+        assert set(got) == {"t1", "t2"}
+        assert got["t1"][BugType.TOD] == FNScore(1, 1, 0, 0, ("b0",), (), ())
+        assert got["t1"][BugType.REENTRANCY] == \
+            FNScore(2, 0, 1, 1, (), ("b1",), ("b0",))
+        assert got["t2"] == {BugType.TOD: FNScore(1, 0, 0, 1, (), (), ("b0",))}
+
+    def test_fp_cells_without_truth_or_confirmed_counts_confirm_all(self):
+        result = self.run()
+        assert result.thresholds[BugType.TOD] == 2
+        assert result.cells == {
+            "t1": {BugType.TOD: FPCell(3, 2, 2),
+                   BugType.REENTRANCY: FPCell(0, 0, 0)},
+            "t2": {BugType.TOD: FPCell(2, 1, 1)}}
+        assert (result.misc_counts["t1"], result.misc_counts["t2"]) == (1, 0)
+
+    def test_confirmed_counts_scale_the_sample(self):
+        cells = self.run(confirmed={"t1": {"TOD": 1}}).cells
+        assert cells["t1"][BugType.TOD] == FPCell(3, 2, 1)
+        assert cells["t2"][BugType.TOD] == FPCell(2, 1, 1)  # default: all
+
+    def test_truth_extras_win_over_confirmed_counts(self):
+        cells = self.run(truth_extras={"t1": {("a.sol", 21, "TOD")}},
+                         confirmed={"t1": {"TOD": 0}, "t2": {"TOD": 0}}).cells
+        assert cells["t1"][BugType.TOD] == FPCell(3, 2, 1)
+        assert cells["t2"][BugType.TOD] == FPCell(2, 1, 0)
+
+    def test_tool_missing_from_the_capabilities_is_listed(self):
+        result = self.run()
+        assert result.missing_tools == ("t3",)
+        assert "t3" not in result.scores and "t3" not in result.cells
+
+    def test_confirmed_count_above_the_sample_names_tool_and_type(self):
+        assert self.run(confirmed={"t1": {"TOD": 1}},
+                        sample_size=1).cells["t1"][BugType.TOD].estimated == 2
+        with pytest.raises(DomainError, match="t1 TOD: confirmed count 2 "
+                           "exceeds the 1 sampled"):
+            self.run(confirmed={"t1": {"TOD": 2}}, sample_size=1)
+
+    def test_csv_rows_carry_the_table_cells(self):
+        result = self.run()
+        fn_rows = fn_csv(result.scores, self.CAPS).splitlines()
+        assert "t1,Reentrancy,2,0,1,1,2 (1)" in fn_rows
+        assert "t1,TOD,1,1,0,0,✓" in fn_rows
+        assert "t2,Reentrancy,0,0,0,0,NA" in fn_rows
+        fp_rows = fp_csv(result.cells, result.thresholds,
+                         result.misc_counts).splitlines()
+        assert "t1,TOD,2,3,2,2" in fp_rows
+        assert f"t1,{MISCELLANEOUS},,1,," in fp_rows
+        assert not any(row.startswith("t2,Reentrancy") for row in fp_rows)
