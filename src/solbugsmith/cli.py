@@ -4,7 +4,7 @@ Subcommands cover the whole workflow: ``locate`` finds injection sites,
 ``inject`` writes buggy contracts plus bug logs, ``oracle`` fabricates
 analyzer reports with planted truth, and ``evaluate`` scores reports
 against bug logs. The driver only reads files, writes files and renders;
-every scoring decision is made by ``evaluator.evaluate_campaign``.
+``injector.inject_file`` injects and ``evaluator.evaluate_campaign`` scores.
 
 Exit codes: 0 all ok, 1 usage or configuration error, 2 at least one
 per-file failure (processing continues and a summary is printed).
@@ -24,15 +24,17 @@ from .errors import (DomainError, MalformedDocument, MissingBugLog, PoolError,
 from .evaluator import (ADAPTERS, Finding, evaluate_campaign, fn_csv, fp_csv,
                         ingest_report, load_capabilities, load_truth_extras,
                         render_fn_table, render_fp_table)
-# unused here, but perfbench/tracing.py rebinds these names in this module
-from .evaluator import filter_by_majority, score_false_negatives  # noqa: F401
-from .front import parse, validate
+from .front import parse
 from .injector import (BugLogEntry, emit_buglog_csv, emit_buglog_json,
-                       inject_all, load_buglog)
+                       inject_file, load_buglog)
 from .locator import dump_profile, find_all_potential_locations
 from .model import BugType
 from .oracle import OracleSpec, dump_report, generate_tool_report
 from .pool import BugPool, default_pool, load_pool
+# unused here, but perfbench/tracing.py rebinds these names in this module
+from .evaluator import filter_by_majority, score_false_negatives  # noqa: F401
+from .front import validate  # noqa: F401
+from .injector import inject_all  # noqa: F401
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,8 +77,8 @@ def _build_parser() -> _Parser:
                        help="bug pool JSON (bundled pool if omitted)")
         p.add_argument("--bug-types", metavar="LIST",
                        help="comma-separated bug type names (default: all)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="campaign seed (fallback: $SOLBUGSMITH_SEED, then 0)")
+
+    seed_help = "random seed (fallback: $SOLBUGSMITH_SEED, then 0)"
 
     p = sub.add_parser("locate", parents=[], help="write injection profiles")
     p.add_argument("--corpus", required=True, metavar="PATH")
@@ -101,7 +103,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--miss-rate", type=float, default=0.0)
     p.add_argument("--mistype-rate", type=float, default=0.0)
     p.add_argument("--extra-per-file", type=int, default=0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help=seed_help)
 
     p = sub.add_parser("evaluate", help="score reports against bug logs")
     p.add_argument("--buglogs", required=True, metavar="DIR")
@@ -114,7 +116,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--confirmed", metavar="FILE",
                    help="JSON {tool: {bugType: confirmed count}} from manual "
                         "inspection; truth files win when present")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help=seed_help)
 
     return parser
 
@@ -180,6 +182,11 @@ def _load_confirmed(text: str) -> dict[str, dict[str, int]]:
             for counts in doc.values()):
         raise ValueError("expected a JSON object mapping each tool to "
                          "{bug type: count >= 0}")
+    names = {bug_type.value for bug_type in BugType}
+    for tool, counts in doc.items():
+        for name in counts:
+            if name not in names:
+                raise ValueError(f"{tool}: unknown bug type: {name!r}")
     return doc
 
 
@@ -277,21 +284,6 @@ def _cmd_locate(args: argparse.Namespace) -> int:
     return _summarize(failures)
 
 
-def _inject_one(source: str, bug_type: BugType, pool: BugPool,
-                out_name: str, counter_start: int):
-    profile = find_all_potential_locations(source, bug_type, pool,
-                                           source_id=out_name)
-    result = inject_all(source, profile, pool, counter_start=counter_start,
-                        file_name=out_name)
-    diagnostics = validate(result.text)
-    if diagnostics:
-        first = diagnostics[0]
-        raise SolBugSmithError(
-            f"output failed validation ({len(diagnostics)} diagnostic(s); "
-            f"first at line {first.line}: {first.message})")
-    return result
-
-
 def _cmd_inject(args: argparse.Namespace) -> int:
     pool = _resolve_pool(args.pool)
     bug_types = _resolve_bug_types(args.bug_types)
@@ -306,7 +298,7 @@ def _cmd_inject(args: argparse.Namespace) -> int:
         for bug_type in bug_types:
             out_name = f"{path.stem}.{bug_type.value}.sol"
             try:
-                result = _inject_one(source, bug_type, pool, out_name,
+                result = inject_file(source, bug_type, pool, out_name,
                                      args.counter_start)
             except SolBugSmithError as exc:
                 failures.append((out_name, str(exc)))
@@ -397,7 +389,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         result = evaluate_campaign(entries, findings_by_tool, capabilities,
                                    truth_extras, confirmed, args.line_slack,
                                    args.sample_size, seed)
-    except DomainError as exc:  # a --confirmed count beyond its sample
+    except DomainError as exc:  # --confirmed names a tool or count amiss
         raise _ConfigError(f"{args.confirmed}: {exc}")
     failures += [(tool, "tool missing from the capabilities file")
                  for tool in result.missing_tools]

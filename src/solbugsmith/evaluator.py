@@ -1,10 +1,10 @@
 """Score analyzer reports against injected ground truth.
 
-False negatives: every bug-log entry is matched greedily against unused
-findings in the same file, first requiring the reported type to agree, then
-accepting any report whose line falls in the entry's range (those become
-type misidentifications). Entries are matched tightest range first so a
-wide entry cannot steal a finding from the narrow entry it belongs to.
+False negatives: a maximum matching pairs bug-log entries with findings in
+the same file whose line falls in the entry's range, type-correct pairs
+first: findings that can pair with an entry of their reported type are
+matched before those that can only pair by line (type misidentifications),
+and each finding tries its entries tightest range first.
 
 False positives: findings on injected lines are set aside, then a finding
 is excluded from the suspect set when at least a threshold number of tools
@@ -17,6 +17,8 @@ positives, confirmed by inspecting a fixed-size sample and extrapolating.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import random
 from collections import Counter
@@ -301,8 +303,14 @@ def evaluate_campaign(entries: list[BugLogEntry],
     """FN scores per tool and type, and one FP cell per capable type. The
     confirmed count of a cell is its sampled findings listed in the tool's
     ``truth_extras``, else its ``confirmed`` count, else the whole sample;
-    one above the sample is a ``DomainError`` naming the tool and type."""
+    one above the sample is a ``DomainError`` naming the tool and type, and
+    so are ``confirmed`` counts for a tool that is not evaluated."""
     tools = sorted(t for t in findings_by_tool if t in capabilities)
+    unknown = sorted(set(confirmed) - set(tools))
+    if unknown:
+        raise DomainError(
+            f"confirmed counts for tool(s) not evaluated: "
+            f"{', '.join(map(repr, unknown))} (evaluated: {', '.join(tools)})")
     scores = {tool: _partition_scores(
                   restrict_to_scope(entries, capabilities[tool]),
                   findings_by_tool[tool], line_slack)
@@ -407,21 +415,21 @@ def render_fn_table(scores: dict[str, dict[BugType, FNScore]],
 
 def fn_csv(scores: dict[str, dict[BugType, FNScore]],
            capabilities: dict[str, frozenset[BugType]]) -> str:
-    lines = ["tool,bugType,injected,detected,misidentified,unreported,cell"]
+    rows = ["tool,bugType,injected,detected,misidentified,unreported,cell"
+            .split(",")]
     for tool in sorted(scores):
         for bug_type in BugType:
             score, cell = _fn_entry(scores, capabilities, tool, bug_type)
-            lines.append(f"{tool},{bug_type.value},{score.injected},"
-                         f"{score.detected},{score.misidentified},"
-                         f"{score.unreported},{cell}")
-    return "\n".join(lines) + "\n"
+            rows.append((tool, bug_type.value, score.injected, score.detected,
+                         score.misidentified, score.unreported, cell))
+    return _csv_text(rows)
 
 
-def _fp_entry(cell: FPCell | None, sep: str) -> str:
-    """Reported, filtered and estimated false positives joined by ``sep``."""
+def _fp_entry(cell: FPCell | None) -> tuple:
+    """Reported, filtered and estimated false positives; NA without a cell."""
     if cell is None:
-        return "NA"
-    return sep.join(map(str, (cell.reported, cell.filtered, cell.estimated)))
+        return ("NA",)
+    return cell.reported, cell.filtered, cell.estimated
 
 
 def render_fp_table(cells: dict[str, dict[BugType, FPCell]],
@@ -433,7 +441,8 @@ def render_fp_table(cells: dict[str, dict[BugType, FPCell]],
     lines = [header, "| --- | --- |" + " --- |" * len(tools)]
     for bug_type in BugType:
         row = [bug_type.value, str(thresholds.get(bug_type, "-"))] + \
-            [_fp_entry(cells[tool].get(bug_type), "/") for tool in tools]
+            ["/".join(map(str, _fp_entry(cells[tool].get(bug_type))))
+             for tool in tools]
         lines.append("| " + " | ".join(row) + " |")
     if misc_counts is not None:
         row = [MISCELLANEOUS, "-"] + \
@@ -445,11 +454,17 @@ def render_fp_table(cells: dict[str, dict[BugType, FPCell]],
 def fp_csv(cells: dict[str, dict[BugType, FPCell]],
            thresholds: dict[BugType, int],
            misc_counts: dict[str, int]) -> str:
-    lines = ["tool,bugType,threshold,reported,filtered,estimated"]
+    rows = ["tool,bugType,threshold,reported,filtered,estimated".split(",")]
     for tool in sorted(cells):
         for bug_type in BugType:
             if bug_type in cells[tool]:
-                lines.append(f"{tool},{bug_type.value},{thresholds[bug_type]},"
-                             f"{_fp_entry(cells[tool][bug_type], ',')}")
-        lines.append(f"{tool},{MISCELLANEOUS},,{misc_counts.get(tool, 0)},,")
-    return "\n".join(lines) + "\n"
+                rows.append((tool, bug_type.value, thresholds[bug_type],
+                             *_fp_entry(cells[tool][bug_type])))
+        rows.append((tool, MISCELLANEOUS, "", misc_counts.get(tool, 0), "", ""))
+    return _csv_text(rows)
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()

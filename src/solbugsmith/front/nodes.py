@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .lexer import Token
-from .spans import LineIndex, Span
+from .spans import Span
 
 SIMPLE_STMT_KINDS = frozenset(
     {"localVarDecl", "assignment", "expressionStmt", "returnStmt",
@@ -107,16 +107,14 @@ class ContractDef:
 
 @dataclass
 class SourceUnit:
-    pragma: str | None
     contracts: list[ContractDef]
-    line_map: LineIndex
     raw_text: str
     tokens: list[Token] = field(repr=False, default_factory=list)
 
     def to_json(self) -> dict:
         return {"kind": "sourceUnit",
                 "span": Span(0, len(self.raw_text.encode("utf-8")), 1,
-                             self.line_map.line_count()).to_json(),
+                             self.raw_text.count("\n") + 1).to_json(),
                 "children": [c.to_json() for c in self.contracts]}
 
     def opaque_spans(self) -> list[Span]:

@@ -16,7 +16,7 @@ from ..errors import ParseError
 from .lexer import ELEMENTARY_TYPES, Token, TokenKind, UNIT_KEYWORDS, tokenize
 from .nodes import (ContractDef, EventDef, FunctionDef, OpaqueMember,
                     SourceUnit, StateVarDecl, Stmt)
-from .spans import LineIndex, Span, column_of
+from .spans import Span, column_of
 
 _VISIBILITY = frozenset({"public", "private", "internal", "external"})
 _MUTABILITY = frozenset({"payable", "view", "pure", "constant"})
@@ -128,21 +128,18 @@ class _Parser:
     # -- top level ---------------------------------------------------------
 
     def parse_unit(self) -> SourceUnit:
-        pragma: str | None = None
         contracts: list[ContractDef] = []
         while not self._at_end():
             tok = self._cur()
             assert tok is not None
             if tok.kind is TokenKind.PRAGMA:
-                if pragma is None:
-                    pragma = tok.text
                 self._advance()
             elif tok.kind is TokenKind.KEYWORD and tok.text == "contract":
                 contracts.append(self._contract())
             else:
                 raise self._error("'contract' or pragma directive")
-        return SourceUnit(pragma, contracts, LineIndex(self.data),
-                          self.data.decode("utf-8"), tokens=self.all_tokens)
+        return SourceUnit(contracts, self.data.decode("utf-8"),
+                          tokens=self.all_tokens)
 
     def _contract(self) -> ContractDef:
         start = self.i

@@ -47,9 +47,6 @@ class LineIndex:
             raise OutOfRange(f"offset {offset} outside [0, {self.length}]")
         return bisect.bisect_right(self.starts, offset)
 
-    def line_count(self) -> int:
-        return len(self.starts)
-
 
 def column_of(data: bytes, offset: int) -> int:
     """1-based byte column of ``offset`` within its line."""

@@ -15,7 +15,9 @@ import io
 import json
 from dataclasses import dataclass
 
-from .errors import EditConflict, MalformedDocument, StaleProfile
+from . import front, locator
+from .errors import (EditConflict, MalformedDocument, SolBugSmithError,
+                     StaleProfile)
 from .front import LineIndex, parse
 from .locator import (InjectionProfile, SnippetSite, TransformSite,
                       WeakenSite, source_digest)
@@ -67,14 +69,31 @@ class _Edit:
     final_start: int = -1
 
 
+def inject_file(source: str, bug_type: BugType, pool: BugPool, name: str,
+                counter_start: int = 0) -> InjectionResult:
+    """Inject one ``bug_type`` bug at every site of ``source`` and check that
+    the output still validates; its log entries name the file ``name``.
+    SolBugSmithError if the output has diagnostics."""
+    # through the module attributes, which perfbench/tracing.py rebinds
+    profile = locator.find_all_potential_locations(source, bug_type, pool,
+                                                   source_id=name)
+    result = inject_all(source, profile, pool, counter_start=counter_start)
+    diagnostics = front.validate(result.text)
+    if diagnostics:
+        first = diagnostics[0]
+        raise SolBugSmithError(
+            f"output failed validation ({len(diagnostics)} diagnostic(s); "
+            f"first at line {first.line}: {first.message})")
+    return result
+
+
 def inject_all(source: str, profile: InjectionProfile, pool: BugPool,
-               counter_start: int = 0,
-               file_name: str | None = None) -> InjectionResult:
-    """Inject one bug per profile site; returns new text plus its bug log."""
+               counter_start: int = 0) -> InjectionResult:
+    """Inject one bug per profile site; returns new text plus its bug log,
+    whose entries name the file ``profile.source_id``."""
     if source_digest(source) != profile.source_digest:
         raise StaleProfile(
             f"profile for {profile.source_id!r} does not match the source")
-    file_label = file_name if file_name is not None else profile.source_id
     data = source.encode("utf-8")
     unit = parse(source)
 
@@ -195,7 +214,7 @@ def inject_all(source: str, profile: InjectionProfile, pool: BugPool,
             approach = Approach.WEAKEN_SECURITY
             snippet_id = None
         entries.append(BugLogEntry(
-            bug_id, profile.bug_type, approach, snippet_id, file_label,
+            bug_id, profile.bug_type, approach, snippet_id, profile.source_id,
             line_index.line_of(byte_start),
             line_index.line_of(max(byte_start, byte_end - 1)),
             byte_start, byte_end))
@@ -281,6 +300,11 @@ def _entry_from_json(raw: object) -> BugLogEntry:
         raise TypeError(f"lines and byte offsets must be integers: {positions}")
     if not isinstance(raw["bugId"], str) or not isinstance(raw["file"], str):
         raise TypeError("bugId and file must be strings")
+    start_line, end_line, byte_start, byte_end = positions
+    if not (1 <= start_line <= end_line and 0 <= byte_start <= byte_end):
+        raise ValueError(f"entry {raw['bugId']!r} has a reversed or "
+                         f"non-positive range: lines {start_line}..{end_line}"
+                         f", bytes {byte_start}..{byte_end}")
     return BugLogEntry(raw["bugId"], BugType(raw["bugType"]),
                        Approach(raw["approach"]), raw.get("snippetId"),
                        raw["file"], *positions)

@@ -34,15 +34,6 @@ class BugSnippet:
     template: str
     required_context: tuple[str, ...] = ()
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "bugType": self.bug_type.value,
-            "form": self.form.value,
-            "template": self.template,
-            "requiredContext": list(self.required_context),
-        }
-
 
 @dataclass(frozen=True)
 class TransformPattern:
@@ -50,20 +41,11 @@ class TransformPattern:
     match: str
     replace: str
 
-    def to_json(self) -> dict:
-        return {"bugType": self.bug_type.value, "match": self.match,
-                "replace": self.replace}
-
 
 @dataclass(frozen=True)
 class WeakeningRule:
     bug_type: BugType
     guard_shape: str
-    action: str = "commentOutStatement"
-
-    def to_json(self) -> dict:
-        return {"bugType": self.bug_type.value, "guardShape": self.guard_shape,
-                "action": self.action}
 
 
 @dataclass(frozen=True)
@@ -132,15 +114,6 @@ def load_pool(text: str) -> BugPool:
         weakenings.append(_weakening_from_json(raw, idx))
 
     return BugPool(tuple(snippets), tuple(transforms), tuple(weakenings))
-
-
-def serialize_pool(pool: BugPool) -> str:
-    doc = {
-        "snippets": [s.to_json() for s in pool.snippets],
-        "transforms": [t.to_json() for t in pool.transforms],
-        "weakenings": [w.to_json() for w in pool.weakenings],
-    }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 @lru_cache(maxsize=1)
@@ -267,4 +240,4 @@ def _weakening_from_json(raw: object, idx: int) -> WeakeningRule:
     action = raw.get("action", "commentOutStatement")
     if action != "commentOutStatement":
         raise PoolError(label, f"unknown action: {action!r}")
-    return WeakeningRule(bug_type, shape, action)
+    return WeakeningRule(bug_type, shape)

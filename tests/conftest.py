@@ -32,6 +32,18 @@ def pool():
 
 
 @pytest.fixture(scope="session")
+def unbalancing_pool_text() -> str:
+    """The bundled pool with its ``uint256 -> uint8`` rewrite replaced by
+    one that leaves an unclosed ``(``. A replacement, not an addition: for
+    equal spans the first pattern in pool order wins."""
+    doc = json.loads((resources.files("solbugsmith") / "data"
+                      / "default_pool.json").read_text(encoding="utf-8"))
+    (rule,) = [t for t in doc["transforms"] if t["replace"] == "uint8"]
+    rule["replace"] = "uint256 ("
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="session")
 def capabilities():
     text = (resources.files("solbugsmith") / "data"
             / "capabilities.json").read_text(encoding="utf-8")

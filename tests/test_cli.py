@@ -1,15 +1,18 @@
 """Command line driver: each subcommand end to end, exit codes, and
 run-to-run reproducibility of everything written to disk."""
 
+import argparse
 import ast
+import csv
 import importlib
+import inspect
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
-from solbugsmith.cli import main
+from solbugsmith.cli import _COMMANDS, _build_parser, main
 from solbugsmith.injector import CSV_COLUMNS
 
 TOOLS = ["Manticore", "Mythril", "Oyente", "Securify", "SmartCheck",
@@ -125,6 +128,22 @@ class TestInject:
         assert code == 2
         assert "Broken.Reentrancy.sol" in captured.err
         assert (out / "Good.Reentrancy.sol").is_file()
+
+    def test_output_failing_validation_is_that_pairs_failure(
+            self, mini_corpus, tmp_path, unbalancing_pool_text, capsys):
+        pool = tmp_path / "pool.json"
+        pool.write_text(unbalancing_pool_text, encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["inject", "--corpus", str(mini_corpus / "Counter.sol"),
+                     "--out", str(out), "--pool", str(pool),
+                     "--bug-types", "IntegerOverflowUnderflow,TOD"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Counter.IntegerOverflowUnderflow.sol: output failed " \
+               "validation (12 diagnostic(s); first at line 100:" in err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "Counter.TOD.buglog.csv", "Counter.TOD.buglog.json",
+            "Counter.TOD.sol"]
 
 
 class TestOracle:
@@ -256,6 +275,26 @@ class TestEvaluate:
             truth = json.loads((reports / f"{tool}.truth.json").read_text())
             assert sum(int(r[5]) for r in mine) == len(truth["missed"])
 
+    def test_csv_rows_have_the_header_width(self, injected, tmp_path, capsys):
+        caps = tmp_path / "caps.json"
+        caps.write_text(json.dumps({"Slither, v2": ["Reentrancy", "TxOrigin"],
+                                    "Mythril": ["Reentrancy"]}),
+                        encoding="utf-8")
+        reports, out = tmp_path / "reports", tmp_path / "out"
+        assert main(["oracle", "--buglogs", str(injected),
+                     "--out", str(reports), "--capabilities", str(caps),
+                     "--extra-per-file", "3", "--seed", "1"]) == 0
+        assert main(["evaluate", "--buglogs", str(injected),
+                     "--reports", str(reports), "--capabilities", str(caps),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        for name in ("fn_scores.csv", "fp_cells.csv"):
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows, name
+            assert {len(row) for row in rows} == {len(header)}, name
+            assert {row[0] for row in rows} == {"Mythril", "Slither, v2"}
+
     def test_without_out_prints_both_tables(self, injected, reports, capsys):
         assert main(["evaluate", "--buglogs", str(injected),
                      "--reports", str(reports), "--seed", "11"]) == 0
@@ -373,6 +412,23 @@ class TestExitCodes:
                      "pool_surrogate.json: surrogate: template does not "
                      "parse:",
                      id="snippet-with-lone-surrogate"),
+        pytest.param(["evaluate", "--buglogs", "{injected}",
+                      "--reports", "{tmp}/untruthed",
+                      "--confirmed", "{tmp}/confirmed_type.json"],
+                     "confirmed_type.json: Slither: unknown bug type: "
+                     "'TxOrigin '",
+                     id="confirmed-unknown-bug-type"),
+        pytest.param(["evaluate", "--buglogs", "{injected}",
+                      "--reports", "{tmp}/untruthed",
+                      "--confirmed", "{tmp}/confirmed_tool.json"],
+                     "confirmed_tool.json: confirmed counts for tool(s) not "
+                     "evaluated: 'Slitherr'",
+                     id="confirmed-tool-not-evaluated"),
+        pytest.param(["locate", "--corpus", "{tmp}", "--seed", "1"],
+                     "unrecognized arguments: --seed 1", id="locate-seed"),
+        pytest.param(["inject", "--corpus", "{tmp}", "--out", "{tmp}/out",
+                      "--seed", "1"],
+                     "unrecognized arguments: --seed 1", id="inject-seed"),
     ])
     def test_bad_flag_or_config_file_exits_one_with_one_line(
             self, argv, named, tmp_path, injected, reports, capsys):
@@ -383,6 +439,8 @@ class TestExitCodes:
                 "confirmed_int.json": '{"Slither": 3}',
                 "confirmed_str.json": '{"Slither": {"TxOrigin": "x"}}',
                 "confirmed_big.json": '{"Slither": {"TxOrigin": 999}}',
+                "confirmed_type.json": '{"Slither": {"TxOrigin ": 0}}',
+                "confirmed_tool.json": '{"Slitherr": {"TxOrigin": 0}}',
                 "caps_empty.json": '{"Mythril": ["TOD"], "Slither": []}',
                 "pool_lex.json": _one_snippet_pool("bad-char",
                                                    "uint a{N} = 1 # 2;"),
@@ -417,6 +475,12 @@ class TestExitCodes:
         pytest.param(["evaluate", "--buglogs", "{injected}",
                       "--reports", "{tmp}/reports"], "Slither.truth.json",
                      id="truth-file-holding-a-list"),
+        pytest.param(["oracle", "--buglogs", "{tmp}/reversed",
+                      "--out", "{tmp}/out"], "Counter.TxOrigin.buglog.json",
+                     id="oracle-buglog-with-reversed-lines"),
+        pytest.param(["evaluate", "--buglogs", "{tmp}/reversed",
+                      "--reports", "{reports}"], "Counter.TxOrigin.buglog.json",
+                     id="evaluate-buglog-with-reversed-lines"),
     ])
     def test_bad_input_file_exits_two_naming_it(
             self, argv, named, tmp_path, mini_corpus, injected, reports,
@@ -430,6 +494,11 @@ class TestExitCodes:
         entries = json.loads(log.read_text(encoding="utf-8"))
         del entries[0]["byteSpan"]
         log.write_text(json.dumps(entries), encoding="utf-8")
+        shutil.copytree(injected, tmp_path / "reversed")
+        log = tmp_path / "reversed" / "Counter.TxOrigin.buglog.json"
+        entries = json.loads(log.read_text(encoding="utf-8"))
+        entries[0]["startLine"], entries[0]["endLine"] = 9, 3
+        log.write_text(json.dumps(entries), encoding="utf-8")
         shutil.copytree(reports, tmp_path / "reports")
         (tmp_path / "reports" / "Slither.truth.json").write_text(
             "[]", encoding="utf-8")
@@ -442,6 +511,19 @@ class TestExitCodes:
         assert len([line for line in err.splitlines() if named in line]) == 1
         if argv[0] == "inject":  # the campaign goes on past the bad file
             assert (tmp_path / "out" / "Good.Reentrancy.sol").is_file()
+
+
+def test_every_flag_is_read_by_its_command():
+    """A flag that its command never reads does nothing."""
+    (commands,) = [action for action in _build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    unread = [f"{name}: {action.dest}"
+              for name, parser in commands.choices.items()
+              for action in parser._actions
+              if not isinstance(action, argparse._HelpAction)
+              and f"args.{action.dest}" not in
+              inspect.getsource(_COMMANDS[name])]
+    assert unread == []
 
 
 def test_traced_bindings_exist_in_every_importing_module():

@@ -1,18 +1,22 @@
 """Edit application: snippet splicing, token rewrites, guard weakening,
 bug-log accuracy, and byte-for-byte determinism."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solbugsmith.errors import StaleProfile
+from solbugsmith.errors import MalformedDocument, SolBugSmithError, StaleProfile
 from solbugsmith.front import TokenKind, tokenize, validate
 from solbugsmith.injector import (CSV_COLUMNS, emit_buglog_csv,
-                                  emit_buglog_json, inject_all, load_buglog)
+                                  emit_buglog_json, inject_all, inject_file,
+                                  load_buglog)
 from solbugsmith.locator import (InjectionProfile, SnippetSite, TransformSite,
                                  WeakenSite, find_all_potential_locations,
                                  source_digest)
 from solbugsmith.model import Approach, BugType
+from solbugsmith.pool import load_pool
 
 ALL_TYPES = list(BugType)
 
@@ -112,10 +116,8 @@ class TestSnippetInjection:
     def test_file_label_defaults_to_source_id(self, pool):
         profile = find_all_potential_locations(
             GUARDED, BugType.TIMESTAMP_DEPENDENCY, pool, source_id="g.sol")
-        named = inject_all(GUARDED, profile, pool, file_name="other.sol")
-        assert {e.file for e in named.entries} == {"other.sol"}
-        default = inject_all(GUARDED, profile, pool)
-        assert {e.file for e in default.entries} == {"g.sol"}
+        result = inject_all(GUARDED, profile, pool)
+        assert {e.file for e in result.entries} == {"g.sol"}
 
 
 class TestTokenRewrites:
@@ -209,6 +211,40 @@ class TestBugLogSerialization:
         assert doc["approach"] == "FullSnippet"
         assert doc["byteSpan"] == {"start": entries[0].byte_start,
                                    "end": entries[0].byte_end}
+
+    @pytest.mark.parametrize("lines, span", [
+        pytest.param((9, 3), (10, 20), id="reversed-lines"),
+        pytest.param((0, 3), (10, 20), id="line-zero"),
+        pytest.param((3, 9), (20, 10), id="reversed-bytes"),
+        pytest.param((3, 9), (-1, 10), id="negative-byte"),
+    ])
+    def test_reversed_or_non_positive_range_is_malformed(
+            self, entries, lines, span):
+        doc = [entries[0].to_json()]
+        doc[0]["startLine"], doc[0]["endLine"] = lines
+        doc[0]["byteSpan"] = dict(zip(("start", "end"), span))
+        with pytest.raises(MalformedDocument, match="reversed or non-positive"):
+            load_buglog(json.dumps(doc))
+
+
+class TestInjectFile:
+    def test_is_locate_then_inject_all(self, corpus_sources, pool):
+        src = corpus_sources["Counter.sol"]
+        profile = find_all_potential_locations(
+            src, BugType.TOD, pool, source_id="Counter.TOD.sol")
+        assert inject_file(src, BugType.TOD, pool, "Counter.TOD.sol",
+                           counter_start=3) \
+            == inject_all(src, profile, pool, counter_start=3)
+
+    def test_output_failing_validation_is_an_error(
+            self, corpus_sources, unbalancing_pool_text):
+        pool = load_pool(unbalancing_pool_text)
+        with pytest.raises(SolBugSmithError) as err:
+            inject_file(corpus_sources["Counter.sol"],
+                        BugType.INTEGER_OVERFLOW_UNDERFLOW, pool, "C.sol")
+        assert str(err.value) == (
+            "output failed validation (12 diagnostic(s); first at line 100: "
+            "'(' closed by '}')")
 
 
 class TestDeterminism:

@@ -44,9 +44,6 @@ class TestStructure:
     def test_unit_raw_text_is_source(self, egame):
         assert parse(egame).raw_text == egame
 
-    def test_pragma_captured(self, egame):
-        assert parse(egame).pragma == "pragma solidity >=0.4.21 <0.6.0;"
-
     def test_multiple_contracts(self, corpus_sources):
         unit = parse(corpus_sources["Splitter.sol"])
         assert [c.name for c in unit.contracts] == ["Splitter", "PayoutLog"]

@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 
 from solbugsmith.errors import PoolError
 from solbugsmith.model import BugType, SnippetForm
-from solbugsmith.pool import (instantiate, lead_identifier, load_pool,
-                              serialize_pool)
+from solbugsmith.pool import instantiate, lead_identifier, load_pool
 
 
 class TestDefaultPool:
@@ -35,16 +34,11 @@ class TestDefaultPool:
         rules = pool.weakenings_for(BugType.UNHANDLED_EXCEPTION)
         assert len(rules) == 1
         assert rules[0].guard_shape == "guardedSendRevert"
-        assert rules[0].action == "commentOutStatement"
 
     def test_timestamp_snippet_body(self, pool):
         snippets = pool.snippets_for(BugType.TIMESTAMP_DEPENDENCY)
         bodies = [s.template for s in snippets]
         assert any("block.timestamp >= 1546300" in b for b in bodies)
-
-    def test_round_trip(self, pool):
-        again = load_pool(serialize_pool(pool))
-        assert again == pool
 
 
 class TestInstantiate:
