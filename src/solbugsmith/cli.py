@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .errors import (DomainError, MalformedDocument, MissingBugLog, PoolError,
                      SolBugSmithError)
-from .evaluator import (ADAPTERS, Finding, evaluate_campaign, fn_csv, fp_csv,
+from .evaluator import (Finding, evaluate_campaign, fn_csv, fp_csv,
                         ingest_report, load_capabilities, load_truth_extras,
                         render_fn_table, render_fp_table)
 from .front import parse
@@ -109,7 +109,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--buglogs", required=True, metavar="DIR")
     p.add_argument("--reports", required=True, metavar="DIR")
     p.add_argument("--out", metavar="DIR")
-    p.add_argument("--adapter", default="synthetic-oracle", choices=ADAPTERS)
     p.add_argument("--capabilities", metavar="FILE")
     p.add_argument("--line-slack", type=_int_at_least(0), default=0)
     p.add_argument("--sample-size", type=_int_at_least(1), default=20)
@@ -372,13 +371,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     failures: list[tuple[str, str]] = []
     findings_by_tool: dict[str, list[Finding]] = {}
     for path in report_paths:
-        fallback_tool = path.name[:-len(".report.json")]
+        stem = path.name[:-len(".report.json")]
         try:
             findings = ingest_report(path.read_text(encoding="utf-8"),
-                                     args.adapter, tool=fallback_tool)
-        except SolBugSmithError as exc:
+                                     tool=stem)
+        except (OSError, UnicodeDecodeError, SolBugSmithError) as exc:
             failures.append((path.name, str(exc)))
             continue
+        if not findings:  # a tool that reports nothing is still scored
+            findings_by_tool.setdefault(stem, [])
         for finding in findings:
             findings_by_tool.setdefault(finding.tool, []).append(finding)
 

@@ -21,16 +21,16 @@ import csv
 import io
 import json
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import (DomainError, FormatError, MalformedDocument,
                      MissingThreshold, ScopeError)
 from .injector import BugLogEntry
 from .model import BugType
 from .oracle import child_seed
-
-ADAPTERS = ("normalized-json", "synthetic-oracle")
 
 MISCELLANEOUS = "Miscellaneous"
 
@@ -48,27 +48,22 @@ class Finding:
         return self.reported_type.value if self.reported_type else MISCELLANEOUS
 
 
-def ingest_report(text: str, adapter: str = "normalized-json",
-                  tool: str | None = None) -> list[Finding]:
-    """Parse a report document into findings; unknown types become Miscellaneous."""
-    if adapter not in ADAPTERS:
-        raise FormatError(0, f"unknown adapter: {adapter!r}")
+def ingest_report(text: str, tool: str | None = None) -> list[Finding]:
+    """Parse a report document into findings; unknown types become
+    Miscellaneous. A JSON array is a list of findings; an object holds them
+    in a ``findings`` array and may name its ``tool``. A finding without a
+    tool is the document's, else ``tool``'s."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise FormatError(err.lineno, f"not valid JSON: {err.msg}") from None
-    if adapter == "normalized-json":
-        if not isinstance(doc, list):
-            raise FormatError(0, "normalized report must be a JSON array")
-        raw_findings = doc
-        default_tool = tool
+    if isinstance(doc, list):
+        raw_findings, default_tool = doc, tool
+    elif isinstance(doc, dict) and isinstance(doc.get("findings"), list):
+        raw_findings, default_tool = doc["findings"], doc.get("tool", tool)
     else:
-        if not isinstance(doc, dict) or "findings" not in doc:
-            raise FormatError(0, "oracle report must have a findings array")
-        raw_findings = doc["findings"]
-        default_tool = doc.get("tool", tool)
-        if not isinstance(raw_findings, list):
-            raise FormatError(0, "findings must be an array")
+        raise FormatError(0, "report must be a JSON array of findings or "
+                             "an object with a findings array")
     findings = []
     for idx, raw in enumerate(raw_findings, start=1):
         if not isinstance(raw, dict):
@@ -195,9 +190,20 @@ def filter_by_majority(findings: list[Finding],
                        entries: list[BugLogEntry],
                        thresholds: dict[BugType, int]) -> MajorityResult:
     """Drop injected-line findings, then split the rest by tool agreement."""
-    covered = {(e.file, line) for e in entries
-               for line in range(e.start_line, e.end_line + 1)}
-    candidates = [f for f in findings if (f.file, f.line) not in covered]
+    # per file: entry start lines in order, and the furthest end line reached
+    # by an entry starting at or before each
+    reach = {}
+    for file, group in _group(entries, lambda e: e.file).items():
+        ranges = sorted((e.start_line, e.end_line) for e in group)
+        reach[file] = ([start for start, _ in ranges],
+                       list(accumulate((end for _, end in ranges), max)))
+
+    def injected(finding: Finding) -> bool:
+        starts, ends = reach.get(finding.file, ((), ()))
+        i = bisect_right(starts, finding.line) - 1
+        return i >= 0 and ends[i] >= finding.line
+
+    candidates = [f for f in findings if not injected(f)]
     by_key = _group(candidates, lambda f: (f.file, f.line, f.reported_type))
     support = {key: len({f.tool for f in group})
                for key, group in by_key.items()}
@@ -249,7 +255,9 @@ def estimate_false_positives(filtered: int, sampled: int, confirmed: int) -> int
 
 def load_capabilities(text: str) -> dict[str, frozenset[BugType]]:
     """``{tool: [bug type name, ...]}``; ValueError for any other shape, an
-    empty list or an unknown bug type name."""
+    empty list, an unknown bug type name, or a tool name that is empty or
+    holds a ``/`` or an unprintable character (it names ``<tool>.report.json``
+    and a table column)."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or not all(
             isinstance(names, list) and names
@@ -257,6 +265,9 @@ def load_capabilities(text: str) -> dict[str, frozenset[BugType]]:
             for names in doc.values()):
         raise ValueError("expected a JSON object mapping each tool to a "
                          "non-empty list of bug type names")
+    for tool in doc:
+        if not tool or "/" in tool or not tool.isprintable():
+            raise ValueError(f"tool name {tool!r} cannot name a report file")
     return {tool: frozenset(map(BugType, names)) for tool, names in doc.items()}
 
 

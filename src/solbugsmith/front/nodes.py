@@ -23,7 +23,6 @@ class Stmt:
     kind: str
     span: Span
     children: list["Stmt"]
-    text: str
     opaque: bool = False
     # For ifStmt/whileStmt: span of the parenthesized condition (parens excluded).
     cond_span: Span | None = None
@@ -63,7 +62,6 @@ class EventDef:
 @dataclass
 class OpaqueMember:
     span: Span
-    text: str
 
     kind = "opaqueMember"
     name = None
@@ -108,13 +106,13 @@ class ContractDef:
 @dataclass
 class SourceUnit:
     contracts: list[ContractDef]
-    raw_text: str
+    data: bytes = field(repr=False)  # the source, UTF-8 encoded
     tokens: list[Token] = field(repr=False, default_factory=list)
 
     def to_json(self) -> dict:
         return {"kind": "sourceUnit",
-                "span": Span(0, len(self.raw_text.encode("utf-8")), 1,
-                             self.raw_text.count("\n") + 1).to_json(),
+                "span": Span(0, len(self.data), 1,
+                             self.data.count(b"\n") + 1).to_json(),
                 "children": [c.to_json() for c in self.contracts]}
 
     def opaque_spans(self) -> list[Span]:

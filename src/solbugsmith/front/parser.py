@@ -122,9 +122,6 @@ class _Parser:
         last = self.toks[self.i - 1].span
         return Span(first.start, last.end, first.start_line, last.end_line)
 
-    def _text_of(self, span: Span) -> str:
-        return self.data[span.start:span.end].decode("utf-8")
-
     # -- top level ---------------------------------------------------------
 
     def parse_unit(self) -> SourceUnit:
@@ -138,8 +135,7 @@ class _Parser:
                 contracts.append(self._contract())
             else:
                 raise self._error("'contract' or pragma directive")
-        return SourceUnit(contracts, self.data.decode("utf-8"),
-                          tokens=self.all_tokens)
+        return SourceUnit(contracts, self.data, tokens=self.all_tokens)
 
     def _contract(self) -> ContractDef:
         start = self.i
@@ -236,8 +232,7 @@ class _Parser:
         if self._is_punct(";"):
             # Declaration without a body: outside the subset, keep it opaque.
             self._advance()
-            span = self._span_from(start)
-            return OpaqueMember(span, self._text_of(span))
+            return OpaqueMember(self._span_from(start))
         statements, body = self._braced(self._statement, "function body")
         return FunctionDef(kind_word, name, self._span_from(start), body,
                            statements)
@@ -267,8 +262,7 @@ class _Parser:
         return EventDef(name.text, self._span_from(start))
 
     def _opaque_member(self) -> OpaqueMember:
-        span = self._consume_balanced("member")
-        return OpaqueMember(span, self._text_of(span))
+        return OpaqueMember(self._consume_balanced("member"))
 
     def _consume_balanced(self, what: str) -> Span:
         """Consume until ';' at depth 0, or until a depth-0 brace group closes."""
@@ -361,12 +355,11 @@ class _Parser:
                 span = self._consume_balanced("statement")
             except ParseError:
                 raise first_err from None
-            return Stmt("expressionStmt", span, [], self._text_of(span), opaque=True)
+            return Stmt("expressionStmt", span, [], opaque=True)
 
     def _stmt(self, kind: str, start: int, children: list[Stmt] | None = None,
               cond_span: Span | None = None) -> Stmt:
-        span = self._span_from(start)
-        return Stmt(kind, span, children or [], self._text_of(span),
+        return Stmt(kind, self._span_from(start), children or [],
                     cond_span=cond_span)
 
     def _require_stmt(self) -> Stmt:

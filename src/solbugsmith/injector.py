@@ -1,11 +1,12 @@
 """Apply an injection profile to a source file and log the ground truth.
 
-Edits are byte edits applied back to front so earlier offsets stay valid.
-Every site in the profile produces exactly one log entry whose line range
-and byte span refer to the OUTPUT file. Shared context declarations are
-inserted once per contract, directly after the contract's opening brace,
-and are charged to the first bug that needs them: that entry's range is
-the convex hull of its snippet and its context lines.
+Each site becomes one byte edit of the source, and one front-to-back pass
+splices the edits in and records where each landed. Every site in the
+profile produces exactly one log entry whose line range and byte span
+refer to the OUTPUT file. Shared context declarations are inserted once
+per contract, directly after the contract's opening brace, and are charged
+to the first bug that needs them: that entry's range is the convex hull of
+its snippet and its context lines.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from . import front, locator
@@ -22,7 +24,7 @@ from .front import LineIndex, parse
 from .locator import (InjectionProfile, SnippetSite, TransformSite,
                       WeakenSite, source_digest)
 from .model import Approach, BugType
-from .pool import BugPool, BugSnippet, instantiate, lead_identifier
+from .pool import BugPool, instantiate, lead_identifier
 
 CSV_COLUMNS = ("bugId", "bugType", "approach", "snippetId", "file",
                "startLine", "endLine", "byteStart", "byteEnd")
@@ -59,14 +61,16 @@ class InjectionResult:
     entries: tuple[BugLogEntry, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Edit:
+    """Replace bytes [start, end) with ``insert``; ``logged`` holds a
+    (site index, start, end) range relative to ``insert`` for each bug-log
+    entry that covers part of it."""
+
     start: int
     end: int
     insert: bytes
-    rank: int
-    seq: int
-    final_start: int = -1
+    logged: list[tuple[int, int, int]]
 
 
 def inject_file(source: str, bug_type: BugType, pool: BugPool, name: str,
@@ -97,132 +101,96 @@ def inject_all(source: str, profile: InjectionProfile, pool: BugPool,
     data = source.encode("utf-8")
     unit = parse(source)
 
-    chosen: dict[int, BugSnippet] = {}
-    form_counts: dict[object, int] = {}
+    picks: Counter = Counter()
+    # per contract: its context declarations, each with the first site
+    # that needs it
+    context: list[list[tuple[str, int]]] = [[] for _ in unit.contracts]
+    edits: list[_Edit] = []
+    fields: list[tuple[str, Approach, str | None]] = []
     for idx, site in enumerate(profile.sites):
+        counter = counter_start + idx
         if isinstance(site, SnippetSite):
             variants = [s for s in pool.snippets_for(profile.bug_type)
                         if s.form is site.form]
-            pick = form_counts.get(site.form, 0)
-            form_counts[site.form] = pick + 1
-            chosen[idx] = variants[pick % len(variants)]
+            snippet = variants[picks[site.form] % len(variants)]
+            picks[site.form] += 1
+            indent = _indent_at(data, site.offset)
+            body = _reindent(instantiate(snippet, counter), indent)
+            edits.append(_insertion(data, site.offset, body, indent,
+                                    [(idx, 0, len(body.encode("utf-8")))]))
+            fields.append((lead_identifier(snippet, counter)
+                           or f"{snippet.id}-{counter}",
+                           Approach.FULL_SNIPPET, snippet.id))
+            if snippet.required_context:
+                decls = context[_contract_at(unit, site.offset)]
+                for decl in snippet.required_context:
+                    if decl not in [seen for seen, _ in decls]:
+                        decls.append((decl, idx))
+        elif isinstance(site, TransformSite):
+            insert = " ".join(site.pattern.replace.split()).encode("utf-8")
+            edits.append(_Edit(site.match_span.start, site.match_span.end,
+                               insert, [(idx, 0, len(insert))]))
+            fields.append((f"trans_{profile.bug_type.value}{counter}",
+                           Approach.CODE_TRANSFORMATION, None))
+        else:
+            edits.append(_weaken_edit(data, site, idx))
+            fields.append((f"weak_{profile.bug_type.value}{counter}",
+                           Approach.WEAKEN_SECURITY, None))
 
-    # context declarations grouped per enclosing contract, first-owner wins
-    ctx_decls: dict[str, list[tuple[str, int]]] = {}
-    ctx_offsets: dict[str, tuple[int, str]] = {}
-    for contract in unit.contracts:
-        ctx_offsets[contract.name] = (
-            contract.body_span.start,
-            _indent_at(data, contract.body_span.start))
-    for idx, site in enumerate(profile.sites):
-        snippet = chosen.get(idx)
-        if snippet is None or not snippet.required_context:
+    context_edits = []
+    for contract, decls in zip(unit.contracts, context):
+        if not decls:
             continue
-        cname = _contract_name_at(unit, site.offset)
-        decls = ctx_decls.setdefault(cname, [])
-        for decl in snippet.required_context:
-            if all(existing != decl for existing, _ in decls):
-                decls.append((decl, idx))
-
-    edits: list[_Edit] = []
-    decl_ranges: dict[int, list[tuple[_Edit, int, int]]] = {}
-    for cname, decls in sorted(ctx_decls.items()):
-        offset, indent = ctx_offsets[cname]
-        pieces = []
-        rel = len(b"\n")
-        ranges = []
+        offset = contract.body_span.start
+        indent = _indent_at(data, offset)
+        logged, rel = [], 0
         for decl, owner in decls:
-            piece = indent + decl
-            pieces.append(piece)
-            piece_bytes = piece.encode("utf-8")
             start = rel + len(indent.encode("utf-8"))
-            ranges.append((owner, start, rel + len(piece_bytes)))
-            rel += len(piece_bytes) + len(b"\n")
-        text = "\n" + "\n".join(pieces)
-        if offset < len(data) and data[offset:offset + 1] != b"\n":
-            text += "\n" + indent
-        edit = _Edit(offset, offset, text.encode("utf-8"), 0, -1)
-        edits.append(edit)
-        for owner, rel_start, rel_end in ranges:
-            decl_ranges.setdefault(owner, []).append((edit, rel_start, rel_end))
+            rel = start + len(decl.encode("utf-8"))
+            logged.append((owner, start, rel))
+            rel += len(b"\n")
+        body = "\n".join(indent + decl for decl, _ in decls)
+        context_edits.append(_insertion(data, offset, body, indent, logged))
 
-    logged_rel: dict[int, tuple[int, int]] = {}
-    site_edits: dict[int, _Edit] = {}
-    for idx, site in enumerate(profile.sites):
-        counter = counter_start + idx
-        if isinstance(site, SnippetSite):
-            body = _reindent(instantiate(chosen[idx], counter),
-                             _indent_at(data, site.offset))
-            text = "\n" + body
-            body_len = len(body.encode("utf-8"))
-            if site.offset < len(data) and \
-                    data[site.offset:site.offset + 1] != b"\n":
-                text += "\n" + _indent_at(data, site.offset)
-            edit = _Edit(site.offset, site.offset, text.encode("utf-8"), 1, idx)
-            logged_rel[idx] = (1, 1 + body_len)
-        elif isinstance(site, TransformSite):
-            replacement = " ".join(site.pattern.replace.split())
-            edit = _Edit(site.match_span.start, site.match_span.end,
-                         replacement.encode("utf-8"), 1, idx)
-            logged_rel[idx] = (0, len(edit.insert))
-        else:
-            assert isinstance(site, WeakenSite)
-            edit, rel = _weaken_edit(data, site, idx)
-            logged_rel[idx] = rel
-        site_edits[idx] = edit
-        edits.append(edit)
+    # A stable sort: a context insertion, listed first, precedes the site
+    # edits at its offset, and site edits at one offset keep profile order.
+    hull: list[tuple[int, int] | None] = [None] * len(fields)
+    out, pos = bytearray(), 0
+    for edit in sorted(context_edits + edits, key=lambda e: e.start):
+        if edit.start < pos:
+            raise EditConflict(f"edits overlap at bytes {edit.start}..{pos}")
+        out += data[pos:edit.start]
+        for idx, rel_start, rel_end in edit.logged:
+            start, end = len(out) + rel_start, len(out) + rel_end
+            if hull[idx] is not None:
+                start, end = min(start, hull[idx][0]), max(end, hull[idx][1])
+            hull[idx] = (start, end)
+        out += edit.insert
+        pos = edit.end
+    out += data[pos:]
 
-    edits.sort(key=lambda e: (e.start, e.rank, e.seq))
-    for before, after in zip(edits, edits[1:]):
-        if before.end > after.start:
-            raise EditConflict(
-                f"edits overlap at bytes {after.start}..{before.end}")
-
-    delta = 0
-    for edit in edits:
-        edit.final_start = edit.start + delta
-        delta += len(edit.insert) - (edit.end - edit.start)
-
-    out = bytearray(data)
-    for edit in reversed(edits):
-        out[edit.start:edit.end] = edit.insert
-    out_bytes = bytes(out)
-    line_index = LineIndex(out_bytes)
-
-    entries = []
-    for idx, site in enumerate(profile.sites):
-        counter = counter_start + idx
-        edit = site_edits[idx]
-        rel_start, rel_end = logged_rel[idx]
-        byte_start = edit.final_start + rel_start
-        byte_end = edit.final_start + rel_end
-        for ctx_edit, ctx_start, ctx_end in decl_ranges.get(idx, ()):
-            byte_start = min(byte_start, ctx_edit.final_start + ctx_start)
-            byte_end = max(byte_end, ctx_edit.final_start + ctx_end)
-        if isinstance(site, SnippetSite):
-            snippet = chosen[idx]
-            bug_id = lead_identifier(snippet, counter) or \
-                f"{snippet.id}-{counter}"
-            approach = Approach.FULL_SNIPPET
-            snippet_id = snippet.id
-        elif isinstance(site, TransformSite):
-            bug_id = f"trans_{profile.bug_type.value}{counter}"
-            approach = Approach.CODE_TRANSFORMATION
-            snippet_id = None
-        else:
-            bug_id = f"weak_{profile.bug_type.value}{counter}"
-            approach = Approach.WEAKEN_SECURITY
-            snippet_id = None
-        entries.append(BugLogEntry(
-            bug_id, profile.bug_type, approach, snippet_id, profile.source_id,
-            line_index.line_of(byte_start),
-            line_index.line_of(max(byte_start, byte_end - 1)),
-            byte_start, byte_end))
-    return InjectionResult(out_bytes.decode("utf-8"), tuple(entries))
+    line_index = LineIndex(bytes(out))
+    entries = tuple(
+        BugLogEntry(bug_id, profile.bug_type, approach, snippet_id,
+                    profile.source_id, line_index.line_of(start),
+                    line_index.line_of(max(start, end - 1)), start, end)
+        for (bug_id, approach, snippet_id), (start, end) in zip(fields, hull))
+    return InjectionResult(out.decode("utf-8"), entries)
 
 
-def _weaken_edit(data: bytes, site: WeakenSite,
-                 seq: int) -> tuple[_Edit, tuple[int, int]]:
+def _insertion(data: bytes, offset: int, body: str, indent: str,
+               logged: list[tuple[int, int, int]]) -> _Edit:
+    """Put ``body`` on a new line at ``offset``; code that follows on the
+    same line moves to its own line at ``indent``. ``logged`` ranges are
+    relative to ``body``."""
+    text = "\n" + body
+    if offset < len(data) and data[offset:offset + 1] != b"\n":
+        text += "\n" + indent
+    return _Edit(offset, offset, text.encode("utf-8"),
+                 [(idx, 1 + start, 1 + end) for idx, start, end in logged])
+
+
+def _weaken_edit(data: bytes, site: WeakenSite, idx: int) -> _Edit:
     start, end = site.revert_stmt_span.start, site.revert_stmt_span.end
     line_start = data.rfind(b"\n", 0, start) + 1
     before = data[line_start:start]
@@ -235,10 +203,9 @@ def _weaken_edit(data: bytes, site: WeakenSite,
     commented = "//" + data[start:end].decode("utf-8").replace("\n", "\n//")
     prefix = ("\n" + indent) if before.strip() else ""
     suffix = ("\n" + indent) if after.strip() else ""
-    insert = (prefix + commented + suffix).encode("utf-8")
     rel_start = len(prefix.encode("utf-8"))
-    rel_end = rel_start + len(commented.encode("utf-8"))
-    return _Edit(start, end, insert, 1, seq), (rel_start, rel_end)
+    return _Edit(start, end, (prefix + commented + suffix).encode("utf-8"),
+                 [(idx, rel_start, rel_start + len(commented.encode("utf-8")))])
 
 
 def _indent_at(data: bytes, offset: int) -> str:
@@ -257,10 +224,10 @@ def _reindent(text: str, indent: str) -> str:
     return "\n".join(indent + l[common:] if l.strip() else l for l in lines)
 
 
-def _contract_name_at(unit, offset: int) -> str:
-    for contract in unit.contracts:
+def _contract_at(unit, offset: int) -> int:
+    for index, contract in enumerate(unit.contracts):
         if contract.span.start <= offset <= contract.span.end:
-            return contract.name
+            return index
     raise EditConflict(f"no contract encloses byte {offset}")
 
 

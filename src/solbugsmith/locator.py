@@ -229,7 +229,7 @@ def _scan_stmt(unit: SourceUnit, rule: WeakeningRule, stmt: Stmt,
     if stmt.kind == "ifStmt" and stmt.cond_span is not None and \
             _has_send_call(unit, stmt.cond_span):
         for arm in stmt.children:
-            carrier = _failure_carrier(arm)
+            carrier = _failure_carrier(unit, arm)
             if carrier is not None:
                 out.append(WeakenSite(rule, stmt.span, carrier.span,
                                       stmt.span.start_line, path))
@@ -239,14 +239,15 @@ def _scan_stmt(unit: SourceUnit, rule: WeakeningRule, stmt: Stmt,
             _scan_stmt(unit, rule, arm, False, path, out)
 
 
-def _failure_carrier(arm: Stmt) -> Stmt | None:
+def _failure_carrier(unit: SourceUnit, arm: Stmt) -> Stmt | None:
     if arm.opaque or arm.kind != "block":
         return None
     for stmt in arm.children:
         if stmt.kind == "revertStmt":
             return stmt
+        text = unit.data[stmt.span.start:stmt.span.end]
         if stmt.kind == "expressionStmt" and not stmt.opaque and \
-                stmt.text.rstrip(";").strip() == "throw":
+                text.rstrip(b";").strip() == b"throw":
             return stmt
     return None
 

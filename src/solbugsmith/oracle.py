@@ -63,8 +63,9 @@ def generate_tool_report(tool: str, capable: frozenset[BugType],
         entries = buglogs[file]
         rng = random.Random(child_seed(spec.seed, tool, file))
         covered: set[int] = set()
-        for entry in entries:
-            covered.update(range(entry.start_line, entry.end_line + 1))
+        for entry in entries:  # lines past the end of the file are not open
+            covered.update(range(entry.start_line,
+                                 min(entry.end_line, line_counts[file]) + 1))
         for entry in entries:
             if entry.bug_type not in capable:
                 continue

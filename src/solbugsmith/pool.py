@@ -95,7 +95,7 @@ def load_pool(text: str) -> BugPool:
 
     snippets = []
     seen_ids: set[str] = set()
-    for raw in doc.get("snippets", []):
+    for raw in _section(doc, "snippets"):
         snippet = _snippet_from_json(raw)
         if snippet.id in seen_ids:
             raise PoolError(snippet.id, "duplicate snippet id")
@@ -104,16 +104,23 @@ def load_pool(text: str) -> BugPool:
         snippets.append(snippet)
 
     transforms = []
-    for idx, raw in enumerate(doc.get("transforms", [])):
+    for idx, raw in enumerate(_section(doc, "transforms")):
         transform = _transform_from_json(raw, idx)
         _check_transform(transform, idx)
         transforms.append(transform)
 
     weakenings = []
-    for idx, raw in enumerate(doc.get("weakenings", [])):
+    for idx, raw in enumerate(_section(doc, "weakenings")):
         weakenings.append(_weakening_from_json(raw, idx))
 
     return BugPool(tuple(snippets), tuple(transforms), tuple(weakenings))
+
+
+def _section(doc: dict, key: str) -> list:
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise PoolError("<document>", f"{key} must be a list")
+    return entries
 
 
 @lru_cache(maxsize=1)
@@ -235,7 +242,7 @@ def _weakening_from_json(raw: object, idx: int) -> WeakeningRule:
     except (KeyError, ValueError, TypeError) as err:
         raise PoolError(label, str(err)) from None
     shape = raw.get("guardShape")
-    if shape not in GUARD_SHAPES:
+    if not isinstance(shape, str) or shape not in GUARD_SHAPES:
         raise PoolError(label, f"unknown guard shape: {shape!r}")
     action = raw.get("action", "commentOutStatement")
     if action != "commentOutStatement":

@@ -27,6 +27,11 @@ def egame() -> str:
 
 
 @pytest.fixture(scope="session")
+def throw_guards() -> str:
+    return (FIXTURES / "ThrowGuards.sol").read_text(encoding="utf-8")
+
+
+@pytest.fixture(scope="session")
 def pool():
     return default_pool()
 

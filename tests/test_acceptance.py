@@ -14,10 +14,12 @@ import pytest
 from solbugsmith.cli import main
 from solbugsmith.evaluator import (derive_thresholds, estimate_false_positives,
                                    filter_by_majority, fn_cell)
-from solbugsmith.front import TokenKind, parse, tokenize, validate
+from solbugsmith.front import validate
 from solbugsmith.injector import inject_all
 from solbugsmith.locator import SnippetSite, find_all_potential_locations
 from solbugsmith.model import BugType, SnippetForm
+
+from test_locator import probe_oracle_offsets
 
 ALL_TYPES = list(BugType)
 
@@ -87,52 +89,6 @@ def test_criterion_2_validity_preservation(corpus_sources, corpus_injections):
 
 # -- criterion 3: brute-force insert-probe oracle ---------------------------
 
-PROBE = "__prb += 1;"
-
-
-def _probe_lands_once(text: str) -> bool:
-    try:
-        unit = parse(text)
-    except Exception:
-        return False
-    if validate(text):
-        return False
-    count = 0
-
-    def walk(stmts):
-        nonlocal count
-        for stmt in stmts:
-            if stmt.opaque:
-                continue
-            if stmt.kind == "assignment":
-                toks = [t.text for t in tokenize(stmt.text)
-                        if t.kind is not TokenKind.COMMENT]
-                if toks == ["__prb", "+=", "1", ";"]:
-                    count += 1
-            walk(stmt.children)
-
-    for contract in unit.contracts:
-        for member in contract.members:
-            walk(getattr(member, "statements", []))
-    return count == 1
-
-
-def _probe_oracle_offsets(src: str) -> set[int]:
-    data = src.encode("utf-8")
-    candidates = set()
-    for tok in tokenize(src):
-        if tok.kind is TokenKind.PUNCTUATOR and tok.text in (";", "{", "}"):
-            candidates.add(tok.span.end)
-        elif tok.kind is TokenKind.PRAGMA:
-            candidates.add(tok.span.end)
-    accepted = set()
-    for offset in sorted(candidates):
-        spliced = (data[:offset] + b" " + PROBE.encode() + b" "
-                   + data[offset:]).decode("utf-8")
-        if _probe_lands_once(spliced):
-            accepted.add(offset)
-    return accepted
-
 
 def test_criterion_3_locator_completeness(corpus_sources, pool):
     started = time.perf_counter()
@@ -144,7 +100,7 @@ def test_criterion_3_locator_completeness(corpus_sources, pool):
         located = {s.offset for s in profile.sites
                    if isinstance(s, SnippetSite)
                    and s.form is SnippetForm.SIMPLE_STATEMENT}
-        if located != _probe_oracle_offsets(src):
+        if located != probe_oracle_offsets(src):
             mismatches.append(name)
     elapsed = time.perf_counter() - started
     ok = len(subjects) >= 3 and not mismatches and elapsed < 60

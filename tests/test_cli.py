@@ -295,6 +295,32 @@ class TestEvaluate:
             assert {len(row) for row in rows} == {len(header)}, name
             assert {row[0] for row in rows} == {"Mythril", "Slither, v2"}
 
+    def test_tool_with_no_findings_is_scored(self, corpus_dir, tmp_path,
+                                             capsys):
+        buggy, reports, out = (tmp_path / d for d in ("b", "r", "e"))
+        assert main(["inject", "--corpus", str(corpus_dir / "Counter.sol"),
+                     "--out", str(buggy), "--bug-types", "TOD"]) == 0
+        assert main(["oracle", "--buglogs", str(buggy), "--out", str(reports),
+                     "--seed", "1"]) == 0
+        report = reports / "Oyente.report.json"
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        report.write_text(json.dumps({**doc, "findings": []}),
+                          encoding="utf-8")
+        confirmed = tmp_path / "confirmed.json"
+        confirmed.write_text('{"Oyente": {"TOD": 0}}', encoding="utf-8")
+        assert main(["evaluate", "--buglogs", str(buggy), "--reports",
+                     str(reports), "--out", str(out),
+                     "--confirmed", str(confirmed)]) == 0
+        capsys.readouterr()
+        rows = [r.split(",") for r in
+                (out / "fn_scores.csv").read_text().strip().split("\n")[1:]]
+        assert {r[0] for r in rows} == set(TOOLS)
+        injected_n = len(json.loads(
+            (buggy / "Counter.TOD.buglog.json").read_text()))
+        (oyente,) = [r for r in rows if r[:2] == ["Oyente", "TOD"]]
+        assert oyente[2:6] == [str(injected_n), "0", "0", str(injected_n)]
+        assert "Oyente" in (out / "fn_report.md").read_text()
+
     def test_without_out_prints_both_tables(self, injected, reports, capsys):
         assert main(["evaluate", "--buglogs", str(injected),
                      "--reports", str(reports), "--seed", "11"]) == 0
@@ -424,6 +450,26 @@ class TestExitCodes:
                      "confirmed_tool.json: confirmed counts for tool(s) not "
                      "evaluated: 'Slitherr'",
                      id="confirmed-tool-not-evaluated"),
+        *(pytest.param(["inject", "--corpus", "{tmp}", "--out", "{tmp}/out",
+                        "--pool", f"{{tmp}}/pool_{section}.json"],
+                       f"pool_{section}.json: <document>: {section} must be "
+                       "a list", id=f"pool-{section}-not-a-list")
+          for section in ("snippets", "transforms", "weakenings")),
+        *(pytest.param(["locate", "--corpus", "{tmp}",
+                        "--pool", f"{{tmp}}/pool_shape_{kind}.json"],
+                       f"pool_shape_{kind}.json: <weakening #0>: unknown "
+                       "guard shape:", id=f"pool-guard-shape-{kind}")
+          for kind in ("list", "object")),
+        pytest.param(["oracle", "--buglogs", "{injected}",
+                      "--out", "{tmp}/out",
+                      "--capabilities", "{tmp}/caps_surrogate.json"],
+                     "caps_surrogate.json: tool name '\\ud800' cannot name",
+                     id="capability-tool-name-unencodable"),
+        pytest.param(["evaluate", "--buglogs", "{injected}",
+                      "--reports", "{reports}",
+                      "--capabilities", "{tmp}/caps_slash.json"],
+                     "caps_slash.json: tool name '../Slither' cannot name",
+                     id="capability-tool-name-with-slash"),
         pytest.param(["locate", "--corpus", "{tmp}", "--seed", "1"],
                      "unrecognized arguments: --seed 1", id="locate-seed"),
         pytest.param(["inject", "--corpus", "{tmp}", "--out", "{tmp}/out",
@@ -445,7 +491,16 @@ class TestExitCodes:
                 "pool_lex.json": _one_snippet_pool("bad-char",
                                                    "uint a{N} = 1 # 2;"),
                 "pool_surrogate.json": _one_snippet_pool(
-                    "surrogate", "uint a{N} = \ud800;")}.items():
+                    "surrogate", "uint a{N} = \ud800;"),
+                "caps_surrogate.json": '{"\\ud800": ["TOD"]}',
+                "caps_slash.json": '{"../Slither": ["TOD"]}',
+                "pool_snippets.json": '{"snippets": 3}',
+                "pool_transforms.json": '{"transforms": null}',
+                "pool_weakenings.json": '{"weakenings": true}',
+                "pool_shape_list.json": json.dumps({"weakenings": [
+                    {"bugType": "TOD", "guardShape": ["guardedSendRevert"]}]}),
+                "pool_shape_object.json": json.dumps({"weakenings": [
+                    {"bugType": "TOD", "guardShape": {}}]})}.items():
             (tmp_path / name).write_text(text, encoding="utf-8")
         # reports without truth files, so that --confirmed counts are used
         (tmp_path / "untruthed").mkdir()
@@ -478,6 +533,9 @@ class TestExitCodes:
         pytest.param(["oracle", "--buglogs", "{tmp}/reversed",
                       "--out", "{tmp}/out"], "Counter.TxOrigin.buglog.json",
                      id="oracle-buglog-with-reversed-lines"),
+        pytest.param(["evaluate", "--buglogs", "{injected}",
+                      "--reports", "{tmp}/latin1"], "Oyente.report.json",
+                     id="report-not-utf8"),
         pytest.param(["evaluate", "--buglogs", "{tmp}/reversed",
                       "--reports", "{reports}"], "Counter.TxOrigin.buglog.json",
                      id="evaluate-buglog-with-reversed-lines"),
@@ -502,6 +560,8 @@ class TestExitCodes:
         shutil.copytree(reports, tmp_path / "reports")
         (tmp_path / "reports" / "Slither.truth.json").write_text(
             "[]", encoding="utf-8")
+        shutil.copytree(reports, tmp_path / "latin1")
+        (tmp_path / "latin1" / "Oyente.report.json").write_bytes(b"\xff[]")
 
         code = main([arg.format(tmp=tmp_path, injected=injected,
                                 reports=reports) for arg in argv])

@@ -1,6 +1,7 @@
 """Edit application: snippet splicing, token rewrites, guard weakening,
 bug-log accuracy, and byte-for-byte determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -13,8 +14,8 @@ from solbugsmith.injector import (CSV_COLUMNS, emit_buglog_csv,
                                   emit_buglog_json, inject_all, inject_file,
                                   load_buglog)
 from solbugsmith.locator import (InjectionProfile, SnippetSite, TransformSite,
-                                 WeakenSite, find_all_potential_locations,
-                                 source_digest)
+                                 WeakenSite, dump_profile,
+                                 find_all_potential_locations, source_digest)
 from solbugsmith.model import Approach, BugType
 from solbugsmith.pool import load_pool
 
@@ -103,6 +104,14 @@ class TestSnippetInjection:
         result = inject_all(GUARDED, profile, pool)
         assert result.text.count("address owner_txorigin = msg.sender;") == 1
         assert validate(result.text) == []
+
+    def test_contracts_of_one_name_each_declare_their_context(self, pool):
+        src = GUARDED + GUARDED
+        profile = find_all_potential_locations(src, BugType.TX_ORIGIN, pool)
+        result = inject_all(src, profile, pool)
+        first, second = result.text.split("contract Guarded")[1:]
+        for body in (first, second):
+            assert body.count("address owner_txorigin = msg.sender;") == 1
 
     def test_counter_start_numbers_the_first_bug(self, pool):
         profile = find_all_potential_locations(
@@ -266,6 +275,43 @@ class TestDeterminism:
         ids = [e.bug_id for e in result.entries]
         assert len(set(ids)) == len(ids)
         assert validate(result.text) == []
+
+
+# Recorded from the bundled corpus and pool; a change to any of them, or to
+# what the locator and injector make of them, must update these on purpose.
+BUNDLED_DIGESTS = {
+    "Auction.sol": "ed018a17f9a71d052558146d677b26c89be387c4bb232e504bc5ac6ad0498d8e",
+    "Counter.sol": "68c92fdede051697d707f4fd448690ea82671aa189ffd1c25098fa91113bc3c8",
+    "Crowdfund.sol": "c7524214bb419fcaa26319484d802b601deee86e265b94888fd132746291259e",
+    "Escrow.sol": "27a299d415288650db0af347965fc110b2b41742cc0af82cb274e637d9f79531",
+    "Lottery.sol": "d4bbd2b76f4b553191273c2bc16b4ede39ef8b53bf4e2daf9eddfcff299e4bf4",
+    "NameRegistry.sol": "3c347b94026207894f8c5d7850a7c92c352d6024778fe84e8b554cccc0da9174",
+    "PiggyBank.sol": "961f68961566816aa17bad6b644806563f1c1c989f42cf3a8ae4848a95135f4a",
+    "SimpleWallet.sol": "6c2a6465117b72bbde22ce125cfff7578211580edb6d1cde2d3974966dd3641a",
+    "Splitter.sol": "27715264858b40ac141da71eb7912602e3b5ea2b5dde098e19dc37edea4059b5",
+    "TimeLock.sol": "183e7c3bca20b6d38a805481b6987b453211cd216b7e9957636e8757d78217aa",
+    "TokenLedger.sol": "1fabb0a6ef554501e3b838d73c6f32753d2ede1cc8985cfe4e5910d55d6bb15f",
+    "VaultToken.sol": "2602bd9ed6d2fc1aad6e7a9c66522e29572e3fbba63f0fc7b761a366e977a569",
+}
+
+
+def test_bundled_outputs_match_recorded_digests(corpus_sources, pool):
+    """Per contract, the SHA-256 over the SHA-256s of each bug type's
+    profile, buggy source, bug-log JSON and bug-log CSV, in type order."""
+    got = {}
+    for name, src in corpus_sources.items():
+        digest = hashlib.sha256()
+        for bug_type in ALL_TYPES:
+            out_name = f"{name[:-len('.sol')]}.{bug_type.value}.sol"
+            profile = find_all_potential_locations(src, bug_type, pool,
+                                                   source_id=out_name)
+            result = inject_all(src, profile, pool)
+            for doc in (dump_profile(profile), result.text,
+                        emit_buglog_json(result.entries),
+                        emit_buglog_csv(result.entries)):
+                digest.update(hashlib.sha256(doc.encode("utf-8")).digest())
+        got[name] = digest.hexdigest()
+    assert got == BUNDLED_DIGESTS
 
 
 class TestStaleness:

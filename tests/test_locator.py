@@ -144,6 +144,18 @@ class TestGuardShapes:
 }"""
         assert find_security_mechanisms(parse(src), pool) == []
 
+    def test_throw_is_a_failure_carrier_up_to_whitespace(self, throw_guards,
+                                                         pool):
+        # ``throw`` counts with any whitespace before its ';', but not with
+        # a comment there
+        unit = parse(throw_guards)
+        sites = find_security_mechanisms(unit, pool)
+        carriers = [unit.data[s.revert_stmt_span.start:s.revert_stmt_span.end]
+                    for s in sites]
+        assert carriers == [b"throw;", b"throw ;", b"throw\n            ;",
+                            b"revert();", b"require(to.send(6));"]
+        assert b"throw /* not bare */ ;" in unit.data
+
     def test_send_in_unrelated_guard_ignored(self, pool):
         src = """contract A {
   function w(uint amount) public {
@@ -245,7 +257,8 @@ def _probe_lands_once(text: str) -> bool:
             if stmt.opaque:
                 continue
             if stmt.kind == "assignment":
-                toks = [t.text for t in tokenize(stmt.text)
+                source = unit.data[stmt.span.start:stmt.span.end]
+                toks = [t.text for t in tokenize(source.decode("utf-8"))
                         if t.kind is not TokenKind.COMMENT]
                 if toks == ["__prb", "+=", "1", ";"]:
                     count += 1

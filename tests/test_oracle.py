@@ -145,6 +145,14 @@ class TestExtras:
         assert len(truth["extras"]) == 2  # only lines 9 and 10 are free
 
 
+    def test_range_past_the_end_of_the_file_is_not_expanded(self):
+        logs = {"tiny.sol": [entry("b0", BugType.TOD, 9, 10**12,
+                                   file="tiny.sol")]}
+        spec = OracleSpec(extra_per_file=50, seed=1)
+        _, truth = generate_tool_report("t", ALL, logs, {"tiny.sol": 10}, spec)
+        assert sorted(e["line"] for e in truth["extras"]) == list(range(1, 9))
+
+
 class TestClosure:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32))
@@ -153,8 +161,7 @@ class TestClosure:
         spec = OracleSpec(miss_rate=0.3, mistype_rate=0.2,
                           extra_per_file=5, seed=seed)
         report, truth = generate_tool_report("t", ALL, buglogs, LINES, spec)
-        findings = ingest_report(dump_report(report),
-                                 adapter="synthetic-oracle")
+        findings = ingest_report(dump_report(report))
         entries = [e for entries in buglogs.values() for e in entries]
         score = score_false_negatives(entries, findings)
         assert score.unreported == len(truth["missed"])

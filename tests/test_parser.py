@@ -20,6 +20,28 @@ def _walk_spans(node, parent_span=None, bag=None):
     return bag
 
 
+def _source_of(unit, node) -> str:
+    return unit.data[node.span.start:node.span.end].decode("utf-8")
+
+
+def _in_function(body: str):
+    """The unit of ``body`` placed in a function, and its statements."""
+    unit = parse("contract A {\nfunction f() public {\n" + body + "\n}\n}")
+    return unit, unit.contracts[0].members[0].statements
+
+
+def _in_contract(body: str):
+    """The unit of ``body`` placed in a contract, and its members."""
+    unit = parse("contract A {\n" + body + "\n}")
+    return unit, unit.contracts[0].members
+
+
+def _all_statements(stmts):
+    for stmt in stmts:
+        yield stmt
+        yield from _all_statements(stmt.children)
+
+
 class TestStructure:
     def test_game_contract_shape(self, egame):
         unit = parse(egame)
@@ -42,7 +64,7 @@ class TestStructure:
         assert inner.children[0].children[0].kind == "assignment"
 
     def test_unit_raw_text_is_source(self, egame):
-        assert parse(egame).raw_text == egame
+        assert parse(egame).data == egame.encode("utf-8")
 
     def test_multiple_contracts(self, corpus_sources):
         unit = parse(corpus_sources["Splitter.sol"])
@@ -90,14 +112,20 @@ class TestSpans:
                         assert left.span.end <= right.span.start
 
     def test_span_text_matches_statement_text(self, corpus_sources):
+        # every statement's span slice parses back to one statement of its
+        # kind
+        checked = 0
         for src in corpus_sources.values():
-            data = src.encode("utf-8")
             unit = parse(src)
             for contract in unit.contracts:
                 for member in contract.members:
-                    for stmt in getattr(member, "statements", []):
-                        sliced = data[stmt.span.start:stmt.span.end]
-                        assert sliced.decode("utf-8") == stmt.text
+                    for stmt in _all_statements(
+                            getattr(member, "statements", [])):
+                        again = parse_statement_fragment(
+                            _source_of(unit, stmt))
+                        assert [s.kind for s in again] == [stmt.kind]
+                        checked += 1
+        assert checked > 100
 
     def test_lines_are_one_based_and_consistent(self, egame):
         unit = parse(egame)
@@ -113,18 +141,18 @@ class TestOpaqueFallback:
         unit = parse(corpus_sources["Escrow.sol"])
         opaque = [m for c in unit.contracts for m in c.members
                   if isinstance(m, OpaqueMember)]
-        assert any(m.text.startswith("enum") for m in opaque)
+        assert any(_source_of(unit, m).startswith("enum") for m in opaque)
 
     def test_unknown_statement_falls_back(self):
-        stmt = parse_statement_fragment("delete stash[msg.sender];")[0]
+        unit, (stmt,) = _in_function("delete stash[msg.sender];")
         assert stmt.opaque
-        assert stmt.text == "delete stash[msg.sender];"
+        assert _source_of(unit, stmt) == "delete stash[msg.sender];"
 
     def test_opaque_region_respects_nested_braces(self):
-        members = parse_member_fragment(
+        unit, members = _in_contract(
             "struct Pair { uint a; uint b; }\nuint after;")
         assert isinstance(members[0], OpaqueMember)
-        assert members[0].text.endswith("}")
+        assert _source_of(unit, members[0]) == "struct Pair { uint a; uint b; }"
         assert isinstance(members[1], StateVarDecl)
 
     def test_opaque_spans_reported(self, corpus_sources):
@@ -220,6 +248,6 @@ def test_whitespace_between_tokens_preserves_shape(gap_index, filler):
 @given(st.sampled_from(["x = 1;", "emit E(x);", "return;", "require(x > 0);",
                         "revert();", "uint q = 2;", "x += 3;"]))
 def test_fragment_round_trip_kind_is_stable(stmt_text):
-    stmt = parse_statement_fragment(stmt_text)[0]
-    again = parse_statement_fragment(stmt.text)[0]
+    unit, (stmt,) = _in_function(stmt_text)
+    again = parse_statement_fragment(_source_of(unit, stmt))[0]
     assert again.kind == stmt.kind
