@@ -394,6 +394,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         raise _ConfigError(f"{args.confirmed}: {exc}")
     failures += [(tool, "tool missing from the capabilities file")
                  for tool in result.missing_tools]
+    # the thresholds still count these tools, so their silence is a failure;
+    # a report that did not ingest is already named
+    skipped = {name for name, _ in failures}
+    unreported = [tool for tool in sorted(capabilities)
+                  if tool not in findings_by_tool
+                  and f"{tool}.report.json" not in skipped]
+    if unreported:
+        names = ", ".join(map(repr, unreported))
+        failures.append((args.reports, "no report for tool(s) in the "
+                         f"capabilities file: {names}"))
 
     documents = {
         "fn_report.md": render_fn_table(result.scores, capabilities),

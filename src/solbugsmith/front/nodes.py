@@ -20,11 +20,14 @@ COMPOUND_STMT_KINDS = frozenset({"ifStmt", "forStmt", "whileStmt", "block"})
 
 @dataclass
 class Stmt:
+    """A statement. Only ``expressionStmt`` leaves are ever ``opaque``: a
+    statement the parser cannot model is kept whole, with no children."""
+
     kind: str
     span: Span
     children: list["Stmt"]
     opaque: bool = False
-    # For ifStmt/whileStmt: span of the parenthesized condition (parens excluded).
+    # For ifStmt/whileStmt/requireStmt: the condition, parentheses excluded.
     cond_span: Span | None = None
 
     def to_json(self) -> dict:
@@ -114,23 +117,3 @@ class SourceUnit:
                 "span": Span(0, len(self.data), 1,
                              self.data.count(b"\n") + 1).to_json(),
                 "children": [c.to_json() for c in self.contracts]}
-
-    def opaque_spans(self) -> list[Span]:
-        """Spans of every opaque member and opaque statement in the unit."""
-        found: list[Span] = []
-
-        def visit_stmt(stmt: Stmt) -> None:
-            if stmt.opaque:
-                found.append(stmt.span)
-                return
-            for child in stmt.children:
-                visit_stmt(child)
-
-        for contract in self.contracts:
-            for member in contract.members:
-                if isinstance(member, OpaqueMember):
-                    found.append(member.span)
-                elif isinstance(member, FunctionDef):
-                    for stmt in member.statements:
-                        visit_stmt(stmt)
-        return found

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .front import FunctionDef, SourceUnit, Span, Stmt, parse
-from .front.lexer import Token, TokenKind, tokenize
+from .front import FunctionDef, OpaqueMember, SourceUnit, Span, Stmt, parse
+from .front.lexer import TokenKind, tokenize
 from .model import BugType, SnippetForm
 from .pool import BugPool, TransformPattern, WeakeningRule
 
@@ -145,43 +146,50 @@ def _member_sites(unit: SourceUnit, form: SnippetForm) -> list[SnippetSite]:
 
 
 def _statement_sites(unit: SourceUnit, form: SnippetForm) -> list[SnippetSite]:
+    """The opening of every function body and block, and the end of every
+    statement in a braced list."""
     sites: list[SnippetSite] = []
+    for member, path in _functions(unit):
+        sites.append(SnippetSite(form, member.body_span.start,
+                                 member.body_span.start_line, path))
+        for stmt, inner, in_list in _walk(member.statements, path):
+            if in_list:
+                sites.append(SnippetSite(form, stmt.span.end,
+                                         stmt.span.end_line, inner))
+            if stmt.kind == "block":
+                sites.append(SnippetSite(form, stmt.span.start + 1,
+                                         stmt.span.start_line,
+                                         _block_path(inner, stmt)))
+    return sites
+
+
+def _functions(unit: SourceUnit) -> Iterator[tuple[FunctionDef, tuple[str, ...]]]:
+    """Each function, constructor and modifier with its (contract, label) path."""
     for contract in unit.contracts:
         for member in contract.members:
-            if not isinstance(member, FunctionDef):
-                continue
-            path = (contract.name, _member_label(member))
-            _boundaries(form, member.body_span.start,
-                        member.body_span.start_line, member.statements,
-                        path, sites)
-    return sites
+            if isinstance(member, FunctionDef):
+                yield member, (contract.name, _member_label(member))
 
 
 def _member_label(member: FunctionDef) -> str:
     return f"{member.kind} {member.name}" if member.name else member.kind
 
 
-def _boundaries(form: SnippetForm, open_offset: int, open_line: int,
-                stmts: list[Stmt], path: tuple[str, ...],
-                out: list[SnippetSite]) -> None:
-    out.append(SnippetSite(form, open_offset, open_line, path))
+def _walk(stmts: list[Stmt], path: tuple[str, ...], in_list: bool = True
+          ) -> Iterator[tuple[Stmt, tuple[str, ...], bool]]:
+    """Every statement under ``stmts``, depth first, with its block path and
+    whether it sits directly in a braced list (an arm of ``if``, ``for`` or
+    ``while`` does not)."""
     for stmt in stmts:
-        out.append(SnippetSite(form, stmt.span.end, stmt.span.end_line, path))
-    for stmt in stmts:
-        _recurse_stmt(form, stmt, path, out)
+        yield stmt, path, in_list
+        if stmt.kind == "block":
+            yield from _walk(stmt.children, _block_path(path, stmt))
+        else:
+            yield from _walk(stmt.children, path, False)
 
 
-def _recurse_stmt(form: SnippetForm, stmt: Stmt, path: tuple[str, ...],
-                  out: list[SnippetSite]) -> None:
-    if stmt.opaque:
-        return
-    if stmt.kind == "block":
-        inner = path + (f"block@{stmt.span.start_line}",)
-        _boundaries(form, stmt.span.start + 1, stmt.span.start_line,
-                    stmt.children, inner, out)
-    elif stmt.kind in ("ifStmt", "forStmt", "whileStmt"):
-        for arm in stmt.children:
-            _recurse_stmt(form, arm, path, out)
+def _block_path(path: tuple[str, ...], block: Stmt) -> tuple[str, ...]:
+    return path + (f"block@{block.span.start_line}",)
 
 
 # -- weaken sites -----------------------------------------------------------
@@ -196,76 +204,39 @@ def find_security_mechanisms(unit: SourceUnit,
     construct without a body.
     """
     sites: list[WeakenSite] = []
-    for contract in unit.contracts:
-        for member in contract.members:
-            if not isinstance(member, FunctionDef):
+    for member, path in _functions(unit):
+        for stmt, _, in_list in _walk(member.statements, path):
+            if stmt.kind == "requireStmt":
+                carrier = stmt if in_list else None
+            elif stmt.kind == "ifStmt":
+                carrier = _failure_carrier(unit, stmt)
+            else:
                 continue
-            path = (contract.name, _member_label(member))
-            _scan_list(unit, rule, member.statements, True, path, sites)
+            if carrier is not None and _has_send_call(unit, stmt.cond_span):
+                sites.append(WeakenSite(rule, stmt.span, carrier.span,
+                                        stmt.span.start_line, path))
     return sites
 
 
-def _scan_list(unit: SourceUnit, rule: WeakeningRule, stmts: list[Stmt],
-               in_list: bool, path: tuple[str, ...],
-               out: list[WeakenSite]) -> None:
-    for stmt in stmts:
-        _scan_stmt(unit, rule, stmt, in_list, path, out)
-
-
-def _scan_stmt(unit: SourceUnit, rule: WeakeningRule, stmt: Stmt,
-               in_list: bool, path: tuple[str, ...],
-               out: list[WeakenSite]) -> None:
-    if stmt.opaque:
-        return
-    if stmt.kind == "requireStmt":
-        if in_list and stmt.cond_span is not None and \
-                _has_send_call(unit, stmt.cond_span):
-            out.append(WeakenSite(rule, stmt.span, stmt.span,
-                                  stmt.span.start_line, path))
-        return
-    if stmt.kind == "block":
-        _scan_list(unit, rule, stmt.children, True, path, out)
-        return
-    if stmt.kind == "ifStmt" and stmt.cond_span is not None and \
-            _has_send_call(unit, stmt.cond_span):
-        for arm in stmt.children:
-            carrier = _failure_carrier(unit, arm)
-            if carrier is not None:
-                out.append(WeakenSite(rule, stmt.span, carrier.span,
-                                      stmt.span.start_line, path))
-                break
-    if stmt.kind in ("ifStmt", "forStmt", "whileStmt"):
-        for arm in stmt.children:
-            _scan_stmt(unit, rule, arm, False, path, out)
-
-
-def _failure_carrier(unit: SourceUnit, arm: Stmt) -> Stmt | None:
-    if arm.opaque or arm.kind != "block":
-        return None
-    for stmt in arm.children:
-        if stmt.kind == "revertStmt":
-            return stmt
-        text = unit.data[stmt.span.start:stmt.span.end]
-        if stmt.kind == "expressionStmt" and not stmt.opaque and \
-                text.rstrip(b";").strip() == b"throw":
-            return stmt
+def _failure_carrier(unit: SourceUnit, if_stmt: Stmt) -> Stmt | None:
+    """The first ``revert(...)`` or bare ``throw`` directly in a braced arm."""
+    for arm in if_stmt.children:
+        if arm.kind != "block":
+            continue
+        for stmt in arm.children:
+            text = unit.data[stmt.span.start:stmt.span.end]
+            if stmt.kind == "revertStmt" or (
+                    stmt.kind == "expressionStmt" and
+                    text.rstrip(b";").strip() == b"throw"):
+                return stmt
     return None
 
 
 def _has_send_call(unit: SourceUnit, span: Span) -> bool:
-    prev: Token | None = None
-    for tok in unit.tokens:
-        if tok.kind is TokenKind.COMMENT:
-            continue
-        if tok.span.start >= span.end:
-            break
-        if tok.span.start >= span.start:
-            if tok.kind is TokenKind.IDENTIFIER and tok.text == "send" and \
-                    prev is not None and prev.text == "." and \
-                    prev.span.start >= span.start:
-                return True
-        prev = tok
-    return False
+    toks = [t for t in unit.tokens if t.kind is not TokenKind.COMMENT
+            and span.start <= t.span.start < span.end]
+    return any(dot.text == "." and name.kind is TokenKind.IDENTIFIER and
+               name.text == "send" for dot, name in zip(toks, toks[1:]))
 
 
 # -- transform sites ----------------------------------------------------------
@@ -276,7 +247,10 @@ def find_transformable_code(unit: SourceUnit, bug_type: BugType,
     """Leftmost-longest non-overlapping pattern matches outside opaque code."""
     stream = [t for t in unit.tokens if t.kind is not TokenKind.COMMENT
               and t.kind is not TokenKind.PRAGMA]
-    opaque = unit.opaque_spans()
+    opaque = [m.span for c in unit.contracts for m in c.members
+              if isinstance(m, OpaqueMember)]
+    opaque += [stmt.span for member, path in _functions(unit)
+               for stmt, _, _ in _walk(member.statements, path) if stmt.opaque]
     candidates: list[tuple[Span, TransformPattern]] = []
     for pattern in pool.transforms_for(bug_type):
         needle = [t.text for t in tokenize(pattern.match)

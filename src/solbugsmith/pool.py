@@ -111,7 +111,13 @@ def load_pool(text: str) -> BugPool:
 
     weakenings = []
     for idx, raw in enumerate(_section(doc, "weakenings")):
-        weakenings.append(_weakening_from_json(raw, idx))
+        weakening = _weakening_from_json(raw, idx)
+        # a second rule would find the same guards again, and its edits
+        # would overlap the first rule's
+        if weakening in weakenings:
+            raise PoolError(f"<weakening #{idx}>",
+                            "duplicate bugType and guardShape")
+        weakenings.append(weakening)
 
     return BugPool(tuple(snippets), tuple(transforms), tuple(weakenings))
 

@@ -321,6 +321,32 @@ class TestEvaluate:
         assert oyente[2:6] == [str(injected_n), "0", "0", str(injected_n)]
         assert "Oyente" in (out / "fn_report.md").read_text()
 
+    def test_capability_tool_without_report_is_named(self, injected, reports,
+                                                     tmp_path, capsys):
+        partial, out = tmp_path / "reports", tmp_path / "out"
+        shutil.copytree(reports, partial)
+        (partial / "Oyente.report.json").unlink()
+        argv = ["evaluate", "--buglogs", str(injected), "--reports",
+                str(partial), "--out", str(out), "--seed", "11"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert "partial results" in err[0]
+        assert [line for line in err if "Oyente" in line] == [
+            f"  {partial}: no report for tool(s) in the capabilities file: "
+            "'Oyente'"]
+        rows = (out / "fn_scores.csv").read_text().strip().split("\n")[1:]
+        assert {r.split(",")[0] for r in rows} == set(TOOLS) - {"Oyente"}
+        # a report that names its tool may sit under any file name
+        shutil.copy(reports / "Oyente.report.json",
+                    partial / "renamed.report.json")
+        assert main(argv) == 0
+        capsys.readouterr()
+        # a report that exists but does not ingest is named once, as before
+        (partial / "Mythril.report.json").write_bytes(b"\xff")
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len([line for line in err if "Mythril" in line]) == 1
+
     def test_without_out_prints_both_tables(self, injected, reports, capsys):
         assert main(["evaluate", "--buglogs", str(injected),
                      "--reports", str(reports), "--seed", "11"]) == 0
@@ -460,6 +486,10 @@ class TestExitCodes:
                        f"pool_shape_{kind}.json: <weakening #0>: unknown "
                        "guard shape:", id=f"pool-guard-shape-{kind}")
           for kind in ("list", "object")),
+        pytest.param(["inject", "--corpus", "{tmp}", "--out", "{tmp}/out",
+                      "--pool", "{tmp}/pool_weakening_twice.json"],
+                     "pool_weakening_twice.json: <weakening #1>: duplicate "
+                     "bugType and guardShape", id="pool-weakening-twice"),
         pytest.param(["oracle", "--buglogs", "{injected}",
                       "--out", "{tmp}/out",
                       "--capabilities", "{tmp}/caps_surrogate.json"],
@@ -500,7 +530,10 @@ class TestExitCodes:
                 "pool_shape_list.json": json.dumps({"weakenings": [
                     {"bugType": "TOD", "guardShape": ["guardedSendRevert"]}]}),
                 "pool_shape_object.json": json.dumps({"weakenings": [
-                    {"bugType": "TOD", "guardShape": {}}]})}.items():
+                    {"bugType": "TOD", "guardShape": {}}]}),
+                "pool_weakening_twice.json": json.dumps({"weakenings": [
+                    {"bugType": "UnhandledException",
+                     "guardShape": "guardedSendRevert"}] * 2})}.items():
             (tmp_path / name).write_text(text, encoding="utf-8")
         # reports without truth files, so that --confirmed counts are used
         (tmp_path / "untruthed").mkdir()

@@ -314,6 +314,52 @@ def test_bundled_outputs_match_recorded_digests(corpus_sources, pool):
     assert got == BUNDLED_DIGESTS
 
 
+# Recorded like BUNDLED_DIGESTS. Of the pinned sources, only ThrowGuards.sol
+# has ``throw`` carriers and braceless arms.
+FIXTURE_PROFILE_DIGESTS = {
+    ("EGame.sol", "Reentrancy"):
+        "28666db6acc2f2262d59989d410db1c63a63716e3cd4e0dc62f770b41119118f",
+    ("EGame.sol", "TimestampDependency"):
+        "f3542e163b72c62a0595ff92dff38953a2394efcd5ffc11c863796d2c77f706c",
+    ("EGame.sol", "UncheckedSend"):
+        "e6d1ad771a4b2e9eddf3f6c836b494345884553863dcae71ee87146fc022c4c8",
+    ("EGame.sol", "UnhandledException"):
+        "1ee188385b713c0170d681564d340fe01510692f08c10742ae531e7ded63a45d",
+    ("EGame.sol", "TOD"):
+        "b92c64d4f24c940ed499e0b9522867c18624cc68e51ecbf8f4184bbeefef1a91",
+    ("EGame.sol", "IntegerOverflowUnderflow"):
+        "4aaf24a73c29d6c29a7351c09554f9ce829c814babb7026e497c5c9e5eca3cbb",
+    ("EGame.sol", "TxOrigin"):
+        "4f4d1b0dd3d8760786faac32f8fed6fa43d6fd9ec95e3ee872af9763ca9c2b7a",
+    ("ThrowGuards.sol", "Reentrancy"):
+        "1ef5e7db2dc789626cf1ca5713c4306f2cfacf9fae53457d753ba0214938204a",
+    ("ThrowGuards.sol", "TimestampDependency"):
+        "5b52a25ac8845c64968feea674a48f754f30d971d1282a91465557def29edc00",
+    ("ThrowGuards.sol", "UncheckedSend"):
+        "0589a1db617536466c38d9c3d54ab23f6e54f91d7a93a346361ed05960d2677e",
+    ("ThrowGuards.sol", "UnhandledException"):
+        "a5c84c98738440a0fda22dd648c0a0d78374bc89af05026b6f5a2ec926e299ac",
+    ("ThrowGuards.sol", "TOD"):
+        "e7ba03298f064ae1a11535107ff89f3229dd6c573b2807f58745428c3ec42b50",
+    ("ThrowGuards.sol", "IntegerOverflowUnderflow"):
+        "27261e186ac5c640024b2798532bd77c65fe80d342715953a9ac91d6b438b8f1",
+    ("ThrowGuards.sol", "TxOrigin"):
+        "d0e6be9574cfa6315d2f5c508332af7a54ae8d5e9cea54bae80b60e55e6e5eb1",
+}
+
+
+def test_fixture_profiles_match_recorded_digests(egame, throw_guards, pool):
+    """The SHA-256 of each bug type's profile of both fixtures."""
+    got = {}
+    for name, src in (("EGame.sol", egame), ("ThrowGuards.sol", throw_guards)):
+        for bug_type in ALL_TYPES:
+            profile = find_all_potential_locations(src, bug_type, pool,
+                                                   source_id=name)
+            got[name, bug_type.value] = hashlib.sha256(
+                dump_profile(profile).encode("utf-8")).hexdigest()
+    assert got == FIXTURE_PROFILE_DIGESTS
+
+
 class TestStaleness:
     def test_profile_rejects_edited_source(self, pool):
         profile = find_all_potential_locations(

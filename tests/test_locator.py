@@ -15,6 +15,11 @@ def _sites(src, pool, bug_type=BugType.REENTRANCY):
     return find_all_potential_locations(src, bug_type, pool).sites
 
 
+def _weakening(pool):
+    (rule,) = pool.weakenings_for(BugType.UNHANDLED_EXCEPTION)
+    return rule
+
+
 def _snippet_offsets(src, pool, form):
     return [s.offset for s in _sites(src, pool)
             if isinstance(s, SnippetSite) and s.form is form]
@@ -97,9 +102,10 @@ class TestGuardShapes:
     }
   }
 }"""
-        sites = find_security_mechanisms(parse(src), pool)
+        sites = find_security_mechanisms(parse(src), _weakening(pool))
         assert len(sites) == 1
         assert isinstance(sites[0], WeakenSite)
+        assert sites[0].rule.guard_shape == "guardedSendRevert"
 
     def test_else_arm_guard_found(self, pool):
         src = """contract A {
@@ -111,7 +117,7 @@ class TestGuardShapes:
     }
   }
 }"""
-        sites = find_security_mechanisms(parse(src), pool)
+        sites = find_security_mechanisms(parse(src), _weakening(pool))
         assert len(sites) == 1
 
     def test_require_form_found(self, pool):
@@ -120,10 +126,11 @@ class TestGuardShapes:
     require(to.send(amount));
   }
 }"""
-        sites = find_security_mechanisms(parse(src), pool)
+        sites = find_security_mechanisms(parse(src), _weakening(pool))
         assert len(sites) == 1
         site = sites[0]
         assert site.guard_span == site.revert_stmt_span
+        assert site.rule.guard_shape == "guardedSendRevert"
 
     def test_throw_carrier_found(self, pool):
         src = """contract A {
@@ -131,8 +138,9 @@ class TestGuardShapes:
     if (!msg.sender.send(amount)) { throw; }
   }
 }"""
-        sites = find_security_mechanisms(parse(src), pool)
+        sites = find_security_mechanisms(parse(src), _weakening(pool))
         assert len(sites) == 1
+        assert sites[0].rule.guard_shape == "guardedSendRevert"
 
     def test_braceless_carrier_excluded(self, pool):
         # Commenting out the whole arm of a braceless if would orphan the
@@ -142,19 +150,20 @@ class TestGuardShapes:
     if (!msg.sender.send(amount)) revert();
   }
 }"""
-        assert find_security_mechanisms(parse(src), pool) == []
+        assert find_security_mechanisms(parse(src), _weakening(pool)) == []
 
     def test_throw_is_a_failure_carrier_up_to_whitespace(self, throw_guards,
                                                          pool):
         # ``throw`` counts with any whitespace before its ';', but not with
         # a comment there
         unit = parse(throw_guards)
-        sites = find_security_mechanisms(unit, pool)
+        sites = find_security_mechanisms(unit, _weakening(pool))
         carriers = [unit.data[s.revert_stmt_span.start:s.revert_stmt_span.end]
                     for s in sites]
         assert carriers == [b"throw;", b"throw ;", b"throw\n            ;",
                             b"revert();", b"require(to.send(6));"]
         assert b"throw /* not bare */ ;" in unit.data
+        assert {s.rule.guard_shape for s in sites} == {"guardedSendRevert"}
 
     def test_send_in_unrelated_guard_ignored(self, pool):
         src = """contract A {
@@ -164,12 +173,13 @@ class TestGuardShapes:
     }
   }
 }"""
-        assert find_security_mechanisms(parse(src), pool) == []
+        assert find_security_mechanisms(parse(src), _weakening(pool)) == []
 
     def test_corpus_has_weaken_sites(self, corpus_sources, pool):
+        rule = _weakening(pool)
         total = 0
         for src in corpus_sources.values():
-            total += len(find_security_mechanisms(parse(src), pool))
+            total += len(find_security_mechanisms(parse(src), rule))
         assert total >= 5
 
 

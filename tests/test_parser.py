@@ -156,11 +156,14 @@ class TestOpaqueFallback:
         assert isinstance(members[1], StateVarDecl)
 
     def test_opaque_spans_reported(self, corpus_sources):
+        # storage-pointer locals fall back to opaque statements of the bodies
         unit = parse(corpus_sources["Crowdfund.sol"])
-        spans = unit.opaque_spans()
-        assert spans, "storage-pointer locals should fall back"
-        data = corpus_sources["Crowdfund.sol"].encode("utf-8")
-        assert any(b"storage" in data[s.start:s.end] for s in spans)
+        opaque = [_source_of(unit, stmt) for c in unit.contracts
+                  for m in c.members if isinstance(m, FunctionDef)
+                  for stmt in m.statements if stmt.opaque]
+        assert len(opaque) == corpus_sources["Crowdfund.sol"].count(
+            "Campaign storage c = ")
+        assert all(stmt.startswith("Campaign storage c = ") for stmt in opaque)
 
 
 class TestHardErrors:
