@@ -23,7 +23,7 @@ from .errors import (DomainError, MalformedDocument, MissingBugLog, PoolError,
                      SolBugSmithError)
 from .evaluator import (Finding, evaluate_campaign, fn_csv, fp_csv,
                         ingest_report, load_capabilities, load_truth_extras,
-                        render_fn_table, render_fp_table)
+                        render_fn_table, render_fp_table, report_tool)
 from .front import parse
 from .injector import (BugLogEntry, emit_buglog_csv, emit_buglog_json,
                        inject_file, load_buglog)
@@ -373,13 +373,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     for path in report_paths:
         stem = path.name[:-len(".report.json")]
         try:
-            findings = ingest_report(path.read_text(encoding="utf-8"),
-                                     tool=stem)
+            text = path.read_text(encoding="utf-8")
+            findings = ingest_report(text, tool=stem)
+            if not findings:  # a tool that reports nothing is still scored
+                findings_by_tool.setdefault(report_tool(text, stem), [])
         except (OSError, UnicodeDecodeError, SolBugSmithError) as exc:
             failures.append((path.name, str(exc)))
             continue
-        if not findings:  # a tool that reports nothing is still scored
-            findings_by_tool.setdefault(stem, [])
         for finding in findings:
             findings_by_tool.setdefault(finding.tool, []).append(finding)
 

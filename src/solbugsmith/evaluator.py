@@ -21,10 +21,9 @@ import csv
 import io
 import json
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .errors import (DomainError, FormatError, MalformedDocument,
                      MissingThreshold, ScopeError)
@@ -89,6 +88,16 @@ def ingest_report(text: str, tool: str | None = None) -> list[Finding]:
     return findings
 
 
+def report_tool(text: str, tool: str) -> str:
+    """The tool that a report document names, else ``tool``; ``evaluate``
+    files a report that holds no findings under it."""
+    doc = json.loads(text)
+    name = doc.get("tool", tool) if isinstance(doc, dict) else tool
+    if not isinstance(name, str) or not name:
+        raise FormatError(0, "report has no tool name")
+    return name
+
+
 def restrict_to_scope(entries: list[BugLogEntry],
                       capable: frozenset[BugType] | set[BugType]) -> list[BugLogEntry]:
     """Keep only bugs the tool claims to detect; reject an empty capability set."""
@@ -117,33 +126,23 @@ def score_false_negatives(entries: list[BugLogEntry],
     so a maximum matching is computed rather than a first-fit scan: first
     findings that can pair with an entry of their own type, then everything
     that can only pair by line. Augmentation never unmatches a finding, so
-    type-correct pairings are never sacrificed for line-only ones.
+    type-correct pairings are never sacrificed for line-only ones. A
+    finding's candidate entries are read from the line index ``_covering``.
     """
-    def in_range(entry: BugLogEntry, finding: Finding) -> bool:
-        return finding.file == entry.file and \
-            entry.start_line - line_slack <= finding.line \
-            <= entry.end_line + line_slack
-
     entry_order = sorted(
         range(len(entries)),
         key=lambda i: (entries[i].end_line - entries[i].start_line,
                        entries[i].start_line, entries[i].bug_id))
-    # pairs never cross files, so scan per file
-    per_file = _group(entry_order, lambda i: entries[i].file)
+    cover = _covering([entries[i] for i in entry_order], findings, line_slack)
     edges: list[list[int]] = []
     typed: list[bool] = []
     for finding in findings:
-        local = per_file.get(finding.file, ())
+        local = [entry_order[k]
+                 for k in cover.get(finding.file, {}).get(finding.line, ())]
         same = [i for i in local
-                if entries[i].bug_type is finding.reported_type
-                and in_range(entries[i], finding)]
-        if same:
-            edges.append(same)
-            typed.append(True)
-        else:
-            edges.append([i for i in local
-                          if in_range(entries[i], finding)])
-            typed.append(False)
+                if entries[i].bug_type is finding.reported_type]
+        edges.append(same or local)
+        typed.append(bool(same))
 
     owner: dict[int, int] = {}
 
@@ -189,21 +188,10 @@ class MajorityResult:
 def filter_by_majority(findings: list[Finding],
                        entries: list[BugLogEntry],
                        thresholds: dict[BugType, int]) -> MajorityResult:
-    """Drop injected-line findings, then split the rest by tool agreement."""
-    # per file: entry start lines in order, and the furthest end line reached
-    # by an entry starting at or before each
-    reach = {}
-    for file, group in _group(entries, lambda e: e.file).items():
-        ranges = sorted((e.start_line, e.end_line) for e in group)
-        reach[file] = ([start for start, _ in ranges],
-                       list(accumulate((end for _, end in ranges), max)))
-
-    def injected(finding: Finding) -> bool:
-        starts, ends = reach.get(finding.file, ((), ()))
-        i = bisect_right(starts, finding.line) - 1
-        return i >= 0 and ends[i] >= finding.line
-
-    candidates = [f for f in findings if not injected(f)]
+    """Drop findings on injected lines (those the line index ``_covering``
+    lists), then split the rest by tool agreement."""
+    cover = _covering(entries, findings)
+    candidates = [f for f in findings if f.line not in cover.get(f.file, ())]
     by_key = _group(candidates, lambda f: (f.file, f.line, f.reported_type))
     support = {key: len({f.tool for f in group})
                for key, group in by_key.items()}
@@ -378,6 +366,22 @@ def _partition_scores(entries: list[BugLogEntry], findings: list[Finding],
     return {bug_type: FNScore(sum(map(len, ids)), *map(len, ids),
                               *map(tuple, ids))
             for bug_type, ids in outcomes.items()}
+
+
+def _covering(entries: list[BugLogEntry], findings: list[Finding],
+              slack: int = 0) -> dict[str, dict[int, list[int]]]:
+    """Per file, each finding line that an entry's range widened by ``slack``
+    holds, mapped to the indexes of those entries in ``entries`` order. Each
+    range is bisected into its file's sorted finding lines, not expanded."""
+    lines_of = {file: sorted({f.line for f in group})
+                for file, group in _group(findings, lambda f: f.file).items()}
+    index: dict[str, dict[int, list[int]]] = {file: {} for file in lines_of}
+    for i, entry in enumerate(entries):
+        lines = lines_of.get(entry.file, [])
+        for line in lines[bisect_left(lines, entry.start_line - slack):
+                          bisect_right(lines, entry.end_line + slack)]:
+            index[entry.file].setdefault(line, []).append(i)
+    return index
 
 
 def _group(items, key) -> dict:

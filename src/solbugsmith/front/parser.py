@@ -28,11 +28,9 @@ _ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%="})
 _OPEN = {"(": ")", "[": "]", "{": "}"}
 _CLOSE = frozenset(")]}")
 
-_BINARY_PREC = {
-    "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
-    "==": 6, "!=": 6, "<": 7, ">": 7, "<=": 7, ">=": 7,
-    "<<": 8, ">>": 8, "+": 9, "-": 9, "*": 10, "/": 10, "%": 10, "**": 11,
-}
+_BINARY_OPS = frozenset({"||", "&&", "|", "^", "&", "==", "!=", "<", ">",
+                         "<=", ">=", "<<", ">>", "+", "-", "*", "/", "%",
+                         "**"})
 
 
 def parse(source: str) -> SourceUnit:
@@ -479,24 +477,17 @@ class _Parser:
     # -- expressions -----------------------------------------------------------
 
     def _expression(self) -> None:
-        self._binary(1)
+        # no tree is built, so precedence cannot change what is consumed
+        self._unary()
+        while (tok := self._cur()) is not None and \
+                tok.kind is TokenKind.PUNCTUATOR and tok.text in _BINARY_OPS:
+            self._advance()
+            self._unary()
         if self._is_punct("?"):
             self._advance()
             self._expression()
             self._expect_punct(":")
             self._expression()
-
-    def _binary(self, min_prec: int) -> None:
-        self._unary()
-        while True:
-            tok = self._cur()
-            if tok is None or tok.kind is not TokenKind.PUNCTUATOR:
-                return
-            prec = _BINARY_PREC.get(tok.text)
-            if prec is None or prec < min_prec:
-                return
-            self._advance()
-            self._binary(prec + 1)
 
     def _unary(self) -> None:
         tok = self._cur()

@@ -321,6 +321,28 @@ class TestEvaluate:
         assert oyente[2:6] == [str(injected_n), "0", "0", str(injected_n)]
         assert "Oyente" in (out / "fn_report.md").read_text()
 
+    def test_empty_report_is_filed_under_its_documents_tool(
+            self, corpus_dir, tmp_path, capsys):
+        buggy, reports, out = (tmp_path / d for d in ("b", "r", "e"))
+        assert main(["inject", "--corpus", str(corpus_dir / "Counter.sol"),
+                     "--out", str(buggy), "--bug-types", "TOD"]) == 0
+        assert main(["oracle", "--buglogs", str(buggy), "--out", str(reports),
+                     "--seed", "1"]) == 0
+        (reports / "Oyente.report.json").unlink()
+        (reports / "renamed.report.json").write_text(
+            json.dumps({"tool": "Oyente", "findings": []}), encoding="utf-8")
+        assert main(["evaluate", "--buglogs", str(buggy), "--reports",
+                     str(reports), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [r.split(",") for r in
+                (out / "fn_scores.csv").read_text().strip().split("\n")[1:]]
+        assert {r[0] for r in rows} == set(TOOLS)
+        injected_n = len(json.loads(
+            (buggy / "Counter.TOD.buglog.json").read_text()))
+        (oyente,) = [r for r in rows if r[:2] == ["Oyente", "TOD"]]
+        assert oyente[2:6] == [str(injected_n), "0", "0", str(injected_n)]
+        assert "Oyente" in (out / "fp_report.md").read_text()
+
     def test_capability_tool_without_report_is_named(self, injected, reports,
                                                      tmp_path, capsys):
         partial, out = tmp_path / "reports", tmp_path / "out"

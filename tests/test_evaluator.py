@@ -15,7 +15,8 @@ from solbugsmith.evaluator import (MISCELLANEOUS, Finding, FNScore, FPCell,
                                    evaluate_campaign, filter_by_majority,
                                    fn_cell, fn_csv, fp_csv, ingest_report,
                                    load_capabilities, render_fn_table,
-                                   render_fp_table, restrict_to_scope,
+                                   render_fp_table, report_tool,
+                                   restrict_to_scope,
                                    sample_for_inspection,
                                    score_false_negatives)
 from solbugsmith.injector import BugLogEntry
@@ -69,6 +70,19 @@ class TestIngest:
         with pytest.raises(FormatError) as err:
             ingest_report(json.dumps(bad), tool="x")
         assert err.value.line == index
+
+    @pytest.mark.parametrize("doc, tool", [
+        ({"tool": "mythril", "findings": []}, "mythril"),
+        ({"findings": []}, "stem"),
+        ([], "stem"),
+    ])
+    def test_report_tool_is_the_documents_else_the_fallback(self, doc, tool):
+        assert report_tool(json.dumps(doc), "stem") == tool
+
+    @pytest.mark.parametrize("name", ["", 5, None])
+    def test_report_tool_must_be_a_name(self, name):
+        with pytest.raises(FormatError):
+            report_tool(json.dumps({"tool": name, "findings": []}), "stem")
 
     def test_rejects_non_json_and_wrong_shape(self):
         with pytest.raises(FormatError):
@@ -170,6 +184,104 @@ class TestFalseNegatives:
         assert len(score.detected_bug_ids) == score.detected
         assert len(score.misidentified_bug_ids) == score.misidentified
         assert len(score.unreported_bug_ids) == score.unreported
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_line_index_matches_the_pairwise_scan(self, data):
+        files = ["a.sol", "b.sol", "c.sol"]
+        entries = []
+        for i in range(data.draw(st.integers(0, 14))):
+            start = data.draw(st.integers(1, 30))
+            # mostly short ranges, some hulls that nest the short ones
+            width = data.draw(st.one_of(st.integers(0, 4), st.integers(5, 40)))
+            entries.append(entry(f"b{i % 5}",
+                                 data.draw(st.sampled_from(list(BugType))),
+                                 start, start + width,
+                                 file=data.draw(st.sampled_from(files))))
+        findings = [
+            finding(data.draw(st.integers(1, 45)),
+                    data.draw(st.sampled_from([*BugType, None])),
+                    file=data.draw(st.sampled_from(files + ["d.sol"])),
+                    tool=data.draw(st.sampled_from(["t1", "t2", "t3"])))
+            for _ in range(data.draw(st.integers(0, 16)))
+        ]
+        slack = data.draw(st.integers(0, 3))
+        assert score_false_negatives(entries, findings, slack) == \
+            _pairwise_score(entries, findings, slack)
+
+    def test_huge_range_and_slack_are_not_expanded(self):
+        entries = [entry("b0", BugType.TOD, 1, 10**12),
+                   entry("b1", BugType.TOD, 5, 5)]
+        findings = [finding(2 * 10**12, BugType.TOD),
+                    finding(5, BugType.REENTRANCY)]
+        score = score_false_negatives(entries, findings, line_slack=10**12)
+        assert score.detected_bug_ids == ("b0",)
+        assert score.misidentified_bug_ids == ("b1",)
+
+
+def _pairwise_score(entries, findings, line_slack=0):
+    """The FN matcher as it was before the line index: each finding scanned
+    against every entry of its file, twice."""
+    def in_range(entry: BugLogEntry, finding: Finding) -> bool:
+        return finding.file == entry.file and \
+            entry.start_line - line_slack <= finding.line \
+            <= entry.end_line + line_slack
+
+    entry_order = sorted(
+        range(len(entries)),
+        key=lambda i: (entries[i].end_line - entries[i].start_line,
+                       entries[i].start_line, entries[i].bug_id))
+    # pairs never cross files, so scan per file
+    per_file = {}
+    for i in entry_order:
+        per_file.setdefault(entries[i].file, []).append(i)
+    edges: list[list[int]] = []
+    typed: list[bool] = []
+    for finding in findings:
+        local = per_file.get(finding.file, ())
+        same = [i for i in local
+                if entries[i].bug_type is finding.reported_type
+                and in_range(entries[i], finding)]
+        if same:
+            edges.append(same)
+            typed.append(True)
+        else:
+            edges.append([i for i in local
+                          if in_range(entries[i], finding)])
+            typed.append(False)
+
+    owner: dict[int, int] = {}
+
+    def augment(f_idx: int, seen: set[int]) -> bool:
+        for e_idx in edges[f_idx]:
+            if e_idx in seen:
+                continue
+            seen.add(e_idx)
+            if e_idx not in owner or augment(owner[e_idx], seen):
+                owner[e_idx] = f_idx
+                return True
+        return False
+
+    finding_order = sorted(
+        range(len(findings)),
+        key=lambda j: (not typed[j], findings[j].line, findings[j].tool, j))
+    for f_idx in finding_order:
+        if edges[f_idx]:
+            augment(f_idx, set())
+
+    detected_ids, mis_ids, unreported_ids = [], [], []
+    for i, entry in enumerate(entries):
+        f_idx = owner.get(i)
+        if f_idx is None:
+            unreported_ids.append(entry.bug_id)
+        elif findings[f_idx].reported_type is entry.bug_type:
+            detected_ids.append(entry.bug_id)
+        else:
+            mis_ids.append(entry.bug_id)
+    return FNScore(len(entries), len(detected_ids), len(mis_ids),
+                   len(unreported_ids), tuple(detected_ids), tuple(mis_ids),
+                   tuple(unreported_ids))
 
 
 class TestMajorityFilter:
