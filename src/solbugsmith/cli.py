@@ -223,6 +223,9 @@ def _read_documents(root: Path, suffix: str, load) -> dict:
 
 
 def _read_buglogs(raw: str) -> dict[str, list[BugLogEntry]]:
+    """Bug-log entries by the buggy file each log is named after; a log
+    whose entries name another file is a ``MalformedDocument``, since
+    findings are filed under the log's name and matched on the entries'."""
     root = Path(raw)
     if not root.is_dir():
         raise _ConfigError(f"buglog directory does not exist: {raw}")
@@ -230,6 +233,12 @@ def _read_buglogs(raw: str) -> dict[str, list[BugLogEntry]]:
             _read_documents(root, ".buglog.json", load_buglog).items()}
     if not logs:
         raise MissingBugLog(f"no *.buglog.json files in {raw}")
+    for name, entries in logs.items():
+        other = next((e.file for e in entries if e.file != name), None)
+        if other is not None:
+            raise MalformedDocument(
+                f"{root / name[:-len('.sol')]}.buglog.json: an entry names "
+                f"{other!r}, not {name!r}")
     return logs
 
 

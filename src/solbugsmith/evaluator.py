@@ -23,7 +23,8 @@ import json
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 
 from .errors import (DomainError, FormatError, MalformedDocument,
                      MissingThreshold, ScopeError)
@@ -127,41 +128,39 @@ def score_false_negatives(entries: list[BugLogEntry],
     findings that can pair with an entry of their own type, then everything
     that can only pair by line. Augmentation never unmatches a finding, so
     type-correct pairings are never sacrificed for line-only ones. A
-    finding's candidate entries are read from the line index ``_covering``.
+    finding's candidate entries are read from the line index ``_covering``;
+    findings with the same file, line and reported type share one list.
     """
-    entry_order = sorted(
-        range(len(entries)),
-        key=lambda i: (entries[i].end_line - entries[i].start_line,
-                       entries[i].start_line, entries[i].bug_id))
+    entry_order = sorted(range(len(entries)),
+                         key=lambda i: _tightness(entries[i]))
     cover = _covering([entries[i] for i in entry_order], findings, line_slack)
-    edges: list[list[int]] = []
+    edges: list[list[int]] = []  # candidate entries, one list per key
     typed: list[bool] = []
+    key_of: dict[tuple, int] = {}
+    keys: list[int] = []  # finding -> index of its list
     for finding in findings:
-        local = [entry_order[k]
-                 for k in cover.get(finding.file, {}).get(finding.line, ())]
-        same = [i for i in local
-                if entries[i].bug_type is finding.reported_type]
-        edges.append(same or local)
-        typed.append(bool(same))
+        key = key_of.setdefault(
+            (finding.file, finding.line, finding.reported_type), len(edges))
+        if key == len(edges):
+            local = [entry_order[k] for k in
+                     cover.get(finding.file, {}).get(finding.line, ())]
+            same = [i for i in local
+                    if entries[i].bug_type is finding.reported_type]
+            edges.append(same or local)
+            typed.append(bool(same))
+        keys.append(key)
 
     owner: dict[int, int] = {}
-
-    def augment(f_idx: int, seen: set[int]) -> bool:
-        for e_idx in edges[f_idx]:
-            if e_idx in seen:
-                continue
-            seen.add(e_idx)
-            if e_idx not in owner or augment(owner[e_idx], seen):
-                owner[e_idx] = f_idx
-                return True
-        return False
-
     finding_order = sorted(
         range(len(findings)),
-        key=lambda j: (not typed[j], findings[j].line, findings[j].tool, j))
+        key=lambda j: (not typed[keys[j]], findings[j].line,
+                       findings[j].tool, j))
     for f_idx in finding_order:
-        if edges[f_idx]:
-            augment(f_idx, set())
+        candidates = edges[keys[f_idx]]
+        if candidates and candidates[0] not in owner:
+            owner[candidates[0]] = f_idx  # the search's first step succeeds
+        elif candidates:
+            _augment(f_idx, keys, edges, owner)
 
     detected_ids, mis_ids, unreported_ids = [], [], []
     for i, entry in enumerate(entries):
@@ -188,10 +187,13 @@ class MajorityResult:
 def filter_by_majority(findings: list[Finding],
                        entries: list[BugLogEntry],
                        thresholds: dict[BugType, int]) -> MajorityResult:
-    """Drop findings on injected lines (those the line index ``_covering``
-    lists), then split the rest by tool agreement."""
-    cover = _covering(entries, findings)
-    candidates = [f for f in findings if f.line not in cover.get(f.file, ())]
+    """Drop findings on injected lines (those ``_covered`` yields), then
+    split the rest by tool agreement."""
+    injected: dict[str, set[int]] = {}
+    for entry, lines in _covered(entries, findings):
+        injected.setdefault(entry.file, set()).update(lines)
+    candidates = [f for f in findings
+                  if f.line not in injected.get(f.file, ())]
     by_key = _group(candidates, lambda f: (f.file, f.line, f.reported_type))
     support = {key: len({f.tool for f in group})
                for key, group in by_key.items()}
@@ -345,43 +347,109 @@ def evaluate_campaign(entries: list[BugLogEntry],
     return Evaluation(scores, cells, misc, thresholds, missing)
 
 
+def _tightness(entry: BugLogEntry) -> tuple:
+    """The order in which a finding tries its entries: tightest range first."""
+    return entry.end_line - entry.start_line, entry.start_line, entry.bug_id
+
+
+def _augment(root: int, keys: list[int], edges: list[list[int]],
+             owner: dict[int, int]) -> None:
+    """Kuhn's depth-first search for an augmenting path from finding
+    ``root``, with a stack in place of recursion; finding ``f`` may take
+    the entries ``edges[keys[f]]``, and a path found is applied to
+    ``owner``. A frame scans its list in order, skipping the entries
+    already seen, and every entry it passes joins ``seen``. So the frames
+    over one list can share one iterator: it skips only entries that a scan
+    from the start would skip too."""
+    seen: set[int] = set()
+    scans: dict[int, Iterator[int]] = {}  # one per edge list
+    path: list[tuple[int, int]] = []  # (finding, entry) along the search
+    f_idx = root
+    while True:
+        key = keys[f_idx]
+        scan = scans.get(key)
+        if scan is None:
+            scan = scans[key] = iter(edges[key])
+        for e_idx in scan:
+            if e_idx not in seen:
+                break
+        else:  # the list is spent: back to the parent's scan
+            if not path:
+                return
+            f_idx = path.pop()[0]
+            continue
+        seen.add(e_idx)
+        path.append((f_idx, e_idx))
+        if e_idx not in owner:
+            for f, e in path:
+                owner[e] = f
+            return
+        f_idx = owner[e_idx]
+
+
 def _partition_scores(entries: list[BugLogEntry], findings: list[Finding],
                       line_slack: int) -> dict[BugType, FNScore]:
     """One tool's FN score per bug type. Bug ids restart with every buggy
     file, so each file is matched on its own and its ids are looked up
-    within it; pairs never cross files, so the matches are the same."""
+    within it; pairs never cross files, so the matches are the same. Where
+    one id names entries of two types in a file, that file is matched under
+    ``_stand_ins``, so that each entry is tallied under its own type."""
     findings_of = _group(findings, lambda f: f.file)
     # bug type -> ids detected, misidentified, unreported
     outcomes: dict[BugType, tuple[list[str], list[str], list[str]]] = {}
     for file, members in _group(entries, lambda e: e.file).items():
+        type_of = {e.bug_id: e.bug_type for e in members}
+        real_id: dict[str, str] = {}
+        if any(type_of[e.bug_id] is not e.bug_type for e in members):
+            members, real_id = _stand_ins(members)
+            type_of = {e.bug_id: e.bug_type for e in members}
         score = score_false_negatives(members, findings_of.get(file, []),
                                       line_slack=line_slack)
-        type_of = {e.bug_id: e.bug_type for e in members}
         for slot, ids in enumerate((score.detected_bug_ids,
                                     score.misidentified_bug_ids,
                                     score.unreported_bug_ids)):
             for bug_id in ids:
                 outcomes.setdefault(type_of[bug_id], ([], [], []))[slot] \
-                    .append(bug_id)
+                    .append(real_id.get(bug_id, bug_id))
     return {bug_type: FNScore(sum(map(len, ids)), *map(len, ids),
                               *map(tuple, ids))
             for bug_type, ids in outcomes.items()}
 
 
+def _stand_ins(entries: list[BugLogEntry]) \
+        -> tuple[list[BugLogEntry], dict[str, str]]:
+    """``entries`` renamed by their rank in ``_tightness`` order, which is
+    unique and keeps the order the matcher tries them in, and the real id
+    of each rank."""
+    order = sorted(range(len(entries)), key=lambda i: _tightness(entries[i]))
+    rank_of = {i: f"{rank:09d}" for rank, i in enumerate(order)}
+    return ([replace(e, bug_id=rank_of[i]) for i, e in enumerate(entries)],
+            {rank_of[i]: e.bug_id for i, e in enumerate(entries)})
+
+
 def _covering(entries: list[BugLogEntry], findings: list[Finding],
               slack: int = 0) -> dict[str, dict[int, list[int]]]:
     """Per file, each finding line that an entry's range widened by ``slack``
-    holds, mapped to the indexes of those entries in ``entries`` order. Each
-    range is bisected into its file's sorted finding lines, not expanded."""
+    holds, mapped to the indexes of those entries in ``entries`` order."""
+    index: dict[str, dict[int, list[int]]] = {}
+    for i, (entry, lines) in enumerate(_covered(entries, findings, slack)):
+        by_line = index.setdefault(entry.file, {})
+        for line in lines:
+            by_line.setdefault(line, []).append(i)
+    return index
+
+
+def _covered(entries: list[BugLogEntry], findings: list[Finding],
+             slack: int = 0) -> Iterator[tuple[BugLogEntry, list[int]]]:
+    """Each entry, with the sorted lines of its file's findings that its
+    range widened by ``slack`` holds. Each range is bisected into those
+    lines, not expanded."""
     lines_of = {file: sorted({f.line for f in group})
                 for file, group in _group(findings, lambda f: f.file).items()}
-    index: dict[str, dict[int, list[int]]] = {file: {} for file in lines_of}
-    for i, entry in enumerate(entries):
+    for entry in entries:
         lines = lines_of.get(entry.file, [])
-        for line in lines[bisect_left(lines, entry.start_line - slack):
-                          bisect_right(lines, entry.end_line + slack)]:
-            index[entry.file].setdefault(line, []).append(i)
-    return index
+        yield entry, lines[bisect_left(lines, entry.start_line - slack):
+                           bisect_right(lines, entry.end_line + slack)]
 
 
 def _group(items, key) -> dict:

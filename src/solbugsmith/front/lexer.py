@@ -13,6 +13,9 @@ LexError at the opener), a word before a punctuator, three-character
 operators before two-character ones before single characters, and any
 other byte last (an illegal character). A LexError is raised at the start
 of the offending match.
+
+A keyword or punctuator text is never given any other kind, so a reader
+that compares a token's text with one of those needs no kind test.
 """
 
 from __future__ import annotations
@@ -119,15 +122,3 @@ def tokenize(source: str) -> list[Token]:
         line = end_line
     return tokens
 
-
-def reconstruct(source: str, tokens: list[Token]) -> str:
-    """Concatenate token texts with the original whitespace gaps between them."""
-    data = source.encode("utf-8")
-    out = bytearray()
-    prev = 0
-    for tok in tokens:
-        out += data[prev:tok.span.start]
-        out += tok.text.encode("utf-8")
-        prev = tok.span.end
-    out += data[prev:]
-    return out.decode("utf-8")

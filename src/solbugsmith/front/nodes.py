@@ -39,39 +39,20 @@ class Stmt:
 
 
 @dataclass
-class StateVarDecl:
-    name: str
-    span: Span
+class Decl:
+    """A member without a parsed body: a named ``stateVar`` or ``event``, or
+    an ``opaqueMember`` (no name) that the parser keeps whole."""
 
-    kind = "stateVar"
+    kind: str  # "stateVar" | "event" | "opaqueMember"
+    span: Span
+    name: str | None = None
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, "name": self.name, "span": self.span.to_json(),
-                "children": []}
-
-
-@dataclass
-class EventDef:
-    name: str
-    span: Span
-
-    kind = "event"
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "name": self.name, "span": self.span.to_json(),
-                "children": []}
-
-
-@dataclass
-class OpaqueMember:
-    span: Span
-
-    kind = "opaqueMember"
-    name = None
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "span": self.span.to_json(), "children": [],
-                "opaque": True}
+        if self.name is None:
+            return {"kind": self.kind, "span": self.span.to_json(),
+                    "children": [], "opaque": True}
+        return {"kind": self.kind, "name": self.name,
+                "span": self.span.to_json(), "children": []}
 
 
 @dataclass
@@ -89,7 +70,7 @@ class FunctionDef:
                 "children": [s.to_json() for s in self.statements]}
 
 
-Member = StateVarDecl | FunctionDef | EventDef | OpaqueMember
+Member = Decl | FunctionDef
 
 
 @dataclass
@@ -110,6 +91,7 @@ class ContractDef:
 class SourceUnit:
     contracts: list[ContractDef]
     data: bytes = field(repr=False)  # the source, UTF-8 encoded
+    # the tokens without comments, as the parser read them
     tokens: list[Token] = field(repr=False, default_factory=list)
 
     def to_json(self) -> dict:

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 from ..errors import ParseError
 from .lexer import ELEMENTARY_TYPES, Token, TokenKind, UNIT_KEYWORDS, tokenize
-from .nodes import (ContractDef, EventDef, FunctionDef, OpaqueMember,
-                    SourceUnit, StateVarDecl, Stmt)
+from .nodes import ContractDef, Decl, FunctionDef, Member, SourceUnit, Stmt
 from .spans import Span, column_of
 
 _VISIBILITY = frozenset({"public", "private", "internal", "external"})
 _MUTABILITY = frozenset({"payable", "view", "pure", "constant"})
 _HEADER_KEYWORDS = _VISIBILITY | _MUTABILITY
 _DATA_LOCATION = frozenset({"memory", "storage", "calldata"})
+_TYPE_WORDS = ELEMENTARY_TYPES | {"mapping"}  # words that open a declaration
 _STATE_VAR_WORDS = _VISIBILITY | {"constant"}
 _PARAM_WORDS = _DATA_LOCATION | {"indexed", "payable"}
 _ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%="})
@@ -48,7 +48,6 @@ def _between(open_tok: Token, close_tok: Token) -> Span:
 class _Parser:
     def __init__(self, source: str, tokens: list[Token]) -> None:
         self.data = source.encode("utf-8")
-        self.all_tokens = tokens
         self.toks = [t for t in tokens if t.kind is not TokenKind.COMMENT]
         self.i = 0
 
@@ -82,15 +81,8 @@ class _Parser:
                           column_of(self.data, tok.span.start), expected,
                           repr(tok.text))
 
-    def _expect_punct(self, text: str) -> Token:
-        tok = self._cur()
-        if tok is None or tok.kind is not TokenKind.PUNCTUATOR or tok.text != text:
-            raise self._error(repr(text))
-        return self._advance()
-
-    def _expect_keyword(self, text: str) -> Token:
-        tok = self._cur()
-        if tok is None or tok.kind is not TokenKind.KEYWORD or tok.text != text:
+    def _expect(self, text: str) -> Token:
+        if not self._is(text):
             raise self._error(repr(text))
         return self._advance()
 
@@ -100,20 +92,15 @@ class _Parser:
             raise self._error(what)
         return self._advance()
 
-    def _is_punct(self, text: str) -> bool:
-        tok = self._cur()
-        return tok is not None and tok.kind is TokenKind.PUNCTUATOR and tok.text == text
+    def _is(self, text: str) -> bool:
+        return self.i < len(self.toks) and self.toks[self.i].text == text
 
-    def _is_keyword(self, text: str) -> bool:
-        tok = self._cur()
-        return tok is not None and tok.kind is TokenKind.KEYWORD and tok.text == text
+    def _in(self, texts) -> bool:
+        return self.i < len(self.toks) and self.toks[self.i].text in texts
 
     def _skip_keywords(self, words: frozenset[str]) -> None:
-        tok = self._cur()
-        while tok is not None and tok.kind is TokenKind.KEYWORD \
-                and tok.text in words:
+        while self._in(words):
             self._advance()
-            tok = self._cur()
 
     def _span_from(self, start_idx: int) -> Span:
         first = self.toks[start_idx].span
@@ -125,112 +112,109 @@ class _Parser:
     def parse_unit(self) -> SourceUnit:
         contracts: list[ContractDef] = []
         while not self._at_end():
-            tok = self._cur()
-            assert tok is not None
+            tok = self.toks[self.i]
             if tok.kind is TokenKind.PRAGMA:
                 self._advance()
-            elif tok.kind is TokenKind.KEYWORD and tok.text == "contract":
+            elif tok.text == "contract":
                 contracts.append(self._contract())
             else:
                 raise self._error("'contract' or pragma directive")
-        return SourceUnit(contracts, self.data, tokens=self.all_tokens)
+        return SourceUnit(contracts, self.data, tokens=self.toks)
 
     def _contract(self) -> ContractDef:
         start = self.i
-        self._expect_keyword("contract")
+        self._expect("contract")
         name = self._expect_identifier("contract name")
         members, body = self._braced(self._member, "contract body")
         return ContractDef(name.text, members, self._span_from(start), body)
 
     def _braced(self, item, what: str) -> tuple[list, Span]:
         """``{ item* }``: the items and the span between the braces."""
-        lbrace = self._expect_punct("{")
+        lbrace = self._expect("{")
         items = []
-        while not self._is_punct("}"):
+        while not self._is("}"):
             if self._at_end():
                 raise self._error(f"'}}' closing {what}")
             items.append(item())
-        return items, _between(lbrace, self._expect_punct("}"))
+        return items, _between(lbrace, self._expect("}"))
 
     # -- members -----------------------------------------------------------
 
-    def _member(self):
-        tok = self._cur()
-        assert tok is not None
-        if tok.kind is TokenKind.KEYWORD:
-            if tok.text in ELEMENTARY_TYPES or tok.text == "mapping":
-                return self._state_var()
-            if tok.text in ("function", "constructor", "modifier"):
-                return self._function_def(tok.text)
-            if tok.text == "event":
-                return self._event_def()
-        return self._opaque_member()
+    def _member(self) -> Member:
+        text = self.toks[self.i].text
+        if text in _TYPE_WORDS:
+            return self._state_var()
+        if text in ("function", "constructor", "modifier"):
+            return self._function_def(text)
+        if text == "event":
+            return self._event_def()
+        return Decl("opaqueMember", self._consume_balanced("member"))
 
-    def _state_var(self) -> StateVarDecl:
+    def _state_var(self) -> Decl:
         start = self.i
         self._type_ref()
         self._skip_keywords(_STATE_VAR_WORDS)
         name = self._expect_identifier("state variable name")
-        if self._is_punct("="):
+        if self._is("="):
             self._advance()
             self._expression()
-        self._expect_punct(";")
-        return StateVarDecl(name.text, self._span_from(start))
+        self._expect(";")
+        return Decl("stateVar", self._span_from(start), name.text)
 
     def _type_ref(self) -> None:
         tok = self._cur()
         if tok is None:
             raise self._error("type")
-        if tok.kind is TokenKind.KEYWORD and tok.text == "mapping":
+        if tok.text == "mapping":
             self._advance()
-            self._expect_punct("(")
+            self._expect("(")
             self._type_ref()
-            self._expect_punct("=>")
+            self._expect("=>")
             self._type_ref()
-            self._expect_punct(")")
-        elif tok.kind is TokenKind.KEYWORD and tok.text in ELEMENTARY_TYPES:
+            self._expect(")")
+        elif tok.text in ELEMENTARY_TYPES:
             self._advance()
-            if tok.text == "address" and self._is_keyword("payable"):
+            if tok.text == "address" and self._is("payable"):
                 self._advance()
         elif tok.kind is TokenKind.IDENTIFIER:
             self._advance()
         else:
             raise self._error("type")
-        while self._is_punct("["):
+        while self._is("["):
             self._advance()
-            if not self._is_punct("]"):
+            if not self._is("]"):
                 self._expression()
-            self._expect_punct("]")
+            self._expect("]")
 
-    def _function_def(self, kind_word: str) -> FunctionDef | OpaqueMember:
+    def _function_def(self, kind_word: str) -> Member:
         start = self.i
         self._advance()
         name = None
         if kind_word == "modifier" or (kind_word == "function"
-                                       and not self._is_punct("(")):
+                                       and not self._is("(")):
             # A nameless function () is the fallback function.
             name = self._expect_identifier(f"{kind_word} name").text
-        if self._is_punct("("):
+        if self._is("("):
             self._param_list(_PARAM_WORDS)
-        while not self._is_punct("{") and not self._is_punct(";"):
+        while not self._in(("{", ";")):
             tok = self._cur()
             if tok is None:
                 raise self._error("'{' or ';'")
-            if tok.kind is TokenKind.KEYWORD and tok.text in _HEADER_KEYWORDS:
+            if tok.text in _HEADER_KEYWORDS:
                 self._advance()
-            elif tok.kind is TokenKind.KEYWORD and tok.text == "returns":
+            elif tok.text == "returns":
                 self._advance()
                 self._param_list(_DATA_LOCATION)
             elif tok.kind is TokenKind.IDENTIFIER:
                 self._advance()  # modifier invocation
-                if self._is_punct("("):
+                if self._is("("):
                     self._skip_balanced("(")
             else:
                 raise self._error("function header element")
-        if self._is_punct(";"):
+        if self._is(";"):
             # Declaration without a body: outside the subset, keep it opaque.
             self._advance()
-            return OpaqueMember(self._span_from(start))
+            return Decl("opaqueMember", self._span_from(start))
         statements, body = self._braced(self._statement, "function body")
         return FunctionDef(kind_word, name, self._span_from(start), body,
                            statements)
@@ -238,29 +222,26 @@ class _Parser:
     def _param_list(self, words: frozenset[str]) -> None:
         """``( type words* [name], ... )``; ``words`` are the keywords
         allowed between a type and its optional name."""
-        self._expect_punct("(")
-        while not self._is_punct(")"):
+        self._expect("(")
+        while not self._is(")"):
             self._type_ref()
             self._skip_keywords(words)
             tok = self._cur()
             if tok is not None and tok.kind is TokenKind.IDENTIFIER:
                 self._advance()
-            if self._is_punct(","):
+            if self._is(","):
                 self._advance()
-            elif not self._is_punct(")"):
+            elif not self._is(")"):
                 raise self._error("',' or ')'")
-        self._expect_punct(")")
+        self._expect(")")
 
-    def _event_def(self) -> EventDef:
+    def _event_def(self) -> Decl:
         start = self.i
-        self._expect_keyword("event")
+        self._expect("event")
         name = self._expect_identifier("event name")
         self._param_list(_PARAM_WORDS)
-        self._expect_punct(";")
-        return EventDef(name.text, self._span_from(start))
-
-    def _opaque_member(self) -> OpaqueMember:
-        return OpaqueMember(self._consume_balanced("member"))
+        self._expect(";")
+        return Decl("event", self._span_from(start), name.text)
 
     def _consume_balanced(self, what: str) -> Span:
         """Consume until ';' at depth 0, or until a depth-0 brace group closes."""
@@ -268,40 +249,37 @@ class _Parser:
         depth = 0
         entered_brace = False
         while not self._at_end():
-            tok = self.toks[self.i]
-            if tok.kind is TokenKind.PUNCTUATOR:
-                text = tok.text
-                if text in _OPEN:
-                    if text == "{" and depth == 0:
-                        entered_brace = True
-                    depth += 1
-                elif text in _CLOSE:
-                    if depth == 0:
-                        break  # enclosing '}' reached: unterminated
-                    depth -= 1
-                    self._advance()
-                    if depth == 0 and text == "}" and entered_brace:
-                        return self._span_from(start)
-                    continue
-                elif text == ";" and depth == 0:
-                    self._advance()
+            text = self.toks[self.i].text
+            if text in _OPEN:
+                if text == "{" and depth == 0:
+                    entered_brace = True
+                depth += 1
+            elif text in _CLOSE:
+                if depth == 0:
+                    break  # enclosing '}' reached: unterminated
+                depth -= 1
+                self._advance()
+                if depth == 0 and text == "}" and entered_brace:
                     return self._span_from(start)
+                continue
+            elif text == ";" and depth == 0:
+                self._advance()
+                return self._span_from(start)
             self._advance()
         self.i = start
         raise self._error(f"terminated {what}")
 
     def _skip_balanced(self, opener: str) -> None:
-        self._expect_punct(opener)
+        self._expect(opener)
         depth = 1
         while depth > 0:
             if self._at_end():
                 raise self._error(f"'{_OPEN[opener]}'")
-            tok = self._advance()
-            if tok.kind is TokenKind.PUNCTUATOR:
-                if tok.text in _OPEN:
-                    depth += 1
-                elif tok.text in _CLOSE:
-                    depth -= 1
+            text = self._advance().text
+            if text in _OPEN:
+                depth += 1
+            elif text in _CLOSE:
+                depth -= 1
 
     # -- statements ----------------------------------------------------------
 
@@ -309,42 +287,37 @@ class _Parser:
         tok = self._cur()
         if tok is None:
             raise self._error("statement")
-        if tok.kind is TokenKind.PUNCTUATOR and tok.text == "{":
+        text = tok.text
+        if text == "{":
             return self._block()
-        if tok.kind is TokenKind.KEYWORD:
-            text = tok.text
-            if text == "if":
-                return self._if_stmt()
-            if text == "for":
-                return self._for_stmt()
-            if text == "while":
-                return self._while_stmt()
-            if text == "return":
-                return self._return_stmt()
-            if text == "emit":
-                return self._emit_stmt()
-            if text == "function":
-                raise self._error(
-                    "statement (nested function definition is not supported)")
-            if text == "else":
-                # No construct starts with 'else'; letting the opaque
-                # fallback swallow one would hide a broken if/else pairing.
-                raise self._error("statement")
-            if text in ELEMENTARY_TYPES or text == "mapping":
-                return self._local_var_decl()
+        if text == "if":
+            return self._if_stmt()
+        if text == "for":
+            return self._for_stmt()
+        if text == "while":
+            return self._while_stmt()
+        if text == "return":
+            return self._return_stmt()
+        if text == "emit":
+            return self._emit_stmt()
+        if text == "function":
+            raise self._error(
+                "statement (nested function definition is not supported)")
+        if text == "else":
+            # No construct starts with 'else'; letting the opaque
+            # fallback swallow one would hide a broken if/else pairing.
+            raise self._error("statement")
+        if text in _TYPE_WORDS:
+            return self._local_var_decl()
         return self._fallback_stmt()
 
     def _fallback_stmt(self) -> Stmt:
         """Identifier/expression-led statement with opaque fallback."""
         checkpoint = self.i
         try:
-            tok = self._cur()
-            assert tok is not None
-            if tok.kind is TokenKind.IDENTIFIER and tok.text == "require" \
-                    and self._next_text() == "(":
+            if self._is("require") and self._next_text() == "(":
                 return self._require_stmt()
-            if tok.kind is TokenKind.IDENTIFIER and tok.text == "revert" \
-                    and self._next_text() == "(":
+            if self._is("revert") and self._next_text() == "(":
                 return self._revert_stmt()
             return self._expr_or_assign_stmt()
         except ParseError as first_err:
@@ -363,20 +336,20 @@ class _Parser:
     def _require_stmt(self) -> Stmt:
         start = self.i
         self._advance()  # require
-        lparen = self._expect_punct("(")
+        lparen = self._expect("(")
         self._expression()
-        if self._is_punct(","):
+        if self._is(","):
             self._advance()
             self._expression()
-        cond = _between(lparen, self._expect_punct(")"))
-        self._expect_punct(";")
+        cond = _between(lparen, self._expect(")"))
+        self._expect(";")
         return self._stmt("requireStmt", start, cond_span=cond)
 
     def _revert_stmt(self) -> Stmt:
         start = self.i
         self._advance()  # revert
         self._call_args()
-        self._expect_punct(";")
+        self._expect(";")
         return self._stmt("revertStmt", start)
 
     def _block(self) -> Stmt:
@@ -386,89 +359,85 @@ class _Parser:
 
     def _if_stmt(self) -> Stmt:
         start = self.i
-        self._expect_keyword("if")
+        self._expect("if")
         cond = self._condition()
         children = [self._statement()]
-        if self._is_keyword("else"):
+        if self._is("else"):
             self._advance()
             children.append(self._statement())
         return self._stmt("ifStmt", start, children, cond_span=cond)
 
     def _while_stmt(self) -> Stmt:
         start = self.i
-        self._expect_keyword("while")
+        self._expect("while")
         cond = self._condition()
         children = [self._statement()]
         return self._stmt("whileStmt", start, children, cond_span=cond)
 
     def _condition(self) -> Span:
         """``( expression )``; returns the span between the parentheses."""
-        lparen = self._expect_punct("(")
+        lparen = self._expect("(")
         self._expression()
-        return _between(lparen, self._expect_punct(")"))
+        return _between(lparen, self._expect(")"))
 
     def _for_stmt(self) -> Stmt:
         start = self.i
-        self._expect_keyword("for")
-        self._expect_punct("(")
-        if not self._is_punct(";"):
-            tok = self._cur()
-            if tok is not None and tok.kind is TokenKind.KEYWORD and \
-                    (tok.text in ELEMENTARY_TYPES or tok.text == "mapping"):
+        self._expect("for")
+        self._expect("(")
+        if not self._is(";"):
+            if self._in(_TYPE_WORDS):
                 self._var_decl_core()
             else:
                 self._expr_or_assign_core()
-        self._expect_punct(";")
-        if not self._is_punct(";"):
+        self._expect(";")
+        if not self._is(";"):
             self._expression()
-        self._expect_punct(";")
-        if not self._is_punct(")"):
+        self._expect(";")
+        if not self._is(")"):
             self._expr_or_assign_core()
-        self._expect_punct(")")
+        self._expect(")")
         children = [self._statement()]
         return self._stmt("forStmt", start, children)
 
     def _return_stmt(self) -> Stmt:
         start = self.i
-        self._expect_keyword("return")
-        if not self._is_punct(";"):
+        self._expect("return")
+        if not self._is(";"):
             self._expression()
-        self._expect_punct(";")
+        self._expect(";")
         return self._stmt("returnStmt", start)
 
     def _emit_stmt(self) -> Stmt:
         start = self.i
-        self._expect_keyword("emit")
+        self._expect("emit")
         self._expect_identifier("event name")
         self._call_args()
-        self._expect_punct(";")
+        self._expect(";")
         return self._stmt("emitStmt", start)
 
     def _local_var_decl(self) -> Stmt:
         start = self.i
         self._var_decl_core()
-        self._expect_punct(";")
+        self._expect(";")
         return self._stmt("localVarDecl", start)
 
     def _var_decl_core(self) -> None:
         self._type_ref()
         self._skip_keywords(_DATA_LOCATION)
         self._expect_identifier("variable name")
-        if self._is_punct("="):
+        if self._is("="):
             self._advance()
             self._expression()
 
     def _expr_or_assign_stmt(self) -> Stmt:
         start = self.i
         kind = self._expr_or_assign_core()
-        self._expect_punct(";")
+        self._expect(";")
         return self._stmt(kind, start)
 
     def _expr_or_assign_core(self) -> str:
         self._expression()
-        tok = self._cur()
-        if tok is not None and tok.kind is TokenKind.PUNCTUATOR and \
-                tok.text in _ASSIGN_OPS:
+        if self._in(_ASSIGN_OPS):
             self._advance()
             self._expression()
             return "assignment"
@@ -479,28 +448,27 @@ class _Parser:
     def _expression(self) -> None:
         # no tree is built, so precedence cannot change what is consumed
         self._unary()
-        while (tok := self._cur()) is not None and \
-                tok.kind is TokenKind.PUNCTUATOR and tok.text in _BINARY_OPS:
+        while self._in(_BINARY_OPS):
             self._advance()
             self._unary()
-        if self._is_punct("?"):
+        if self._is("?"):
             self._advance()
             self._expression()
-            self._expect_punct(":")
+            self._expect(":")
             self._expression()
 
     def _unary(self) -> None:
         tok = self._cur()
         if tok is None:
             raise self._error("expression")
-        if tok.kind is TokenKind.PUNCTUATOR and tok.text in ("!", "-", "+", "~", "++", "--"):
+        if tok.text in ("!", "-", "+", "~", "++", "--"):
             self._advance()
             self._unary()
             return
-        if tok.kind is TokenKind.KEYWORD and tok.text == "new":
+        if tok.text == "new":
             self._advance()
             self._type_ref()
-            if self._is_punct("("):
+            if self._is("("):
                 self._call_args()
             self._postfix_chain()
             return
@@ -513,55 +481,53 @@ class _Parser:
             raise self._error("expression")
         if tok.kind is TokenKind.NUMBER:
             self._advance()
-            nxt = self._cur()
-            if nxt is not None and nxt.kind is TokenKind.KEYWORD and \
-                    nxt.text in UNIT_KEYWORDS:
+            if self._in(UNIT_KEYWORDS):
                 self._advance()
             return
         if tok.kind is TokenKind.STRING or tok.kind is TokenKind.IDENTIFIER:
             self._advance()
             return
-        if tok.kind is TokenKind.KEYWORD and tok.text in ("true", "false"):
+        if tok.text in ("true", "false"):
             self._advance()
             return
-        if tok.kind is TokenKind.KEYWORD and tok.text in ELEMENTARY_TYPES:
+        if tok.text in ELEMENTARY_TYPES:
             self._advance()  # cast target: uint8(...), address(this), ...
             return
-        if tok.kind is TokenKind.PUNCTUATOR and tok.text == "(":
+        if tok.text == "(":
             # Parenthesized expression or a tuple such as (a, b, c).
             self._advance()
             self._expression()
-            while self._is_punct(","):
+            while self._is(","):
                 self._advance()
                 self._expression()
-            self._expect_punct(")")
+            self._expect(")")
             return
         raise self._error("expression")
 
     def _postfix_chain(self) -> None:
         while True:
-            if self._is_punct("."):
+            if self._is("."):
                 self._advance()
                 self._expect_identifier("member name")
-            elif self._is_punct("("):
+            elif self._is("("):
                 self._call_args()
-            elif self._is_punct("["):
+            elif self._is("["):
                 self._advance()
                 self._expression()
-                self._expect_punct("]")
-            elif self._is_punct("++") or self._is_punct("--"):
+                self._expect("]")
+            elif self._in(("++", "--")):
                 self._advance()
             else:
                 return
 
     def _call_args(self) -> None:
-        self._expect_punct("(")
-        if not self._is_punct(")"):
+        self._expect("(")
+        if not self._is(")"):
             self._expression()
-            while self._is_punct(","):
+            while self._is(","):
                 self._advance()
                 self._expression()
-        self._expect_punct(")")
+        self._expect(")")
 
 
 def parse_member_fragment(text: str):

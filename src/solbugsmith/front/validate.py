@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import LexError, ParseError
-from .lexer import Token, TokenKind, tokenize
+from .lexer import Token, tokenize
 from .parser import parse
 from .spans import column_of
 
@@ -48,8 +48,6 @@ def _balance_errors(data: bytes, tokens: list[Token]) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     stack: list[Token] = []
     for tok in tokens:
-        if tok.kind is not TokenKind.PUNCTUATOR:
-            continue
         if tok.text in _PAIR:
             stack.append(tok)
         elif tok.text in _CLOSERS:

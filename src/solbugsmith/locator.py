@@ -21,7 +21,7 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .front import FunctionDef, OpaqueMember, SourceUnit, Span, Stmt, parse
+from .front import FunctionDef, SourceUnit, Span, Stmt, parse
 from .front.lexer import TokenKind, tokenize
 from .model import BugType, SnippetForm
 from .pool import BugPool, TransformPattern, WeakeningRule
@@ -233,10 +233,9 @@ def _failure_carrier(unit: SourceUnit, if_stmt: Stmt) -> Stmt | None:
 
 
 def _has_send_call(unit: SourceUnit, span: Span) -> bool:
-    toks = [t for t in unit.tokens if t.kind is not TokenKind.COMMENT
-            and span.start <= t.span.start < span.end]
-    return any(dot.text == "." and name.kind is TokenKind.IDENTIFIER and
-               name.text == "send" for dot, name in zip(toks, toks[1:]))
+    toks = [t for t in unit.tokens if span.start <= t.span.start < span.end]
+    return any(dot.text == "." and name.text == "send"
+               for dot, name in zip(toks, toks[1:]))
 
 
 # -- transform sites ----------------------------------------------------------
@@ -245,10 +244,9 @@ def _has_send_call(unit: SourceUnit, span: Span) -> bool:
 def find_transformable_code(unit: SourceUnit, bug_type: BugType,
                             pool: BugPool) -> list[TransformSite]:
     """Leftmost-longest non-overlapping pattern matches outside opaque code."""
-    stream = [t for t in unit.tokens if t.kind is not TokenKind.COMMENT
-              and t.kind is not TokenKind.PRAGMA]
+    stream = [t for t in unit.tokens if t.kind is not TokenKind.PRAGMA]
     opaque = [m.span for c in unit.contracts for m in c.members
-              if isinstance(m, OpaqueMember)]
+              if m.kind == "opaqueMember"]
     opaque += [stmt.span for member, path in _functions(unit)
                for stmt, _, _ in _walk(member.statements, path) if stmt.opaque]
     candidates: list[tuple[Span, TransformPattern]] = []
@@ -287,8 +285,7 @@ def _path_for_offset(unit: SourceUnit, offset: int) -> tuple[str, ...]:
             if member.span.start <= offset < member.span.end:
                 if isinstance(member, FunctionDef):
                     return (contract.name, _member_label(member))
-                label = member.name if getattr(member, "name", None) else member.kind
-                return (contract.name, label)
+                return (contract.name, member.name or member.kind)
         return (contract.name,)
     return ()
 

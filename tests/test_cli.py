@@ -275,6 +275,32 @@ class TestEvaluate:
             truth = json.loads((reports / f"{tool}.truth.json").read_text())
             assert sum(int(r[5]) for r in mine) == len(truth["missed"])
 
+    def test_slack_wider_than_the_file_scores_without_a_traceback(
+            self, tmp_path, capsys):
+        # Every finding covers every entry, so the k-th finding's augmenting
+        # path has k links: more than the interpreter's recursion limit.
+        n = 1100
+        buggy, reports, out = (tmp_path / d for d in ("b", "r", "e"))
+        buggy.mkdir()
+        reports.mkdir()
+        (buggy / "Deep.buglog.json").write_text(json.dumps([
+            {"bugId": f"b{i}", "bugType": "TOD", "approach": "FullSnippet",
+             "snippetId": None, "file": "Deep.sol", "startLine": i,
+             "endLine": i, "byteSpan": {"start": 0, "end": 1}}
+            for i in range(1, n + 1)]), encoding="utf-8")
+        (reports / "Oyente.report.json").write_text(json.dumps(
+            {"tool": "Oyente", "findings": [
+                {"file": "Deep.sol", "line": 1, "type": "TOD"}] * n}),
+            encoding="utf-8")
+        caps = tmp_path / "caps.json"
+        caps.write_text('{"Oyente": ["TOD"]}', encoding="utf-8")
+        assert main(["evaluate", "--buglogs", str(buggy), "--reports",
+                     str(reports), "--capabilities", str(caps), "--out",
+                     str(out), "--line-slack", "100000"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert f"Oyente,TOD,{n},{n},0,0," in \
+            (out / "fn_scores.csv").read_text(encoding="utf-8")
+
     def test_csv_rows_have_the_header_width(self, injected, tmp_path, capsys):
         caps = tmp_path / "caps.json"
         caps.write_text(json.dumps({"Slither, v2": ["Reentrancy", "TxOrigin"],
@@ -594,6 +620,12 @@ class TestExitCodes:
         pytest.param(["evaluate", "--buglogs", "{tmp}/reversed",
                       "--reports", "{reports}"], "Counter.TxOrigin.buglog.json",
                      id="evaluate-buglog-with-reversed-lines"),
+        pytest.param(["oracle", "--buglogs", "{tmp}/elsewhere",
+                      "--out", "{tmp}/out"], "Counter.TxOrigin.buglog.json",
+                     id="oracle-buglog-naming-another-file"),
+        pytest.param(["evaluate", "--buglogs", "{tmp}/elsewhere",
+                      "--reports", "{reports}"], "Counter.TxOrigin.buglog.json",
+                     id="evaluate-buglog-naming-another-file"),
     ])
     def test_bad_input_file_exits_two_naming_it(
             self, argv, named, tmp_path, mini_corpus, injected, reports,
@@ -611,6 +643,11 @@ class TestExitCodes:
         log = tmp_path / "reversed" / "Counter.TxOrigin.buglog.json"
         entries = json.loads(log.read_text(encoding="utf-8"))
         entries[0]["startLine"], entries[0]["endLine"] = 9, 3
+        log.write_text(json.dumps(entries), encoding="utf-8")
+        shutil.copytree(injected, tmp_path / "elsewhere")
+        log = tmp_path / "elsewhere" / "Counter.TxOrigin.buglog.json"
+        entries = json.loads(log.read_text(encoding="utf-8"))
+        entries[-1]["file"] = "Counter.sol"
         log.write_text(json.dumps(entries), encoding="utf-8")
         shutil.copytree(reports, tmp_path / "reports")
         (tmp_path / "reports" / "Slither.truth.json").write_text(
@@ -643,7 +680,8 @@ def test_every_flag_is_read_by_its_command():
 
 def test_traced_bindings_exist_in_every_importing_module():
     """The benchmark's tracer rebinds each function of ``_TARGETS`` by name
-    in its defining module and in every module listed as importing it."""
+    in its defining module and in every module listed as importing it, so
+    each of those names must be bound to the defining module's function."""
     tracing = Path(__file__).parent.parent / "perfbench" / "tracing.py"
     tree = ast.parse(tracing.read_text(encoding="utf-8"))
     targets = next(ast.literal_eval(node.value) for node in tree.body
@@ -651,6 +689,8 @@ def test_traced_bindings_exist_in_every_importing_module():
                    and [t.id for t in node.targets] == ["_TARGETS"])
     assert targets
     for home, attr, importers in targets.values():
-        for owner in (home, *importers):
+        defined = getattr(importlib.import_module(f"solbugsmith.{home}"), attr)
+        for owner in importers:
             module = importlib.import_module(f"solbugsmith.{owner}")
-            assert hasattr(module, attr), f"solbugsmith.{owner}.{attr}"
+            assert getattr(module, attr, None) is defined, \
+                f"solbugsmith.{owner}.{attr}"

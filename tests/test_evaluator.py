@@ -2,6 +2,7 @@
 extrapolation, and table rendering."""
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -218,6 +219,24 @@ class TestFalseNegatives:
         score = score_false_negatives(entries, findings, line_slack=10**12)
         assert score.detected_bug_ids == ("b0",)
         assert score.misidentified_bug_ids == ("b1",)
+
+
+    def test_a_long_augmenting_path_needs_no_deep_stack(self):
+        # every finding covers every entry, so the k-th finding's augmenting
+        # path has k links; the stack is allowed 100 more frames than this
+        n = 300
+        entries = [entry(f"b{i}", BugType.TOD, 1, 10) for i in range(n)]
+        findings = [finding(5, BugType.TOD) for _ in range(n)]
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            score = score_false_negatives(entries, findings)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert score.detected == n
 
 
 def _pairwise_score(entries, findings, line_slack=0):
@@ -520,6 +539,18 @@ class TestEvaluateCampaign:
         with pytest.raises(DomainError, match="t1 TOD: confirmed count 2 "
                            "exceeds the 1 sampled"):
             self.run(confirmed={"t1": {"TOD": 2}}, sample_size=1)
+
+    def test_a_repeated_id_counts_under_each_entrys_own_type(self):
+        # ids may repeat within a file (a custom pool can make them), even
+        # across types; each entry is scored under its own type
+        entries = [entry("b0", BugType.TOD, 3, 3),
+                   entry("b0", BugType.REENTRANCY, 9, 9)]
+        caps = {"t1": frozenset({BugType.TOD, BugType.REENTRANCY})}
+        scores = evaluate_campaign(entries, {"t1": [finding(3, BugType.TOD)]},
+                                   caps, {}, {}).scores
+        assert scores["t1"] == {
+            BugType.TOD: FNScore(1, 1, 0, 0, ("b0",), (), ()),
+            BugType.REENTRANCY: FNScore(1, 0, 0, 1, (), (), ("b0",))}
 
     def test_csv_rows_carry_the_table_cells(self):
         result = self.run()

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solbugsmith.errors import DomainError
-from solbugsmith.evaluator import ingest_report, score_false_negatives
-from solbugsmith.injector import BugLogEntry
+from solbugsmith.evaluator import (derive_thresholds, evaluate_campaign,
+                                   ingest_report, score_false_negatives)
+from solbugsmith.injector import BugLogEntry, inject_file
 from solbugsmith.model import Approach, BugType
 from solbugsmith.oracle import (EXTRA_TYPE_LABEL, OracleSpec, child_seed,
                                 dump_report, generate_tool_report)
@@ -36,6 +37,21 @@ def _make_buglogs():
 @pytest.fixture()
 def buglogs():
     return _make_buglogs()
+
+
+@pytest.fixture(scope="module")
+def campaign(corpus_sources, pool):
+    """Bug logs and line counts of two bundled contracts, each injected
+    once with every bug type."""
+    buglogs, line_counts = {}, {}
+    for name in ("Counter.sol", "PiggyBank.sol"):
+        for bug_type in BugType:
+            out_name = f"{name[:-len('.sol')]}.{bug_type.value}.sol"
+            result = inject_file(corpus_sources[name], bug_type, pool,
+                                 out_name)
+            buglogs[out_name] = result.entries
+            line_counts[out_name] = result.text.count("\n") + 1
+    return buglogs, line_counts
 
 
 LINES = {"a.sol": 40, "b.sol": 60}
@@ -168,6 +184,50 @@ class TestClosure:
         assert score.misidentified == len(truth["mistyped"])
         assert score.detected == score.injected \
             - len(truth["missed"]) - len(truth["mistyped"])
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(miss=st.floats(0, 1), mistype_share=st.floats(0, 1),
+           extra=st.integers(0, 8), seed=st.integers(0, 2**32))
+    def test_campaign_recovers_every_tools_planted_counts(
+            self, campaign, capabilities, miss, mistype_share, extra, seed):
+        """Per tool: missed and mistyped bugs, and per type the reported
+        and filtered false positives and the Miscellaneous count, replayed
+        from the truth documents alone."""
+        buglogs, line_counts = campaign
+        spec = OracleSpec(miss, mistype_share * (1 - miss), extra, seed)
+        findings, truths = {}, {}
+        for tool, capable in capabilities.items():
+            report, truths[tool] = generate_tool_report(
+                tool, capable, buglogs, line_counts, spec)
+            findings[tool] = ingest_report(dump_report(report))
+        entries = [e for name in sorted(buglogs) for e in buglogs[name]]
+        result = evaluate_campaign(entries, findings, capabilities, {}, {},
+                                   seed=seed)
+
+        thresholds = {bt.value: n
+                      for bt, n in derive_thresholds(capabilities).items()}
+        support: dict[tuple, set[str]] = {}
+        for tool, truth in truths.items():
+            for extra_finding in truth["extras"]:
+                key = tuple(extra_finding[k] for k in ("file", "line", "type"))
+                support.setdefault(key, set()).add(tool)
+        for tool, truth in truths.items():
+            scores = result.scores[tool].values()
+            assert sum(s.unreported for s in scores) == len(truth["missed"])
+            assert sum(s.misidentified for s in scores) == \
+                len(truth["mistyped"])
+            want: dict[str, list[int]] = {}
+            for extra_finding in truth["extras"]:
+                key = tuple(extra_finding[k] for k in ("file", "line", "type"))
+                cell = want.setdefault(key[2], [0, 0])
+                cell[0] += 1
+                cell[1] += len(support[key]) < thresholds.get(key[2], 0)
+            misc = want.pop(EXTRA_TYPE_LABEL, [0, 0])[0]
+            got = {bt.value: [cell.reported, cell.filtered]
+                   for bt, cell in result.cells[tool].items()
+                   if cell.reported}
+            assert got == want
+            assert result.misc_counts[tool] == misc
 
     def test_report_document_round_trips(self, buglogs):
         report, _ = generate_tool_report(

@@ -1,11 +1,15 @@
 """Parser structure, span discipline, opaque fallback, and hard errors."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
 from solbugsmith.errors import ParseError
-from solbugsmith.front import (FunctionDef, OpaqueMember, StateVarDecl, parse,
-                               parse_member_fragment, parse_statement_fragment)
+from solbugsmith.front import (FunctionDef, parse, parse_member_fragment,
+                               parse_statement_fragment)
 
 
 def _walk_spans(node, parent_span=None, bag=None):
@@ -47,9 +51,9 @@ class TestStructure:
         unit = parse(egame)
         assert [c.name for c in unit.contracts] == ["EGame"]
         members = unit.contracts[0].members
-        assert isinstance(members[0], StateVarDecl)
+        assert members[0].kind == "stateVar"
         assert members[0].name == "winner"
-        assert isinstance(members[1], StateVarDecl)
+        assert members[1].kind == "stateVar"
         assert members[1].name == "startTime"
         kinds = [m.kind for m in members[2:]]
         assert kinds == ["constructor", "function", "function"]
@@ -88,7 +92,7 @@ class TestStructure:
 
     def test_bodyless_declaration_is_opaque(self):
         members = parse_member_fragment("function ping() public;")
-        assert isinstance(members[0], OpaqueMember)
+        assert members[0].kind == "opaqueMember"
 
 
 class TestSpans:
@@ -140,7 +144,7 @@ class TestOpaqueFallback:
     def test_struct_and_enum_members_are_opaque(self, corpus_sources):
         unit = parse(corpus_sources["Escrow.sol"])
         opaque = [m for c in unit.contracts for m in c.members
-                  if isinstance(m, OpaqueMember)]
+                  if m.kind == "opaqueMember"]
         assert any(_source_of(unit, m).startswith("enum") for m in opaque)
 
     def test_unknown_statement_falls_back(self):
@@ -151,9 +155,9 @@ class TestOpaqueFallback:
     def test_opaque_region_respects_nested_braces(self):
         unit, members = _in_contract(
             "struct Pair { uint a; uint b; }\nuint after;")
-        assert isinstance(members[0], OpaqueMember)
+        assert members[0].kind == "opaqueMember"
         assert _source_of(unit, members[0]) == "struct Pair { uint a; uint b; }"
-        assert isinstance(members[1], StateVarDecl)
+        assert members[1].kind == "stateVar"
 
     def test_opaque_spans_reported(self, corpus_sources):
         # storage-pointer locals fall back to opaque statements of the bodies
@@ -254,3 +258,37 @@ def test_fragment_round_trip_kind_is_stable(stmt_text):
     unit, (stmt,) = _in_function(stmt_text)
     again = parse_statement_fragment(_source_of(unit, stmt))[0]
     assert again.kind == stmt.kind
+
+
+# SHA-256 of ``json.dumps(parse(src).to_json(), indent=2)``, the
+# ``locate --dump-ast`` document. Recorded from the bundled corpus and the
+# test fixtures; a change to any of them, or to the tree the parser builds,
+# must update these on purpose.
+AST_DIGESTS = {
+    "Auction.sol": "21320a52821d499782d2a3c7099cb7e64f5f4551de9fb4b6ba704dcd93bdb7ca",
+    "Counter.sol": "cbc2b97fe173a6e525ba0674d98c8ad38b48ddbe34536602b5656bfa11497035",
+    "Crowdfund.sol": "0de9f17ae8c52d70456b211d08adfc1e7e2e49a434c7b39ef3f19b13b4cc0f9f",
+    "Escrow.sol": "4a1023a192ff27d75bc0bb6fbd28f57a6279691bdb185cc9ccd3e6c507c8f055",
+    "Lottery.sol": "7a30ea6dcb5128f4297ecf7539340fdb0ee0c73fdb9f2abcad2e234502531e14",
+    "NameRegistry.sol": "bb2532e36f5bbfab68ed17c8de9a91b0b51df414b7566171adce030fc17dd6c6",
+    "PiggyBank.sol": "dca604c1f933bbeadb67187f875f7f4d2a2ea6810aa00ca79068c20a7bc9c860",
+    "SimpleWallet.sol": "4b71f34362d1e7c8abd90196e53a4a1493daec8a0f3bb9bb239ae4876dd9b545",
+    "Splitter.sol": "73340db1bc20d408b44db6cf00f3d80cfacc715865f589940bab6bc0b72559cf",
+    "TimeLock.sol": "14f35e617900c03051fe2ba02c15f8fe2c6d0f6bbe8927aaf36ca821ea9f49ce",
+    "TokenLedger.sol": "0dc946dbd27ee320404f370eeeab43baac8f9c8f5b2743fe55052f0907285845",
+    "VaultToken.sol": "e4b7564964e96f7f038189f2980d811beb17e6bb7833e173125755b0a901dd3c",
+    "EGame.sol": "52ec131a7c5c09521c87d05b3a94804c1c3f2b274eaac517aa7ecc6864f86716",
+    "ThrowGuards.sol": "8259e23588b801f3ab68814f452dbbe72aa609c897fc6d0fed8d8c9850b17787",
+}
+
+
+def test_span_trees_match_recorded_digests(corpus_sources):
+    """Every bundled contract and every ``tests/fixtures`` source."""
+    fixtures = Path(__file__).parent / "fixtures"
+    sources = dict(corpus_sources)
+    sources.update((p.name, p.read_text(encoding="utf-8"))
+                   for p in sorted(fixtures.glob("*.sol")))
+    got = {name: hashlib.sha256(json.dumps(parse(src).to_json(), indent=2)
+                                .encode("utf-8")).hexdigest()
+           for name, src in sources.items()}
+    assert got == AST_DIGESTS
