@@ -229,16 +229,17 @@ def _read_buglogs(raw: str) -> dict[str, list[BugLogEntry]]:
     root = Path(raw)
     if not root.is_dir():
         raise _ConfigError(f"buglog directory does not exist: {raw}")
-    logs = {f"{stem}.sol": entries for stem, entries in
-            _read_documents(root, ".buglog.json", load_buglog).items()}
-    if not logs:
-        raise MissingBugLog(f"no *.buglog.json files in {raw}")
-    for name, entries in logs.items():
+    logs = {}
+    for stem, entries in _read_documents(root, ".buglog.json",
+                                         load_buglog).items():
+        name = f"{stem}.sol"
         other = next((e.file for e in entries if e.file != name), None)
         if other is not None:
-            raise MalformedDocument(
-                f"{root / name[:-len('.sol')]}.buglog.json: an entry names "
-                f"{other!r}, not {name!r}")
+            raise MalformedDocument(f"{root / stem}.buglog.json: an entry "
+                                    f"names {other!r}, not {name!r}")
+        logs[name] = entries
+    if not logs:
+        raise MissingBugLog(f"no *.buglog.json files in {raw}")
     return logs
 
 

@@ -128,38 +128,35 @@ def score_false_negatives(entries: list[BugLogEntry],
     findings that can pair with an entry of their own type, then everything
     that can only pair by line. Augmentation never unmatches a finding, so
     type-correct pairings are never sacrificed for line-only ones. A
-    finding's candidate entries are read from the line index ``_covering``;
-    findings with the same file, line and reported type share one list.
+    finding's candidate entries are read from the line index ``_covering``,
+    and findings whose candidate lists are equal share one list.
     """
     entry_order = sorted(range(len(entries)),
                          key=lambda i: _tightness(entries[i]))
     cover = _covering([entries[i] for i in entry_order], findings, line_slack)
-    edges: list[list[int]] = []  # candidate entries, one list per key
-    typed: list[bool] = []
-    key_of: dict[tuple, int] = {}
+    list_of: dict[tuple[int, ...], int] = {}  # candidate list -> its index
+    key_of: dict[tuple, tuple[int, bool]] = {}  # -> (list index, typed)
     keys: list[int] = []  # finding -> index of its list
+    typed: list[bool] = []  # finding -> pairs by its own type
     for finding in findings:
-        key = key_of.setdefault(
-            (finding.file, finding.line, finding.reported_type), len(edges))
-        if key == len(edges):
+        key = (finding.file, finding.line, finding.reported_type)
+        if key not in key_of:
             local = [entry_order[k] for k in
                      cover.get(finding.file, {}).get(finding.line, ())]
             same = [i for i in local
                     if entries[i].bug_type is finding.reported_type]
-            edges.append(same or local)
-            typed.append(bool(same))
-        keys.append(key)
+            key_of[key] = (list_of.setdefault(tuple(same or local),
+                                              len(list_of)), bool(same))
+        keys.append(key_of[key][0])
+        typed.append(key_of[key][1])
+    edges = list(list_of)
 
     owner: dict[int, int] = {}
     finding_order = sorted(
         range(len(findings)),
-        key=lambda j: (not typed[keys[j]], findings[j].line,
-                       findings[j].tool, j))
+        key=lambda j: (not typed[j], findings[j].line, findings[j].tool, j))
     for f_idx in finding_order:
-        candidates = edges[keys[f_idx]]
-        if candidates and candidates[0] not in owner:
-            owner[candidates[0]] = f_idx  # the search's first step succeeds
-        elif candidates:
+        if edges[keys[f_idx]]:
             _augment(f_idx, keys, edges, owner)
 
     detected_ids, mis_ids, unreported_ids = [], [], []
@@ -352,15 +349,15 @@ def _tightness(entry: BugLogEntry) -> tuple:
     return entry.end_line - entry.start_line, entry.start_line, entry.bug_id
 
 
-def _augment(root: int, keys: list[int], edges: list[list[int]],
+def _augment(root: int, keys: list[int], edges: list[tuple[int, ...]],
              owner: dict[int, int]) -> None:
     """Kuhn's depth-first search for an augmenting path from finding
     ``root``, with a stack in place of recursion; finding ``f`` may take
     the entries ``edges[keys[f]]``, and a path found is applied to
     ``owner``. A frame scans its list in order, skipping the entries
     already seen, and every entry it passes joins ``seen``. So the frames
-    over one list can share one iterator: it skips only entries that a scan
-    from the start would skip too."""
+    over equal lists, which share one index, can share one iterator: it
+    skips only entries that a scan from the start would skip too."""
     seen: set[int] = set()
     scans: dict[int, Iterator[int]] = {}  # one per edge list
     path: list[tuple[int, int]] = []  # (finding, entry) along the search

@@ -8,6 +8,7 @@ import importlib
 import inspect
 import json
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -278,8 +279,10 @@ class TestEvaluate:
     def test_slack_wider_than_the_file_scores_without_a_traceback(
             self, tmp_path, capsys):
         # Every finding covers every entry, so the k-th finding's augmenting
-        # path has k links: more than the interpreter's recursion limit.
-        n = 1100
+        # path has k links: more than the interpreter's recursion limit. The
+        # findings sit on distinct lines; a search that rescans each line's
+        # candidates along the path is cubic and takes about half a minute.
+        n = 2000
         buggy, reports, out = (tmp_path / d for d in ("b", "r", "e"))
         buggy.mkdir()
         reports.mkdir()
@@ -290,13 +293,16 @@ class TestEvaluate:
             for i in range(1, n + 1)]), encoding="utf-8")
         (reports / "Oyente.report.json").write_text(json.dumps(
             {"tool": "Oyente", "findings": [
-                {"file": "Deep.sol", "line": 1, "type": "TOD"}] * n}),
+                {"file": "Deep.sol", "line": i, "type": "TOD"}
+                for i in range(1, n + 1)]}),
             encoding="utf-8")
         caps = tmp_path / "caps.json"
         caps.write_text('{"Oyente": ["TOD"]}', encoding="utf-8")
+        started = time.perf_counter()
         assert main(["evaluate", "--buglogs", str(buggy), "--reports",
                      str(reports), "--capabilities", str(caps), "--out",
                      str(out), "--line-slack", "100000"]) == 0
+        assert time.perf_counter() - started < 15
         assert "Traceback" not in capsys.readouterr().err
         assert f"Oyente,TOD,{n},{n},0,0," in \
             (out / "fn_scores.csv").read_text(encoding="utf-8")
