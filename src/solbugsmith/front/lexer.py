@@ -5,14 +5,17 @@ token running through its terminating semicolon, so re-serializing the
 stream (tokens plus the whitespace gaps between them) reproduces the input
 byte-for-byte.
 
-The token grammar is one table, the ``_TOKEN`` pattern, with one named
-alternative per line. At each offset the first alternative that matches
+The token grammar is one table, the ``_TOKEN`` pattern: a run of
+whitespace, then one named alternative per line. The whitespace before a
+token belongs to its match, so the scan takes one step per token; the
+whitespace after the last token is one final match that names no
+alternative. After the whitespace, the first alternative that matches
 wins, so their order is the longest-match and error policy: a complete
 comment, string or pragma is tried before its unterminated opener (a
 LexError at the opener), a word before a punctuator, three-character
 operators before two-character ones before single characters, and any
 other byte last (an illegal character). A LexError is raised at the start
-of the offending match.
+of the offending alternative, after the whitespace.
 
 A keyword or punctuator text is never given any other kind, so a reader
 that compares a token's text with one of those needs no kind test.
@@ -22,10 +25,10 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import LexError
-from .spans import Span, column_of
+from .spans import column_of
 
 
 class TokenKind(enum.Enum):
@@ -38,11 +41,16 @@ class TokenKind(enum.Enum):
     PRAGMA = "pragmaDirective"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token: its text, its half-open byte range [start, end), and the
+    1-based lines of its first and last byte."""
+
     kind: TokenKind
     text: str
-    span: Span
+    start: int
+    end: int
+    start_line: int
+    end_line: int
 
 
 def _elementary_types() -> frozenset[str]:
@@ -72,53 +80,71 @@ STRUCTURAL_KEYWORDS = frozenset(
 
 KEYWORDS = STRUCTURAL_KEYWORDS | ELEMENTARY_TYPES | UNIT_KEYWORDS
 
-# Every alternative consumes at least one byte, so the matches tile the input.
-# Upper-case groups are TokenKind names; the others are skipped or errors.
+# Each match is a run of whitespace and then one alternative, or the bare
+# ``\Z`` at the end of the input. Any byte but whitespace starts an alternative
+# (``illegal`` takes any byte), so the matches tile the input and the scan
+# never backtracks into the whitespace, which would make it quadratic.
+# Upper-case groups are TokenKind names; the others are errors.
 _TOKEN = re.compile(rb"""
-    (?P<whitespace>[ \t\r\n]+)
-  | (?P<COMMENT>//[^\n]*|/\*.*?\*/)
-  | (?P<open_comment>/\*)
-  | (?P<STRING>"(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*')
-  | (?P<open_string>["'])
-  | (?P<NUMBER>0[xX][0-9a-fA-F]*|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
-  | (?P<PRAGMA>pragma(?![A-Za-z0-9_$])[^;]*;)
-  | (?P<open_pragma>pragma(?![A-Za-z0-9_$]))
-  | (?P<IDENTIFIER>[A-Za-z_$][A-Za-z0-9_$]*)
-  | (?P<PUNCTUATOR>>>=|<<=|==|!=|<=|>=|&&|\|\||\+=|-=|\*=|/=|%=|\+\+|--|=>|\*\*
-                  |<<|>>|[-+*/%!=<>(){}\[\];,.?:&|^~])
-  | (?P<illegal>.)
+    [ \t\r\n]*
+    (?: (?P<COMMENT>//[^\n]*|/\*.*?\*/)
+      | (?P<open_comment>/\*)
+      | (?P<STRING>"(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*')
+      | (?P<open_string>["'])
+      | (?P<NUMBER>0[xX][0-9a-fA-F]*|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
+      | (?P<PRAGMA>pragma(?![A-Za-z0-9_$])[^;]*;)
+      | (?P<open_pragma>pragma(?![A-Za-z0-9_$]))
+      | (?P<IDENTIFIER>[A-Za-z_$][A-Za-z0-9_$]*)
+      | (?P<PUNCTUATOR>>>=|<<=|==|!=|<=|>=|&&|\|\||\+=|-=|\*=|/=|%=|\+\+|--
+                      |=>|\*\*|<<|>>|[-+*/%!=<>(){}\[\];,.?:&|^~])
+      | (?P<illegal>.)
+      | \Z )
 """, re.VERBOSE | re.DOTALL)
 
+# group number -> TokenKind, or None for an error group
+_KINDS = {index: TokenKind.__members__.get(name)
+          for name, index in _TOKEN.groupindex.items()}
+
 _ERRORS = {
-    "open_comment": "unterminated block comment",
-    "open_string": "unterminated string literal",
-    "open_pragma": "unterminated pragma directive",
+    _TOKEN.groupindex["open_comment"]: "unterminated block comment",
+    _TOKEN.groupindex["open_string"]: "unterminated string literal",
+    _TOKEN.groupindex["open_pragma"]: "unterminated pragma directive",
 }
+
+# the kinds whose text may hold a newline
+_MULTILINE = frozenset({TokenKind.COMMENT, TokenKind.STRING, TokenKind.PRAGMA})
 
 
 def tokenize(source: str) -> list[Token]:
     """Lex ``source`` into a lossless token stream (byte-offset spans)."""
     data = source.encode("utf-8")
     tokens: list[Token] = []
-    kinds = TokenKind.__members__
+    append = tokens.append
+    make = tuple.__new__  # what Token._make calls, without the method call
+    count = data.count
+    kinds = _KINDS
+    identifier, keyword = TokenKind.IDENTIFIER, TokenKind.KEYWORD
+    keywords, multiline = KEYWORDS, _MULTILINE
     line = 1
+    pos = 0  # end of the previous match: the matches tile the input
     for match in _TOKEN.finditer(data):
-        group = match.lastgroup
-        start, end = match.span()
-        if group == "whitespace":
-            line += data.count(b"\n", start, end)
-            continue
-        kind = kinds.get(group)
+        index = match.lastindex
+        if index is None:  # trailing whitespace
+            break
+        start, end = match.span(index)
+        if pos != start:
+            line += count(b"\n", pos, start)
+        kind = kinds[index]
         if kind is None:
-            message = _ERRORS.get(group) or f"illegal character {match[0]!r}"
+            message = (_ERRORS.get(index)
+                       or f"illegal character {match[index]!r}")
             raise LexError(line, column_of(data, start), message)
-        text = match[0].decode("utf-8")
-        if kind is TokenKind.IDENTIFIER and text in KEYWORDS:
-            kind = TokenKind.KEYWORD
-        newlines = data.count(b"\n", start, end)
-        # most tokens end on their first line; share its int object
-        end_line = line + newlines if newlines else line
-        tokens.append(Token(kind, text, Span(start, end, line, end_line)))
-        line = end_line
+        text = match[index].decode("utf-8")
+        if kind is identifier and text in keywords:
+            kind = keyword
+        start_line = line
+        if kind in multiline:
+            line += count(b"\n", start, end)
+        append(make(Token, (kind, text, start, end, start_line, line)))
+        pos = end
     return tokens
-

@@ -41,14 +41,17 @@ def parse(source: str) -> SourceUnit:
 
 def _between(open_tok: Token, close_tok: Token) -> Span:
     """Span strictly inside a bracket pair (both brackets excluded)."""
-    return Span(open_tok.span.end, close_tok.span.start,
-                open_tok.span.end_line, close_tok.span.start_line)
+    return Span(open_tok.end, close_tok.start,
+                open_tok.end_line, close_tok.start_line)
 
 
 class _Parser:
     def __init__(self, source: str, tokens: list[Token]) -> None:
         self.data = source.encode("utf-8")
         self.toks = [t for t in tokens if t.kind is not TokenKind.COMMENT]
+        # the token texts, then "" (no token's text) at the end of input
+        self.texts = [t.text for t in self.toks]
+        self.texts.append("")
         self.i = 0
 
     # -- token plumbing ---------------------------------------------------
@@ -59,9 +62,9 @@ class _Parser:
     def _cur(self) -> Token | None:
         return self.toks[self.i] if self.i < len(self.toks) else None
 
-    def _next_text(self) -> str | None:
-        nxt = self.i + 1
-        return self.toks[nxt].text if nxt < len(self.toks) else None
+    def _next_text(self) -> str:
+        """The text after the current token's; only valid before the end."""
+        return self.texts[self.i + 1]
 
     def _advance(self) -> Token:
         tok = self.toks[self.i]
@@ -72,14 +75,13 @@ class _Parser:
         tok = self._cur()
         if tok is None:
             if self.toks:
-                last = self.toks[-1].span
-                line, col = last.end_line, last.end + 1
+                last = self.toks[-1]
+                line, col = last.end_line, column_of(self.data, last.end)
             else:
                 line, col = 1, 1
             return ParseError(line, col, expected, "end of input")
-        return ParseError(tok.span.start_line,
-                          column_of(self.data, tok.span.start), expected,
-                          repr(tok.text))
+        return ParseError(tok.start_line, column_of(self.data, tok.start),
+                          expected, repr(tok.text))
 
     def _expect(self, text: str) -> Token:
         if not self._is(text):
@@ -93,18 +95,18 @@ class _Parser:
         return self._advance()
 
     def _is(self, text: str) -> bool:
-        return self.i < len(self.toks) and self.toks[self.i].text == text
+        return self.texts[self.i] == text
 
     def _in(self, texts) -> bool:
-        return self.i < len(self.toks) and self.toks[self.i].text in texts
+        return self.texts[self.i] in texts
 
     def _skip_keywords(self, words: frozenset[str]) -> None:
         while self._in(words):
             self._advance()
 
     def _span_from(self, start_idx: int) -> Span:
-        first = self.toks[start_idx].span
-        last = self.toks[self.i - 1].span
+        first = self.toks[start_idx]
+        last = self.toks[self.i - 1]
         return Span(first.start, last.end, first.start_line, last.end_line)
 
     # -- top level ---------------------------------------------------------

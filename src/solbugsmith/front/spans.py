@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import OutOfRange
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """Half-open byte range [start, end) with 1-based line endpoints."""
 
     start: int

@@ -53,16 +53,16 @@ def _balance_errors(data: bytes, tokens: list[Token]) -> list[Diagnostic]:
         elif tok.text in _CLOSERS:
             if not stack:
                 diags.append(Diagnostic(
-                    tok.span.start_line, column_of(data, tok.span.start),
+                    tok.start_line, column_of(data, tok.start),
                     f"unmatched '{tok.text}'"))
             else:
                 opener = stack.pop()
                 if _PAIR[opener.text] != tok.text:
                     diags.append(Diagnostic(
-                        tok.span.start_line, column_of(data, tok.span.start),
+                        tok.start_line, column_of(data, tok.start),
                         f"'{opener.text}' closed by '{tok.text}'"))
     for opener in stack:
         diags.append(Diagnostic(
-            opener.span.start_line, column_of(data, opener.span.start),
+            opener.start_line, column_of(data, opener.start),
             f"unclosed '{opener.text}'"))
     return diags

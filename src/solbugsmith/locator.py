@@ -233,7 +233,7 @@ def _failure_carrier(unit: SourceUnit, if_stmt: Stmt) -> Stmt | None:
 
 
 def _has_send_call(unit: SourceUnit, span: Span) -> bool:
-    toks = [t for t in unit.tokens if span.start <= t.span.start < span.end]
+    toks = [t for t in unit.tokens if span.start <= t.start < span.end]
     return any(dot.text == "." and name.text == "send"
                for dot, name in zip(toks, toks[1:]))
 
@@ -259,8 +259,8 @@ def find_transformable_code(unit: SourceUnit, bug_type: BugType,
             if any(stream[start + k].text != needle[k]
                    for k in range(len(needle))):
                 continue
-            first = stream[start].span
-            last = stream[start + len(needle) - 1].span
+            first = stream[start]
+            last = stream[start + len(needle) - 1]
             span = Span(first.start, last.end, first.start_line, last.end_line)
             if any(o.overlaps(span) for o in opaque):
                 continue

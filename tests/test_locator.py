@@ -285,9 +285,9 @@ def probe_oracle_offsets(src: str) -> set[int]:
     candidates = set()
     for tok in tokenize(src):
         if tok.kind is TokenKind.PUNCTUATOR and tok.text in (";", "{", "}"):
-            candidates.add(tok.span.end)
+            candidates.add(tok.end)
         elif tok.kind is TokenKind.PRAGMA:
-            candidates.add(tok.span.end)
+            candidates.add(tok.end)
     accepted = set()
     for offset in sorted(candidates):
         spliced = (data[:offset] + b" " + PROBE.encode() + b" "

@@ -227,6 +227,15 @@ def test_error_position_expected_and_found(src, column, expected, found):
             err.value.found) == (1, column, expected, found)
 
 
+def test_end_of_input_error_column_is_within_the_last_line():
+    src = ("contract A {\n    uint x;\n    function f() public {\n"
+           "        x = 1;\n")
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert str(err.value) == \
+        "4:15: expected '}' closing function body, found end of input"
+
+
 @given(st.integers(min_value=0, max_value=11),
        st.sampled_from([" ", "\n", "\t", " /* pad */ ", " // pad\n"]))
 def test_whitespace_between_tokens_preserves_shape(gap_index, filler):
@@ -236,7 +245,7 @@ def test_whitespace_between_tokens_preserves_shape(gap_index, filler):
     from solbugsmith.front import tokenize
     toks = tokenize(base)
     idx = min(gap_index + 4, len(toks) - 1)
-    cut = toks[idx].span.start
+    cut = toks[idx].start
     src = base[:cut] + filler + base[cut:]
 
     def shape(text):
