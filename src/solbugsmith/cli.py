@@ -262,12 +262,15 @@ def _cmd_locate(args: argparse.Namespace) -> int:
     failures: list[tuple[str, str]] = []
 
     for path, source in _sources(files, failures):
+        try:
+            unit = parse(source)
+        except SolBugSmithError as exc:
+            names = [path.name] if args.dump_ast else \
+                [f"{path.name} ({bug_type})" for bug_type in bug_types]
+            failures.extend((name, str(exc)) for name in names)
+            continue
         if args.dump_ast:
-            try:
-                doc = json.dumps(parse(source).to_json(), indent=2)
-            except SolBugSmithError as exc:
-                failures.append((path.name, str(exc)))
-                continue
+            doc = json.dumps(unit.to_json(), indent=2)
             if out_dir is not None:
                 (out_dir / f"{path.stem}.ast.json").write_text(doc + "\n",
                                                                encoding="utf-8")
@@ -275,12 +278,8 @@ def _cmd_locate(args: argparse.Namespace) -> int:
                 print(doc)
             continue
         for bug_type in bug_types:
-            try:
-                profile = find_all_potential_locations(source, bug_type, pool,
-                                                       source_id=path.name)
-            except SolBugSmithError as exc:
-                failures.append((f"{path.name} ({bug_type})", str(exc)))
-                continue
+            profile = find_all_potential_locations(unit, bug_type, pool,
+                                                   source_id=path.name)
             if args.dump_bip:
                 print(dump_profile(profile), end="")
             if out_dir is not None:
@@ -304,10 +303,16 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     written = 0
     total_bugs = 0
     for path, source in _sources(files, failures):
+        try:
+            unit = parse(source)
+        except SolBugSmithError as exc:
+            failures.extend((f"{path.stem}.{bug_type.value}.sol", str(exc))
+                            for bug_type in bug_types)
+            continue
         for bug_type in bug_types:
             out_name = f"{path.stem}.{bug_type.value}.sol"
             try:
-                result = inject_file(source, bug_type, pool, out_name,
+                result = inject_file(unit, bug_type, pool, out_name,
                                      args.counter_start)
             except SolBugSmithError as exc:
                 failures.append((out_name, str(exc)))

@@ -18,14 +18,20 @@ class LexError(SolBugSmithError):
 
 
 class ParseError(SolBugSmithError):
-    """Raised on a grammar violation, carrying the offending position."""
+    """Raised on a grammar violation, carrying the offending position.
 
-    def __init__(self, line: int, column: int, expected: str, found: str) -> None:
+    ``bracket`` names the bracket fault behind the violation when the parser
+    sees one there: ``'(' closed by '}'``, ``unmatched ')'`` or, at the end
+    of input, ``unclosed '{'``; otherwise it is None."""
+
+    def __init__(self, line: int, column: int, expected: str, found: str,
+                 bracket: str | None = None) -> None:
         super().__init__(f"{line}:{column}: expected {expected}, found {found}")
         self.line = line
         self.column = column
         self.expected = expected
         self.found = found
+        self.bracket = bracket
 
 
 class OutOfRange(SolBugSmithError):

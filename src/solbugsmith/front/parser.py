@@ -26,7 +26,7 @@ _STATE_VAR_WORDS = _VISIBILITY | {"constant"}
 _PARAM_WORDS = _DATA_LOCATION | {"indexed", "payable"}
 _ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%="})
 _OPEN = {"(": ")", "[": "]", "{": "}"}
-_CLOSE = frozenset(")]}")
+_OPENER = {close: open_ for open_, close in _OPEN.items()}
 
 _BINARY_OPS = frozenset({"||", "&&", "|", "^", "&", "==", "!=", "<", ">",
                          "<=", ">=", "<<", ">>", "+", "-", "*", "/", "%",
@@ -71,21 +71,33 @@ class _Parser:
         self.i += 1
         return tok
 
-    def _error(self, expected: str) -> ParseError:
+    def _error(self, expected: str, closer: str | None = None) -> ParseError:
+        """A ParseError at the current token. ``closer`` is the closer the
+        innermost open bracket needs here ("" when none is open); given it,
+        a closer of another kind or the end of input is named as a bracket
+        fault."""
         tok = self._cur()
+        text = self.texts[self.i]
+        bracket = None
+        if closer is not None:
+            if text in _OPENER and text != closer:
+                bracket = (f"'{_OPENER[closer]}' closed by '{text}'" if closer
+                           else f"unmatched '{text}'")
+            elif tok is None and closer:
+                bracket = f"unclosed '{_OPENER[closer]}'"
         if tok is None:
             if self.toks:
                 last = self.toks[-1]
                 line, col = last.end_line, column_of(self.data, last.end)
             else:
                 line, col = 1, 1
-            return ParseError(line, col, expected, "end of input")
+            return ParseError(line, col, expected, "end of input", bracket)
         return ParseError(tok.start_line, column_of(self.data, tok.start),
-                          expected, repr(tok.text))
+                          expected, repr(tok.text), bracket)
 
     def _expect(self, text: str) -> Token:
         if not self._is(text):
-            raise self._error(repr(text))
+            raise self._error(repr(text), text if text in _OPENER else None)
         return self._advance()
 
     def _expect_identifier(self, what: str = "identifier") -> Token:
@@ -120,7 +132,7 @@ class _Parser:
             elif tok.text == "contract":
                 contracts.append(self._contract())
             else:
-                raise self._error("'contract' or pragma directive")
+                raise self._error("'contract' or pragma directive", "")
         return SourceUnit(contracts, self.data, tokens=self.toks)
 
     def _contract(self) -> ContractDef:
@@ -135,8 +147,8 @@ class _Parser:
         lbrace = self._expect("{")
         items = []
         while not self._is("}"):
-            if self._at_end():
-                raise self._error(f"'}}' closing {what}")
+            if self._at_end() or self._in(_OPENER):
+                raise self._error(f"'}}' closing {what}", "}")
             items.append(item())
         return items, _between(lbrace, self._expect("}"))
 
@@ -234,7 +246,7 @@ class _Parser:
             if self._is(","):
                 self._advance()
             elif not self._is(")"):
-                raise self._error("',' or ')'")
+                raise self._error("',' or ')'", ")")
         self._expect(")")
 
     def _event_def(self) -> Decl:
@@ -246,42 +258,46 @@ class _Parser:
         return Decl("event", self._span_from(start), name.text)
 
     def _consume_balanced(self, what: str) -> Span:
-        """Consume until ';' at depth 0, or until a depth-0 brace group closes."""
+        """Consume until ';' at depth 0, or until a depth-0 brace group
+        closes. A closer of the wrong kind is a bracket fault."""
         start = self.i
-        depth = 0
-        entered_brace = False
+        closers: list[str] = []  # what each open bracket needs, innermost last
         while not self._at_end():
-            text = self.toks[self.i].text
+            text = self.texts[self.i]
             if text in _OPEN:
-                if text == "{" and depth == 0:
-                    entered_brace = True
-                depth += 1
-            elif text in _CLOSE:
-                if depth == 0:
-                    break  # enclosing '}' reached: unterminated
-                depth -= 1
-                self._advance()
-                if depth == 0 and text == "}" and entered_brace:
+                closers.append(_OPEN[text])
+            elif text in _OPENER:
+                if not closers:
+                    break  # enclosing closer reached: unterminated
+                if text != closers[-1]:
+                    raise self._error(repr(closers[-1]), closers[-1])
+                closers.pop()
+                self.i += 1
+                if not closers and text == "}":
                     return self._span_from(start)
                 continue
-            elif text == ";" and depth == 0:
-                self._advance()
+            elif text == ";" and not closers:
+                self.i += 1
                 return self._span_from(start)
-            self._advance()
+            self.i += 1
         self.i = start
         raise self._error(f"terminated {what}")
 
     def _skip_balanced(self, opener: str) -> None:
+        """Skip a bracketed group, checking that its brackets nest."""
         self._expect(opener)
-        depth = 1
-        while depth > 0:
-            if self._at_end():
-                raise self._error(f"'{_OPEN[opener]}'")
-            text = self._advance().text
+        closers = [_OPEN[opener]]
+        while closers:
+            text = self.texts[self.i]
             if text in _OPEN:
-                depth += 1
-            elif text in _CLOSE:
-                depth -= 1
+                closers.append(_OPEN[text])
+            elif text in _OPENER:
+                if text != closers[-1]:
+                    raise self._error(repr(closers[-1]), closers[-1])
+                closers.pop()
+            elif self._at_end():
+                raise self._error(f"'{_OPEN[opener]}'", closers[-1])
+            self.i += 1
 
     # -- statements ----------------------------------------------------------
 
@@ -326,8 +342,10 @@ class _Parser:
             self.i = checkpoint
             try:
                 span = self._consume_balanced("statement")
-            except ParseError:
-                raise first_err from None
+            except ParseError as err:
+                # a bracket fault in the statement is the cause; the strict
+                # attempt's error is only its symptom
+                raise (err if err.bracket else first_err) from None
             return Stmt("expressionStmt", span, [], opaque=True)
 
     def _stmt(self, kind: str, start: int, children: list[Stmt] | None = None,

@@ -20,11 +20,13 @@ from dataclasses import dataclass
 from . import front, locator
 from .errors import (EditConflict, MalformedDocument, SolBugSmithError,
                      StaleProfile)
-from .front import LineIndex, parse
+from .front import LineIndex, SourceUnit
 from .locator import (InjectionProfile, SnippetSite, TransformSite,
                       WeakenSite, source_digest)
 from .model import Approach, BugType
 from .pool import BugPool, instantiate, lead_identifier
+# unused here, but perfbench/tracing.py rebinds these names in this module
+from .front import parse  # noqa: F401
 
 CSV_COLUMNS = ("bugId", "bugType", "approach", "snippetId", "file",
                "startLine", "endLine", "byteStart", "byteEnd")
@@ -73,33 +75,33 @@ class _Edit:
     logged: list[tuple[int, int, int]]
 
 
-def inject_file(source: str, bug_type: BugType, pool: BugPool, name: str,
-                counter_start: int = 0) -> InjectionResult:
-    """Inject one ``bug_type`` bug at every site of ``source`` and check that
-    the output still validates; its log entries name the file ``name``.
-    SolBugSmithError if the output has diagnostics."""
+def inject_file(unit: SourceUnit, bug_type: BugType, pool: BugPool,
+                name: str, counter_start: int = 0) -> InjectionResult:
+    """Inject one ``bug_type`` bug at every site of the parsed source
+    ``unit`` and check that the output still validates; its log entries
+    name the file ``name``. SolBugSmithError naming the output's first
+    fault if it does not validate."""
     # through the module attributes, which perfbench/tracing.py rebinds
-    profile = locator.find_all_potential_locations(source, bug_type, pool,
+    profile = locator.find_all_potential_locations(unit, bug_type, pool,
                                                    source_id=name)
-    result = inject_all(source, profile, pool, counter_start=counter_start)
+    result = inject_all(unit, profile, pool, counter_start=counter_start)
     diagnostics = front.validate(result.text)
     if diagnostics:
         first = diagnostics[0]
-        raise SolBugSmithError(
-            f"output failed validation ({len(diagnostics)} diagnostic(s); "
-            f"first at line {first.line}: {first.message})")
+        raise SolBugSmithError(f"output failed validation at line "
+                               f"{first.line}: {first.message}")
     return result
 
 
-def inject_all(source: str, profile: InjectionProfile, pool: BugPool,
+def inject_all(unit: SourceUnit, profile: InjectionProfile, pool: BugPool,
                counter_start: int = 0) -> InjectionResult:
-    """Inject one bug per profile site; returns new text plus its bug log,
-    whose entries name the file ``profile.source_id``."""
-    if source_digest(source) != profile.source_digest:
+    """Inject one bug per profile site into the parsed source ``unit``;
+    returns new text plus its bug log, whose entries name the file
+    ``profile.source_id``."""
+    if source_digest(unit.data) != profile.source_digest:
         raise StaleProfile(
             f"profile for {profile.source_id!r} does not match the source")
-    data = source.encode("utf-8")
-    unit = parse(source)
+    data = unit.data
 
     picks: Counter = Counter()
     # per contract: its context declarations, each with the first site

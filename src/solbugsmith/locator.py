@@ -21,8 +21,10 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .front import FunctionDef, SourceUnit, Span, Stmt, parse
+from .front import FunctionDef, SourceUnit, Span, Stmt
 from .front.lexer import TokenKind, tokenize
+# unused here, but perfbench/tracing.py rebinds these names in this module
+from .front import parse  # noqa: F401
 from .model import BugType, SnippetForm
 from .pool import BugPool, TransformPattern, WeakeningRule
 
@@ -96,15 +98,16 @@ class InjectionProfile:
                 "sites": [s.to_json() for s in self.sites]}
 
 
-def source_digest(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
+def source_digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
-def find_all_potential_locations(source: str, bug_type: BugType,
+def find_all_potential_locations(unit: SourceUnit, bug_type: BugType,
                                  pool: BugPool,
                                  source_id: str = "<memory>") -> InjectionProfile:
-    """Union of snippet, transform, and weaken sites for one bug type."""
-    unit = parse(source)
+    """Union of snippet, transform, and weaken sites for one bug type in
+    the parsed source ``unit``; parse once and locate every bug type in the
+    same unit."""
     sites: list[Site] = []
     for form in pool.forms_for(bug_type):
         if form is SnippetForm.FUNCTION_DEFINITION:
@@ -118,7 +121,7 @@ def find_all_potential_locations(source: str, bug_type: BugType,
     ordered = sorted(enumerate(sites), key=_order_key)
     return InjectionProfile(source_id, bug_type,
                             tuple(site for _, site in ordered),
-                            source_digest(source))
+                            source_digest(unit.data))
 
 
 def _order_key(pair: tuple[int, Site]):

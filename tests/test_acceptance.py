@@ -14,7 +14,7 @@ import pytest
 from solbugsmith.cli import main
 from solbugsmith.evaluator import (derive_thresholds, estimate_false_positives,
                                    filter_by_majority, fn_cell)
-from solbugsmith.front import validate
+from solbugsmith.front import parse, validate
 from solbugsmith.injector import inject_all
 from solbugsmith.locator import SnippetSite, find_all_potential_locations
 from solbugsmith.model import BugType, SnippetForm
@@ -51,10 +51,11 @@ def corpus_injections(corpus_sources, pool):
     results = {}
     for name in sorted(corpus_sources):
         src = corpus_sources[name]
+        unit = parse(src)
         for bug_type in ALL_TYPES:
-            profile = find_all_potential_locations(src, bug_type, pool,
+            profile = find_all_potential_locations(unit, bug_type, pool,
                                                    source_id=name)
-            results[(name, bug_type)] = inject_all(src, profile, pool)
+            results[(name, bug_type)] = inject_all(unit, profile, pool)
     return results, time.perf_counter() - started
 
 
@@ -96,7 +97,8 @@ def test_criterion_3_locator_completeness(corpus_sources, pool):
                 if _count_lines(src) <= 50}
     mismatches = []
     for name, src in sorted(subjects.items()):
-        profile = find_all_potential_locations(src, BugType.REENTRANCY, pool)
+        profile = find_all_potential_locations(parse(src), BugType.REENTRANCY,
+                                               pool)
         located = {s.offset for s in profile.sites
                    if isinstance(s, SnippetSite)
                    and s.form is SnippetForm.SIMPLE_STATEMENT}
@@ -252,10 +254,11 @@ def test_criterion_8_injection_speed(corpus_sources, pool):
     lines = _count_lines(src)
     started = time.perf_counter()
     total = 0
+    unit = parse(src)
     for bug_type in ALL_TYPES:
-        profile = find_all_potential_locations(src, bug_type, pool,
+        profile = find_all_potential_locations(unit, bug_type, pool,
                                                source_id=name)
-        total += len(inject_all(src, profile, pool).entries)
+        total += len(inject_all(unit, profile, pool).entries)
     elapsed = time.perf_counter() - started
     ok = elapsed < 5 and 200 <= lines <= 300
     _line(8, ok, f"all 7 bug types into {name} ({lines} lines, "

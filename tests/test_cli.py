@@ -8,12 +8,15 @@ import importlib
 import inspect
 import json
 import shutil
+import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from solbugsmith.cli import _COMMANDS, _build_parser, main
+from solbugsmith.front import parser
 from solbugsmith.injector import CSV_COLUMNS
 
 TOOLS = ["Manticore", "Mythril", "Oyente", "Securify", "SmartCheck",
@@ -141,7 +144,7 @@ class TestInject:
         err = capsys.readouterr().err
         assert code == 2
         assert "Counter.IntegerOverflowUnderflow.sol: output failed " \
-               "validation (12 diagnostic(s); first at line 100:" in err
+               "validation at line 11: expected ')', found '('" in err
         assert sorted(p.name for p in out.iterdir()) == [
             "Counter.TOD.buglog.csv", "Counter.TOD.buglog.json",
             "Counter.TOD.sol"]
@@ -431,6 +434,29 @@ class TestExitCodes:
         assert main(["locate", "--corpus", str(tmp_path / "nope")]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command, names", [
+        ("inject", ["Broken.Reentrancy.sol", "Broken.TxOrigin.sol",
+                    "Odd.Reentrancy.sol", "Odd.TxOrigin.sol"]),
+        ("locate", ["Broken.sol (Reentrancy)", "Broken.sol (TxOrigin)",
+                    "Odd.sol (Reentrancy)", "Odd.sol (TxOrigin)"]),
+    ])
+    def test_unparsable_source_fails_once_per_bug_type(
+            self, command, names, mini_corpus, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        shutil.copy(mini_corpus / "Counter.sol", corpus / "Good.sol")
+        (corpus / "Broken.sol").write_text("contract Broken { function }")
+        (corpus / "Odd.sol").write_text('contract Odd { string s = "open; }')
+        code = main([command, "--corpus", str(corpus), "--out",
+                     str(tmp_path / "out"), "--bug-types",
+                     "Reentrancy,TxOrigin"])
+        reasons = ["1:28: expected function name, found '}'"] * 2 \
+            + ["1:27: unterminated string literal"] * 2
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "4 failure(s):",
+            *(f"  {name}: {reason}" for name, reason in zip(names, reasons))]
+
     def test_buglog_free_directory_exits_one(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
         assert main(["oracle", "--buglogs", str(tmp_path / "empty"),
@@ -682,6 +708,36 @@ def test_every_flag_is_read_by_its_command():
               and f"args.{action.dest}" not in
               inspect.getsource(_COMMANDS[name])]
     assert unread == []
+
+
+def test_inject_parses_each_source_and_lexes_each_output_once(
+        mini_corpus, tmp_path, monkeypatch, capsys):
+    """Every binding of ``tokenize`` and ``parse`` in the package counts
+    its calls by input text over one ``inject`` run."""
+    lexed, parsed = Counter(), Counter()
+
+    def counting(real, counts):
+        def wrapper(source):
+            counts[source] += 1
+            return real(source)
+        return wrapper
+
+    for real, counts in ((parser.tokenize, lexed), (parser.parse, parsed)):
+        wrapper = counting(real, counts)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("solbugsmith") and \
+                    getattr(module, real.__name__, None) is real:
+                monkeypatch.setattr(module, real.__name__, wrapper)
+    out = tmp_path / "out"
+    assert main(["inject", "--corpus", str(mini_corpus),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    sources = [p.read_text(encoding="utf-8")
+               for p in sorted(mini_corpus.glob("*.sol"))]
+    outputs = [p.read_text(encoding="utf-8") for p in sorted(out.glob("*.sol"))]
+    assert len(outputs) == len(sources) * 7
+    assert [(parsed[s], lexed[s]) for s in sources] == [(1, 1)] * len(sources)
+    assert [lexed[o] for o in outputs] == [1] * len(outputs)
 
 
 def test_traced_bindings_exist_in_every_importing_module():

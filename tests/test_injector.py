@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solbugsmith.errors import MalformedDocument, SolBugSmithError, StaleProfile
-from solbugsmith.front import TokenKind, tokenize, validate
+from solbugsmith.front import TokenKind, parse, tokenize, validate
 from solbugsmith.injector import (CSV_COLUMNS, emit_buglog_csv,
                                   emit_buglog_json, inject_all, inject_file,
                                   load_buglog)
@@ -43,7 +43,7 @@ GUARDED = """contract Guarded {
 
 def _only(src, bug_type, pool, keep):
     """Profile restricted to one site kind, for isolating an approach."""
-    full = find_all_potential_locations(src, bug_type, pool)
+    full = find_all_potential_locations(parse(src), bug_type, pool)
     sites = tuple(s for s in full.sites if isinstance(s, keep))
     assert sites, "fixture source must expose at least one such site"
     return InjectionProfile(full.source_id, bug_type, sites,
@@ -57,24 +57,27 @@ def _identifiers(src):
 class TestSnippetInjection:
     def test_every_site_receives_one_bug(self, corpus_sources, pool):
         src = corpus_sources["PiggyBank.sol"]
+        unit = parse(src)
         for bug_type in ALL_TYPES:
-            profile = find_all_potential_locations(src, bug_type, pool)
-            result = inject_all(src, profile, pool)
+            profile = find_all_potential_locations(unit, bug_type, pool)
+            result = inject_all(unit, profile, pool)
             assert len(result.entries) == len(profile.sites)
 
     def test_output_parses_and_validates(self, corpus_sources, pool):
         for name in ("PiggyBank.sol", "Counter.sol", "SimpleWallet.sol"):
             src = corpus_sources[name]
+            unit = parse(src)
             for bug_type in ALL_TYPES:
-                profile = find_all_potential_locations(src, bug_type, pool)
-                result = inject_all(src, profile, pool)
+                profile = find_all_potential_locations(unit, bug_type, pool)
+                result = inject_all(unit, profile, pool)
                 assert validate(result.text) == [], (name, bug_type)
 
     def test_logged_lines_match_byte_spans(self, corpus_sources, pool):
         src = corpus_sources["SimpleWallet.sol"]
+        unit = parse(src)
         for bug_type in ALL_TYPES:
-            profile = find_all_potential_locations(src, bug_type, pool)
-            result = inject_all(src, profile, pool)
+            profile = find_all_potential_locations(unit, bug_type, pool)
+            result = inject_all(unit, profile, pool)
             data = result.text.encode()
             for e in result.entries:
                 assert e.byte_start < e.byte_end <= len(data)
@@ -85,9 +88,10 @@ class TestSnippetInjection:
     def test_introduced_identifiers_are_fresh(self, corpus_sources, pool):
         src = corpus_sources["Counter.sol"]
         before = _identifiers(src)
+        unit = parse(src)
         for bug_type in ALL_TYPES:
-            profile = find_all_potential_locations(src, bug_type, pool)
-            result = inject_all(src, profile, pool)
+            profile = find_all_potential_locations(unit, bug_type, pool)
+            result = inject_all(unit, profile, pool)
             ids = [e.bug_id for e in result.entries]
             assert len(set(ids)) == len(ids)
             for e in result.entries:
@@ -98,41 +102,45 @@ class TestSnippetInjection:
                     assert e.bug_id.encode() in sliced
 
     def test_shared_context_declared_once_per_contract(self, pool):
+        unit = parse(GUARDED)
         profile = find_all_potential_locations(
-            GUARDED, BugType.TX_ORIGIN, pool)
+            unit, BugType.TX_ORIGIN, pool)
         assert len(profile.sites) > 2
-        result = inject_all(GUARDED, profile, pool)
+        result = inject_all(unit, profile, pool)
         assert result.text.count("address owner_txorigin = msg.sender;") == 1
         assert validate(result.text) == []
 
     def test_contracts_of_one_name_each_declare_their_context(self, pool):
         src = GUARDED + GUARDED
-        profile = find_all_potential_locations(src, BugType.TX_ORIGIN, pool)
-        result = inject_all(src, profile, pool)
+        unit = parse(src)
+        profile = find_all_potential_locations(unit, BugType.TX_ORIGIN, pool)
+        result = inject_all(unit, profile, pool)
         first, second = result.text.split("contract Guarded")[1:]
         for body in (first, second):
             assert body.count("address owner_txorigin = msg.sender;") == 1
 
     def test_counter_start_numbers_the_first_bug(self, pool):
+        unit = parse(GUARDED)
         profile = find_all_potential_locations(
-            GUARDED, BugType.REENTRANCY, pool)
-        result = inject_all(GUARDED, profile, pool, counter_start=41)
+            unit, BugType.REENTRANCY, pool)
+        result = inject_all(unit, profile, pool, counter_start=41)
         assert result.entries[0].bug_id.endswith("41")
         suffixes = [e.bug_id for e in result.entries]
         for i, bug_id in enumerate(suffixes):
             assert bug_id.rstrip("0123456789") + str(41 + i) == bug_id
 
     def test_file_label_defaults_to_source_id(self, pool):
+        unit = parse(GUARDED)
         profile = find_all_potential_locations(
-            GUARDED, BugType.TIMESTAMP_DEPENDENCY, pool, source_id="g.sol")
-        result = inject_all(GUARDED, profile, pool)
+            unit, BugType.TIMESTAMP_DEPENDENCY, pool, source_id="g.sol")
+        result = inject_all(unit, profile, pool)
         assert {e.file for e in result.entries} == {"g.sol"}
 
 
 class TestTokenRewrites:
     def test_sender_guard_becomes_tx_origin(self, pool):
         profile = _only(GUARDED, BugType.TX_ORIGIN, pool, TransformSite)
-        result = inject_all(GUARDED, profile, pool)
+        result = inject_all(parse(GUARDED), profile, pool)
         assert "require(tx.origin == owner);" in result.text
         assert "msg.sender == owner" not in result.text
         entry = result.entries[0]
@@ -149,14 +157,14 @@ class TestTokenRewrites:
                "}\n")
         profile = _only(src, BugType.INTEGER_OVERFLOW_UNDERFLOW, pool,
                         TransformSite)
-        result = inject_all(src, profile, pool)
+        result = inject_all(parse(src), profile, pool)
         assert "uint256" not in result.text
         assert result.text.count("uint8") == 2
         assert validate(result.text) == []
 
     def test_rewrite_preserves_surrounding_bytes(self, pool):
         profile = _only(GUARDED, BugType.TX_ORIGIN, pool, TransformSite)
-        result = inject_all(GUARDED, profile, pool)
+        result = inject_all(parse(GUARDED), profile, pool)
         entry = result.entries[0]
         out = result.text.encode()
         src = GUARDED.encode()
@@ -170,7 +178,7 @@ class TestGuardWeakening:
     def test_revert_arm_commented_on_its_own_line(self, pool):
         profile = _only(GUARDED, BugType.UNHANDLED_EXCEPTION, pool,
                         WeakenSite)
-        result = inject_all(GUARDED, profile, pool)
+        result = inject_all(parse(GUARDED), profile, pool)
         lines = [l.strip() for l in result.text.splitlines()]
         assert "//revert();" in lines
         entry = result.entries[0]
@@ -186,7 +194,7 @@ class TestGuardWeakening:
                "    }\n"
                "}\n")
         profile = _only(src, BugType.UNHANDLED_EXCEPTION, pool, WeakenSite)
-        result = inject_all(src, profile, pool)
+        result = inject_all(parse(src), profile, pool)
         assert "//require(dest.send(v));" in result.text
         assert validate(result.text) == []
 
@@ -194,7 +202,7 @@ class TestGuardWeakening:
         # The commented statement must not leave a dangling else behind.
         profile = _only(GUARDED, BugType.UNHANDLED_EXCEPTION, pool,
                         WeakenSite)
-        result = inject_all(GUARDED, profile, pool)
+        result = inject_all(parse(GUARDED), profile, pool)
         assert "revert();" in result.text  # still present, but commented
         assert validate(result.text) == []
 
@@ -202,9 +210,10 @@ class TestGuardWeakening:
 class TestBugLogSerialization:
     @pytest.fixture()
     def entries(self, pool):
+        unit = parse(GUARDED)
         profile = find_all_potential_locations(
-            GUARDED, BugType.UNCHECKED_SEND, pool)
-        return inject_all(GUARDED, profile, pool).entries
+            unit, BugType.UNCHECKED_SEND, pool)
+        return inject_all(unit, profile, pool).entries
 
     def test_json_round_trip(self, entries):
         assert load_buglog(emit_buglog_json(entries)) == list(entries)
@@ -239,39 +248,41 @@ class TestBugLogSerialization:
 class TestInjectFile:
     def test_is_locate_then_inject_all(self, corpus_sources, pool):
         src = corpus_sources["Counter.sol"]
+        unit = parse(src)
         profile = find_all_potential_locations(
-            src, BugType.TOD, pool, source_id="Counter.TOD.sol")
-        assert inject_file(src, BugType.TOD, pool, "Counter.TOD.sol",
+            unit, BugType.TOD, pool, source_id="Counter.TOD.sol")
+        assert inject_file(unit, BugType.TOD, pool, "Counter.TOD.sol",
                            counter_start=3) \
-            == inject_all(src, profile, pool, counter_start=3)
+            == inject_all(unit, profile, pool, counter_start=3)
 
     def test_output_failing_validation_is_an_error(
             self, corpus_sources, unbalancing_pool_text):
         pool = load_pool(unbalancing_pool_text)
         with pytest.raises(SolBugSmithError) as err:
-            inject_file(corpus_sources["Counter.sol"],
+            inject_file(parse(corpus_sources["Counter.sol"]),
                         BugType.INTEGER_OVERFLOW_UNDERFLOW, pool, "C.sol")
         assert str(err.value) == (
-            "output failed validation (12 diagnostic(s); first at line 100: "
-            "'(' closed by '}')")
+            "output failed validation at line 11: expected ')', found '('")
 
 
 class TestDeterminism:
     def test_repeat_run_is_byte_identical(self, corpus_sources, pool):
         src = corpus_sources["TimeLock.sol"]
+        unit = parse(src)
         for bug_type in ALL_TYPES:
-            profile = find_all_potential_locations(src, bug_type, pool)
-            first = inject_all(src, profile, pool, counter_start=7)
-            second = inject_all(src, profile, pool, counter_start=7)
+            profile = find_all_potential_locations(unit, bug_type, pool)
+            first = inject_all(unit, profile, pool, counter_start=7)
+            second = inject_all(unit, profile, pool, counter_start=7)
             assert first.text == second.text
             assert first.entries == second.entries
 
     @settings(max_examples=25, deadline=None)
     @given(start=st.integers(min_value=0, max_value=10_000))
     def test_any_counter_start_keeps_ids_unique(self, pool, start):
+        unit = parse(GUARDED)
         profile = find_all_potential_locations(
-            GUARDED, BugType.REENTRANCY, pool)
-        result = inject_all(GUARDED, profile, pool, counter_start=start)
+            unit, BugType.REENTRANCY, pool)
+        result = inject_all(unit, profile, pool, counter_start=start)
         ids = [e.bug_id for e in result.entries]
         assert len(set(ids)) == len(ids)
         assert validate(result.text) == []
@@ -301,11 +312,12 @@ def test_bundled_outputs_match_recorded_digests(corpus_sources, pool):
     got = {}
     for name, src in corpus_sources.items():
         digest = hashlib.sha256()
+        unit = parse(src)
         for bug_type in ALL_TYPES:
             out_name = f"{name[:-len('.sol')]}.{bug_type.value}.sol"
-            profile = find_all_potential_locations(src, bug_type, pool,
+            profile = find_all_potential_locations(unit, bug_type, pool,
                                                    source_id=out_name)
-            result = inject_all(src, profile, pool)
+            result = inject_all(unit, profile, pool)
             for doc in (dump_profile(profile), result.text,
                         emit_buglog_json(result.entries),
                         emit_buglog_csv(result.entries)):
@@ -352,8 +364,9 @@ def test_fixture_profiles_match_recorded_digests(egame, throw_guards, pool):
     """The SHA-256 of each bug type's profile of both fixtures."""
     got = {}
     for name, src in (("EGame.sol", egame), ("ThrowGuards.sol", throw_guards)):
+        unit = parse(src)
         for bug_type in ALL_TYPES:
-            profile = find_all_potential_locations(src, bug_type, pool,
+            profile = find_all_potential_locations(unit, bug_type, pool,
                                                    source_id=name)
             got[name, bug_type.value] = hashlib.sha256(
                 dump_profile(profile).encode("utf-8")).hexdigest()
@@ -363,13 +376,13 @@ def test_fixture_profiles_match_recorded_digests(egame, throw_guards, pool):
 class TestStaleness:
     def test_profile_rejects_edited_source(self, pool):
         profile = find_all_potential_locations(
-            GUARDED, BugType.REENTRANCY, pool)
+            parse(GUARDED), BugType.REENTRANCY, pool)
         with pytest.raises(StaleProfile):
-            inject_all(GUARDED + "\n// touched\n", profile, pool)
+            inject_all(parse(GUARDED + "\n// touched\n"), profile, pool)
 
     def test_digest_tracks_content_not_identity(self, pool):
         profile = find_all_potential_locations(
-            GUARDED, BugType.REENTRANCY, pool)
+            parse(GUARDED), BugType.REENTRANCY, pool)
         copy = GUARDED.encode().decode()
-        assert source_digest(copy) == profile.source_digest
-        inject_all(copy, profile, pool)  # same bytes: accepted
+        assert source_digest(copy.encode()) == profile.source_digest
+        inject_all(parse(copy), profile, pool)  # same bytes: accepted

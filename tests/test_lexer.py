@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from solbugsmith.errors import LexError
-from solbugsmith.front import Token, TokenKind, tokenize
+from solbugsmith.front import Token, TokenKind, parse, tokenize
 from solbugsmith.injector import inject_all
 from solbugsmith.locator import find_all_potential_locations
 from solbugsmith.model import BugType
@@ -265,11 +265,12 @@ def test_bundled_outputs_match_recorded_token_digests(corpus_sources, pool):
     got = {}
     for name, src in corpus_sources.items():
         digest = hashlib.sha256()
+        unit = parse(src)
         for bug_type in BugType:
             out_name = f"{name[:-len('.sol')]}.{bug_type.value}.sol"
-            profile = find_all_potential_locations(src, bug_type, pool,
+            profile = find_all_potential_locations(unit, bug_type, pool,
                                                    source_id=out_name)
-            text = inject_all(src, profile, pool).text
+            text = inject_all(unit, profile, pool).text
             digest.update(bytes.fromhex(_token_digest(text)))
         got[name] = digest.hexdigest()
     assert got == OUTPUT_TOKEN_DIGESTS

@@ -12,7 +12,7 @@ from solbugsmith.model import BugType, SnippetForm
 
 
 def _sites(src, pool, bug_type=BugType.REENTRANCY):
-    return find_all_potential_locations(src, bug_type, pool).sites
+    return find_all_potential_locations(parse(src), bug_type, pool).sites
 
 
 def _weakening(pool):
@@ -79,8 +79,9 @@ class TestBoundaryCounts:
 
     def test_sites_sorted_and_unique(self, corpus_sources, pool):
         for name, src in corpus_sources.items():
+            unit = parse(src)
             for bug_type in BugType:
-                profile = find_all_potential_locations(src, bug_type, pool,
+                profile = find_all_potential_locations(unit, bug_type, pool,
                                                        source_id=name)
                 keyed = [(getattr(s, "offset", None), s.kind)
                          for s in profile.sites]
@@ -224,8 +225,8 @@ class TestTransformMatching:
 class TestProfiles:
     def test_profile_json_shape(self, pool):
         src = "contract A { uint x; }"
-        profile = find_all_potential_locations(src, BugType.TX_ORIGIN, pool,
-                                               source_id="a.sol")
+        profile = find_all_potential_locations(
+            parse(src), BugType.TX_ORIGIN, pool, source_id="a.sol")
         doc = dump_profile(profile)
         assert '"sourceId": "a.sol"' in doc
         assert '"bugType": "TxOrigin"' in doc
@@ -235,9 +236,9 @@ class TestProfiles:
         for name, src in corpus_sources.items():
             for bug_type in (BugType.REENTRANCY, BugType.UNHANDLED_EXCEPTION):
                 one = dump_profile(find_all_potential_locations(
-                    src, bug_type, pool, source_id=name))
+                    parse(src), bug_type, pool, source_id=name))
                 two = dump_profile(find_all_potential_locations(
-                    src, bug_type, pool, source_id=name))
+                    parse(src), bug_type, pool, source_id=name))
                 assert one == two
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from solbugsmith.errors import DomainError
 from solbugsmith.evaluator import (derive_thresholds, evaluate_campaign,
                                    ingest_report, score_false_negatives)
+from solbugsmith.front import parse
 from solbugsmith.injector import BugLogEntry, inject_file
 from solbugsmith.model import Approach, BugType
 from solbugsmith.oracle import (EXTRA_TYPE_LABEL, OracleSpec, child_seed,
@@ -45,10 +46,10 @@ def campaign(corpus_sources, pool):
     once with every bug type."""
     buglogs, line_counts = {}, {}
     for name in ("Counter.sol", "PiggyBank.sol"):
+        unit = parse(corpus_sources[name])
         for bug_type in BugType:
             out_name = f"{name[:-len('.sol')]}.{bug_type.value}.sol"
-            result = inject_file(corpus_sources[name], bug_type, pool,
-                                 out_name)
+            result = inject_file(unit, bug_type, pool, out_name)
             buglogs[out_name] = result.entries
             line_counts[out_name] = result.text.count("\n") + 1
     return buglogs, line_counts
