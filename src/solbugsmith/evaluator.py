@@ -1,10 +1,13 @@
 """Score analyzer reports against injected ground truth.
 
-False negatives: a maximum matching pairs bug-log entries with findings in
-the same file whose line falls in the entry's range, type-correct pairs
-first: findings that can pair with an entry of their reported type are
-matched before those that can only pair by line (type misidentifications),
-and each finding tries its entries tightest range first.
+False negatives are scored per tool and bug type, as SolidiFI scores them:
+the bug-log entries of one type are matched against the tool's findings in
+the files that hold them, so within a type one finding pairs with at most
+one bug. A maximum matching pairs entries with findings in the same file
+whose line falls in the entry's range, type-correct pairs first: findings
+that can pair with an entry of their reported type are matched before those
+that can only pair by line (type misidentifications), and each finding
+tries its entries tightest range first.
 
 False positives: findings on injected lines are set aside, then a finding
 is excluded from the suspect set when at least a threshold number of tools
@@ -24,7 +27,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import (DomainError, FormatError, MalformedDocument,
                      MissingThreshold, ScopeError)
@@ -121,7 +124,9 @@ class FNScore:
 def score_false_negatives(entries: list[BugLogEntry],
                           findings: list[Finding],
                           line_slack: int = 0) -> FNScore:
-    """Match findings to bug-log entries, preferring type-correct pairings.
+    """Match findings to bug-log entries, preferring type-correct pairings;
+    a finding pairs with at most one entry. ``evaluate_campaign`` passes the
+    entries of one bug type.
 
     Entry line ranges may overlap (shared context widens the owning entry),
     so a maximum matching is computed rather than a first-fit scan: first
@@ -298,7 +303,10 @@ def evaluate_campaign(entries: list[BugLogEntry],
                       confirmed: dict[str, dict[str, int]],
                       line_slack: int = 0, sample_size: int = 20,
                       seed: int = 0) -> Evaluation:
-    """FN scores per tool and type, and one FP cell per capable type. The
+    """FN scores per tool and type, and one FP cell per capable type. Each
+    type with in-scope entries is one ``score_false_negatives`` matching of
+    its entries against the tool's findings in their files, so a finding
+    pairs with at most one bug of each type. The
     confirmed count of a cell is its sampled findings listed in the tool's
     ``truth_extras``, else its ``confirmed`` count, else the whole sample;
     one above the sample is a ``DomainError`` naming the tool and type, and
@@ -309,10 +317,15 @@ def evaluate_campaign(entries: list[BugLogEntry],
         raise DomainError(
             f"confirmed counts for tool(s) not evaluated: "
             f"{', '.join(map(repr, unknown))} (evaluated: {', '.join(tools)})")
-    scores = {tool: _partition_scores(
-                  restrict_to_scope(entries, capabilities[tool]),
-                  findings_by_tool[tool], line_slack)
-              for tool in tools}
+    scores: dict[str, dict[BugType, FNScore]] = {}
+    for tool in tools:
+        in_scope = restrict_to_scope(entries, capabilities[tool])
+        scores[tool] = {}
+        for bug_type, members in _group(in_scope, lambda e: e.bug_type).items():
+            files = {e.file for e in members}
+            scores[tool][bug_type] = score_false_negatives(
+                members, [f for f in findings_by_tool[tool] if f.file in files],
+                line_slack)
     thresholds = derive_thresholds(capabilities)
     pooled = [f for tool in tools for f in findings_by_tool[tool]]
     majority = filter_by_majority(pooled, entries, thresholds)
@@ -382,46 +395,6 @@ def _augment(root: int, keys: list[int], edges: list[tuple[int, ...]],
                 owner[e] = f
             return
         f_idx = owner[e_idx]
-
-
-def _partition_scores(entries: list[BugLogEntry], findings: list[Finding],
-                      line_slack: int) -> dict[BugType, FNScore]:
-    """One tool's FN score per bug type. Bug ids restart with every buggy
-    file, so each file is matched on its own and its ids are looked up
-    within it; pairs never cross files, so the matches are the same. Where
-    one id names entries of two types in a file, that file is matched under
-    ``_stand_ins``, so that each entry is tallied under its own type."""
-    findings_of = _group(findings, lambda f: f.file)
-    # bug type -> ids detected, misidentified, unreported
-    outcomes: dict[BugType, tuple[list[str], list[str], list[str]]] = {}
-    for file, members in _group(entries, lambda e: e.file).items():
-        type_of = {e.bug_id: e.bug_type for e in members}
-        real_id: dict[str, str] = {}
-        if any(type_of[e.bug_id] is not e.bug_type for e in members):
-            members, real_id = _stand_ins(members)
-            type_of = {e.bug_id: e.bug_type for e in members}
-        score = score_false_negatives(members, findings_of.get(file, []),
-                                      line_slack=line_slack)
-        for slot, ids in enumerate((score.detected_bug_ids,
-                                    score.misidentified_bug_ids,
-                                    score.unreported_bug_ids)):
-            for bug_id in ids:
-                outcomes.setdefault(type_of[bug_id], ([], [], []))[slot] \
-                    .append(real_id.get(bug_id, bug_id))
-    return {bug_type: FNScore(sum(map(len, ids)), *map(len, ids),
-                              *map(tuple, ids))
-            for bug_type, ids in outcomes.items()}
-
-
-def _stand_ins(entries: list[BugLogEntry]) \
-        -> tuple[list[BugLogEntry], dict[str, str]]:
-    """``entries`` renamed by their rank in ``_tightness`` order, which is
-    unique and keeps the order the matcher tries them in, and the real id
-    of each rank."""
-    order = sorted(range(len(entries)), key=lambda i: _tightness(entries[i]))
-    rank_of = {i: f"{rank:09d}" for rank, i in enumerate(order)}
-    return ([replace(e, bug_id=rank_of[i]) for i, e in enumerate(entries)],
-            {rank_of[i]: e.bug_id for i, e in enumerate(entries)})
 
 
 def _covering(entries: list[BugLogEntry], findings: list[Finding],

@@ -259,12 +259,15 @@ class _Parser:
 
     def _consume_balanced(self, what: str) -> Span:
         """Consume until ';' at depth 0, or until a depth-0 brace group
-        closes. A closer of the wrong kind is a bracket fault."""
-        start = self.i
+        closes and ``_continues`` says the statement ends there. A closer
+        of the wrong kind is a bracket fault."""
+        start = opened = self.i
         closers: list[str] = []  # what each open bracket needs, innermost last
         while not self._at_end():
             text = self.texts[self.i]
             if text in _OPEN:
+                if not closers:
+                    opened = self.i
                 closers.append(_OPEN[text])
             elif text in _OPENER:
                 if not closers:
@@ -273,7 +276,8 @@ class _Parser:
                     raise self._error(repr(closers[-1]), closers[-1])
                 closers.pop()
                 self.i += 1
-                if not closers and text == "}":
+                if not closers and text == "}" and \
+                        not self._continues(start, opened):
                     return self._span_from(start)
                 continue
             elif text == ";" and not closers:
@@ -282,6 +286,20 @@ class _Parser:
             self.i += 1
         self.i = start
         raise self._error(f"terminated {what}")
+
+    def _continues(self, start: int, opened: int) -> bool:
+        """Whether the current token carries on the opaque region begun at
+        ``start`` past the brace group opened at ``opened``: the arguments
+        after call options (``x.f{value: 1}(...)``, ``new C{salt: s}()``),
+        ``catch`` after a ``try`` clause, ``while`` after ``do``, or a
+        member access or index. After ``unchecked {}`` or ``assembly {}``,
+        a ``(`` or ``while`` starts the next statement."""
+        text = self.texts[self.i]
+        if text == "(":
+            return self.texts[opened - 2] in (".", "new")
+        if text == "while":
+            return self.texts[start] == "do"
+        return text in (".", "[", "catch")
 
     def _skip_balanced(self, opener: str) -> None:
         """Skip a bracketed group, checking that its brackets nest."""

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .front import FunctionDef, SourceUnit, Span, Stmt
 from .front.lexer import TokenKind, tokenize
@@ -236,7 +238,12 @@ def _failure_carrier(unit: SourceUnit, if_stmt: Stmt) -> Stmt | None:
 
 
 def _has_send_call(unit: SourceUnit, span: Span) -> bool:
-    toks = [t for t in unit.tokens if span.start <= t.start < span.end]
+    """Whether ``span`` holds ``.send``; its tokens are bisected out of
+    ``unit.tokens``, which are in source order."""
+    start = attrgetter("start")
+    first = bisect_left(unit.tokens, span.start, key=start)
+    toks = unit.tokens[first:bisect_left(unit.tokens, span.end, first,
+                                         key=start)]
     return any(dot.text == "." and name.text == "send"
                for dot, name in zip(toks, toks[1:]))
 

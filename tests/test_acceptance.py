@@ -5,6 +5,7 @@ Every check here is exact (set equality, string equality, integer counts) or
 a wall-clock bound; nothing is approximate.
 """
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -31,6 +32,28 @@ TABLE_THRESHOLDS = {
     BugType.TOD: 2,
     BugType.INTEGER_OVERFLOW_UNDERFLOW: 3,
     BugType.TX_ORIGIN: 2,
+}
+
+
+# SHA-256 of the documents that ``evaluate`` writes for the criterion-5
+# campaign, at the default line slack and at ``--line-slack 3``; the FP
+# documents do not depend on the slack
+EVALUATE_DIGESTS = {
+    "fn_report.md":
+        "33243270901fdb7419a9b31dfcf09dc2b1676548b02f8b8108e431cb57894b3f",
+    "fp_report.md":
+        "5d06ec7e163b24476cfd660afa39dfe72efb602ac70b98982fed3454ac593c27",
+    "fn_scores.csv":
+        "57a601440bdb02ede70183a67f78dcd58cd74a7f7925053fd63e658170f2f0fe",
+    "fp_cells.csv":
+        "9c916fff0879cf53fb2aabaf699c198c360626a369b8f2d88f648e010fc1239e",
+}
+EVALUATE_DIGESTS_SLACK_3 = {
+    **EVALUATE_DIGESTS,
+    "fn_report.md":
+        "bd8cab1fe4053f588c261acc498b139926555e3cb1beddf19a4f569a52dc9303",
+    "fn_scores.csv":
+        "408cfb1a85d2f367d5827182baba2bdecdcddf8d1ef4c0790839ab23e62caa34",
 }
 
 
@@ -142,8 +165,8 @@ def test_criterion_4_buglog_line_accuracy(corpus_injections):
 def test_criterion_5_oracle_closure(corpus_dir, tmp_path, capsys,
                                     capabilities):
     started = time.perf_counter()
-    buggy, reports, scored = (tmp_path / d
-                              for d in ("buggy", "reports", "scored"))
+    buggy, reports, scored, slack3 = (
+        tmp_path / d for d in ("buggy", "reports", "scored", "slack3"))
     assert main(["inject", "--corpus", str(corpus_dir),
                  "--out", str(buggy)]) == 0
     assert main(["oracle", "--buglogs", str(buggy), "--out", str(reports),
@@ -152,6 +175,9 @@ def test_criterion_5_oracle_closure(corpus_dir, tmp_path, capsys,
     assert main(["evaluate", "--buglogs", str(buggy),
                  "--reports", str(reports), "--out", str(scored),
                  "--seed", "11"]) == 0
+    assert main(["evaluate", "--buglogs", str(buggy),
+                 "--reports", str(reports), "--out", str(slack3),
+                 "--seed", "11", "--line-slack", "3"]) == 0
     capsys.readouterr()
 
     truths = {p.name[:-len(".truth.json")]: json.loads(p.read_text())
@@ -213,6 +239,12 @@ def test_criterion_5_oracle_closure(corpus_dir, tmp_path, capsys,
             failures.append(f"{tool} fp")
         if got_misc.get(tool, 0) != misc:
             failures.append(f"{tool} misc")
+    for out, digests in ((scored, EVALUATE_DIGESTS),
+                         (slack3, EVALUATE_DIGESTS_SLACK_3)):
+        failures += [f"{out.name}/{name} changed"
+                     for name, digest in digests.items()
+                     if hashlib.sha256((out / name).read_bytes()).hexdigest()
+                     != digest]
     elapsed = time.perf_counter() - started
     ok = not failures and elapsed < 30
     _line(5, ok, "planted unreported/misidentified/filtered counts recovered "

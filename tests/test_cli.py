@@ -15,9 +15,11 @@ from pathlib import Path
 
 import pytest
 
+from solbugsmith import evaluator
 from solbugsmith.cli import _COMMANDS, _build_parser, main
 from solbugsmith.front import parser
 from solbugsmith.injector import CSV_COLUMNS
+from solbugsmith.model import BugType
 
 TOOLS = ["Manticore", "Mythril", "Oyente", "Securify", "SmartCheck",
          "Slither"]
@@ -738,6 +740,29 @@ def test_inject_parses_each_source_and_lexes_each_output_once(
     assert len(outputs) == len(sources) * 7
     assert [(parsed[s], lexed[s]) for s in sources] == [(1, 1)] * len(sources)
     assert [lexed[o] for o in outputs] == [1] * len(outputs)
+
+
+def test_evaluate_matches_once_per_tool_and_bug_type(
+        injected, reports, capabilities, tmp_path, monkeypatch, capsys):
+    """``evaluate`` calls ``score_false_negatives`` through its module
+    global, once per tool and bug type with in-scope entries, with the
+    entries of that type and the findings of that tool."""
+    real, calls = evaluator.score_false_negatives, []
+
+    def counting(entries, findings, line_slack=0):
+        calls.append(({e.bug_type for e in entries},
+                      {f.tool for f in findings}))
+        return real(entries, findings, line_slack)
+
+    monkeypatch.setattr(evaluator, "score_false_negatives", counting)
+    assert main(["evaluate", "--buglogs", str(injected), "--reports",
+                 str(reports), "--out", str(tmp_path / "eval")]) == 0
+    capsys.readouterr()
+    logged = {BugType.REENTRANCY, BugType.TX_ORIGIN}
+    expected = Counter(bug_type for caps in capabilities.values()
+                       for bug_type in caps & logged)
+    assert all(len(types) == 1 and len(tools) <= 1 for types, tools in calls)
+    assert Counter(next(iter(types)) for types, _ in calls) == expected
 
 
 def test_traced_bindings_exist_in_every_importing_module():

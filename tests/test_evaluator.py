@@ -3,6 +3,7 @@ extrapolation, and table rendering."""
 
 import json
 import sys
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -237,6 +238,12 @@ class TestFalseNegatives:
         finally:
             sys.setrecursionlimit(limit)
         assert score.detected == n
+
+
+def _concatenated(scores: list[FNScore]) -> FNScore:
+    """One score holding ``scores`` in order: counts added, ids joined."""
+    return FNScore(*(sum(rest, first) for first, *rest
+                     in zip(*map(astuple, scores))))
 
 
 def _pairwise_score(entries, findings, line_slack=0):
@@ -551,6 +558,60 @@ class TestEvaluateCampaign:
         assert scores["t1"] == {
             BugType.TOD: FNScore(1, 1, 0, 0, ("b0",), (), ()),
             BugType.REENTRANCY: FNScore(1, 0, 0, 1, (), (), ("b0",))}
+
+    def test_a_finding_pairs_with_one_bug_of_each_type(self):
+        # each type is its own matching: the TOD finding detects the TOD bug
+        # and, among the Reentrancy bugs, misidentifies the one on its line
+        entries = [entry("b0", BugType.TOD, 3, 3),
+                   entry("b1", BugType.REENTRANCY, 3, 3)]
+        caps = {"t1": frozenset({BugType.TOD, BugType.REENTRANCY})}
+        scores = evaluate_campaign(entries, {"t1": [finding(3, BugType.TOD)]},
+                                   caps, {}, {}).scores
+        assert scores["t1"] == {
+            BugType.TOD: FNScore(1, 1, 0, 0, ("b0",), (), ()),
+            BugType.REENTRANCY: FNScore(1, 0, 1, 0, (), ("b1",), ())}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_scores_are_the_per_file_matchings_filed_by_type(self, data):
+        # logs as inject writes them: each file holds bugs of one type, and
+        # its entries are contiguous, with ids that restart per file
+        type_of = {f"f{k}.sol": data.draw(st.sampled_from(list(BugType)))
+                   for k in range(data.draw(st.integers(0, 4)))}
+        entries = []
+        for file, bug_type in type_of.items():
+            for i in range(data.draw(st.integers(0, 6))):
+                start = data.draw(st.integers(1, 30))
+                entries.append(entry(f"b{i}", bug_type, start,
+                                     start + data.draw(st.integers(0, 6)),
+                                     file=file))
+        caps, findings = {}, {}
+        for tool in ("t1", "t2"):
+            caps[tool] = frozenset(data.draw(
+                st.sets(st.sampled_from(list(BugType)), min_size=1)))
+            findings[tool] = [
+                finding(data.draw(st.integers(1, 40)),
+                        data.draw(st.sampled_from([*BugType, None])),
+                        file=data.draw(st.sampled_from([*type_of, "x.sol"])),
+                        tool=tool)
+                for _ in range(data.draw(st.integers(0, 12)))]
+        slack = data.draw(st.integers(0, 3))
+
+        expected = {}
+        for tool in caps:
+            per_type: dict[BugType, list[FNScore]] = {}
+            for file, bug_type in type_of.items():
+                members = [e for e in entries if e.file == file]
+                if members and bug_type in caps[tool]:
+                    per_type.setdefault(bug_type, []).append(
+                        score_false_negatives(
+                            members,
+                            [f for f in findings[tool] if f.file == file],
+                            slack))
+            expected[tool] = {bug_type: _concatenated(scores)
+                              for bug_type, scores in per_type.items()}
+        assert evaluate_campaign(entries, findings, caps, {}, {},
+                                 line_slack=slack).scores == expected
 
     def test_csv_rows_carry_the_table_cells(self):
         result = self.run()

@@ -255,6 +255,14 @@ class TestInjectFile:
                            counter_start=3) \
             == inject_all(unit, profile, pool, counter_start=3)
 
+    def test_no_snippet_lands_inside_a_call_with_options(self, pool):
+        call = 'msg.sender.call{value: 1}("");'
+        unit = parse("contract A {\n  function f() public {\n"
+                     f"    (bool ok, ) = {call}\n  }}\n}}\n")
+        result = inject_file(unit, BugType.TX_ORIGIN, pool, "A.TxOrigin.sol")
+        assert result.entries
+        assert call in result.text
+
     def test_output_failing_validation_is_an_error(
             self, corpus_sources, unbalancing_pool_text):
         pool = load_pool(unbalancing_pool_text)

@@ -159,6 +159,26 @@ class TestOpaqueFallback:
         assert _source_of(unit, members[0]) == "struct Pair { uint a; uint b; }"
         assert members[1].kind == "stateVar"
 
+    @pytest.mark.parametrize("text", [
+        '(bool ok, ) = msg.sender.call{value: 1}("");',
+        "try c.f() returns (uint v) { x = v; } catch { x = 0; }",
+        "do { x += 1; } while (x < 10);",
+        "C c = new C{salt: s}(1);",
+        "try c.f{value: 1}() { x = 1; } catch { x = 0; }",
+    ])
+    def test_brace_group_followed_by_more_of_the_statement(self, text):
+        unit, stmts = _in_function(text + "\nx = 1;")
+        assert [(stmt.opaque, _source_of(unit, stmt)) for stmt in stmts] \
+            == [(True, text), (False, "x = 1;")]
+
+    @pytest.mark.parametrize("block", ["unchecked { x += 1; }",
+                                       "assembly { let y := 1 }"])
+    @pytest.mark.parametrize("after", ["(a, b) = (b, a);",
+                                       "while (x < 10) { x += 1; }"])
+    def test_brace_group_then_the_next_statement(self, block, after):
+        unit, stmts = _in_function(f"{block}\n{after}")
+        assert [_source_of(unit, stmt) for stmt in stmts] == [block, after]
+
     def test_opaque_spans_reported(self, corpus_sources):
         # storage-pointer locals fall back to opaque statements of the bodies
         unit = parse(corpus_sources["Crowdfund.sol"])
