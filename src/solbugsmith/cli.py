@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -78,8 +77,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--bug-types", metavar="LIST",
                        help="comma-separated bug type names (default: all)")
 
-    seed_help = "random seed (fallback: $SOLBUGSMITH_SEED, then 0)"
-
     p = sub.add_parser("locate", parents=[], help="write injection profiles")
     p.add_argument("--corpus", required=True, metavar="PATH")
     p.add_argument("--out", metavar="DIR")
@@ -103,7 +100,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--miss-rate", type=float, default=0.0)
     p.add_argument("--mistype-rate", type=float, default=0.0)
     p.add_argument("--extra-per-file", type=int, default=0)
-    p.add_argument("--seed", type=int, default=None, help=seed_help)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("evaluate", help="score reports against bug logs")
     p.add_argument("--buglogs", required=True, metavar="DIR")
@@ -115,21 +112,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--confirmed", metavar="FILE",
                    help="JSON {tool: {bugType: confirmed count}} from manual "
                         "inspection; truth files win when present")
-    p.add_argument("--seed", type=int, default=None, help=seed_help)
+    p.add_argument("--seed", type=int, default=0)
 
     return parser
-
-
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    raw = os.environ.get("SOLBUGSMITH_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise _ConfigError(f"SOLBUGSMITH_SEED is not an integer: {raw!r}")
 
 
 def _resolve_bug_types(raw: str | None) -> list[BugType]:
@@ -330,11 +315,10 @@ def _cmd_inject(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
     try:
         spec = OracleSpec(miss_rate=args.miss_rate,
                           mistype_rate=args.mistype_rate,
-                          extra_per_file=args.extra_per_file, seed=seed)
+                          extra_per_file=args.extra_per_file, seed=args.seed)
     except DomainError as exc:
         raise _ConfigError(str(exc))
     capabilities = _resolve_capabilities(args.capabilities)
@@ -369,7 +353,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
     capabilities = _resolve_capabilities(args.capabilities)
     confirmed = _load_config(args.confirmed, _load_confirmed) \
         if args.confirmed else {}
@@ -404,7 +387,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     try:
         result = evaluate_campaign(entries, findings_by_tool, capabilities,
                                    truth_extras, confirmed, args.line_slack,
-                                   args.sample_size, seed)
+                                   args.sample_size, args.seed)
     except DomainError as exc:  # --confirmed names a tool or count amiss
         raise _ConfigError(f"{args.confirmed}: {exc}")
     failures += [(tool, "tool missing from the capabilities file")

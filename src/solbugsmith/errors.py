@@ -47,10 +47,6 @@ class PoolError(SolBugSmithError):
         self.reason = reason
 
 
-class StaleProfile(SolBugSmithError):
-    """Injection profile does not match the source it is applied to."""
-
-
 class EditConflict(SolBugSmithError):
     """Two text edits overlap; profiles must never produce this."""
 

@@ -9,10 +9,11 @@ that can pair with an entry of their reported type are matched before those
 that can only pair by line (type misidentifications), and each finding
 tries its entries tightest range first.
 
-False positives: findings on injected lines are set aside, then a finding
-is excluded from the suspect set when at least a threshold number of tools
-agree on the same (file, line, type); the rest are suspected false
-positives, confirmed by inspecting a fixed-size sample and extrapolating.
+False positives: findings on injected lines, widened by the line slack that
+FN matching uses, are set aside, then a finding is excluded from the
+suspect set when at least a threshold number of tools agree on the same
+(file, line, type); the rest are suspected false positives, confirmed by
+inspecting a fixed-size sample and extrapolating.
 
 ``evaluate_campaign`` applies both to every tool of a campaign; the
 ``render_*`` and ``*_csv`` functions turn its result into documents.
@@ -188,11 +189,13 @@ class MajorityResult:
 
 def filter_by_majority(findings: list[Finding],
                        entries: list[BugLogEntry],
-                       thresholds: dict[BugType, int]) -> MajorityResult:
-    """Drop findings on injected lines (those ``_covered`` yields), then
-    split the rest by tool agreement."""
+                       thresholds: dict[BugType, int],
+                       line_slack: int = 0) -> MajorityResult:
+    """Drop findings on injected lines widened by ``line_slack`` (those
+    ``_covered`` yields, as for FN matching), then split the rest by tool
+    agreement."""
     injected: dict[str, set[int]] = {}
-    for entry, lines in _covered(entries, findings):
+    for entry, lines in _covered(entries, findings, line_slack):
         injected.setdefault(entry.file, set()).update(lines)
     candidates = [f for f in findings
                   if f.line not in injected.get(f.file, ())]
@@ -328,7 +331,7 @@ def evaluate_campaign(entries: list[BugLogEntry],
                 line_slack)
     thresholds = derive_thresholds(capabilities)
     pooled = [f for tool in tools for f in findings_by_tool[tool]]
-    majority = filter_by_majority(pooled, entries, thresholds)
+    majority = filter_by_majority(pooled, entries, thresholds, line_slack)
 
     reported = Counter((f.tool, f.reported_type) for f in majority.candidates)
     suspects = _group(majority.filtered, lambda f: (f.tool, f.reported_type))

@@ -1,4 +1,5 @@
-"""Apply an injection profile to a source file and log the ground truth.
+"""Apply an injection profile to the source it was located in and log the
+ground truth.
 
 Each site becomes one byte edit of the source, and one front-to-back pass
 splices the edits in and records where each landed. Every site in the
@@ -18,11 +19,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import front, locator
-from .errors import (EditConflict, MalformedDocument, SolBugSmithError,
-                     StaleProfile)
+from .errors import EditConflict, MalformedDocument, SolBugSmithError
 from .front import LineIndex, SourceUnit
-from .locator import (InjectionProfile, SnippetSite, TransformSite,
-                      WeakenSite, source_digest)
+from .locator import InjectionProfile, SnippetSite, TransformSite, WeakenSite
 from .model import Approach, BugType
 from .pool import BugPool, instantiate, lead_identifier
 # unused here, but perfbench/tracing.py rebinds these names in this module
@@ -84,7 +83,7 @@ def inject_file(unit: SourceUnit, bug_type: BugType, pool: BugPool,
     # through the module attributes, which perfbench/tracing.py rebinds
     profile = locator.find_all_potential_locations(unit, bug_type, pool,
                                                    source_id=name)
-    result = inject_all(unit, profile, pool, counter_start=counter_start)
+    result = inject_all(profile, pool, counter_start=counter_start)
     diagnostics = front.validate(result.text)
     if diagnostics:
         first = diagnostics[0]
@@ -93,16 +92,15 @@ def inject_file(unit: SourceUnit, bug_type: BugType, pool: BugPool,
     return result
 
 
-def inject_all(unit: SourceUnit, profile: InjectionProfile, pool: BugPool,
+def inject_all(profile: InjectionProfile, pool: BugPool,
                counter_start: int = 0) -> InjectionResult:
-    """Inject one bug per profile site into the parsed source ``unit``;
-    returns new text plus its bug log, whose entries name the file
-    ``profile.source_id``."""
-    if source_digest(unit.data) != profile.source_digest:
-        raise StaleProfile(
-            f"profile for {profile.source_id!r} does not match the source")
+    """Inject one bug per profile site into ``profile.unit``, the parsed
+    source the profile was located in; returns new text plus its bug log,
+    whose entries name the file ``profile.source_id``."""
+    unit = profile.unit
     data = unit.data
 
+    variants = pool.variants(profile.bug_type)
     picks: Counter = Counter()
     # per contract: its context declarations, each with the first site
     # that needs it
@@ -112,9 +110,8 @@ def inject_all(unit: SourceUnit, profile: InjectionProfile, pool: BugPool,
     for idx, site in enumerate(profile.sites):
         counter = counter_start + idx
         if isinstance(site, SnippetSite):
-            variants = [s for s in pool.snippets_for(profile.bug_type)
-                        if s.form is site.form]
-            snippet = variants[picks[site.form] % len(variants)]
+            choices = variants[site.form]
+            snippet = choices[picks[site.form] % len(choices)]
             picks[site.form] += 1
             indent = _indent_at(data, site.offset)
             body = _reindent(instantiate(snippet, counter), indent)
@@ -129,7 +126,7 @@ def inject_all(unit: SourceUnit, profile: InjectionProfile, pool: BugPool,
                     if decl not in [seen for seen, _ in decls]:
                         decls.append((decl, idx))
         elif isinstance(site, TransformSite):
-            insert = " ".join(site.pattern.replace.split()).encode("utf-8")
+            insert = site.pattern.insert.encode("utf-8")
             edits.append(_Edit(site.match_span.start, site.match_span.end,
                                insert, [(idx, 0, len(insert))]))
             fields.append((f"trans_{profile.bug_type.value}{counter}",

@@ -11,22 +11,23 @@ Three site families, discovered per bug type:
   (with else-clause and throw variants) or ``require(x.send(...))``.
 
 Opaque regions never produce sites and never host matches: an edit inside
-code the parser cannot model could break it.
+code the parser cannot model could break it. A profile keeps the parsed
+unit it was located in, so ``injector.inject_all`` edits that same unit.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .front import FunctionDef, SourceUnit, Span, Stmt
-from .front.lexer import TokenKind, tokenize
+from .front.lexer import TokenKind
 # unused here, but perfbench/tracing.py rebinds these names in this module
 from .front import parse  # noqa: F401
+from .front.lexer import tokenize  # noqa: F401
 from .model import BugType, SnippetForm
 from .pool import BugPool, TransformPattern, WeakeningRule
 
@@ -90,18 +91,17 @@ Site = SnippetSite | TransformSite | WeakenSite
 
 @dataclass(frozen=True)
 class InjectionProfile:
+    """The sites of one bug type in ``unit``, the parsed source they were
+    located in; ``unit`` is not part of the profile's JSON or equality."""
+
     source_id: str
     bug_type: BugType
     sites: tuple[Site, ...]
-    source_digest: str
+    unit: SourceUnit = field(compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {"sourceId": self.source_id, "bugType": self.bug_type.value,
                 "sites": [s.to_json() for s in self.sites]}
-
-
-def source_digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def find_all_potential_locations(unit: SourceUnit, bug_type: BugType,
@@ -111,7 +111,7 @@ def find_all_potential_locations(unit: SourceUnit, bug_type: BugType,
     the parsed source ``unit``; parse once and locate every bug type in the
     same unit."""
     sites: list[Site] = []
-    for form in pool.forms_for(bug_type):
+    for form in pool.variants(bug_type):
         if form is SnippetForm.FUNCTION_DEFINITION:
             sites.extend(_member_sites(unit, form))
         else:
@@ -122,8 +122,7 @@ def find_all_potential_locations(unit: SourceUnit, bug_type: BugType,
         sites.extend(find_security_mechanisms(unit, rule))
     ordered = sorted(enumerate(sites), key=_order_key)
     return InjectionProfile(source_id, bug_type,
-                            tuple(site for _, site in ordered),
-                            source_digest(unit.data))
+                            tuple(site for _, site in ordered), unit)
 
 
 def _order_key(pair: tuple[int, Site]):
@@ -261,10 +260,7 @@ def find_transformable_code(unit: SourceUnit, bug_type: BugType,
                for stmt, _, _ in _walk(member.statements, path) if stmt.opaque]
     candidates: list[tuple[Span, TransformPattern]] = []
     for pattern in pool.transforms_for(bug_type):
-        needle = [t.text for t in tokenize(pattern.match)
-                  if t.kind is not TokenKind.COMMENT]
-        if not needle:
-            continue
+        needle = pattern.needle
         for start in range(len(stream) - len(needle) + 1):
             if any(stream[start + k].text != needle[k]
                    for k in range(len(needle))):

@@ -37,9 +37,15 @@ class BugSnippet:
 
 @dataclass(frozen=True)
 class TransformPattern:
+    """A token rewrite; ``needle`` holds the token texts of ``match`` less
+    its comments, and ``insert`` is ``replace`` with each whitespace run
+    collapsed to one space."""
+
     bug_type: BugType
     match: str
     replace: str
+    needle: tuple[str, ...]
+    insert: str
 
 
 @dataclass(frozen=True)
@@ -57,12 +63,13 @@ class BugPool:
     def snippets_for(self, bug_type: BugType) -> tuple[BugSnippet, ...]:
         return tuple(s for s in self.snippets if s.bug_type is bug_type)
 
-    def forms_for(self, bug_type: BugType) -> tuple[SnippetForm, ...]:
-        seen: list[SnippetForm] = []
-        for snippet in self.snippets:
-            if snippet.bug_type is bug_type and snippet.form not in seen:
-                seen.append(snippet.form)
-        return tuple(seen)
+    def variants(self, bug_type: BugType) \
+            -> dict[SnippetForm, list[BugSnippet]]:
+        """The snippets of ``bug_type`` by form, forms in pool order."""
+        groups: dict[SnippetForm, list[BugSnippet]] = {}
+        for snippet in self.snippets_for(bug_type):
+            groups.setdefault(snippet.form, []).append(snippet)
+        return groups
 
     def transforms_for(self, bug_type: BugType) -> tuple[TransformPattern, ...]:
         return tuple(t for t in self.transforms if t.bug_type is bug_type)
@@ -105,9 +112,7 @@ def load_pool(text: str) -> BugPool:
 
     transforms = []
     for idx, raw in enumerate(_section(doc, "transforms")):
-        transform = _transform_from_json(raw, idx)
-        _check_transform(transform, idx)
-        transforms.append(transform)
+        transforms.append(_transform_from_json(raw, idx))
 
     weakenings = []
     for idx, raw in enumerate(_section(doc, "weakenings")):
@@ -220,23 +225,20 @@ def _transform_from_json(raw: object, idx: int) -> TransformPattern:
         raise PoolError(label, "missing or empty match pattern")
     if not isinstance(replace, str) or not replace.strip():
         raise PoolError(label, "missing or empty replacement")
-    return TransformPattern(bug_type, match, replace)
-
-
-def _check_transform(transform: TransformPattern, idx: int) -> None:
-    label = f"<transform #{idx}>"
     # tokenize encodes its input as UTF-8, which fails on a lone surrogate
     try:
-        toks = [t for t in tokenize(transform.match)
-                if t.kind is not TokenKind.COMMENT]
+        needle = tuple(t.text for t in tokenize(match)
+                       if t.kind is not TokenKind.COMMENT)
     except (LexError, UnicodeEncodeError) as err:
         raise PoolError(label, f"match pattern does not lex: {err}") from None
-    if not toks:
+    if not needle:
         raise PoolError(label, "match pattern has no tokens")
+    insert = " ".join(replace.split())
     try:
-        tokenize(" ".join(transform.replace.split()))
+        tokenize(insert)
     except (LexError, UnicodeEncodeError) as err:
         raise PoolError(label, f"replacement does not lex: {err}") from None
+    return TransformPattern(bug_type, match, replace, needle, insert)
 
 
 def _weakening_from_json(raw: object, idx: int) -> WeakeningRule:

@@ -36,8 +36,8 @@ TABLE_THRESHOLDS = {
 
 
 # SHA-256 of the documents that ``evaluate`` writes for the criterion-5
-# campaign, at the default line slack and at ``--line-slack 3``; the FP
-# documents do not depend on the slack
+# campaign, at the default line slack and at ``--line-slack 3``; the slack
+# widens the lines that FN matching pairs on and that the FP filter sets aside
 EVALUATE_DIGESTS = {
     "fn_report.md":
         "33243270901fdb7419a9b31dfcf09dc2b1676548b02f8b8108e431cb57894b3f",
@@ -49,11 +49,14 @@ EVALUATE_DIGESTS = {
         "9c916fff0879cf53fb2aabaf699c198c360626a369b8f2d88f648e010fc1239e",
 }
 EVALUATE_DIGESTS_SLACK_3 = {
-    **EVALUATE_DIGESTS,
     "fn_report.md":
         "bd8cab1fe4053f588c261acc498b139926555e3cb1beddf19a4f569a52dc9303",
     "fn_scores.csv":
         "408cfb1a85d2f367d5827182baba2bdecdcddf8d1ef4c0790839ab23e62caa34",
+    "fp_report.md":
+        "9d892a910150fcfa04f953cc09f00b20f015d5c4190489baf8ee3d39e7cc6dcb",
+    "fp_cells.csv":
+        "56e5ee1cbeaa39a8a6f44b757f141bef6af8f31ded90c47bcecb84f7c059faea",
 }
 
 
@@ -78,7 +81,7 @@ def corpus_injections(corpus_sources, pool):
         for bug_type in ALL_TYPES:
             profile = find_all_potential_locations(unit, bug_type, pool,
                                                    source_id=name)
-            results[(name, bug_type)] = inject_all(unit, profile, pool)
+            results[(name, bug_type)] = inject_all(profile, pool)
     return results, time.perf_counter() - started
 
 
@@ -290,7 +293,7 @@ def test_criterion_8_injection_speed(corpus_sources, pool):
     for bug_type in ALL_TYPES:
         profile = find_all_potential_locations(unit, bug_type, pool,
                                                source_id=name)
-        total += len(inject_all(unit, profile, pool).entries)
+        total += len(inject_all(profile, pool).entries)
     elapsed = time.perf_counter() - started
     ok = elapsed < 5 and 200 <= lines <= 300
     _line(8, ok, f"all 7 bug types into {name} ({lines} lines, "

@@ -20,6 +20,7 @@ from solbugsmith.cli import _COMMANDS, _build_parser, main
 from solbugsmith.front import parser
 from solbugsmith.injector import CSV_COLUMNS
 from solbugsmith.model import BugType
+from solbugsmith.pool import default_pool
 
 TOOLS = ["Manticore", "Mythril", "Oyente", "Securify", "SmartCheck",
          "Slither"]
@@ -169,29 +170,16 @@ class TestOracle:
         assert set(truth["missed"]) <= logged
         assert {m["bugId"] for m in truth["mistyped"]} <= logged
 
-    def test_env_seed_reproduces_reports(self, injected, tmp_path,
-                                         monkeypatch, capsys):
-        monkeypatch.setenv("SOLBUGSMITH_SEED", "99")
+    def test_seed_reproduces_reports(self, injected, tmp_path, capsys):
         dirs = [tmp_path / "a", tmp_path / "b"]
         for target in dirs:
             assert main(["oracle", "--buglogs", str(injected),
-                         "--out", str(target), "--miss-rate", "0.5"]) == 0
+                         "--out", str(target), "--miss-rate", "0.5",
+                         "--seed", "99"]) == 0
         capsys.readouterr()
         first = {p.name: p.read_bytes() for p in dirs[0].iterdir()}
         second = {p.name: p.read_bytes() for p in dirs[1].iterdir()}
         assert first == second
-
-    def test_flag_seed_overrides_env(self, injected, tmp_path, monkeypatch,
-                                     capsys):
-        monkeypatch.setenv("SOLBUGSMITH_SEED", "99")
-        env_dir, flag_dir = tmp_path / "env", tmp_path / "flag"
-        main(["oracle", "--buglogs", str(injected), "--out", str(env_dir),
-              "--miss-rate", "0.5"])
-        main(["oracle", "--buglogs", str(injected), "--out", str(flag_dir),
-              "--miss-rate", "0.5", "--seed", "100"])
-        capsys.readouterr()
-        name = "Mythril.truth.json"
-        assert (env_dir / name).read_bytes() != (flag_dir / name).read_bytes()
 
 
 class TestEvaluate:
@@ -715,7 +703,9 @@ def test_every_flag_is_read_by_its_command():
 def test_inject_parses_each_source_and_lexes_each_output_once(
         mini_corpus, tmp_path, monkeypatch, capsys):
     """Every binding of ``tokenize`` and ``parse`` in the package counts
-    its calls by input text over one ``inject`` run."""
+    its calls by input text over one ``inject`` run; the pool is loaded
+    before, so its transform patterns are lexed only at load."""
+    pool = default_pool()
     lexed, parsed = Counter(), Counter()
 
     def counting(real, counts):
@@ -740,6 +730,9 @@ def test_inject_parses_each_source_and_lexes_each_output_once(
     assert len(outputs) == len(sources) * 7
     assert [(parsed[s], lexed[s]) for s in sources] == [(1, 1)] * len(sources)
     assert [lexed[o] for o in outputs] == [1] * len(outputs)
+    patterns = [text for t in pool.transforms for text in (t.match, t.insert)]
+    assert patterns
+    assert [lexed[text] for text in patterns] == [0] * len(patterns)
 
 
 def test_evaluate_matches_once_per_tool_and_bug_type(

@@ -336,6 +336,30 @@ class TestMajorityFilter:
             ("a.sol", 1), ("a.sol", 10**12 + 1), ("b.sol", 6), ("b.sol", 8),
             ("c.sol", 7)]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_no_finding_fn_matching_can_pair_is_a_candidate(self, data):
+        files = ["a.sol", "b.sol"]
+        entries = []
+        for i in range(data.draw(st.integers(0, 10))):
+            start = data.draw(st.integers(1, 30))
+            entries.append(entry(f"b{i}",
+                                 data.draw(st.sampled_from(list(BugType))),
+                                 start, start + data.draw(st.integers(0, 6)),
+                                 file=data.draw(st.sampled_from(files))))
+        findings = [
+            finding(data.draw(st.integers(1, 45)),
+                    data.draw(st.sampled_from([*BugType, None])),
+                    file=data.draw(st.sampled_from(files + ["c.sol"])),
+                    tool=data.draw(st.sampled_from(["t1", "t2", "t3"])))
+            for _ in range(data.draw(st.integers(0, 16)))]
+        slack = data.draw(st.integers(0, 5))
+        res = filter_by_majority(findings, entries, self.THRESHOLDS, slack)
+        # a finding that FN matching pairs with a bug also pairs on its own
+        for candidate in res.candidates:
+            score = score_false_negatives(entries, [candidate], slack)
+            assert score.detected + score.misidentified == 0, candidate
+
     def test_agreement_at_threshold_excludes(self):
         findings = [finding(9, BugType.TOD, tool="t1"),
                     finding(9, BugType.TOD, tool="t2")]
@@ -570,6 +594,16 @@ class TestEvaluateCampaign:
         assert scores["t1"] == {
             BugType.TOD: FNScore(1, 1, 0, 0, ("b0",), (), ()),
             BugType.REENTRANCY: FNScore(1, 0, 1, 0, (), ("b1",), ())}
+
+    def test_a_finding_within_the_slack_of_a_bug_is_no_fp_candidate(self):
+        # the finding detects b0 two lines away; it is not also a suspected
+        # false positive
+        caps = {tool: frozenset({BugType.TOD}) for tool in ("t1", "t2", "t3")}
+        result = evaluate_campaign([entry("b0", BugType.TOD, 3, 3)],
+                                   {"t1": [finding(5, BugType.TOD)]}, caps,
+                                   {}, {}, line_slack=3)
+        assert result.scores["t1"][BugType.TOD].detected_bug_ids == ("b0",)
+        assert result.cells["t1"][BugType.TOD] == FPCell(0, 0, 0)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solbugsmith.errors import MalformedDocument, SolBugSmithError, StaleProfile
+from solbugsmith.errors import MalformedDocument, SolBugSmithError
 from solbugsmith.front import TokenKind, parse, tokenize, validate
 from solbugsmith.injector import (CSV_COLUMNS, emit_buglog_csv,
                                   emit_buglog_json, inject_all, inject_file,
                                   load_buglog)
 from solbugsmith.locator import (InjectionProfile, SnippetSite, TransformSite,
                                  WeakenSite, dump_profile,
-                                 find_all_potential_locations, source_digest)
+                                 find_all_potential_locations)
 from solbugsmith.model import Approach, BugType
 from solbugsmith.pool import load_pool
 
@@ -46,8 +46,7 @@ def _only(src, bug_type, pool, keep):
     full = find_all_potential_locations(parse(src), bug_type, pool)
     sites = tuple(s for s in full.sites if isinstance(s, keep))
     assert sites, "fixture source must expose at least one such site"
-    return InjectionProfile(full.source_id, bug_type, sites,
-                            full.source_digest)
+    return InjectionProfile(full.source_id, bug_type, sites, full.unit)
 
 
 def _identifiers(src):
@@ -60,7 +59,7 @@ class TestSnippetInjection:
         unit = parse(src)
         for bug_type in ALL_TYPES:
             profile = find_all_potential_locations(unit, bug_type, pool)
-            result = inject_all(unit, profile, pool)
+            result = inject_all(profile, pool)
             assert len(result.entries) == len(profile.sites)
 
     def test_output_parses_and_validates(self, corpus_sources, pool):
@@ -69,7 +68,7 @@ class TestSnippetInjection:
             unit = parse(src)
             for bug_type in ALL_TYPES:
                 profile = find_all_potential_locations(unit, bug_type, pool)
-                result = inject_all(unit, profile, pool)
+                result = inject_all(profile, pool)
                 assert validate(result.text) == [], (name, bug_type)
 
     def test_logged_lines_match_byte_spans(self, corpus_sources, pool):
@@ -77,7 +76,7 @@ class TestSnippetInjection:
         unit = parse(src)
         for bug_type in ALL_TYPES:
             profile = find_all_potential_locations(unit, bug_type, pool)
-            result = inject_all(unit, profile, pool)
+            result = inject_all(profile, pool)
             data = result.text.encode()
             for e in result.entries:
                 assert e.byte_start < e.byte_end <= len(data)
@@ -91,7 +90,7 @@ class TestSnippetInjection:
         unit = parse(src)
         for bug_type in ALL_TYPES:
             profile = find_all_potential_locations(unit, bug_type, pool)
-            result = inject_all(unit, profile, pool)
+            result = inject_all(profile, pool)
             ids = [e.bug_id for e in result.entries]
             assert len(set(ids)) == len(ids)
             for e in result.entries:
@@ -106,7 +105,7 @@ class TestSnippetInjection:
         profile = find_all_potential_locations(
             unit, BugType.TX_ORIGIN, pool)
         assert len(profile.sites) > 2
-        result = inject_all(unit, profile, pool)
+        result = inject_all(profile, pool)
         assert result.text.count("address owner_txorigin = msg.sender;") == 1
         assert validate(result.text) == []
 
@@ -114,7 +113,7 @@ class TestSnippetInjection:
         src = GUARDED + GUARDED
         unit = parse(src)
         profile = find_all_potential_locations(unit, BugType.TX_ORIGIN, pool)
-        result = inject_all(unit, profile, pool)
+        result = inject_all(profile, pool)
         first, second = result.text.split("contract Guarded")[1:]
         for body in (first, second):
             assert body.count("address owner_txorigin = msg.sender;") == 1
@@ -123,7 +122,7 @@ class TestSnippetInjection:
         unit = parse(GUARDED)
         profile = find_all_potential_locations(
             unit, BugType.REENTRANCY, pool)
-        result = inject_all(unit, profile, pool, counter_start=41)
+        result = inject_all(profile, pool, counter_start=41)
         assert result.entries[0].bug_id.endswith("41")
         suffixes = [e.bug_id for e in result.entries]
         for i, bug_id in enumerate(suffixes):
@@ -133,14 +132,14 @@ class TestSnippetInjection:
         unit = parse(GUARDED)
         profile = find_all_potential_locations(
             unit, BugType.TIMESTAMP_DEPENDENCY, pool, source_id="g.sol")
-        result = inject_all(unit, profile, pool)
+        result = inject_all(profile, pool)
         assert {e.file for e in result.entries} == {"g.sol"}
 
 
 class TestTokenRewrites:
     def test_sender_guard_becomes_tx_origin(self, pool):
         profile = _only(GUARDED, BugType.TX_ORIGIN, pool, TransformSite)
-        result = inject_all(parse(GUARDED), profile, pool)
+        result = inject_all(profile, pool)
         assert "require(tx.origin == owner);" in result.text
         assert "msg.sender == owner" not in result.text
         entry = result.entries[0]
@@ -157,14 +156,14 @@ class TestTokenRewrites:
                "}\n")
         profile = _only(src, BugType.INTEGER_OVERFLOW_UNDERFLOW, pool,
                         TransformSite)
-        result = inject_all(parse(src), profile, pool)
+        result = inject_all(profile, pool)
         assert "uint256" not in result.text
         assert result.text.count("uint8") == 2
         assert validate(result.text) == []
 
     def test_rewrite_preserves_surrounding_bytes(self, pool):
         profile = _only(GUARDED, BugType.TX_ORIGIN, pool, TransformSite)
-        result = inject_all(parse(GUARDED), profile, pool)
+        result = inject_all(profile, pool)
         entry = result.entries[0]
         out = result.text.encode()
         src = GUARDED.encode()
@@ -178,7 +177,7 @@ class TestGuardWeakening:
     def test_revert_arm_commented_on_its_own_line(self, pool):
         profile = _only(GUARDED, BugType.UNHANDLED_EXCEPTION, pool,
                         WeakenSite)
-        result = inject_all(parse(GUARDED), profile, pool)
+        result = inject_all(profile, pool)
         lines = [l.strip() for l in result.text.splitlines()]
         assert "//revert();" in lines
         entry = result.entries[0]
@@ -194,7 +193,7 @@ class TestGuardWeakening:
                "    }\n"
                "}\n")
         profile = _only(src, BugType.UNHANDLED_EXCEPTION, pool, WeakenSite)
-        result = inject_all(parse(src), profile, pool)
+        result = inject_all(profile, pool)
         assert "//require(dest.send(v));" in result.text
         assert validate(result.text) == []
 
@@ -202,7 +201,7 @@ class TestGuardWeakening:
         # The commented statement must not leave a dangling else behind.
         profile = _only(GUARDED, BugType.UNHANDLED_EXCEPTION, pool,
                         WeakenSite)
-        result = inject_all(parse(GUARDED), profile, pool)
+        result = inject_all(profile, pool)
         assert "revert();" in result.text  # still present, but commented
         assert validate(result.text) == []
 
@@ -213,7 +212,7 @@ class TestBugLogSerialization:
         unit = parse(GUARDED)
         profile = find_all_potential_locations(
             unit, BugType.UNCHECKED_SEND, pool)
-        return inject_all(unit, profile, pool).entries
+        return inject_all(profile, pool).entries
 
     def test_json_round_trip(self, entries):
         assert load_buglog(emit_buglog_json(entries)) == list(entries)
@@ -244,6 +243,23 @@ class TestBugLogSerialization:
         with pytest.raises(MalformedDocument, match="reversed or non-positive"):
             load_buglog(json.dumps(doc))
 
+    @pytest.mark.parametrize("change, message", [
+        pytest.param(lambda doc: {}, "expected a JSON array of entries",
+                     id="not-an-array"),
+        pytest.param(lambda doc: [3], "each entry must be a JSON object",
+                     id="entry-not-an-object"),
+        pytest.param(lambda doc: [{**doc[0], "startLine": "3"}],
+                     "lines and byte offsets must be integers: ('3', ",
+                     id="line-not-an-integer"),
+        pytest.param(lambda doc: [{**doc[0], "bugId": 7}],
+                     "bugId and file must be strings", id="id-not-a-string"),
+    ])
+    def test_wrong_shape_is_malformed(self, entries, change, message):
+        doc = change([entries[0].to_json()])
+        with pytest.raises(MalformedDocument) as err:
+            load_buglog(json.dumps(doc))
+        assert str(err.value).startswith(f"malformed bug log: {message}")
+
 
 class TestInjectFile:
     def test_is_locate_then_inject_all(self, corpus_sources, pool):
@@ -253,7 +269,7 @@ class TestInjectFile:
             unit, BugType.TOD, pool, source_id="Counter.TOD.sol")
         assert inject_file(unit, BugType.TOD, pool, "Counter.TOD.sol",
                            counter_start=3) \
-            == inject_all(unit, profile, pool, counter_start=3)
+            == inject_all(profile, pool, counter_start=3)
 
     def test_no_snippet_lands_inside_a_call_with_options(self, pool):
         call = 'msg.sender.call{value: 1}("");'
@@ -279,8 +295,8 @@ class TestDeterminism:
         unit = parse(src)
         for bug_type in ALL_TYPES:
             profile = find_all_potential_locations(unit, bug_type, pool)
-            first = inject_all(unit, profile, pool, counter_start=7)
-            second = inject_all(unit, profile, pool, counter_start=7)
+            first = inject_all(profile, pool, counter_start=7)
+            second = inject_all(profile, pool, counter_start=7)
             assert first.text == second.text
             assert first.entries == second.entries
 
@@ -290,7 +306,7 @@ class TestDeterminism:
         unit = parse(GUARDED)
         profile = find_all_potential_locations(
             unit, BugType.REENTRANCY, pool)
-        result = inject_all(unit, profile, pool, counter_start=start)
+        result = inject_all(profile, pool, counter_start=start)
         ids = [e.bug_id for e in result.entries]
         assert len(set(ids)) == len(ids)
         assert validate(result.text) == []
@@ -325,7 +341,7 @@ def test_bundled_outputs_match_recorded_digests(corpus_sources, pool):
             out_name = f"{name[:-len('.sol')]}.{bug_type.value}.sol"
             profile = find_all_potential_locations(unit, bug_type, pool,
                                                    source_id=out_name)
-            result = inject_all(unit, profile, pool)
+            result = inject_all(profile, pool)
             for doc in (dump_profile(profile), result.text,
                         emit_buglog_json(result.entries),
                         emit_buglog_csv(result.entries)):
@@ -380,17 +396,3 @@ def test_fixture_profiles_match_recorded_digests(egame, throw_guards, pool):
                 dump_profile(profile).encode("utf-8")).hexdigest()
     assert got == FIXTURE_PROFILE_DIGESTS
 
-
-class TestStaleness:
-    def test_profile_rejects_edited_source(self, pool):
-        profile = find_all_potential_locations(
-            parse(GUARDED), BugType.REENTRANCY, pool)
-        with pytest.raises(StaleProfile):
-            inject_all(parse(GUARDED + "\n// touched\n"), profile, pool)
-
-    def test_digest_tracks_content_not_identity(self, pool):
-        profile = find_all_potential_locations(
-            parse(GUARDED), BugType.REENTRANCY, pool)
-        copy = GUARDED.encode().decode()
-        assert source_digest(copy.encode()) == profile.source_digest
-        inject_all(parse(copy), profile, pool)  # same bytes: accepted

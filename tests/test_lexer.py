@@ -270,7 +270,7 @@ def test_bundled_outputs_match_recorded_token_digests(corpus_sources, pool):
             out_name = f"{name[:-len('.sol')]}.{bug_type.value}.sol"
             profile = find_all_potential_locations(unit, bug_type, pool,
                                                    source_id=out_name)
-            text = inject_all(unit, profile, pool).text
+            text = inject_all(profile, pool).text
             digest.update(bytes.fromhex(_token_digest(text)))
         got[name] = digest.hexdigest()
     assert got == OUTPUT_TOKEN_DIGESTS

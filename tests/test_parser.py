@@ -90,6 +90,22 @@ class TestStructure:
         stmts = parse_statement_fragment("return (a, b + 1, c);")
         assert stmts[0].kind == "returnStmt"
 
+    def test_require_condition_holds_the_message_argument_too(self):
+        unit, (stmt,) = _in_function('require(x > 0, "too small");')
+        assert (stmt.kind, stmt.opaque) == ("requireStmt", False)
+        assert unit.data[stmt.cond_span.start:stmt.cond_span.end] == \
+            b'x > 0, "too small"'
+
+    @pytest.mark.parametrize("text", ["t = new T(x);", "u = new uint[](3);"])
+    def test_new_expression_is_modelled(self, text):
+        unit, (stmt,) = _in_function(text)
+        assert (stmt.kind, stmt.opaque) == ("assignment", False)
+        assert _source_of(unit, stmt) == text
+
+    @pytest.mark.parametrize("src", ["", " \n", "// no code\n"])
+    def test_source_without_code_is_an_empty_unit(self, src):
+        assert parse(src).contracts == []
+
     def test_bodyless_declaration_is_opaque(self):
         members = parse_member_fragment("function ping() public;")
         assert members[0].kind == "opaqueMember"

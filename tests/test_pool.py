@@ -139,3 +139,102 @@ class TestLoadErrors:
         }])
         with pytest.raises(PoolError):
             load_pool(json.dumps(doc))
+
+
+def _snippet(**fields):
+    return {"snippets": [{"id": "ok-snippet", "bugType": "TxOrigin",
+                          "form": "SimpleStatement",
+                          "template": "owner = tx.origin;", **fields}]}
+
+
+def _transform(**fields):
+    return {"transforms": [{"bugType": "TxOrigin", "match": "msg.sender",
+                            "replace": "tx.origin", **fields}]}
+
+
+def _weakening(**fields):
+    return {"weakenings": [{"bugType": "UnhandledException",
+                            "guardShape": "guardedSendRevert", **fields}]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    pytest.param([], "<document>: top level must be an object",
+                 id="top-level-list"),
+    pytest.param({"snippets": [3]},
+                 "<snippet>: snippet entry must be an object",
+                 id="snippet-not-object"),
+    pytest.param(_snippet(template=" \n"),
+                 "ok-snippet: missing or empty template", id="empty-template"),
+    pytest.param(_snippet(requiredContext="uint ctx;"),
+                 "ok-snippet: requiredContext must be a list of strings",
+                 id="context-not-list"),
+    pytest.param(_snippet(requiredContext=[3]),
+                 "ok-snippet: requiredContext must be a list of strings",
+                 id="context-not-strings"),
+    pytest.param(_snippet(form="FunctionDefinition",
+                          template="struct S{N} { uint a; }"),
+                 "ok-snippet: template has an opaque member",
+                 id="member-template-opaque"),
+    pytest.param(_snippet(form="FunctionDefinition", template="uint x{N};"),
+                 "ok-snippet: template declares no function",
+                 id="member-template-without-function"),
+    pytest.param(_snippet(form="FunctionDefinition", template="// none"),
+                 "ok-snippet: template declares no members",
+                 id="member-template-empty"),
+    pytest.param(_snippet(template="delete stash{N};"),
+                 "ok-snippet: template contains opaque code",
+                 id="statement-template-opaque"),
+    pytest.param({"transforms": [3]},
+                 "<transform #0>: transform entry must be an object",
+                 id="transform-not-object"),
+    pytest.param(_transform(bugType="Gremlins"),
+                 "<transform #0>: 'Gremlins' is not a valid BugType",
+                 id="transform-bad-type"),
+    pytest.param(_transform(match=" "),
+                 "<transform #0>: missing or empty match pattern",
+                 id="transform-empty-match"),
+    pytest.param(_transform(replace=""),
+                 "<transform #0>: missing or empty replacement",
+                 id="transform-empty-replacement"),
+    pytest.param(_transform(match="// msg.sender"),
+                 "<transform #0>: match pattern has no tokens",
+                 id="transform-comment-only-match"),
+    pytest.param(_transform(match='msg.sender == "open'),
+                 "<transform #0>: match pattern does not lex: 1:15: "
+                 "unterminated string literal",
+                 id="transform-match-unlexable"),
+    pytest.param(_transform(replace='tx.origin == "open'),
+                 "<transform #0>: replacement does not lex: 1:14: "
+                 "unterminated string literal",
+                 id="transform-replacement-unlexable"),
+    pytest.param({"weakenings": [3]},
+                 "<weakening #0>: weakening entry must be an object",
+                 id="weakening-not-object"),
+    pytest.param(_weakening(bugType="Gremlins"),
+                 "<weakening #0>: 'Gremlins' is not a valid BugType",
+                 id="weakening-bad-type"),
+    pytest.param(_weakening(action="delete"),
+                 "<weakening #0>: unknown action: 'delete'",
+                 id="weakening-unknown-action"),
+])
+def test_rejection_names_the_entry_and_the_reason(doc, message):
+    with pytest.raises(PoolError) as err:
+        load_pool(json.dumps(doc))
+    assert str(err.value) == message
+
+
+def test_transform_carries_its_tokens_and_collapsed_replacement():
+    (pattern,) = load_pool(json.dumps(_transform(
+        match="msg.sender /* who */ ==\n owner",
+        replace="tx.origin\n   == owner"))).transforms
+    assert pattern.needle == ("msg", ".", "sender", "==", "owner")
+    assert pattern.insert == "tx.origin == owner"
+
+
+def test_variants_group_a_types_snippets_by_form_in_pool_order(pool):
+    for bug_type in BugType:
+        snippets = pool.snippets_for(bug_type)
+        groups = pool.variants(bug_type)
+        assert list(groups) == list(dict.fromkeys(s.form for s in snippets))
+        for form, members in groups.items():
+            assert members == [s for s in snippets if s.form is form]
