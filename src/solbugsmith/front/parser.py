@@ -32,6 +32,13 @@ _BINARY_OPS = frozenset({"||", "&&", "|", "^", "&", "==", "!=", "<", ">",
                          "<=", ">=", "<<", ">>", "+", "-", "*", "/", "%",
                          "**"})
 
+# The identifiers whose text the parser reads: ``require(`` and ``revert(``
+# lead statements of their own kinds, and ``do`` and ``catch`` decide where
+# an opaque statement ends (``_continues``).
+READ_IDENTIFIERS = frozenset({"require", "revert", "do", "catch"})
+# The tokens that can carry an opaque statement on past a brace group.
+CONTINUERS = frozenset({"(", "while", ".", "[", "catch"})
+
 
 def parse(source: str) -> SourceUnit:
     """Parse ``source`` into a span-annotated SourceUnit."""
@@ -86,12 +93,11 @@ class _Parser:
             elif tok is None and closer:
                 bracket = f"unclosed '{_OPENER[closer]}'"
         if tok is None:
-            if self.toks:
-                last = self.toks[-1]
-                line, col = last.end_line, column_of(self.data, last.end)
-            else:
-                line, col = 1, 1
-            return ParseError(line, col, expected, "end of input", bracket)
+            # an input without tokens parses to an empty unit, so the
+            # end of input is only reached after a token
+            last = self.toks[-1]
+            return ParseError(last.end_line, column_of(self.data, last.end),
+                              expected, "end of input", bracket)
         return ParseError(tok.start_line, column_of(self.data, tok.start),
                           expected, repr(tok.text), bracket)
 
@@ -299,7 +305,7 @@ class _Parser:
             return self.texts[opened - 2] in (".", "new")
         if text == "while":
             return self.texts[start] == "do"
-        return text in (".", "[", "catch")
+        return text in CONTINUERS
 
     def _skip_balanced(self, opener: str) -> None:
         """Skip a bracketed group, checking that its brackets nest."""

@@ -8,6 +8,26 @@ refer to the OUTPUT file. Shared context declarations are inserted once
 per contract, directly after the contract's opening brace, and are charged
 to the first bug that needs them: that entry's range is the convex hull of
 its snippet and its context lines.
+
+An output is valid by construction when the source parsed and every edit
+is one of these, checked per edit against the parsed unit and the pool:
+
+* a snippet or context insertion at an offset where the unit takes a
+  statement or a member (a statement or member end, or just after a body's
+  ``{``), of a snippet that ``load_pool`` vetted, at a counter >= 0, and
+  with an indent of spaces, tabs and carriage returns: the text is ``"\n"``
+  and the reindented instance, and it ends at a newline or at ``"\n"`` and
+  the indent; reindenting changes only whitespace at the start of a line;
+* a transform of a pattern that keeps token roles, over exactly a run of
+  the unit's tokens with the pattern's texts, between bytes that no token
+  can join (whitespace, brackets, ``;`` and ``,``);
+* a weakening of a statement that sits in a braced list, with no opaque
+  statement carried on past it, and an indent as above: every line of the
+  statement gets a ``//`` prefix, and code after it on its line moves to a
+  line of its own.
+
+``inject_file`` validates, with ``front.validate``, only an output that some
+edit leaves unvouched for.
 """
 
 from __future__ import annotations
@@ -15,15 +35,19 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
+from operator import attrgetter
 
 from . import front, locator
 from .errors import EditConflict, MalformedDocument, SolBugSmithError
-from .front import LineIndex, SourceUnit
+from .front import FunctionDef, LineIndex, SourceUnit, Span, Stmt
+from .front.parser import CONTINUERS
 from .locator import InjectionProfile, SnippetSite, TransformSite, WeakenSite
-from .model import Approach, BugType
-from .pool import BugPool, instantiate, lead_identifier
+from .model import Approach, BugType, SnippetForm
+from .pool import BugPool
 # unused here, but perfbench/tracing.py rebinds these names in this module
 from .front import parse  # noqa: F401
 
@@ -60,6 +84,8 @@ class BugLogEntry:
 class InjectionResult:
     text: str
     entries: tuple[BugLogEntry, ...]
+    # whether every edit keeps the source valid (see the module docstring)
+    vouched: bool = field(default=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -77,18 +103,19 @@ class _Edit:
 def inject_file(unit: SourceUnit, bug_type: BugType, pool: BugPool,
                 name: str, counter_start: int = 0) -> InjectionResult:
     """Inject one ``bug_type`` bug at every site of the parsed source
-    ``unit`` and check that the output still validates; its log entries
-    name the file ``name``. SolBugSmithError naming the output's first
+    ``unit``; its log entries name the file ``name``. An output that the
+    edits do not vouch for is validated: SolBugSmithError naming its first
     fault if it does not validate."""
     # through the module attributes, which perfbench/tracing.py rebinds
     profile = locator.find_all_potential_locations(unit, bug_type, pool,
                                                    source_id=name)
     result = inject_all(profile, pool, counter_start=counter_start)
-    diagnostics = front.validate(result.text)
-    if diagnostics:
-        first = diagnostics[0]
-        raise SolBugSmithError(f"output failed validation at line "
-                               f"{first.line}: {first.message}")
+    if not result.vouched:
+        diagnostics = front.validate(result.text)
+        if diagnostics:
+            first = diagnostics[0]
+            raise SolBugSmithError(f"output failed validation at line "
+                                   f"{first.line}: {first.message}")
     return result
 
 
@@ -99,8 +126,13 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
     whose entries name the file ``profile.source_id``."""
     unit = profile.unit
     data = unit.data
+    layout = _Layout(unit)
+    vouched = counter_start >= 0
 
-    variants = pool.variants(profile.bug_type)
+    # per form, its snippets in pool order, each with its template
+    # reindented per indent
+    variants = {form: [(snippet, {}) for snippet in group]
+                for form, group in pool.variants(profile.bug_type).items()}
     picks: Counter = Counter()
     # per contract: its context declarations, each with the first site
     # that needs it
@@ -111,15 +143,25 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
         counter = counter_start + idx
         if isinstance(site, SnippetSite):
             choices = variants[site.form]
-            snippet = choices[picks[site.form] % len(choices)]
+            snippet, bodies = choices[picks[site.form] % len(choices)]
             picks[site.form] += 1
             indent = _indent_at(data, site.offset)
-            body = _reindent(instantiate(snippet, counter), indent)
+            template = bodies.get(indent)
+            if template is None:
+                # {N} never touches the whitespace that leads a line
+                template = bodies[indent] = _reindent(snippet.template,
+                                                      indent)
+            body = template.replace("{N}", str(counter))
             edits.append(_insertion(data, site.offset, body, indent,
                                     [(idx, 0, len(body.encode("utf-8")))]))
-            fields.append((lead_identifier(snippet, counter)
-                           or f"{snippet.id}-{counter}",
+            lead = snippet.lead_name
+            fields.append((f"{lead}{counter}" if lead
+                           else f"{snippet.id}-{counter}",
                            Approach.FULL_SNIPPET, snippet.id))
+            vouched = vouched and snippet.vetted and _blank(indent) and \
+                site.offset in (layout.members
+                                if site.form is SnippetForm.FUNCTION_DEFINITION
+                                else layout.statements)
             if snippet.required_context:
                 decls = context[_contract_at(unit, site.offset)]
                 for decl in snippet.required_context:
@@ -131,10 +173,17 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
                                insert, [(idx, 0, len(insert))]))
             fields.append((f"trans_{profile.bug_type.value}{counter}",
                            Approach.CODE_TRANSFORMATION, None))
+            vouched = vouched and site.pattern.keeps_roles and \
+                layout.holds_run(site.match_span, site.pattern.needle)
         else:
             edits.append(_weaken_edit(data, site, idx))
             fields.append((f"weak_{profile.bug_type.value}{counter}",
                            Approach.WEAKEN_SECURITY, None))
+            # the weakening indents with the whitespace that leads its line,
+            # which is blank if _indent_at's is
+            span = site.revert_stmt_span
+            vouched = vouched and layout.removable(span) and \
+                _blank(_indent_at(data, span.start))
 
     context_edits = []
     for contract, decls in zip(unit.contracts, context):
@@ -142,6 +191,7 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
             continue
         offset = contract.body_span.start
         indent = _indent_at(data, offset)
+        vouched = vouched and _blank(indent)
         logged, rel = [], 0
         for decl, owner in decls:
             start = rel + len(indent.encode("utf-8"))
@@ -174,7 +224,75 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
                     profile.source_id, line_index.line_of(start),
                     line_index.line_of(max(start, end - 1)), start, end)
         for (bug_id, approach, snippet_id), (start, end) in zip(fields, hull))
-    return InjectionResult(out.decode("utf-8"), entries)
+    return InjectionResult(out.decode("utf-8"), entries, vouched)
+
+
+_token_start = attrgetter("start")
+
+# the bytes next to which no token can change where it ends
+_INERT = frozenset(b" \t\r\n()[]{};,")
+
+
+class _Layout:
+    """Where the parsed unit takes an edit that keeps it valid: the offsets
+    at which a statement or a member can be inserted, and the spans of the
+    statements that sit directly in a braced list."""
+
+    def __init__(self, unit: SourceUnit) -> None:
+        self.data = unit.data
+        self.tokens = unit.tokens
+        self.members: set[int] = set()
+        self.statements: set[int] = set()
+        self.listed: set[tuple[int, int]] = set()
+        for contract in unit.contracts:
+            self.members.add(contract.body_span.start)
+            for member in contract.members:
+                self.members.add(member.span.end)
+                if isinstance(member, FunctionDef):
+                    self.statements.add(member.body_span.start)
+                    for stmt in member.statements:
+                        self._visit(stmt, True)
+
+    def _visit(self, stmt: Stmt, in_list: bool) -> None:
+        if in_list:
+            self.statements.add(stmt.span.end)
+            self.listed.add((stmt.span.start, stmt.span.end))
+        if stmt.kind == "block":
+            self.statements.add(stmt.span.start + 1)
+        for child in stmt.children:
+            self._visit(child, stmt.kind == "block")
+
+    def holds_run(self, span: Span, needle: tuple[str, ...]) -> bool:
+        """Whether ``span`` covers exactly a run of tokens with the texts
+        ``needle``, between bytes that no token can join."""
+        first = bisect_left(self.tokens, span.start, key=_token_start)
+        run = self.tokens[first:first + len(needle)]
+        return (len(run) == len(needle) and run[0].start == span.start
+                and run[-1].end == span.end
+                and all(tok.text == text for tok, text in zip(run, needle))
+                and _inert(self.data, span.start - 1)
+                and _inert(self.data, span.end))
+
+    def removable(self, span: Span) -> bool:
+        """Whether the statement at ``span`` sits in a braced list and the
+        statement before it, if it ends with ``}``, cannot run on into the
+        one after it."""
+        if (span.start, span.end) not in self.listed:
+            return False
+        after = bisect_left(self.tokens, span.end, key=_token_start)
+        before = bisect_left(self.tokens, span.start, key=_token_start) - 1
+        return not (self.tokens[before].text == "}"
+                    and after < len(self.tokens)
+                    and self.tokens[after].text in CONTINUERS)
+
+
+def _inert(data: bytes, offset: int) -> bool:
+    return not 0 <= offset < len(data) or data[offset] in _INERT
+
+
+def _blank(indent: str) -> bool:
+    """Whether ``indent`` is lexer whitespace only."""
+    return not indent.strip(" \t\r")
 
 
 def _insertion(data: bytes, offset: int, body: str, indent: str,
@@ -230,8 +348,32 @@ def _contract_at(unit, offset: int) -> int:
     raise EditConflict(f"no contract encloses byte {offset}")
 
 
+# one entry of a bug log, as json.dumps(..., indent=2) lays it out
+_ENTRY_JSON = """  {{
+    "bugId": {},
+    "bugType": {},
+    "approach": {},
+    "snippetId": {},
+    "file": {},
+    "startLine": {},
+    "endLine": {},
+    "byteSpan": {{
+      "start": {},
+      "end": {}
+    }}
+  }}"""
+
+
 def emit_buglog_json(entries) -> str:
-    return json.dumps([e.to_json() for e in entries], indent=2) + "\n"
+    """``json.dumps([e.to_json() for e in entries], indent=2) + "\\n"``,
+    written from a template per entry."""
+    items = [_ENTRY_JSON.format(
+        _json_str(e.bug_id), _json_str(e.bug_type.value),
+        _json_str(e.approach.value),
+        "null" if e.snippet_id is None else _json_str(e.snippet_id),
+        _json_str(e.file), e.start_line, e.end_line, e.byte_start,
+        e.byte_end) for e in entries]
+    return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"
 
 
 def emit_buglog_csv(entries) -> str:

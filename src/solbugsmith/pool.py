@@ -4,26 +4,48 @@ Snippet templates mark every identifier they declare with a ``{N}`` suffix so
 each instantiation is fresh; required context declarations use fixed names so
 multiple bugs in one contract can share them. Templates are verified at load
 time by parsing them with a probe counter, which catches malformed entries
-before they can ever reach an injection run.
+before they can ever reach an injection run; a ``{N}`` where some counter
+would lex as another kind of token than the probe's is an error.
+
+The loader also records what lets the injector vouch for its output without
+a re-parse: a snippet is ``vetted`` when it passed those checks and its first
+token cannot carry on the code before it, and a transform ``keeps_roles``
+when its replacement can stand wherever its match parses.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 from .errors import LexError, ParseError, PoolError
 from .front import FunctionDef, parse_member_fragment, parse_statement_fragment
-from .front.lexer import TokenKind, tokenize
+from .front.lexer import ELEMENTARY_TYPES, Token, TokenKind, tokenize
+from .front.parser import CONTINUERS, READ_IDENTIFIERS
 from .front.nodes import COMPOUND_STMT_KINDS, SIMPLE_STMT_KINDS, Stmt
 from .model import BugType, SnippetForm
 
 GUARD_SHAPES = frozenset({"guardedSendRevert"})
 
 _MARKED_NAME = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\{N\}")
+
+# A {N} whose counter can change how the instance lexes: after int, uint or
+# bytes (and any digits) it can complete an elementary type name such as
+# uint8, and a counter of 0 before x starts a hex number.
+_COUNTER_HAZARD = re.compile(r"(?<![A-Za-z_$])(?:u?int|bytes)[0-9]*\{N\}"
+                             r"|(?<![A-Za-z0-9_$])\{N\}[xX]")
+
+# the first token of a template: a word or one character, past whitespace
+# and comments
+_FIRST_TOKEN = re.compile(r"(?:[ \t\r\n]|//[^\n]*+|/\*.*?\*/)*+"
+                          r"([A-Za-z_$][A-Za-z0-9_$]*|.)", re.DOTALL)
+
+# the elementary types that parse alike (``address`` may take ``payable``)
+_SWAPPABLE_TYPES = ELEMENTARY_TYPES - {"address"}
 
 
 @dataclass(frozen=True)
@@ -33,19 +55,35 @@ class BugSnippet:
     form: SnippetForm
     template: str
     required_context: tuple[str, ...] = ()
+    # Set by load_pool: the instance at any counter >= 0 parses as one
+    # fragment of ``form``, and its first token cannot carry on an opaque
+    # statement before it.
+    vetted: bool = False
+
+    @cached_property
+    def lead_name(self) -> str | None:
+        """The first marked identifier without its marker; an instance's
+        bug id is this name followed by the counter."""
+        match = _MARKED_NAME.search(self.template)
+        return None if match is None else match.group(1)
 
 
 @dataclass(frozen=True)
 class TransformPattern:
     """A token rewrite; ``needle`` holds the token texts of ``match`` less
     its comments, and ``insert`` is ``replace`` with each whitespace run
-    collapsed to one space."""
+    collapsed to one space. ``keeps_roles`` is set by load_pool when
+    ``insert`` lexes to tokens of the same kinds as the needle's, one for
+    one, that the parser reads alike: equal punctuators, keywords that are
+    equal or both elementary types other than ``address``, and identifiers
+    whose text the parser does not read."""
 
     bug_type: BugType
     match: str
     replace: str
     needle: tuple[str, ...]
     insert: str
+    keeps_roles: bool = False
 
 
 @dataclass(frozen=True)
@@ -83,14 +121,6 @@ def instantiate(snippet: BugSnippet, counter: int) -> str:
     return snippet.template.replace("{N}", str(counter))
 
 
-def lead_identifier(snippet: BugSnippet, counter: int) -> str | None:
-    """First marked identifier with the counter applied, if any."""
-    match = _MARKED_NAME.search(snippet.template)
-    if match is None:
-        return None
-    return f"{match.group(1)}{counter}"
-
-
 def load_pool(text: str) -> BugPool:
     """Parse and verify a pool document, raising PoolError on the first bad entry."""
     try:
@@ -108,7 +138,9 @@ def load_pool(text: str) -> BugPool:
             raise PoolError(snippet.id, "duplicate snippet id")
         seen_ids.add(snippet.id)
         _check_snippet(snippet)
-        snippets.append(snippet)
+        lead = _FIRST_TOKEN.match(snippet.template).group(1)
+        snippets.append(dataclasses.replace(snippet,
+                                            vetted=lead not in CONTINUERS))
 
     transforms = []
     for idx, raw in enumerate(_section(doc, "transforms")):
@@ -163,6 +195,9 @@ def _snippet_from_json(raw: object) -> BugSnippet:
 
 
 def _check_snippet(snippet: BugSnippet) -> None:
+    if _COUNTER_HAZARD.search(snippet.template):
+        raise PoolError(snippet.id, "{N} after int, uint or bytes, or before "
+                        "x, lexes as another token for some counters")
     probe = instantiate(snippet, 0)
     if snippet.form is SnippetForm.FUNCTION_DEFINITION:
         members = _parsed(snippet, "template", parse_member_fragment, probe)
@@ -227,18 +262,34 @@ def _transform_from_json(raw: object, idx: int) -> TransformPattern:
         raise PoolError(label, "missing or empty replacement")
     # tokenize encodes its input as UTF-8, which fails on a lone surrogate
     try:
-        needle = tuple(t.text for t in tokenize(match)
-                       if t.kind is not TokenKind.COMMENT)
+        needle = [t for t in tokenize(match)
+                  if t.kind is not TokenKind.COMMENT]
     except (LexError, UnicodeEncodeError) as err:
         raise PoolError(label, f"match pattern does not lex: {err}") from None
     if not needle:
         raise PoolError(label, "match pattern has no tokens")
     insert = " ".join(replace.split())
     try:
-        tokenize(insert)
+        inserted = tokenize(insert)
     except (LexError, UnicodeEncodeError) as err:
         raise PoolError(label, f"replacement does not lex: {err}") from None
-    return TransformPattern(bug_type, match, replace, needle, insert)
+    keeps_roles = len(inserted) == len(needle) and \
+        all(map(_same_role, needle, inserted))
+    return TransformPattern(bug_type, match, replace,
+                            tuple(t.text for t in needle), insert, keeps_roles)
+
+
+def _same_role(old: Token, new: Token) -> bool:
+    """Whether the parser reads ``new`` wherever it reads ``old`` alike."""
+    if old.kind is not new.kind:
+        return False
+    if old.text == new.text:
+        return True
+    if old.kind is TokenKind.KEYWORD:
+        return old.text in _SWAPPABLE_TYPES and new.text in _SWAPPABLE_TYPES
+    if old.kind is TokenKind.IDENTIFIER:
+        return not {old.text, new.text} & READ_IDENTIFIERS
+    return old.kind is not TokenKind.PUNCTUATOR
 
 
 def _weakening_from_json(raw: object, idx: int) -> WeakeningRule:

@@ -17,10 +17,11 @@ import pytest
 
 from solbugsmith import evaluator
 from solbugsmith.cli import _COMMANDS, _build_parser, main
-from solbugsmith.front import parser
-from solbugsmith.injector import CSV_COLUMNS
+from solbugsmith.front import parse, parser
+from solbugsmith.injector import CSV_COLUMNS, inject_all
+from solbugsmith.locator import find_all_potential_locations
 from solbugsmith.model import BugType
-from solbugsmith.pool import default_pool
+from solbugsmith.pool import default_pool, load_pool
 
 TOOLS = ["Manticore", "Mythril", "Oyente", "Securify", "SmartCheck",
          "Slither"]
@@ -700,12 +701,27 @@ def test_every_flag_is_read_by_its_command():
     assert unread == []
 
 
-def test_inject_parses_each_source_and_lexes_each_output_once(
-        mini_corpus, tmp_path, monkeypatch, capsys):
+def test_inject_parses_each_source_once_and_lexes_no_output(
+        mini_corpus, tmp_path, monkeypatch, capsys, unbalancing_pool_text):
     """Every binding of ``tokenize`` and ``parse`` in the package counts
-    its calls by input text over one ``inject`` run; the pool is loaded
-    before, so its transform patterns are lexed only at load."""
+    its calls by input text over an ``inject`` run. With the bundled pool,
+    loaded before, every output is valid by construction, and transform
+    patterns are lexed only at load. With a pool whose ``uint256`` rewrite
+    does not keep token roles, exactly the outputs that use it are lexed,
+    once each, to validate them."""
     pool = default_pool()
+    bad_pool = load_pool(unbalancing_pool_text)
+    sources = [p.read_text(encoding="utf-8")
+               for p in sorted(mini_corpus.glob("*.sol"))]
+    (rewrite,) = [t for t in bad_pool.transforms if not t.keeps_roles]
+    unvouched = []
+    for source in sources:
+        profile = find_all_potential_locations(
+            parse(source), BugType.INTEGER_OVERFLOW_UNDERFLOW, bad_pool)
+        if any(getattr(site, "pattern", None) is rewrite
+               for site in profile.sites):
+            unvouched.append(inject_all(profile, bad_pool).text)
+    assert unvouched
     lexed, parsed = Counter(), Counter()
 
     def counting(real, counts):
@@ -724,15 +740,25 @@ def test_inject_parses_each_source_and_lexes_each_output_once(
     assert main(["inject", "--corpus", str(mini_corpus),
                  "--out", str(out)]) == 0
     capsys.readouterr()
-    sources = [p.read_text(encoding="utf-8")
-               for p in sorted(mini_corpus.glob("*.sol"))]
     outputs = [p.read_text(encoding="utf-8") for p in sorted(out.glob("*.sol"))]
     assert len(outputs) == len(sources) * 7
     assert [(parsed[s], lexed[s]) for s in sources] == [(1, 1)] * len(sources)
-    assert [lexed[o] for o in outputs] == [1] * len(outputs)
+    assert [lexed[o] for o in outputs] == [0] * len(outputs)
     patterns = [text for t in pool.transforms for text in (t.match, t.insert)]
     assert patterns
     assert [lexed[text] for text in patterns] == [0] * len(patterns)
+
+    lexed.clear()
+    bad_pool_file = tmp_path / "pool.json"
+    bad_pool_file.write_text(unbalancing_pool_text, encoding="utf-8")
+    out = tmp_path / "bad"
+    assert main(["inject", "--corpus", str(mini_corpus), "--out", str(out),
+                 "--pool", str(bad_pool_file)]) == 2
+    capsys.readouterr()
+    outputs = [p.read_text(encoding="utf-8") for p in sorted(out.glob("*.sol"))]
+    assert len(outputs) == len(sources) * 7 - len(unvouched)
+    assert [lexed[o] for o in outputs] == [0] * len(outputs)
+    assert [lexed[o] for o in unvouched] == [1] * len(unvouched)
 
 
 def test_evaluate_matches_once_per_tool_and_bug_type(

@@ -5,12 +5,12 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solbugsmith.errors import MalformedDocument, SolBugSmithError
 from solbugsmith.front import TokenKind, parse, tokenize, validate
-from solbugsmith.injector import (CSV_COLUMNS, emit_buglog_csv,
+from solbugsmith.injector import (CSV_COLUMNS, BugLogEntry, emit_buglog_csv,
                                   emit_buglog_json, inject_all, inject_file,
                                   load_buglog)
 from solbugsmith.locator import (InjectionProfile, SnippetSite, TransformSite,
@@ -206,6 +206,12 @@ class TestGuardWeakening:
         assert validate(result.text) == []
 
 
+# ids and file names with non-ASCII, control and lone surrogate characters
+_LOG_TEXT = st.text(st.characters(exclude_categories=()), max_size=8) \
+    | st.sampled_from(["", "é.sol", "a\x00\n\t\"\\b", "\u2028", "\ud800"])
+_LOG_INT = st.integers(min_value=0, max_value=2**40)
+
+
 class TestBugLogSerialization:
     @pytest.fixture()
     def entries(self, pool):
@@ -216,6 +222,18 @@ class TestBugLogSerialization:
 
     def test_json_round_trip(self, entries):
         assert load_buglog(emit_buglog_json(entries)) == list(entries)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.builds(
+        BugLogEntry, bug_id=_LOG_TEXT, bug_type=st.sampled_from(BugType),
+        approach=st.sampled_from(Approach),
+        snippet_id=st.none() | _LOG_TEXT, file=_LOG_TEXT,
+        start_line=_LOG_INT, end_line=_LOG_INT, byte_start=_LOG_INT,
+        byte_end=_LOG_INT), max_size=4))
+    @example([])
+    def test_json_writer_writes_what_json_dumps_does(self, logged):
+        assert emit_buglog_json(logged) == \
+            json.dumps([e.to_json() for e in logged], indent=2) + "\n"
 
     def test_csv_header_and_row_count(self, entries):
         rows = emit_buglog_csv(entries).strip().split("\n")

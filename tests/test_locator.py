@@ -3,6 +3,7 @@ brute-force insert-probe oracle for statement-level completeness."""
 
 import pytest
 
+from solbugsmith.errors import LexError, ParseError
 from solbugsmith.front import TokenKind, parse, tokenize, validate
 from solbugsmith.locator import (SnippetSite, TransformSite, WeakenSite,
                                  dump_profile, find_all_potential_locations,
@@ -356,3 +357,90 @@ def test_probe_oracle_agrees_on_small_corpus(corpus_sources, pool):
 def test_probe_oracle_agrees_on_fixture(egame, pool):
     assert probe_oracle_offsets(egame) == _locator_statement_offsets(egame,
                                                                      pool)
+
+
+# ---------------------------------------------------------------------------
+# Soundness probe for snippet sites. At every site, a marker of the site's
+# form is spliced in (with a space on either side, so no line moves); the
+# output must parse, the marker must be exactly one node of that form
+# spanning the marker, and without it the tree must be the source's, spans
+# included, once offsets past the site are shifted back.
+
+SITE_MARKERS = {
+    SnippetForm.SIMPLE_STATEMENT: ("__prb();", "expressionStmt"),
+    SnippetForm.NON_FUNCTION_BLOCK: ("{ __prb(); }", "block"),
+    SnippetForm.FUNCTION_DEFINITION: ("function __prb() public {}",
+                                      "function"),
+}
+
+
+def _without_marker(tree: dict, start: int, end: int, kind: str,
+                     width: int) -> tuple[dict, int]:
+    """``tree`` less every node of ``kind`` spanning [start, end), with
+    offsets at or past ``end`` + 1 shifted back by ``width``; and how many
+    nodes were taken out."""
+    found = 0
+
+    def shift(offset: int) -> int:
+        return offset - width if offset >= start - 1 + width else offset
+
+    def rebuild(node: dict) -> dict:
+        nonlocal found
+        children = []
+        for child in node["children"]:
+            span = child["span"]
+            if (child["kind"], span["start"], span["end"]) == \
+                    (kind, start, end) and not child.get("opaque"):
+                found += 1
+            else:
+                children.append(rebuild(child))
+        span = dict(node["span"], start=shift(node["span"]["start"]),
+                    end=shift(node["span"]["end"]))
+        return dict(node, span=span, children=children)
+
+    return rebuild(tree), found
+
+
+def probe_disagreements(src: str, pool, shift: int = 0
+                        ) -> list[tuple[str, int]]:
+    """The (form, offset) of every snippet site, moved by ``shift`` bytes,
+    where the marker does not land as one node of its form and leave every
+    other node as it was."""
+    unit = parse(src)
+    expected = unit.to_json()
+    bad = []
+    for site in find_all_potential_locations(unit, BugType.REENTRANCY,
+                                             pool).sites:
+        if not isinstance(site, SnippetSite):
+            continue
+        marker, kind = SITE_MARKERS[site.form]
+        offset = site.offset + shift
+        spliced = (unit.data[:offset] + b" " + marker.encode()
+                   + b" " + unit.data[offset:]).decode("utf-8")
+        try:
+            tree = parse(spliced).to_json()
+        except (LexError, ParseError):
+            bad.append((site.form.value, offset))
+            continue
+        rest, found = _without_marker(tree, offset + 1,
+                                      offset + 1 + len(marker), kind,
+                                      len(marker) + 2)
+        if found != 1 or rest != expected:
+            bad.append((site.form.value, offset))
+    return bad
+
+
+def test_marker_probe_rejects_every_site_moved_off_its_boundary(pool):
+    src = "contract A {\n  function f() public {\n    x = 1;\n  }\n}\n"
+    sites = [s for s in _sites(src, pool) if isinstance(s, SnippetSite)]
+    assert len(sites) == 6
+    assert probe_disagreements(src, pool) == []
+    assert len(probe_disagreements(src, pool, shift=-1)) == len(sites)
+
+
+def test_marker_lands_as_one_node_at_every_snippet_site(
+        corpus_sources, egame, throw_guards, pool):
+    sources = dict(corpus_sources, **{"EGame.sol": egame,
+                                      "ThrowGuards.sol": throw_guards})
+    for name, src in sources.items():
+        assert probe_disagreements(src, pool) == [], name

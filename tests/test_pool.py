@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from solbugsmith.errors import PoolError
 from solbugsmith.model import BugType, SnippetForm
-from solbugsmith.pool import instantiate, lead_identifier, load_pool
+from solbugsmith.pool import instantiate, load_pool
 
 
 class TestDefaultPool:
@@ -51,24 +51,22 @@ class TestInstantiate:
 
     def test_lead_identifier_names_the_entry_point(self, pool):
         snippet = pool.snippets_for(BugType.REENTRANCY)[0]
-        lead = lead_identifier(snippet, 7)
-        assert lead is not None
-        assert lead.endswith("7")
-        assert lead in instantiate(snippet, 7)
+        assert snippet.lead_name == "bug_reEntrancy"
+        assert f"function {snippet.lead_name}7(" in instantiate(snippet, 7)
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_counters_resolve_all_markers(self, pool, counter):
         for snippet in pool.snippets:
             text = instantiate(snippet, counter)
             assert "{N}" not in text
-            if lead_identifier(snippet, counter):
-                assert str(counter) in text
+            if snippet.lead_name:
+                assert f"{snippet.lead_name}{counter}" in text
 
     @given(st.lists(st.integers(min_value=0, max_value=9999), min_size=2,
                     max_size=6, unique=True))
     def test_distinct_counters_give_distinct_leads(self, pool, counters):
         snippet = pool.snippets_for(BugType.TIMESTAMP_DEPENDENCY)[0]
-        leads = {lead_identifier(snippet, c) for c in counters}
+        leads = {f"{snippet.lead_name}{c}" for c in counters}
         assert len(leads) == len(counters)
 
 
@@ -141,6 +139,10 @@ class TestLoadErrors:
             load_pool(json.dumps(doc))
 
 
+COUNTER_HAZARD = ("{N} after int, uint or bytes, or before x, lexes as "
+                  "another token for some counters")
+
+
 def _snippet(**fields):
     return {"snippets": [{"id": "ok-snippet", "bugType": "TxOrigin",
                           "form": "SimpleStatement",
@@ -184,6 +186,16 @@ def _weakening(**fields):
     pytest.param(_snippet(template="delete stash{N};"),
                  "ok-snippet: template contains opaque code",
                  id="statement-template-opaque"),
+    pytest.param(_snippet(form="FunctionDefinition",
+                          template="function bytes{N}() public { }"),
+                 f"ok-snippet: {COUNTER_HAZARD}", id="counter-after-bytes"),
+    pytest.param(_snippet(template="owner = int{N}(owner);"),
+                 f"ok-snippet: {COUNTER_HAZARD}", id="counter-after-int"),
+    pytest.param(_snippet(template="owner = uint2{N}(owner);"),
+                 f"ok-snippet: {COUNTER_HAZARD}",
+                 id="counter-after-uint-digits"),
+    pytest.param(_snippet(template="owner = address({N}x1);"),
+                 f"ok-snippet: {COUNTER_HAZARD}", id="counter-before-x"),
     pytest.param({"transforms": [3]},
                  "<transform #0>: transform entry must be an object",
                  id="transform-not-object"),
@@ -238,3 +250,57 @@ def test_variants_group_a_types_snippets_by_form_in_pool_order(pool):
         assert list(groups) == list(dict.fromkeys(s.form for s in snippets))
         for form, members in groups.items():
             assert members == [s for s in snippets if s.form is form]
+
+
+@pytest.mark.parametrize("template", [
+    "owner = myint{N};", "owner = bytes_{N};", "owner = a{N}x;",
+    "owner = {N} + 1;", "owner = 0x{N};"])
+def test_a_counter_that_cannot_change_token_kinds_loads(template):
+    (snippet,) = load_pool(json.dumps(_snippet(template=template))).snippets
+    assert snippet.vetted
+
+
+def test_bundled_entries_are_vetted_and_keep_roles(pool,
+                                                   unbalancing_pool_text):
+    assert all(s.vetted for s in pool.snippets)
+    assert all(t.keeps_roles for t in pool.transforms)
+    bad = load_pool(unbalancing_pool_text).transforms
+    assert [t.insert for t in bad if not t.keeps_roles] == ["uint256 ("]
+
+
+@pytest.mark.parametrize("template, vetted", [
+    ("(owner, spender) = (tx.origin, 1);", False),
+    ("/* lead */ while (owner == tx.origin) { owner = tx.origin; }", False),
+    ("catch(owner);", False),
+    ("// comment\nif (owner == tx.origin) { owner = tx.origin; }", True),
+    ("owner = tx.origin;", True),
+])
+def test_a_snippet_that_could_continue_an_opaque_statement_is_not_vetted(
+        template, vetted):
+    form = "SimpleStatement" if template.endswith(";") else "NonFunctionBlock"
+    (snippet,) = load_pool(json.dumps(_snippet(
+        template=template, form=form))).snippets
+    assert snippet.vetted is vetted
+
+
+@pytest.mark.parametrize("match, replace, keeps", [
+    ("msg.sender", "tx.origin", True),
+    ("uint256", "uint8", True),
+    ("bytes32 x", "bool x", True),
+    ("1 ether", "2 ether", True),
+    ("uint256", "address", False),
+    ("address", "uint256", False),
+    ("uint256", "myType", False),
+    ("owner", "require", False),
+    ("do", "go", False),
+    ("msg.sender", "msg . sender", True),
+    ("msg.sender", "msg[sender]", False),
+    ("msg.sender", "msg.sender // note", False),
+    ("msg.sender", "msg.sender.x", False),
+    ("1 ether", "1 wei", False),
+])
+def test_a_transform_keeps_roles_when_the_parser_reads_it_alike(
+        match, replace, keeps):
+    (pattern,) = load_pool(json.dumps(_transform(
+        match=match, replace=replace))).transforms
+    assert pattern.keeps_roles is keeps
