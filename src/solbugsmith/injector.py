@@ -38,12 +38,13 @@ import json
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
 
 from . import front, locator
 from .errors import EditConflict, MalformedDocument, SolBugSmithError
-from .front import FunctionDef, LineIndex, SourceUnit, Span, Stmt
+from .front import LineIndex, SourceUnit, Span
 from .front.parser import CONTINUERS
 from .locator import InjectionProfile, SnippetSite, TransformSite, WeakenSite
 from .model import Approach, BugType, SnippetForm
@@ -159,9 +160,7 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
                            else f"{snippet.id}-{counter}",
                            Approach.FULL_SNIPPET, snippet.id))
             vouched = vouched and snippet.vetted and _blank(indent) and \
-                site.offset in (layout.members
-                                if site.form is SnippetForm.FUNCTION_DEFINITION
-                                else layout.statements)
+                layout.takes(site.form, site.offset)
             if snippet.required_context:
                 decls = context[_contract_at(unit, site.offset)]
                 for decl in snippet.required_context:
@@ -235,32 +234,28 @@ _INERT = frozenset(b" \t\r\n()[]{};,")
 
 class _Layout:
     """Where the parsed unit takes an edit that keeps it valid: the offsets
-    at which a statement or a member can be inserted, and the spans of the
-    statements that sit directly in a braced list."""
+    at which the locator puts a snippet of each form, and the spans of the
+    statements that sit directly in a braced list. Each is worked out from
+    the unit on first use."""
 
     def __init__(self, unit: SourceUnit) -> None:
+        self.unit = unit
         self.data = unit.data
         self.tokens = unit.tokens
-        self.members: set[int] = set()
-        self.statements: set[int] = set()
-        self.listed: set[tuple[int, int]] = set()
-        for contract in unit.contracts:
-            self.members.add(contract.body_span.start)
-            for member in contract.members:
-                self.members.add(member.span.end)
-                if isinstance(member, FunctionDef):
-                    self.statements.add(member.body_span.start)
-                    for stmt in member.statements:
-                        self._visit(stmt, True)
+        self._offsets: dict[SnippetForm, frozenset[int]] = {}
 
-    def _visit(self, stmt: Stmt, in_list: bool) -> None:
-        if in_list:
-            self.statements.add(stmt.span.end)
-            self.listed.add((stmt.span.start, stmt.span.end))
-        if stmt.kind == "block":
-            self.statements.add(stmt.span.start + 1)
-        for child in stmt.children:
-            self._visit(child, stmt.kind == "block")
+    def takes(self, form: SnippetForm, offset: int) -> bool:
+        """Whether a snippet of ``form`` can go in at ``offset``."""
+        offsets = self._offsets.get(form)
+        if offsets is None:
+            offsets = self._offsets[form] = frozenset(
+                site.offset for site in locator.snippet_sites(self.unit, form))
+        return offset in offsets
+
+    @cached_property
+    def listed(self) -> frozenset[tuple[int, int]]:
+        return frozenset((stmt.span.start, stmt.span.end)
+                         for stmt in locator.listed_statements(self.unit))
 
     def holds_run(self, span: Span, needle: tuple[str, ...]) -> bool:
         """Whether ``span`` covers exactly a run of tokens with the texts

@@ -112,10 +112,7 @@ def find_all_potential_locations(unit: SourceUnit, bug_type: BugType,
     same unit."""
     sites: list[Site] = []
     for form in pool.variants(bug_type):
-        if form is SnippetForm.FUNCTION_DEFINITION:
-            sites.extend(_member_sites(unit, form))
-        else:
-            sites.extend(_statement_sites(unit, form))
+        sites.extend(snippet_sites(unit, form))
     if pool.transforms_for(bug_type):
         sites.extend(find_transformable_code(unit, bug_type, pool))
     for rule in pool.weakenings_for(bug_type):
@@ -135,6 +132,14 @@ def _order_key(pair: tuple[int, Site]):
 
 
 # -- snippet sites ----------------------------------------------------------
+
+
+def snippet_sites(unit: SourceUnit, form: SnippetForm) -> list[SnippetSite]:
+    """The places in ``unit`` that take a snippet of ``form``: member
+    boundaries for a function definition, statement boundaries otherwise."""
+    if form is SnippetForm.FUNCTION_DEFINITION:
+        return _member_sites(unit, form)
+    return _statement_sites(unit, form)
 
 
 def _member_sites(unit: SourceUnit, form: SnippetForm) -> list[SnippetSite]:
@@ -190,6 +195,15 @@ def _walk(stmts: list[Stmt], path: tuple[str, ...], in_list: bool = True
             yield from _walk(stmt.children, _block_path(path, stmt))
         else:
             yield from _walk(stmt.children, path, False)
+
+
+def listed_statements(unit: SourceUnit) -> Iterator[Stmt]:
+    """Every statement in a function body that sits directly in a braced
+    list, where it can be commented out."""
+    for member, path in _functions(unit):
+        for stmt, _, in_list in _walk(member.statements, path):
+            if in_list:
+                yield stmt
 
 
 def _block_path(path: tuple[str, ...], block: Stmt) -> tuple[str, ...]:

@@ -15,10 +15,9 @@ when its replacement can stand wherever its match parses.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
 
@@ -33,15 +32,19 @@ GUARD_SHAPES = frozenset({"guardedSendRevert"})
 
 _MARKED_NAME = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\{N\}")
 
-# A {N} whose counter can change how the instance lexes: after int, uint or
-# bytes (and any digits) it can complete an elementary type name such as
-# uint8, and a counter of 0 before x starts a hex number.
-_COUNTER_HAZARD = re.compile(r"(?<![A-Za-z_$])(?:u?int|bytes)[0-9]*\{N\}"
-                             r"|(?<![A-Za-z0-9_$])\{N\}[xX]")
+# A {N} in code whose counter can change how the instance lexes (a group):
+# after int, uint or bytes (and any digits) it can complete an elementary
+# type name such as uint8, and a counter of 0 before x starts a hex number.
+# Strings and comments are matched whole, so a {N} inside one is skipped;
+# its digits cannot change where the string or comment ends.
+_COUNTER_HAZARD = re.compile(
+    r"\"(?:[^\"\\\n]|\\.)*\"|'(?:[^'\\\n]|\\.)*'|//[^\n]*|/\*.*?\*/"
+    r"|(?<![A-Za-z_$])(?:u?int|bytes)[0-9]*(\{N\})"
+    r"|(?<![A-Za-z0-9_$])(\{N\})[xX]", re.DOTALL)
 
 # the first token of a template: a word or one character, past whitespace
 # and comments
-_FIRST_TOKEN = re.compile(r"(?:[ \t\r\n]|//[^\n]*+|/\*.*?\*/)*+"
+_FIRST_TOKEN = re.compile(r"(?:[ \t\r\n]|//[^\n]*|/\*.*?\*/)*"
                           r"([A-Za-z_$][A-Za-z0-9_$]*|.)", re.DOTALL)
 
 # the elementary types that parse alike (``address`` may take ``payable``)
@@ -55,10 +58,10 @@ class BugSnippet:
     form: SnippetForm
     template: str
     required_context: tuple[str, ...] = ()
-    # Set by load_pool: the instance at any counter >= 0 parses as one
+    # Set by load_pool only: the instance at any counter >= 0 parses as one
     # fragment of ``form``, and its first token cannot carry on an opaque
     # statement before it.
-    vetted: bool = False
+    vetted: bool = field(default=False, init=False, compare=False)
 
     @cached_property
     def lead_name(self) -> str | None:
@@ -72,7 +75,7 @@ class BugSnippet:
 class TransformPattern:
     """A token rewrite; ``needle`` holds the token texts of ``match`` less
     its comments, and ``insert`` is ``replace`` with each whitespace run
-    collapsed to one space. ``keeps_roles`` is set by load_pool when
+    collapsed to one space. ``keeps_roles`` is set by load_pool only, when
     ``insert`` lexes to tokens of the same kinds as the needle's, one for
     one, that the parser reads alike: equal punctuators, keywords that are
     equal or both elementary types other than ``address``, and identifiers
@@ -83,7 +86,7 @@ class TransformPattern:
     replace: str
     needle: tuple[str, ...]
     insert: str
-    keeps_roles: bool = False
+    keeps_roles: bool = field(default=False, init=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -139,8 +142,8 @@ def load_pool(text: str) -> BugPool:
         seen_ids.add(snippet.id)
         _check_snippet(snippet)
         lead = _FIRST_TOKEN.match(snippet.template).group(1)
-        snippets.append(dataclasses.replace(snippet,
-                                            vetted=lead not in CONTINUERS))
+        object.__setattr__(snippet, "vetted", lead not in CONTINUERS)
+        snippets.append(snippet)
 
     transforms = []
     for idx, raw in enumerate(_section(doc, "transforms")):
@@ -195,7 +198,7 @@ def _snippet_from_json(raw: object) -> BugSnippet:
 
 
 def _check_snippet(snippet: BugSnippet) -> None:
-    if _COUNTER_HAZARD.search(snippet.template):
+    if any(m.lastindex for m in _COUNTER_HAZARD.finditer(snippet.template)):
         raise PoolError(snippet.id, "{N} after int, uint or bytes, or before "
                         "x, lexes as another token for some counters")
     probe = instantiate(snippet, 0)
@@ -273,10 +276,11 @@ def _transform_from_json(raw: object, idx: int) -> TransformPattern:
         inserted = tokenize(insert)
     except (LexError, UnicodeEncodeError) as err:
         raise PoolError(label, f"replacement does not lex: {err}") from None
-    keeps_roles = len(inserted) == len(needle) and \
-        all(map(_same_role, needle, inserted))
-    return TransformPattern(bug_type, match, replace,
-                            tuple(t.text for t in needle), insert, keeps_roles)
+    pattern = TransformPattern(bug_type, match, replace,
+                               tuple(t.text for t in needle), insert)
+    object.__setattr__(pattern, "keeps_roles", len(inserted) == len(needle)
+                       and all(map(_same_role, needle, inserted)))
+    return pattern
 
 
 def _same_role(old: Token, new: Token) -> bool:

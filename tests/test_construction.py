@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from solbugsmith import locator
 from solbugsmith.errors import PoolError, SolBugSmithError
 from solbugsmith.front import parse, validate
-from solbugsmith.injector import _Layout, inject_all, inject_file
+from solbugsmith.injector import inject_all, inject_file
 from solbugsmith.locator import SnippetSite, TransformSite
-from solbugsmith.model import BugType, SnippetForm
+from solbugsmith.model import BugType
 from solbugsmith.pool import load_pool
 
 COUNTERS = (0, 1, 8, 32, 255, 10000)
@@ -85,24 +85,6 @@ def test_bundled_outputs_are_vouched_for_and_valid(
             for counter in COUNTERS:
                 assert assert_sound(unit, bug_type, pool, counter), \
                     (name, bug_type, counter)
-
-
-def test_layout_takes_insertions_exactly_at_the_locators_snippet_sites(
-        corpus_sources, egame, throw_guards, pool):
-    """The soundness probe of tests/test_locator.py holds for the offsets
-    that the construction check accepts."""
-    for src in [*corpus_sources.values(), egame, throw_guards, HAZARDS]:
-        unit = parse(src)
-        sites = [s for s in locator.find_all_potential_locations(
-            unit, BugType.REENTRANCY, pool).sites
-            if isinstance(s, SnippetSite)]
-        layout = _Layout(unit)
-        assert layout.members == {
-            s.offset for s in sites
-            if s.form is SnippetForm.FUNCTION_DEFINITION}
-        assert layout.statements == {
-            s.offset for s in sites
-            if s.form is not SnippetForm.FUNCTION_DEFINITION}
 
 
 def test_hazard_source_outputs_are_sound(pool):

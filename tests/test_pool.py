@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from solbugsmith.errors import PoolError
 from solbugsmith.model import BugType, SnippetForm
-from solbugsmith.pool import instantiate, load_pool
+from solbugsmith.pool import (BugSnippet, TransformPattern, instantiate,
+                              load_pool)
 
 
 class TestDefaultPool:
@@ -196,6 +197,9 @@ def _weakening(**fields):
                  id="counter-after-uint-digits"),
     pytest.param(_snippet(template="owner = address({N}x1);"),
                  f"ok-snippet: {COUNTER_HAZARD}", id="counter-before-x"),
+    pytest.param(_snippet(template='owner = f("int{N}", /* " */ int{N});'),
+                 f"ok-snippet: {COUNTER_HAZARD}",
+                 id="counter-after-int-past-a-string"),
     pytest.param({"transforms": [3]},
                  "<transform #0>: transform entry must be an object",
                  id="transform-not-object"),
@@ -254,7 +258,8 @@ def test_variants_group_a_types_snippets_by_form_in_pool_order(pool):
 
 @pytest.mark.parametrize("template", [
     "owner = myint{N};", "owner = bytes_{N};", "owner = a{N}x;",
-    "owner = {N} + 1;", "owner = 0x{N};"])
+    "owner = {N} + 1;", "owner = 0x{N};", 'owner = "int{N} {N}x";',
+    "owner = 'bytes{N}';", "owner = /* uint{N}\n {N}x */ 1; // int{N}"])
 def test_a_counter_that_cannot_change_token_kinds_loads(template):
     (snippet,) = load_pool(json.dumps(_snippet(template=template))).snippets
     assert snippet.vetted
@@ -266,6 +271,18 @@ def test_bundled_entries_are_vetted_and_keep_roles(pool,
     assert all(t.keeps_roles for t in pool.transforms)
     bad = load_pool(unbalancing_pool_text).transforms
     assert [t.insert for t in bad if not t.keeps_roles] == ["uint256 ("]
+
+
+def test_only_load_pool_vouches_for_an_entry(pool):
+    snippet = pool.snippets[0]
+    copy = BugSnippet(snippet.id, snippet.bug_type, snippet.form,
+                      snippet.template, snippet.required_context)
+    assert copy == snippet and not copy.vetted
+    with pytest.raises(TypeError):
+        BugSnippet(snippet.id, snippet.bug_type, snippet.form,
+                   snippet.template, vetted=True)
+    with pytest.raises(TypeError):
+        TransformPattern(BugType.TOD, "a", "b", ("a",), "b", keeps_roles=True)
 
 
 @pytest.mark.parametrize("template, vetted", [
