@@ -18,17 +18,19 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+from .buglog import (BugLogEntry, emit_buglog_csv, emit_buglog_json,
+                     load_buglog)
 from .errors import (DomainError, MalformedDocument, MissingBugLog, PoolError,
                      SolBugSmithError)
 from .evaluator import (Finding, evaluate_campaign, fn_csv, fp_csv,
                         ingest_report, load_capabilities, load_truth_extras,
                         render_fn_table, render_fp_table, report_tool)
 from .front import parse
-from .injector import (BugLogEntry, emit_buglog_csv, emit_buglog_json,
-                       inject_file, load_buglog)
+from .injector import inject_file
 from .locator import dump_profile, find_all_potential_locations
 from .model import BugType
-from .oracle import OracleSpec, dump_report, generate_tool_report
+from .oracle import (OracleSpec, dump_report, generate_tool_report,
+                     uninjected_lines)
 from .pool import BugPool, default_pool, load_pool
 # unused here, but perfbench/tracing.py rebinds these names in this module
 from .evaluator import filter_by_majority, score_false_negatives  # noqa: F401
@@ -340,9 +342,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     usable = {name: entries for name, entries in buglogs.items()
               if name in line_counts}
 
+    open_lines = uninjected_lines(usable, line_counts)
     for tool in sorted(capabilities):
         report, truth = generate_tool_report(tool, capabilities[tool], usable,
-                                             line_counts, spec)
+                                             line_counts, spec, open_lines)
         (out_dir / f"{tool}.report.json").write_text(dump_report(report),
                                                      encoding="utf-8")
         (out_dir / f"{tool}.truth.json").write_text(dump_report(truth),

@@ -29,18 +29,18 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
+from .buglog import BugLogEntry
 from .errors import (DomainError, FormatError, MalformedDocument,
                      MissingThreshold, ScopeError)
-from .injector import BugLogEntry
-from .model import BugType
+from .model import BUG_TYPES, BugType
 from .oracle import child_seed
 
 MISCELLANEOUS = "Miscellaneous"
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     tool: str
     file: str
     line: int
@@ -70,24 +70,23 @@ def ingest_report(text: str, tool: str | None = None) -> list[Finding]:
                              "an object with a findings array")
     findings = []
     for idx, raw in enumerate(raw_findings, start=1):
-        if not isinstance(raw, dict):
+        if type(raw) is not dict:
             raise FormatError(idx, "finding must be an object")
         name = raw.get("tool", default_tool)
         if not isinstance(name, str) or not name:
             raise FormatError(idx, "finding has no tool name")
         file = raw.get("file")
-        if not isinstance(file, str) or not file:
+        if type(file) is not str or not file:
             raise FormatError(idx, "finding has no file")
         line = raw.get("line")
-        if not isinstance(line, int) or isinstance(line, bool) or line < 1:
+        if type(line) is not int or line < 1:
             raise FormatError(idx, f"line must be a positive integer, got {line!r}")
-        type_name = raw.get("type", MISCELLANEOUS)
-        try:
-            reported = BugType(type_name)
-        except ValueError:
-            reported = None
+        type_name = raw.get("type")
+        # a label that is not a string, a list say, is as unknown as any
+        reported = BUG_TYPES.get(type_name) if type(type_name) is str \
+            else None
         message = raw.get("message", "")
-        if not isinstance(message, str):
+        if type(message) is not str:
             raise FormatError(idx, "message must be a string")
         findings.append(Finding(name, file, line, reported, message))
     return findings

@@ -14,17 +14,19 @@ is one of these, checked per edit against the parsed unit and the pool:
 
 * a snippet or context insertion at an offset where the unit takes a
   statement or a member (a statement or member end, or just after a body's
-  ``{``), of a snippet that ``load_pool`` vetted, at a counter >= 0, and
-  with an indent of spaces, tabs and carriage returns: the text is ``"\n"``
-  and the reindented instance, and it ends at a newline or at ``"\n"`` and
-  the indent; reindenting changes only whitespace at the start of a line;
+  ``{``), of a snippet that ``load_pool`` vetted, at a counter >= 0: the
+  text is ``"\n"`` and the reindented instance, and it ends at a newline or
+  at ``"\n"`` and the indent; reindenting changes only whitespace at the
+  start of a line;
 * a transform of a pattern that keeps token roles, over exactly a run of
   the unit's tokens with the pattern's texts, between bytes that no token
   can join (whitespace, brackets, ``;`` and ``,``);
 * a weakening of a statement that sits in a braced list, with no opaque
-  statement carried on past it, and an indent as above: every line of the
-  statement gets a ``//`` prefix, and code after it on its line moves to a
-  line of its own.
+  statement carried on past it: every line of the statement gets a ``//``
+  prefix, and code after it on its line moves to a line of its own.
+
+Every indent is taken from the spaces, tabs and carriage returns that lead
+a line, which the lexer skips wherever they stand.
 
 ``inject_file`` validates, with ``front.validate``, only an output that some
 edit leaves unvouched for.
@@ -32,53 +34,24 @@ edit leaves unvouched for.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
 
 from . import front, locator
-from .errors import EditConflict, MalformedDocument, SolBugSmithError
+from .buglog import BugLogEntry
+from .errors import EditConflict, SolBugSmithError
 from .front import LineIndex, SourceUnit, Span
 from .front.parser import CONTINUERS
 from .locator import InjectionProfile, SnippetSite, TransformSite, WeakenSite
 from .model import Approach, BugType, SnippetForm
 from .pool import BugPool
-# unused here, but perfbench/tracing.py rebinds these names in this module
+# unused here, but perfbench/tracing.py rebinds these names in this module;
+# its targets name this module as the home of the bug-log functions
+from .buglog import emit_buglog_csv, emit_buglog_json, load_buglog  # noqa: F401
 from .front import parse  # noqa: F401
-
-CSV_COLUMNS = ("bugId", "bugType", "approach", "snippetId", "file",
-               "startLine", "endLine", "byteStart", "byteEnd")
-
-
-@dataclass(frozen=True)
-class BugLogEntry:
-    bug_id: str
-    bug_type: BugType
-    approach: Approach
-    snippet_id: str | None
-    file: str
-    start_line: int
-    end_line: int
-    byte_start: int
-    byte_end: int
-
-    def to_json(self) -> dict:
-        return {
-            "bugId": self.bug_id,
-            "bugType": self.bug_type.value,
-            "approach": self.approach.value,
-            "snippetId": self.snippet_id,
-            "file": self.file,
-            "startLine": self.start_line,
-            "endLine": self.end_line,
-            "byteSpan": {"start": self.byte_start, "end": self.byte_end},
-        }
 
 
 @dataclass(frozen=True)
@@ -159,7 +132,7 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
             fields.append((f"{lead}{counter}" if lead
                            else f"{snippet.id}-{counter}",
                            Approach.FULL_SNIPPET, snippet.id))
-            vouched = vouched and snippet.vetted and _blank(indent) and \
+            vouched = vouched and snippet.vetted and \
                 layout.takes(site.form, site.offset)
             if snippet.required_context:
                 decls = context[_contract_at(unit, site.offset)]
@@ -178,11 +151,7 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
             edits.append(_weaken_edit(data, site, idx))
             fields.append((f"weak_{profile.bug_type.value}{counter}",
                            Approach.WEAKEN_SECURITY, None))
-            # the weakening indents with the whitespace that leads its line,
-            # which is blank if _indent_at's is
-            span = site.revert_stmt_span
-            vouched = vouched and layout.removable(span) and \
-                _blank(_indent_at(data, span.start))
+            vouched = vouched and layout.removable(site.revert_stmt_span)
 
     context_edits = []
     for contract, decls in zip(unit.contracts, context):
@@ -190,7 +159,6 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
             continue
         offset = contract.body_span.start
         indent = _indent_at(data, offset)
-        vouched = vouched and _blank(indent)
         logged, rel = [], 0
         for decl, owner in decls:
             start = rel + len(indent.encode("utf-8"))
@@ -227,6 +195,9 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
 
 
 _token_start = attrgetter("start")
+
+# the whitespace that the lexer skips within a line (front/lexer.py)
+_SPACE = " \t\r"
 
 # the bytes next to which no token can change where it ends
 _INERT = frozenset(b" \t\r\n()[]{};,")
@@ -285,11 +256,6 @@ def _inert(data: bytes, offset: int) -> bool:
     return not 0 <= offset < len(data) or data[offset] in _INERT
 
 
-def _blank(indent: str) -> bool:
-    """Whether ``indent`` is lexer whitespace only."""
-    return not indent.strip(" \t\r")
-
-
 def _insertion(data: bytes, offset: int, body: str, indent: str,
                logged: list[tuple[int, int, int]]) -> _Edit:
     """Put ``body`` on a new line at ``offset``; code that follows on the
@@ -311,7 +277,7 @@ def _weaken_edit(data: bytes, site: WeakenSite, idx: int) -> _Edit:
         line_end = len(data)
     after = data[end:line_end]
     indent = before.decode("utf-8")
-    indent = indent[:len(indent) - len(indent.lstrip())]
+    indent = indent[:len(indent) - len(indent.lstrip(_SPACE))]
     commented = "//" + data[start:end].decode("utf-8").replace("\n", "\n//")
     prefix = ("\n" + indent) if before.strip() else ""
     suffix = ("\n" + indent) if after.strip() else ""
@@ -323,7 +289,7 @@ def _weaken_edit(data: bytes, site: WeakenSite, idx: int) -> _Edit:
 def _indent_at(data: bytes, offset: int) -> str:
     line_start = data.rfind(b"\n", 0, offset) + 1
     prefix = data[line_start:offset].decode("utf-8")
-    lead = prefix[:len(prefix) - len(prefix.lstrip())]
+    lead = prefix[:len(prefix) - len(prefix.lstrip(_SPACE))]
     if prefix.rstrip().endswith("{"):
         return lead + "    "
     return lead
@@ -341,73 +307,3 @@ def _contract_at(unit, offset: int) -> int:
         if contract.span.start <= offset <= contract.span.end:
             return index
     raise EditConflict(f"no contract encloses byte {offset}")
-
-
-# one entry of a bug log, as json.dumps(..., indent=2) lays it out
-_ENTRY_JSON = """  {{
-    "bugId": {},
-    "bugType": {},
-    "approach": {},
-    "snippetId": {},
-    "file": {},
-    "startLine": {},
-    "endLine": {},
-    "byteSpan": {{
-      "start": {},
-      "end": {}
-    }}
-  }}"""
-
-
-def emit_buglog_json(entries) -> str:
-    """``json.dumps([e.to_json() for e in entries], indent=2) + "\\n"``,
-    written from a template per entry."""
-    items = [_ENTRY_JSON.format(
-        _json_str(e.bug_id), _json_str(e.bug_type.value),
-        _json_str(e.approach.value),
-        "null" if e.snippet_id is None else _json_str(e.snippet_id),
-        _json_str(e.file), e.start_line, e.end_line, e.byte_start,
-        e.byte_end) for e in entries]
-    return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"
-
-
-def emit_buglog_csv(entries) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for e in entries:
-        writer.writerow([e.bug_id, e.bug_type.value, e.approach.value,
-                         e.snippet_id or "", e.file, e.start_line, e.end_line,
-                         e.byte_start, e.byte_end])
-    return buf.getvalue()
-
-
-def load_buglog(text: str) -> list[BugLogEntry]:
-    """Entries of a bug-log document; MalformedDocument for any other shape."""
-    try:
-        doc = json.loads(text)
-        if not isinstance(doc, list):
-            raise TypeError("expected a JSON array of entries")
-        return [_entry_from_json(raw) for raw in doc]
-    except (KeyError, TypeError, ValueError) as exc:
-        reason = f"entry without {exc}" if isinstance(exc, KeyError) else exc
-        raise MalformedDocument(f"malformed bug log: {reason}") from None
-
-
-def _entry_from_json(raw: object) -> BugLogEntry:
-    if not isinstance(raw, dict):
-        raise TypeError("each entry must be a JSON object")
-    span = raw["byteSpan"]
-    positions = (raw["startLine"], raw["endLine"], span["start"], span["end"])
-    if not all(type(n) is int for n in positions):
-        raise TypeError(f"lines and byte offsets must be integers: {positions}")
-    if not isinstance(raw["bugId"], str) or not isinstance(raw["file"], str):
-        raise TypeError("bugId and file must be strings")
-    start_line, end_line, byte_start, byte_end = positions
-    if not (1 <= start_line <= end_line and 0 <= byte_start <= byte_end):
-        raise ValueError(f"entry {raw['bugId']!r} has a reversed or "
-                         f"non-positive range: lines {start_line}..{end_line}"
-                         f", bytes {byte_start}..{byte_end}")
-    return BugLogEntry(raw["bugId"], BugType(raw["bugType"]),
-                       Approach(raw["approach"]), raw.get("snippetId"),
-                       raw["file"], *positions)

@@ -5,7 +5,18 @@ from __future__ import annotations
 from enum import Enum
 
 
-class BugType(Enum):
+class _Term(Enum):
+    """A term of one vocabulary below; it prints as its value."""
+
+    # Enum hashes a member's name in Python; a member equals only itself,
+    # so the C identity hash serves and spares a Python call per lookup
+    __hash__ = object.__hash__
+
+    def __str__(self) -> str:
+        return self.value
+
+
+class BugType(_Term):
     REENTRANCY = "Reentrancy"
     TIMESTAMP_DEPENDENCY = "TimestampDependency"
     UNCHECKED_SEND = "UncheckedSend"
@@ -14,23 +25,19 @@ class BugType(Enum):
     INTEGER_OVERFLOW_UNDERFLOW = "IntegerOverflowUnderflow"
     TX_ORIGIN = "TxOrigin"
 
-    def __str__(self) -> str:
-        return self.value
 
-
-class SnippetForm(Enum):
+class SnippetForm(_Term):
     SIMPLE_STATEMENT = "SimpleStatement"
     NON_FUNCTION_BLOCK = "NonFunctionBlock"
     FUNCTION_DEFINITION = "FunctionDefinition"
 
-    def __str__(self) -> str:
-        return self.value
 
-
-class Approach(Enum):
+class Approach(_Term):
     FULL_SNIPPET = "FullSnippet"
     CODE_TRANSFORMATION = "CodeTransformation"
     WEAKEN_SECURITY = "WeakenSecurity"
 
-    def __str__(self) -> str:
-        return self.value
+
+# each term by its value: a lookup that does not go through Enum's call
+BUG_TYPES = {member.value: member for member in BugType}
+APPROACHES = {member.value: member for member in Approach}

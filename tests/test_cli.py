@@ -7,7 +7,9 @@ import csv
 import importlib
 import inspect
 import json
+import os
 import shutil
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -15,10 +17,12 @@ from pathlib import Path
 
 import pytest
 
+import solbugsmith
 from solbugsmith import evaluator
+from solbugsmith.buglog import CSV_COLUMNS
 from solbugsmith.cli import _COMMANDS, _build_parser, main
 from solbugsmith.front import parse, parser
-from solbugsmith.injector import CSV_COLUMNS, inject_all
+from solbugsmith.injector import inject_all
 from solbugsmith.locator import find_all_potential_locations
 from solbugsmith.model import BugType
 from solbugsmith.pool import default_pool, load_pool
@@ -800,3 +804,93 @@ def test_traced_bindings_exist_in_every_importing_module():
             module = importlib.import_module(f"solbugsmith.{owner}")
             assert getattr(module, attr, None) is defined, \
                 f"solbugsmith.{owner}.{attr}"
+
+
+# -- whole processes ----------------------------------------------------------
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _child_env(**extra: str) -> dict[str, str]:
+    """The environment of a child process that imports this package."""
+    path = [str(Path(solbugsmith.__file__).parent.parent)]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
+
+
+def _campaign(python: str, corpus: Path, root: Path,
+              hash_seed: str = "0") -> dict[str, bytes]:
+    """Each file that ``inject``, ``oracle`` and ``evaluate`` write under
+    ``root``, each stage run as a process of ``python``."""
+    buggy, reports = root / "buggy", root / "reports"
+    for argv in (["inject", "--corpus", str(corpus), "--out", str(buggy)],
+                 ["oracle", "--buglogs", str(buggy), "--out", str(reports),
+                  "--miss-rate", "0.3", "--mistype-rate", "0.2",
+                  "--extra-per-file", "3", "--seed", "5"],
+                 ["evaluate", "--buglogs", str(buggy), "--reports",
+                  str(reports), "--out", str(root / "scored"), "--seed", "5"]):
+        proc = subprocess.run([python, "-m", "solbugsmith.cli", *argv],
+                              env=_child_env(PYTHONHASHSEED=hash_seed),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(mini_corpus, tmp_path):
+    """Strings hash by the seed and the vocabulary enums by identity, so a
+    set or dict order that reached an output would differ between these
+    processes."""
+    first = _campaign(sys.executable, mini_corpus, tmp_path / "0", "0")
+    assert len(first) > 50
+    assert _campaign(sys.executable, mini_corpus, tmp_path / "1", "1") \
+        == first
+
+
+def test_scoring_loads_neither_the_front_end_nor_the_injector():
+    code = ("import sys\nimport solbugsmith.evaluator, solbugsmith.oracle\n"
+            "print(' '.join(sorted(m for m in sys.modules\n"
+            "                      if m.startswith('solbugsmith.'))))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == [
+        f"solbugsmith.{name}"
+        for name in ("buglog", "errors", "evaluator", "model", "oracle")]
+
+
+def _python_3_10() -> str | None:
+    """A Python 3.10 interpreter that runs: ``python3.10`` on PATH, else
+    one that pyenv installed under ``$PYENV_ROOT/versions``."""
+    candidates = [shutil.which("python3.10")]
+    if os.environ.get("PYENV_ROOT"):
+        versions = Path(os.environ["PYENV_ROOT"]) / "versions"
+        candidates += sorted(map(str, versions.glob("3.10*/bin/python")))
+    check = "import sys\nassert sys.version_info[:2] == (3, 10)"
+    for python in filter(None, candidates):
+        probe = subprocess.run([python, "-c", check], capture_output=True)
+        if probe.returncode == 0:
+            return python
+    return None
+
+
+def test_python_3_10_imports_the_package_and_writes_the_same_files(
+        tmp_path):
+    """pyproject.toml allows Python 3.10: the package imports there, the
+    bundled pool loads, and a campaign over the fixtures writes the bytes
+    it writes here."""
+    python = _python_3_10()
+    if python is None:
+        pytest.skip("no Python 3.10: put python3.10 on PATH or install "
+                    "one with pyenv")
+    probe = subprocess.run(
+        [python, "-c", "import solbugsmith.cli\n"
+         "from solbugsmith.pool import default_pool\ndefault_pool()"],
+        env=_child_env(), capture_output=True, text=True)
+    assert probe.returncode == 0, probe.stderr
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("EGame.sol", "ThrowGuards.sol"):
+        shutil.copy(FIXTURES / name, corpus / name)
+    assert _campaign(python, corpus, tmp_path / "3.10") == \
+        _campaign(sys.executable, corpus, tmp_path / "here")

@@ -111,12 +111,26 @@ def _pool(snippets=(), transforms=(), weakenings=False):
 FUNCTION = "    function f() public {\n        x = 1;\n    }\n"
 
 
-@pytest.mark.parametrize("src, bug_type, pool_args, counter", [
+@pytest.mark.parametrize("src, pool_args", [
     pytest.param("contract A {\n    uint x; /* c\n\u00a0 */ uint y;\n}\n",
-                 BugType.TOD, None, 0, id="snippet-indent-not-whitespace"),
+                 None, id="snippet-indent-not-whitespace"),
     pytest.param("/* c\n\u00a0*/ contract A {\n" + FUNCTION + "}\n",
-                 BugType.TOD, {"snippets": [("x = 2;", ["uint x;"])]}, 0,
+                 {"snippets": [("x = 2;", ["uint x;"])]},
                  id="context-indent-not-whitespace"),
+])
+def test_an_indent_stops_at_a_no_break_space(src, pool_args, pool):
+    """A line that a block comment leaves led by a no-break space gives an
+    indent of the spaces before it, so the output is vouched for."""
+    pool = pool if pool_args is None else _pool(**pool_args)
+    unit = parse(src)
+    result = inject_all(locator.find_all_potential_locations(
+        unit, BugType.TOD, pool), pool)
+    assert result.entries
+    assert result.text.count("\u00a0") == src.count("\u00a0")
+    assert assert_sound(unit, BugType.TOD, pool)
+
+
+@pytest.mark.parametrize("src, bug_type, pool_args, counter", [
     pytest.param("contract A {\n" + FUNCTION + "}\n", BugType.TOD, None, -3,
                  id="negative-counter"),
     pytest.param("contract A {\n    uint256 fee = 1ether;\n}\n",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solbugsmith.buglog import BugLogEntry
 from solbugsmith.errors import (DomainError, FormatError, MissingThreshold,
                                 ScopeError)
 from solbugsmith.evaluator import (MISCELLANEOUS, Finding, FNScore, FPCell,
@@ -21,7 +22,6 @@ from solbugsmith.evaluator import (MISCELLANEOUS, Finding, FNScore, FPCell,
                                    restrict_to_scope,
                                    sample_for_inspection,
                                    score_false_negatives)
-from solbugsmith.injector import BugLogEntry
 from solbugsmith.model import Approach, BugType
 
 
@@ -47,6 +47,14 @@ class TestIngest:
         assert got[1].reported_type is None
         assert got[1].type_label == MISCELLANEOUS
         assert got[1].message == "odd"
+
+    @pytest.mark.parametrize("label", [["Reentrancy"], 7, None, {"a": 1},
+                                       "reentrancy", "Miscellaneous"])
+    def test_a_label_that_names_no_bug_type_is_miscellaneous(self, label):
+        text = json.dumps([{"file": "a.sol", "line": 3, "type": label}])
+        (got,) = ingest_report(text, tool="t")
+        assert got.reported_type is None
+        assert got.type_label == MISCELLANEOUS
 
     def test_oracle_document_supplies_tool(self):
         text = json.dumps({"tool": "mythril", "findings": [

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from solbugsmith.buglog import (CSV_COLUMNS, BugLogEntry, emit_buglog_csv,
+                                emit_buglog_json, load_buglog)
 from solbugsmith.errors import MalformedDocument, SolBugSmithError
 from solbugsmith.front import TokenKind, parse, tokenize, validate
-from solbugsmith.injector import (CSV_COLUMNS, BugLogEntry, emit_buglog_csv,
-                                  emit_buglog_json, inject_all, inject_file,
-                                  load_buglog)
+from solbugsmith.injector import inject_all, inject_file
 from solbugsmith.locator import (InjectionProfile, SnippetSite, TransformSite,
                                  WeakenSite, dump_profile,
                                  find_all_potential_locations)
@@ -271,12 +271,50 @@ class TestBugLogSerialization:
                      id="line-not-an-integer"),
         pytest.param(lambda doc: [{**doc[0], "bugId": 7}],
                      "bugId and file must be strings", id="id-not-a-string"),
+        pytest.param(lambda doc: [{**doc[0], "snippetId": [1, 2]}],
+                     "snippetId must be a string or null",
+                     id="snippet-id-a-list"),
+        pytest.param(lambda doc: [{**doc[0], "snippetId": 3}],
+                     "snippetId must be a string or null",
+                     id="snippet-id-a-number"),
+        pytest.param(lambda doc: [{**doc[0], "byteSpan": [10, 20]}],
+                     "byteSpan must be an object with start and end",
+                     id="byte-span-a-list"),
+        pytest.param(lambda doc: [{**doc[0], "byteSpan": None}],
+                     "byteSpan must be an object with start and end",
+                     id="byte-span-null"),
+        pytest.param(lambda doc: [{k: v for k, v in doc[0].items()
+                                   if k != "bugType"}],
+                     "entry without 'bugType'", id="no-bug-type"),
+        pytest.param(lambda doc: [{**doc[0], "bugType": "Gremlins"}],
+                     "'Gremlins' is not a valid BugType",
+                     id="unknown-bug-type"),
+        pytest.param(lambda doc: [{**doc[0], "bugType": ["TOD"]}],
+                     "['TOD'] is not a valid BugType",
+                     id="bug-type-a-list"),
+        pytest.param(lambda doc: [{**doc[0], "approach": "Manual"}],
+                     "'Manual' is not a valid Approach",
+                     id="unknown-approach"),
     ])
     def test_wrong_shape_is_malformed(self, entries, change, message):
         doc = change([entries[0].to_json()])
         with pytest.raises(MalformedDocument) as err:
             load_buglog(json.dumps(doc))
         assert str(err.value).startswith(f"malformed bug log: {message}")
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.builds(
+        lambda first, lines, start, length, **fields: BugLogEntry(
+            start_line=first, end_line=first + lines, byte_start=start,
+            byte_end=start + length, **fields),
+        bug_id=_LOG_TEXT, bug_type=st.sampled_from(BugType),
+        approach=st.sampled_from(Approach),
+        snippet_id=st.none() | _LOG_TEXT, file=_LOG_TEXT,
+        first=st.integers(min_value=1, max_value=2**40), lines=_LOG_INT,
+        start=_LOG_INT, length=_LOG_INT), max_size=4))
+    @example([])
+    def test_a_written_log_loads_back(self, logged):
+        assert load_buglog(emit_buglog_json(logged)) == logged
 
 
 class TestInjectFile:

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solbugsmith.buglog import BugLogEntry
 from solbugsmith.errors import DomainError
 from solbugsmith.evaluator import (derive_thresholds, evaluate_campaign,
                                    ingest_report, score_false_negatives)
 from solbugsmith.front import parse
-from solbugsmith.injector import BugLogEntry, inject_file
+from solbugsmith.injector import inject_file
 from solbugsmith.model import Approach, BugType
 from solbugsmith.oracle import (EXTRA_TYPE_LABEL, OracleSpec, child_seed,
                                 dump_report, generate_tool_report)
@@ -234,3 +235,40 @@ class TestClosure:
         report, _ = generate_tool_report(
             "t", ALL, buglogs, LINES, OracleSpec(extra_per_file=2, seed=9))
         assert json.loads(dump_report(report)) == report
+
+
+# names, files, labels and messages with non-ASCII, control and lone
+# surrogate characters, and the braces of a format string
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=8) \
+    | st.sampled_from(["", "é.sol", "a\x00\n\t\"\\b", "\u2028", "\ud800",
+                       "{}", "{0}}"])
+_LINE = st.integers(min_value=1, max_value=2**40)
+_FINDINGS = st.lists(st.fixed_dictionaries(
+    {"file": _TEXT, "line": _LINE, "type": _TEXT, "message": _TEXT}),
+    max_size=4)
+_REPORTS = st.fixed_dictionaries({"tool": _TEXT, "findings": _FINDINGS})
+_TRUTHS = st.fixed_dictionaries({
+    "tool": _TEXT, "missed": st.lists(_TEXT, max_size=4),
+    "mistyped": st.lists(st.fixed_dictionaries(
+        {"bugId": _TEXT, "reportedType": _TEXT}), max_size=4),
+    "extras": st.lists(st.fixed_dictionaries(
+        {"file": _TEXT, "line": _LINE, "type": _TEXT}), max_size=4)})
+
+
+class TestDumpReport:
+    @settings(max_examples=150, deadline=None)
+    @given(doc=_REPORTS | _TRUTHS)
+    def test_writes_what_json_dumps_does(self, doc):
+        assert dump_report(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        {}, {"tool": "t", "findings": []},
+        {"a": [{}]}, {"a": [{"b": 1}, {}]}, {"a": [{"b": 1}, {"c": 2}]},
+        {"a": [{"b": 1, "c": 2}, {"c": 2, "b": 1}]},
+        {"a": [1, "x", None, True, 1.5, float("nan")], "b": False},
+        {"a": [{"b": None, "c": -0.0, "d": True}]},
+        {"a": [{"b": [1]}]}, {"a": [{"b": {}}]}, {"a": [[1]]}, {"a": {"b": 1}},
+        {"a": [{"b": 1}, "b"]}, {"a": [{1: "x"}]}, {1: "x"}, {"a": (1, 2)},
+    ], ids=repr)
+    def test_any_other_shape_is_written_as_json_dumps_does(self, doc):
+        assert dump_report(doc) == json.dumps(doc, indent=2) + "\n"
