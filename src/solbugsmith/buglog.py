@@ -91,7 +91,7 @@ def load_buglog(text: str) -> list[BugLogEntry]:
         if not isinstance(doc, list):
             raise TypeError("expected a JSON array of entries")
         return [_entry_from_json(raw) for raw in doc]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         reason = f"entry without {exc}" if isinstance(exc, KeyError) else exc
         raise MalformedDocument(f"malformed bug log: {reason}") from None
 

@@ -161,7 +161,10 @@ def _resolve_capabilities(path: str | None) -> dict[str, frozenset[BugType]]:
 
 
 def _load_confirmed(text: str) -> dict[str, dict[str, int]]:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:  # nested deeper than the decoder goes
+        raise ValueError(exc) from None
     if not isinstance(doc, dict) or not all(
             isinstance(counts, dict)
             and all(type(n) is int and n >= 0 for n in counts.values())
@@ -345,7 +348,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     open_lines = uninjected_lines(usable, line_counts)
     for tool in sorted(capabilities):
         report, truth = generate_tool_report(tool, capabilities[tool], usable,
-                                             line_counts, spec, open_lines)
+                                             open_lines, spec)
         (out_dir / f"{tool}.report.json").write_text(dump_report(report),
                                                      encoding="utf-8")
         (out_dir / f"{tool}.truth.json").write_text(dump_report(truth),

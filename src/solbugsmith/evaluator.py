@@ -61,6 +61,8 @@ def ingest_report(text: str, tool: str | None = None) -> list[Finding]:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise FormatError(err.lineno, f"not valid JSON: {err.msg}") from None
+    except RecursionError as err:  # nested deeper than the decoder goes
+        raise FormatError(0, str(err)) from None
     if isinstance(doc, list):
         raw_findings, default_tool = doc, tool
     elif isinstance(doc, dict) and isinstance(doc.get("findings"), list):
@@ -252,7 +254,10 @@ def load_capabilities(text: str) -> dict[str, frozenset[BugType]]:
     empty list, an unknown bug type name, or a tool name that is empty or
     holds a ``/`` or an unprintable character (it names ``<tool>.report.json``
     and a table column)."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:  # nested deeper than the decoder goes
+        raise ValueError(exc) from None
     if not isinstance(doc, dict) or not all(
             isinstance(names, list) and names
             and all(isinstance(n, str) for n in names)
@@ -274,7 +279,7 @@ def load_truth_extras(text: str) -> tuple[str, set[tuple[str, int, str]]]:
             raise TypeError("expected a JSON object with a string tool")
         return doc["tool"], {(e["file"], e["line"], e["type"])
                              for e in doc.get("extras", ())}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         reason = f"no {exc} field" if isinstance(exc, KeyError) else exc
         raise MalformedDocument(f"malformed truth file: {reason}") from None
 

@@ -41,9 +41,14 @@ CONTINUERS = frozenset({"(", "while", ".", "[", "catch"})
 
 
 def parse(source: str) -> SourceUnit:
-    """Parse ``source`` into a span-annotated SourceUnit."""
-    tokens = tokenize(source)
-    return _Parser(source, tokens).parse_unit()
+    """Parse ``source`` into a span-annotated SourceUnit. Brackets nested
+    deeper than the interpreter's stack allows are a ParseError at the token
+    the parser had reached."""
+    parser = _Parser(source, tokenize(source))
+    try:
+        return parser.parse_unit()
+    except RecursionError:
+        raise parser._error("shallower nesting") from None
 
 
 def _between(open_tok: Token, close_tok: Token) -> Span:

@@ -7,16 +7,18 @@ spurious findings on lines where nothing was injected. Everything derives
 from a stable per-(tool, file) seed, so a run is reproducible bit for bit,
 and the planted truth is written alongside the report so an evaluation of
 the report can be checked for exact agreement.
+
+``dump_report`` writes both documents, and only them, byte for byte as
+``json.dumps(..., indent=2)`` would: each record from a fixed template over
+the C string encoder, as the bug-log writer does.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import itemgetter
 
 from .buglog import BugLogEntry
 from .errors import DomainError
@@ -64,15 +66,11 @@ def uninjected_lines(buglogs: dict[str, list[BugLogEntry]],
 
 def generate_tool_report(tool: str, capable: frozenset[BugType],
                          buglogs: dict[str, list[BugLogEntry]],
-                         line_counts: dict[str, int],
-                         spec: OracleSpec,
-                         open_lines: dict[str, list[int]] | None = None) \
-        -> tuple[dict, dict]:
-    """Report and truth documents for one virtual tool over a corpus.
-    ``open_lines`` is ``uninjected_lines(buglogs, line_counts)``, which a
-    caller that reports several tools can work out once for all of them."""
-    if open_lines is None:
-        open_lines = uninjected_lines(buglogs, line_counts)
+                         open_lines: dict[str, list[int]],
+                         spec: OracleSpec) -> tuple[dict, dict]:
+    """Report and truth documents for one virtual tool over a corpus, with
+    its spurious findings on ``open_lines``, the
+    ``uninjected_lines(buglogs, line_counts)`` of the corpus."""
     findings: list[dict] = []
     missed: list[str] = []
     mistyped: list[dict] = []
@@ -115,65 +113,44 @@ def generate_tool_report(tool: str, capable: frozenset[BugType],
     return report, truth
 
 
+# the records of both documents, as json.dumps(..., indent=2) lays each out
+# in its document's list
+_FINDING = """    {{
+      "file": {},
+      "line": {},
+      "type": {},
+      "message": {}
+    }}"""
+_MISTYPING = """    {{
+      "bugId": {},
+      "reportedType": {}
+    }}"""
+_EXTRA = """    {{
+      "file": {},
+      "line": {},
+      "type": {}
+    }}"""
+
+
 def dump_report(doc: dict) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"``. A report or truth document, an
-    object whose fields are scalars, lists of scalars and lists of flat
-    objects with the same keys in the same order, is written a column of
-    values at a time; any other document by ``json.dumps``."""
-    fields = []
-    try:
-        for key, value in doc.items():
-            text = _list_json(value) if type(value) is list \
-                else _column([value])[0]
-            fields.append(f"  {_json_str(key)}: {text}")
-    except (AttributeError, TypeError):  # not an object, a key that is not
-        return json.dumps(doc, indent=2) + "\n"  # a string, a nested value
-    return "{\n" + ",\n".join(fields) + "\n}\n" if fields else "{}\n"
-
-
-def _list_json(items: list) -> str:
-    """``items`` laid out as the value of a document field; TypeError unless
-    they are scalars or flat non-empty objects with the same keys."""
-    if not items:
-        return "[]"
-    if type(items[0]) is not dict:
-        return "[\n    " + ",\n    ".join(_column(items)) + "\n  ]"
-    shapes = set(map(tuple, items))
-    keys = shapes.pop()
-    if shapes or not keys:
-        raise TypeError("objects with different or no keys")
-    labels = [f"      {_json_str(key)}: " for key in keys]
-    # after each value, the text up to the next one: a comma and the next
-    # label, or after an object's last value, its end and the next object's
-    # start and first label
-    after = [",\n" + label for label in labels[1:]]
-    after.append("\n    },\n    {\n" + labels[0])
-    # the values of key i, then the texts after them, at 2i and 2i + 1 of
-    # every 2k parts
-    step = 2 * len(keys)
-    parts = [""] * (step * len(items))
-    for i, (key, text) in enumerate(zip(keys, after)):
-        parts[2 * i::step] = _column(list(map(itemgetter(key), items)))
-        parts[2 * i + 1::step] = [text] * len(items)
-    parts[-1] = ""  # the last object ends the list
-    return "[\n    {\n" + labels[0] + "".join(parts) + "\n    }\n  ]"
-
-
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-_encode = json.JSONEncoder().encode
-
-
-def _column(values: list) -> list[str]:
-    """Each of ``values`` as JSON; TypeError unless all of them are
-    strings, numbers, booleans or null."""
-    try:  # strings: each distinct one is encoded once
-        unique = dict.fromkeys(values)
-        encoded = dict(zip(unique, map(_json_str, unique)))
-    except TypeError:  # not all of them are strings
-        kinds = set(map(type, values))
-        if kinds == {int}:
-            return list(map(int.__repr__, values))
-        if not kinds <= _SCALARS:
-            raise TypeError("not a scalar") from None
-        return list(map(_encode, values))
-    return list(map(encoded.__getitem__, values))
+    """``json.dumps(doc, indent=2) + "\\n"`` for a report or truth document
+    as ``generate_tool_report`` builds it, with its keys in that order,
+    written from a template per record."""
+    if "findings" in doc:
+        lists = {"findings": [_FINDING.format(
+            _json_str(f["file"]), f["line"], _json_str(f["type"]),
+            _json_str(f["message"])) for f in doc["findings"]]}
+    else:
+        lists = {
+            "missed": ["    " + _json_str(bug_id) for bug_id in doc["missed"]],
+            "mistyped": [_MISTYPING.format(
+                _json_str(m["bugId"]), _json_str(m["reportedType"]))
+                for m in doc["mistyped"]],
+            "extras": [_EXTRA.format(
+                _json_str(e["file"]), e["line"], _json_str(e["type"]))
+                for e in doc["extras"]]}
+    fields = [f'  "tool": {_json_str(doc["tool"])}']
+    fields += [f'  "{key}": ' + ("[\n" + ",\n".join(items) + "\n  ]"
+                                 if items else "[]")
+               for key, items in lists.items()]
+    return "{\n" + ",\n".join(fields) + "\n}\n"

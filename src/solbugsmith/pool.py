@@ -130,6 +130,8 @@ def load_pool(text: str) -> BugPool:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise PoolError("<document>", f"not valid JSON: {err}") from None
+    except RecursionError as err:  # nested deeper than the decoder goes
+        raise PoolError("<document>", str(err)) from None
     if not isinstance(doc, dict):
         raise PoolError("<document>", "top level must be an object")
 

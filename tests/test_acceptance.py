@@ -59,6 +59,35 @@ EVALUATE_DIGESTS_SLACK_3 = {
         "56e5ee1cbeaa39a8a6f44b757f141bef6af8f31ded90c47bcecb84f7c059faea",
 }
 
+# SHA-256 of the reports and truth files that ``oracle`` writes for the
+# criterion-5 campaign, which ``evaluate`` then scores
+ORACLE_DIGESTS = {
+    "Manticore.report.json":
+        "9bdacd5012eb559fcaac2c2e923f1534f1224e3b83870f110ea696d356637f8a",
+    "Manticore.truth.json":
+        "9d08598df1af1ff09c710116fafaaf532b0eadfde4a9cf832938171bbd87853b",
+    "Mythril.report.json":
+        "2c891dbbd9a03fa83297329d6394a52f32eca8fcd1b5c564413976eca0c7b253",
+    "Mythril.truth.json":
+        "cd59ea51f35ae0fdb65c2439a9ab6c9b43a1eac75cb2e3955fea6e80d059c587",
+    "Oyente.report.json":
+        "32db0d2c136912dc74208cffe4a21382fda513cae834835728099e3781625a2d",
+    "Oyente.truth.json":
+        "417004228c879269bb2477c3a850d76243fcbfc1bd36c158002fcc9ca064f523",
+    "Securify.report.json":
+        "da386e6daa1aa570ca9711b4a5b9abd2688dc49ffda451de9649c521a510b544",
+    "Securify.truth.json":
+        "f3e80f0d3f3c28885e0541f084cbf56a1576aaf62f7b310983e2043a4fa78edf",
+    "Slither.report.json":
+        "19a4568cbd181896bfd0a96e5352372524f6cf6eb3d57d50978e367ebdf57269",
+    "Slither.truth.json":
+        "00bddf99f28561a17495d4522cecc8989bfa63484183b793ed471a852b69b49f",
+    "SmartCheck.report.json":
+        "eaa1a92262f5ed1862c80a9c729617591f87316629082c767f3efc0adaaa7ffb",
+    "SmartCheck.truth.json":
+        "0091c0f479baeb082816c2883a4a4e4c7708d5364b0e3131b1e52dbfb3299fc0",
+}
+
 
 def _line(number: int, ok: bool, label: str, elapsed: float | None = None):
     status = "PASS" if ok else "FAIL"
@@ -242,7 +271,8 @@ def test_criterion_5_oracle_closure(corpus_dir, tmp_path, capsys,
             failures.append(f"{tool} fp")
         if got_misc.get(tool, 0) != misc:
             failures.append(f"{tool} misc")
-    for out, digests in ((scored, EVALUATE_DIGESTS),
+    for out, digests in ((reports, ORACLE_DIGESTS),
+                         (scored, EVALUATE_DIGESTS),
                          (slack3, EVALUATE_DIGESTS_SLACK_3)):
         failures += [f"{out.name}/{name} changed"
                      for name, digest in digests.items()

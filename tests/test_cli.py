@@ -578,6 +578,15 @@ class TestExitCodes:
         pytest.param(["locate", "--corpus", "{tmp}", "--seed", "1"],
                      "unrecognized arguments: --seed 1", id="locate-seed"),
         pytest.param(["inject", "--corpus", "{tmp}", "--out", "{tmp}/out",
+                      "--pool", "{tmp}/deep.json"], "deep.json: <document>",
+                     id="pool-nested-too-deeply"),
+        pytest.param(["oracle", "--buglogs", "{tmp}", "--out", "{tmp}/out",
+                      "--capabilities", "{tmp}/deep.json"], "deep.json: max",
+                     id="capabilities-nested-too-deeply"),
+        pytest.param(["evaluate", "--buglogs", "{tmp}", "--reports", "{tmp}",
+                      "--confirmed", "{tmp}/deep.json"], "deep.json: max",
+                     id="confirmed-nested-too-deeply"),
+        pytest.param(["inject", "--corpus", "{tmp}", "--out", "{tmp}/out",
                       "--seed", "1"],
                      "unrecognized arguments: --seed 1", id="inject-seed"),
     ])
@@ -585,6 +594,7 @@ class TestExitCodes:
             self, argv, named, tmp_path, injected, reports, capsys):
         for name, text in {
                 "bad.json": "{not json",
+                "deep.json": "[" * 200_000,
                 "caps_list.json": '["Reentrancy"]',
                 "caps_str.json": '{"Slither": "Reentrancy"}',
                 "confirmed_int.json": '{"Slither": 3}',
@@ -653,6 +663,18 @@ class TestExitCodes:
         pytest.param(["evaluate", "--buglogs", "{tmp}/elsewhere",
                       "--reports", "{reports}"], "Counter.TxOrigin.buglog.json",
                      id="evaluate-buglog-naming-another-file"),
+        pytest.param(["inject", "--corpus", "{tmp}/deepsource", "--out",
+                      "{tmp}/out", "--bug-types", "Reentrancy"],
+                     "Deep.Reentrancy.sol", id="inject-deeply-nested-source"),
+        pytest.param(["oracle", "--buglogs", "{tmp}/deeplog",
+                      "--out", "{tmp}/out"], "Counter.TxOrigin.buglog.json",
+                     id="buglog-nested-too-deeply"),
+        pytest.param(["evaluate", "--buglogs", "{injected}",
+                      "--reports", "{tmp}/deepreport"], "Oyente.report.json",
+                     id="report-nested-too-deeply"),
+        pytest.param(["evaluate", "--buglogs", "{injected}",
+                      "--reports", "{tmp}/deeptruth"], "Slither.truth.json",
+                     id="truth-file-nested-too-deeply"),
     ])
     def test_bad_input_file_exits_two_naming_it(
             self, argv, named, tmp_path, mini_corpus, injected, reports,
@@ -681,6 +703,20 @@ class TestExitCodes:
             "[]", encoding="utf-8")
         shutil.copytree(reports, tmp_path / "latin1")
         (tmp_path / "latin1" / "Oyente.report.json").write_bytes(b"\xff[]")
+        # brackets nested deeper than the parser's or the JSON decoder's
+        # recursion goes, each beside files that read
+        (tmp_path / "deepsource").mkdir()
+        (tmp_path / "deepsource" / "Deep.sol").write_text(
+            "contract Deep {\n  function f() public {\n    uint x = "
+            + "(" * 5000 + "1" + ")" * 5000 + ";\n  }\n}\n")
+        shutil.copy(mini_corpus / "Counter.sol",
+                    tmp_path / "deepsource" / "Good.sol")
+        for name, source, deep_file in (
+                ("deeplog", injected, "Counter.TxOrigin.buglog.json"),
+                ("deepreport", reports, "Oyente.report.json"),
+                ("deeptruth", reports, "Slither.truth.json")):
+            shutil.copytree(source, tmp_path / name)
+            (tmp_path / name / deep_file).write_text("[" * 200_000)
 
         code = main([arg.format(tmp=tmp_path, injected=injected,
                                 reports=reports) for arg in argv])

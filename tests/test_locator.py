@@ -249,7 +249,10 @@ class TestProfiles:
 # lexes, balances, and parses, with the marker landing as exactly one
 # ordinary assignment statement. Candidate offsets are the ends of ';', '{',
 # '}', and pragma tokens; everywhere else insertion is either equivalent to
-# one of those points modulo whitespace or breaks the parse.
+# one of those points modulo whitespace or breaks the parse. An offset
+# strictly inside an opaque statement of the source is no boundary, as the
+# locator documents: a marker can parse there only by splitting the opaque
+# statement in two, as between `a.call{value: 1}` and `("")`.
 
 PROBE = "__prb += 1;"
 
@@ -262,28 +265,30 @@ def _probe_lands_once(text: str) -> bool:
     if validate(text):
         return False
     count = 0
-
-    def walk(stmts):
-        nonlocal count
-        for stmt in stmts:
-            if stmt.opaque:
-                continue
-            if stmt.kind == "assignment":
-                source = unit.data[stmt.span.start:stmt.span.end]
-                toks = [t.text for t in tokenize(source.decode("utf-8"))
-                        if t.kind is not TokenKind.COMMENT]
-                if toks == ["__prb", "+=", "1", ";"]:
-                    count += 1
-            walk(stmt.children)
-
-    for contract in unit.contracts:
-        for member in contract.members:
-            walk(getattr(member, "statements", []))
+    for stmt in _statements(unit):
+        if not stmt.opaque and stmt.kind == "assignment":
+            source = unit.data[stmt.span.start:stmt.span.end]
+            toks = [t.text for t in tokenize(source.decode("utf-8"))
+                    if t.kind is not TokenKind.COMMENT]
+            if toks == ["__prb", "+=", "1", ";"]:
+                count += 1
     return count == 1
+
+
+def _statements(unit):
+    """Every statement in the functions of ``unit``, nested ones included."""
+    stack = [stmt for contract in unit.contracts
+             for member in contract.members
+             for stmt in getattr(member, "statements", [])]
+    while stack:
+        stmt = stack.pop()
+        yield stmt
+        stack += stmt.children
 
 
 def probe_oracle_offsets(src: str) -> set[int]:
     data = src.encode("utf-8")
+    opaque = [stmt.span for stmt in _statements(parse(src)) if stmt.opaque]
     candidates = set()
     for tok in tokenize(src):
         if tok.kind is TokenKind.PUNCTUATOR and tok.text in (";", "{", "}"):
@@ -292,6 +297,8 @@ def probe_oracle_offsets(src: str) -> set[int]:
             candidates.add(tok.end)
     accepted = set()
     for offset in sorted(candidates):
+        if any(span.start < offset < span.end for span in opaque):
+            continue
         spliced = (data[:offset] + b" " + PROBE.encode() + b" "
                    + data[offset:]).decode("utf-8")
         if _probe_lands_once(spliced):
@@ -333,6 +340,41 @@ TRICKY = [
   uint z; // also fake; }
   function k() public {
     z = 1; /* nothing { here */ z = 2;
+  }
+}""",
+    """contract E {
+  uint x;
+  function f(address a) public {
+    (bool ok, ) = a.call{value: 1}("");
+    x = 1;
+  }
+}""",
+    """contract F {
+  uint x;
+  function f(F c) public {
+    try c.f() returns (uint v) { x = v; } catch { x = 0; }
+    x = 1;
+  }
+}""",
+    """contract G {
+  uint x;
+  function f() public {
+    do { x += 1; } while (x < 10);
+    x = 1;
+  }
+}""",
+    """contract H {
+  uint x;
+  function f(bytes32 s) public {
+    C c = new C{salt: s}(1);
+    x = 1;
+  }
+}""",
+    """contract I {
+  uint x;
+  function f() public {
+    unchecked { x += 1; }
+    x = 1;
   }
 }""",
 ]
