@@ -14,8 +14,8 @@ import json
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
-from .errors import MalformedDocument
-from .model import APPROACHES, BUG_TYPES, Approach, BugType
+from .errors import MalformedDocument, shown
+from .model import APPROACHES, BUG_TYPES, Approach, BugType, term
 
 CSV_COLUMNS = ("bugId", "bugType", "approach", "snippetId", "file",
                "startLine", "endLine", "byteStart", "byteEnd")
@@ -106,27 +106,18 @@ def _entry_from_json(raw: object) -> BugLogEntry:
     byte_start, byte_end = span["start"], span["end"]
     if not (type(start_line) is type(end_line) is type(byte_start)
             is type(byte_end) is int):
-        raise TypeError(f"lines and byte offsets must be integers: "
-                        f"{(start_line, end_line, byte_start, byte_end)}")
+        raise TypeError("lines and byte offsets must be integers: " +
+                        shown((start_line, end_line, byte_start, byte_end)))
     if type(raw["bugId"]) is not str or type(raw["file"]) is not str:
         raise TypeError("bugId and file must be strings")
     if not (1 <= start_line <= end_line and 0 <= byte_start <= byte_end):
-        raise ValueError(f"entry {raw['bugId']!r} has a reversed or "
+        raise ValueError(f"entry {shown(raw['bugId'])} has a reversed or "
                          f"non-positive range: lines {start_line}..{end_line}"
                          f", bytes {byte_start}..{byte_end}")
-    bug_type = _member(BUG_TYPES, raw["bugType"], "BugType")
-    approach = _member(APPROACHES, raw["approach"], "Approach")
+    bug_type = term(BUG_TYPES, raw["bugType"], "BugType")
+    approach = term(APPROACHES, raw["approach"], "Approach")
     snippet_id = raw.get("snippetId")
     if snippet_id is not None and type(snippet_id) is not str:
         raise TypeError("snippetId must be a string or null")
     return BugLogEntry(raw["bugId"], bug_type, approach, snippet_id,
                        raw["file"], start_line, end_line, byte_start, byte_end)
-
-
-def _member(table: dict, value: object, kind: str):
-    """The member whose value is ``value``, with the ValueError the enum
-    ``kind`` would raise for any other value."""
-    member = table.get(value) if type(value) is str else None
-    if member is None:
-        raise ValueError(f"{value!r} is not a valid {kind}")
-    return member

@@ -20,15 +20,15 @@ from pathlib import Path
 
 from .buglog import (BugLogEntry, emit_buglog_csv, emit_buglog_json,
                      load_buglog)
-from .errors import (DomainError, MalformedDocument, MissingBugLog, PoolError,
-                     SolBugSmithError)
+from .errors import (DomainError, MalformedDocument, PoolError,
+                     SolBugSmithError, shown)
 from .evaluator import (Finding, evaluate_campaign, fn_csv, fp_csv,
                         ingest_report, load_capabilities, load_truth_extras,
                         render_fn_table, render_fp_table, report_tool)
 from .front import parse
 from .injector import inject_file
 from .locator import dump_profile, find_all_potential_locations
-from .model import BugType
+from .model import BUG_TYPES, BugType
 from .oracle import (OracleSpec, dump_report, generate_tool_report,
                      uninjected_lines)
 from .pool import BugPool, default_pool, load_pool
@@ -171,11 +171,10 @@ def _load_confirmed(text: str) -> dict[str, dict[str, int]]:
             for counts in doc.values()):
         raise ValueError("expected a JSON object mapping each tool to "
                          "{bug type: count >= 0}")
-    names = {bug_type.value for bug_type in BugType}
     for tool, counts in doc.items():
         for name in counts:
-            if name not in names:
-                raise ValueError(f"{tool}: unknown bug type: {name!r}")
+            if name not in BUG_TYPES:
+                raise ValueError(f"{tool}: unknown bug type: {shown(name)}")
     return doc
 
 
@@ -226,10 +225,10 @@ def _read_buglogs(raw: str) -> dict[str, list[BugLogEntry]]:
         other = next((e.file for e in entries if e.file != name), None)
         if other is not None:
             raise MalformedDocument(f"{root / stem}.buglog.json: an entry "
-                                    f"names {other!r}, not {name!r}")
+                                    f"names {shown(other)}, not {name!r}")
         logs[name] = entries
     if not logs:
-        raise MissingBugLog(f"no *.buglog.json files in {raw}")
+        raise _ConfigError(f"no *.buglog.json files in {raw}")
     return logs
 
 
@@ -405,7 +404,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                   if tool not in findings_by_tool
                   and f"{tool}.report.json" not in skipped]
     if unreported:
-        names = ", ".join(map(repr, unreported))
+        names = ", ".join(map(shown, unreported))
         failures.append((args.reports, "no report for tool(s) in the "
                          f"capabilities file: {names}"))
 
@@ -445,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (_ConfigError, MissingBugLog) as exc:
+    except _ConfigError as exc:
         print(f"solbugsmith {args.command}: error: {exc}", file=sys.stderr)
         return 1
     except SolBugSmithError as exc:

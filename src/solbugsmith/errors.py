@@ -1,6 +1,18 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and how messages show values."""
 
 from __future__ import annotations
+
+import reprlib
+
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel, _SHORT.maxstring, _SHORT.maxother = 3, 60, 60
+
+
+def shown(value: object) -> str:
+    """``repr(value)`` cut short by ``reprlib``, which also sorts dict keys,
+    for a one-line error message: at most 100 characters."""
+    text = _SHORT.repr(value)
+    return text if len(text) <= 100 else text[:97] + "..."
 
 
 class SolBugSmithError(Exception):
@@ -74,10 +86,6 @@ class MissingThreshold(SolBugSmithError):
 
 class DomainError(SolBugSmithError):
     """Numeric precondition violated (e.g. confirmed > sampled)."""
-
-
-class MissingBugLog(SolBugSmithError):
-    """No BugLog found where one is required."""
 
 
 class MalformedDocument(SolBugSmithError):

@@ -33,8 +33,8 @@ from typing import NamedTuple
 
 from .buglog import BugLogEntry
 from .errors import (DomainError, FormatError, MalformedDocument,
-                     MissingThreshold, ScopeError)
-from .model import BUG_TYPES, BugType
+                     MissingThreshold, ScopeError, shown)
+from .model import BUG_TYPES, BugType, term
 from .oracle import child_seed
 
 MISCELLANEOUS = "Miscellaneous"
@@ -82,7 +82,7 @@ def ingest_report(text: str, tool: str | None = None) -> list[Finding]:
             raise FormatError(idx, "finding has no file")
         line = raw.get("line")
         if type(line) is not int or line < 1:
-            raise FormatError(idx, f"line must be a positive integer, got {line!r}")
+            raise FormatError(idx, f"line must be a positive integer, got {shown(line)}")
         type_name = raw.get("type")
         # a label that is not a string, a list say, is as unknown as any
         reported = BUG_TYPES.get(type_name) if type(type_name) is str \
@@ -266,8 +266,9 @@ def load_capabilities(text: str) -> dict[str, frozenset[BugType]]:
                          "non-empty list of bug type names")
     for tool in doc:
         if not tool or "/" in tool or not tool.isprintable():
-            raise ValueError(f"tool name {tool!r} cannot name a report file")
-    return {tool: frozenset(map(BugType, names)) for tool, names in doc.items()}
+            raise ValueError(f"tool name {shown(tool)} cannot name a report file")
+    return {tool: frozenset(term(BUG_TYPES, n, "BugType") for n in names)
+            for tool, names in doc.items()}
 
 
 def load_truth_extras(text: str) -> tuple[str, set[tuple[str, int, str]]]:
@@ -323,7 +324,7 @@ def evaluate_campaign(entries: list[BugLogEntry],
     if unknown:
         raise DomainError(
             f"confirmed counts for tool(s) not evaluated: "
-            f"{', '.join(map(repr, unknown))} (evaluated: {', '.join(tools)})")
+            f"{', '.join(map(shown, unknown))} (evaluated: {', '.join(tools)})")
     scores: dict[str, dict[BugType, FNScore]] = {}
     for tool in tools:
         in_scope = restrict_to_scope(entries, capabilities[tool])
@@ -494,7 +495,7 @@ def _fp_entry(cell: FPCell | None) -> tuple:
 
 def render_fp_table(cells: dict[str, dict[BugType, FPCell]],
                     thresholds: dict[BugType, int],
-                    misc_counts: dict[str, int] | None = None) -> str:
+                    misc_counts: dict[str, int]) -> str:
     tools = sorted(cells)
     header = "| Bug type | Threshold | " + \
         " | ".join(f"{t} (Reported/FIL/FP)" for t in tools) + " |"
@@ -504,10 +505,8 @@ def render_fp_table(cells: dict[str, dict[BugType, FPCell]],
             ["/".join(map(str, _fp_entry(cells[tool].get(bug_type))))
              for tool in tools]
         lines.append("| " + " | ".join(row) + " |")
-    if misc_counts is not None:
-        row = [MISCELLANEOUS, "-"] + \
-            [f"{misc_counts.get(tool, 0)}/-/-" for tool in tools]
-        lines.append("| " + " | ".join(row) + " |")
+    misc = [f"{misc_counts.get(tool, 0)}/-/-" for tool in tools]
+    lines.append("| " + " | ".join([MISCELLANEOUS, "-", *misc]) + " |")
     return "\n".join(lines) + "\n"
 
 

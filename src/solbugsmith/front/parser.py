@@ -32,12 +32,11 @@ _BINARY_OPS = frozenset({"||", "&&", "|", "^", "&", "==", "!=", "<", ">",
                          "<=", ">=", "<<", ">>", "+", "-", "*", "/", "%",
                          "**"})
 
-# The identifiers whose text the parser reads: ``require(`` and ``revert(``
-# lead statements of their own kinds, and ``do`` and ``catch`` decide where
-# an opaque statement ends (``_continues``).
+# The identifiers whose text the parser reads: ``require(``, ``revert(`` and
+# ``do`` lead statements of their own, and ``catch`` continues an opaque one.
 READ_IDENTIFIERS = frozenset({"require", "revert", "do", "catch"})
 # The tokens that can carry an opaque statement on past a brace group.
-CONTINUERS = frozenset({"(", "while", ".", "[", "catch"})
+_CONTINUERS = frozenset({"(", ".", "[", "catch"})
 
 
 def parse(source: str) -> SourceUnit:
@@ -288,7 +287,7 @@ class _Parser:
                 closers.pop()
                 self.i += 1
                 if not closers and text == "}" and \
-                        not self._continues(start, opened):
+                        not self._continues(opened):
                     return self._span_from(start)
                 continue
             elif text == ";" and not closers:
@@ -298,19 +297,16 @@ class _Parser:
         self.i = start
         raise self._error(f"terminated {what}")
 
-    def _continues(self, start: int, opened: int) -> bool:
-        """Whether the current token carries on the opaque region begun at
-        ``start`` past the brace group opened at ``opened``: the arguments
-        after call options (``x.f{value: 1}(...)``, ``new C{salt: s}()``),
-        ``catch`` after a ``try`` clause, ``while`` after ``do``, or a
-        member access or index. After ``unchecked {}`` or ``assembly {}``,
-        a ``(`` or ``while`` starts the next statement."""
+    def _continues(self, opened: int) -> bool:
+        """Whether the current token carries an opaque region on past the
+        brace group opened at ``opened``: the arguments after call options
+        (``x.f{value: 1}(...)``, ``new C{salt: s}()``, but not after
+        ``unchecked {}`` or ``assembly {}``), ``catch`` after a ``try``
+        clause, or a member access or index."""
         text = self.texts[self.i]
         if text == "(":
             return self.texts[opened - 2] in (".", "new")
-        if text == "while":
-            return self.texts[start] == "do"
-        return text in CONTINUERS
+        return text in _CONTINUERS
 
     def _skip_balanced(self, opener: str) -> None:
         """Skip a bracketed group, checking that its brackets nest."""
@@ -343,6 +339,8 @@ class _Parser:
             return self._for_stmt()
         if text == "while":
             return self._while_stmt()
+        if text == "do":
+            return self._do_stmt()
         if text == "return":
             return self._return_stmt()
         if text == "emit":
@@ -422,6 +420,16 @@ class _Parser:
         cond = self._condition()
         children = [self._statement()]
         return self._stmt("whileStmt", start, children, cond_span=cond)
+
+    def _do_stmt(self) -> Stmt:
+        """``do <statement> while (...);``, as one opaque statement."""
+        start = self.i
+        self._advance()  # do
+        self._statement()
+        self._expect("while")
+        self._skip_balanced("(")
+        self._expect(";")
+        return Stmt("expressionStmt", self._span_from(start), [], opaque=True)
 
     def _condition(self) -> Span:
         """``( expression )``; returns the span between the parentheses."""

@@ -21,9 +21,10 @@ is one of these, checked per edit against the parsed unit and the pool:
 * a transform of a pattern that keeps token roles, over exactly a run of
   the unit's tokens with the pattern's texts, between bytes that no token
   can join (whitespace, brackets, ``;`` and ``,``);
-* a weakening of a statement that sits in a braced list, with no opaque
-  statement carried on past it: every line of the statement gets a ``//``
-  prefix, and code after it on its line moves to a line of its own.
+* a weakening of a statement that sits in a braced list: every line of the
+  statement gets a ``//`` prefix, and code after it on its line moves to a
+  line of its own; as a ``do`` must end with its ``while``, a statement that
+  carries on an opaque one before it still ends where it ended alone.
 
 Every indent is taken from the spaces, tabs and carriage returns that lead
 a line, which the lexer skips wherever they stand.
@@ -44,7 +45,6 @@ from . import front, locator
 from .buglog import BugLogEntry
 from .errors import EditConflict, SolBugSmithError
 from .front import LineIndex, SourceUnit, Span
-from .front.parser import CONTINUERS
 from .locator import InjectionProfile, SnippetSite, TransformSite, WeakenSite
 from .model import Approach, BugType, SnippetForm
 from .pool import BugPool
@@ -224,9 +224,8 @@ class _Layout:
         return offset in offsets
 
     @cached_property
-    def listed(self) -> frozenset[tuple[int, int]]:
-        return frozenset((stmt.span.start, stmt.span.end)
-                         for stmt in locator.listed_statements(self.unit))
+    def listed(self) -> frozenset[Span]:
+        return frozenset(s.span for s in locator.listed_statements(self.unit))
 
     def holds_run(self, span: Span, needle: tuple[str, ...]) -> bool:
         """Whether ``span`` covers exactly a run of tokens with the texts
@@ -240,16 +239,8 @@ class _Layout:
                 and _inert(self.data, span.end))
 
     def removable(self, span: Span) -> bool:
-        """Whether the statement at ``span`` sits in a braced list and the
-        statement before it, if it ends with ``}``, cannot run on into the
-        one after it."""
-        if (span.start, span.end) not in self.listed:
-            return False
-        after = bisect_left(self.tokens, span.end, key=_token_start)
-        before = bisect_left(self.tokens, span.start, key=_token_start) - 1
-        return not (self.tokens[before].text == "}"
-                    and after < len(self.tokens)
-                    and self.tokens[after].text in CONTINUERS)
+        """Whether the statement at ``span`` sits in a braced list."""
+        return span in self.listed
 
 
 def _inert(data: bytes, offset: int) -> bool:

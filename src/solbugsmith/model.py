@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from enum import Enum
 
+from .errors import shown
+
 
 class _Term(Enum):
     """A term of one vocabulary below; it prints as its value."""
@@ -40,4 +42,12 @@ class Approach(_Term):
 
 # each term by its value: a lookup that does not go through Enum's call
 BUG_TYPES = {member.value: member for member in BugType}
+SNIPPET_FORMS = {member.value: member for member in SnippetForm}
 APPROACHES = {member.value: member for member in Approach}
+
+
+def term(table: dict, value: object, kind: str):
+    """``table[value]``, or the enum ``kind``'s ValueError, shown short."""
+    if type(value) is str and value in table:
+        return table[value]
+    raise ValueError(f"{shown(value)} is not a valid {kind}")

@@ -8,9 +8,9 @@ before they can ever reach an injection run; a ``{N}`` where some counter
 would lex as another kind of token than the probe's is an error.
 
 The loader also records what lets the injector vouch for its output without
-a re-parse: a snippet is ``vetted`` when it passed those checks and its first
-token cannot carry on the code before it, and a transform ``keeps_roles``
-when its replacement can stand wherever its match parses.
+a re-parse: a snippet is ``vetted`` when it passed those checks, and a
+transform ``keeps_roles`` when its replacement can stand wherever its match
+parses.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
 
-from .errors import LexError, ParseError, PoolError
+from .errors import LexError, ParseError, PoolError, shown
 from .front import FunctionDef, parse_member_fragment, parse_statement_fragment
 from .front.lexer import ELEMENTARY_TYPES, Token, TokenKind, tokenize
-from .front.parser import CONTINUERS, READ_IDENTIFIERS
+from .front.parser import READ_IDENTIFIERS
 from .front.nodes import COMPOUND_STMT_KINDS, SIMPLE_STMT_KINDS, Stmt
-from .model import BugType, SnippetForm
+from .model import BUG_TYPES, SNIPPET_FORMS, BugType, SnippetForm, term
 
 GUARD_SHAPES = frozenset({"guardedSendRevert"})
 
@@ -42,11 +42,6 @@ _COUNTER_HAZARD = re.compile(
     r"|(?<![A-Za-z_$])(?:u?int|bytes)[0-9]*(\{N\})"
     r"|(?<![A-Za-z0-9_$])(\{N\})[xX]", re.DOTALL)
 
-# the first token of a template: a word or one character, past whitespace
-# and comments
-_FIRST_TOKEN = re.compile(r"(?:[ \t\r\n]|//[^\n]*|/\*.*?\*/)*"
-                          r"([A-Za-z_$][A-Za-z0-9_$]*|.)", re.DOTALL)
-
 # the elementary types that parse alike (``address`` may take ``payable``)
 _SWAPPABLE_TYPES = ELEMENTARY_TYPES - {"address"}
 
@@ -59,8 +54,7 @@ class BugSnippet:
     template: str
     required_context: tuple[str, ...] = ()
     # Set by load_pool only: the instance at any counter >= 0 parses as one
-    # fragment of ``form``, and its first token cannot carry on an opaque
-    # statement before it.
+    # fragment of ``form``, so it ends any opaque statement it carries on.
     vetted: bool = field(default=False, init=False, compare=False)
 
     @cached_property
@@ -143,8 +137,7 @@ def load_pool(text: str) -> BugPool:
             raise PoolError(snippet.id, "duplicate snippet id")
         seen_ids.add(snippet.id)
         _check_snippet(snippet)
-        lead = _FIRST_TOKEN.match(snippet.template).group(1)
-        object.__setattr__(snippet, "vetted", lead not in CONTINUERS)
+        object.__setattr__(snippet, "vetted", True)
         snippets.append(snippet)
 
     transforms = []
@@ -185,9 +178,9 @@ def _snippet_from_json(raw: object) -> BugSnippet:
     if not isinstance(entry_id, str) or not entry_id:
         raise PoolError("<snippet>", "missing or empty id")
     try:
-        bug_type = BugType(raw["bugType"])
-        form = SnippetForm(raw["form"])
-    except (KeyError, ValueError, TypeError) as err:
+        bug_type = term(BUG_TYPES, raw["bugType"], "BugType")
+        form = term(SNIPPET_FORMS, raw["form"], "SnippetForm")
+    except (KeyError, ValueError) as err:
         raise PoolError(entry_id, str(err)) from None
     template = raw.get("template")
     if not isinstance(template, str) or not template.strip():
@@ -256,8 +249,8 @@ def _transform_from_json(raw: object, idx: int) -> TransformPattern:
     if not isinstance(raw, dict):
         raise PoolError(label, "transform entry must be an object")
     try:
-        bug_type = BugType(raw["bugType"])
-    except (KeyError, ValueError, TypeError) as err:
+        bug_type = term(BUG_TYPES, raw["bugType"], "BugType")
+    except (KeyError, ValueError) as err:
         raise PoolError(label, str(err)) from None
     match = raw.get("match")
     replace = raw.get("replace")
@@ -303,13 +296,13 @@ def _weakening_from_json(raw: object, idx: int) -> WeakeningRule:
     if not isinstance(raw, dict):
         raise PoolError(label, "weakening entry must be an object")
     try:
-        bug_type = BugType(raw["bugType"])
-    except (KeyError, ValueError, TypeError) as err:
+        bug_type = term(BUG_TYPES, raw["bugType"], "BugType")
+    except (KeyError, ValueError) as err:
         raise PoolError(label, str(err)) from None
     shape = raw.get("guardShape")
     if not isinstance(shape, str) or shape not in GUARD_SHAPES:
-        raise PoolError(label, f"unknown guard shape: {shape!r}")
+        raise PoolError(label, f"unknown guard shape: {shown(shape)}")
     action = raw.get("action", "commentOutStatement")
     if action != "commentOutStatement":
-        raise PoolError(label, f"unknown action: {action!r}")
+        raise PoolError(label, f"unknown action: {shown(action)}")
     return WeakeningRule(bug_type, shape)

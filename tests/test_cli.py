@@ -21,6 +21,7 @@ import solbugsmith
 from solbugsmith import evaluator
 from solbugsmith.buglog import CSV_COLUMNS
 from solbugsmith.cli import _COMMANDS, _build_parser, main
+from solbugsmith.errors import shown
 from solbugsmith.front import parse, parser
 from solbugsmith.injector import inject_all
 from solbugsmith.locator import find_all_potential_locations
@@ -726,6 +727,69 @@ class TestExitCodes:
         assert len([line for line in err.splitlines() if named in line]) == 1
         if argv[0] == "inject":  # the campaign goes on past the bad file
             assert (tmp_path / "out" / "Good.Reentrancy.sol").is_file()
+
+
+_DEEP = "[" * 800 + "]" * 800  # nested short of the decoder's limit
+_LONG = json.dumps("x" * 10_000)
+_ENTRY = {"bugId": "b1", "bugType": "TOD", "approach": "FullSnippet",
+          "snippetId": None, "file": "X.sol", "startLine": 1, "endLine": 1,
+          "byteSpan": {"start": 0, "end": 1}}
+_FINDING = {"file": "X.sol", "line": "@", "type": "TOD"}
+_SNIPPET = {"id": "s", "bugType": "@", "form": "SimpleStatement",
+            "template": "x = 1;"}
+
+
+@pytest.mark.parametrize("where, doc, value, code", [
+    pytest.param("log", [dict(_ENTRY, startLine="@")], _DEEP, 2,
+                 id="buglog-start-line"),
+    pytest.param("log", [dict(_ENTRY, bugType="@")], _DEEP, 2,
+                 id="buglog-bug-type"),
+    pytest.param("log", [dict(_ENTRY, bugType="@")], _LONG, 2,
+                 id="buglog-long-bug-type"),
+    pytest.param("log", [dict(_ENTRY, file="@")], _LONG, 2,
+                 id="buglog-long-file"),
+    pytest.param("report", {"tool": "Slither", "findings": [_FINDING]},
+                 _DEEP, 2, id="report-line"),
+    pytest.param("pool", {"weakenings": [{"bugType": "TOD",
+                                          "guardShape": "@"}]}, _DEEP, 1,
+                 id="pool-guard-shape"),
+    pytest.param("pool", {"snippets": [_SNIPPET]}, _DEEP, 1,
+                 id="pool-bug-type"),
+    pytest.param("pool", {"snippets": [_SNIPPET]}, _LONG, 1,
+                 id="pool-long-bug-type"),
+])
+def test_an_echoed_value_leaves_the_error_lines_short(
+        where, doc, value, code, tmp_path, monkeypatch, capsys):
+    """A document value that an error message names is shown cut short."""
+    monkeypatch.chdir(tmp_path)
+    for name in ("logs", "reports", "corpus"):
+        Path(name).mkdir()
+    Path("corpus/X.sol").write_text("contract X {}\n")
+    Path("logs/X.sol").write_text("contract X {\n}\n")
+    text = json.dumps(doc).replace('"@"', value)
+    if where == "log":
+        Path("logs/X.buglog.json").write_text(text)
+        argv = ["oracle", "--buglogs", "logs", "--out", "out"]
+    elif where == "report":
+        Path("logs/X.buglog.json").write_text(json.dumps([_ENTRY]))
+        Path("reports/Slither.report.json").write_text(text)
+        argv = ["evaluate", "--buglogs", "logs", "--reports", "reports"]
+    else:
+        Path("pool.json").write_text(text)
+        argv = ["inject", "--corpus", "corpus", "--out", "out",
+                "--pool", "pool.json"]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert max(map(len, err.splitlines())) < 200
+    assert "..." in err  # where the value was cut
+
+
+@pytest.mark.parametrize("value", ["Gremlins", ["TOD"], 3, -1, None, 1.5,
+                                   True, {"a": [1]}, ("3", 1, 1, 0),
+                                   [[[1]]], "x" * 58])
+def test_a_short_value_is_shown_as_repr_shows_it(value):
+    assert shown(value) == repr(value)
 
 
 def test_every_flag_is_read_by_its_command():

@@ -13,15 +13,15 @@ from solbugsmith import locator
 from solbugsmith.errors import PoolError, SolBugSmithError
 from solbugsmith.front import parse, validate
 from solbugsmith.injector import inject_all, inject_file
-from solbugsmith.locator import SnippetSite, TransformSite
+from solbugsmith.locator import SnippetSite, TransformSite, WeakenSite
 from solbugsmith.model import BugType
 from solbugsmith.pool import load_pool
 
 COUNTERS = (0, 1, 8, 32, 255, 10000)
 
 # Shapes an edit can trip over: opaque statements that end with a brace
-# group (one of them a `do` without its `while`), `address payable`,
-# adjacent braces, and pattern texts inside strings and comments.
+# group, `address payable`, adjacent braces, and pattern texts inside
+# strings and comments.
 HAZARDS = """pragma solidity ^0.5.0;
 contract H {
     address payable owner;
@@ -32,7 +32,6 @@ contract H {
     function f(uint256 a) public {
         if (msg.sender == owner) { total = a; } else { revert(); }
         do { total += 1; } while (total < 10);
-        do { total += 1; } total = 3;
         unchecked { total = total; }
         owner.transfer{value: 1};
         for (uint256 i = 0; i < a; i++) { total += uint256(i); }
@@ -136,11 +135,6 @@ def test_an_indent_stops_at_a_no_break_space(src, pool_args, pool):
     pytest.param("contract A {\n    uint256 fee = 1ether;\n}\n",
                  BugType.TOD, {"transforms": [("1", "0x1")]}, 0,
                  id="rewrite-joins-the-next-token"),
-    pytest.param("contract A {\n    function f(address payable a) public {\n"
-                 "        do { x = 1; } require(a.send(1));\n"
-                 "        while (x > 0) if (x == 1) x = 0; else x -= 1;\n"
-                 "    }\n}\n", BugType.UNHANDLED_EXCEPTION,
-                 {"weakenings": True}, 0, id="weakening-lets-do-run-on"),
 ])
 def test_each_check_declines_an_edit_that_breaks_the_output(
         src, bug_type, pool_args, counter, pool):
@@ -254,6 +248,73 @@ GUARDED = """contract Guarded {
     }
 }
 """
+
+
+# -- statements carried on past a weakened guard ------------------------------
+
+# Statements before the guard: opaque ones that end with a brace group, and
+# ones that end with ``;`` or a structured statement's last token.
+FIRST = [
+    "unchecked { total += 1; }",
+    "assembly { let y := 1 }",
+    "try c.f() returns (uint v) { total = v; } catch { total = 0; }",
+    "a.f{value: 1}",
+    "new C{salt: s}",
+    "(bool ok, ) = a.call{value: 1}",
+    "x = a.b{gas: 2}",
+    "do { total += 1; } while (total < 10);",
+    "{ total = 1; }",
+    "if (total > 0) { total = 1; }",
+    "while (total > 0) { total -= 1; }",
+]
+GUARDS = ["require(a.send(1));", "if (!a.send(1)) { revert(); }"]
+# Statements after it, led by each token that can carry an opaque
+# statement on past a brace group, by ``while``, or by neither.
+NEXT = [
+    "(total) = (1);", '("");', ".f();", ".x = 1;", "[1, 2];",
+    "[total] = [2];", "catch { total = 0; }", "catch (bytes memory) {}",
+    "while (total < 10);", "while (total < 10) { total += 1; }",
+    "total = 3;", "owner = a;",
+]
+
+
+def _matrix_source(first: str, guard: str, after: str) -> str:
+    return ("contract M {\n    address payable owner;\n    uint256 total;\n"
+            "    function f(address payable a, C c, bytes32 s) public {\n"
+            f"        {first}\n        {guard}\n        {after}\n"
+            "    }\n}\n")
+
+
+@pytest.mark.parametrize("snippets", [
+    pytest.param((), id="weakening-only"),
+    pytest.param(("(total, owner) = (1, owner);", "catch(total);",
+                  "while (total > 0) { total -= 1; }"), id="continuer-led"),
+])
+def test_a_weakened_guard_between_any_two_statements_is_vouched_for(
+        snippets):
+    """Once a ``do`` needs its ``while``, a statement that carries on an
+    opaque one before it ends the merged statement where it ended alone, so
+    commenting out the guard between them, or planting a snippet after
+    either, always keeps the output valid."""
+    pool = load_pool(json.dumps({
+        "snippets": [{"id": f"s{i}", "bugType": TYPE,
+                      "form": "NonFunctionBlock" if template.endswith("}")
+                      else "SimpleStatement", "template": template}
+                     for i, template in enumerate(snippets)],
+        "weakenings": [{"bugType": TYPE, "guardShape": "guardedSendRevert"}]}))
+    outputs = 0
+    for first in FIRST:
+        for guard in GUARDS:
+            for after in NEXT:
+                unit = parse(_matrix_source(first, guard, after))
+                sites = locator.find_all_potential_locations(
+                    unit, BugType.UNHANDLED_EXCEPTION, pool).sites
+                assert any(isinstance(site, WeakenSite) for site in sites)
+                for counter in (0, 7):
+                    assert assert_sound(unit, BugType.UNHANDLED_EXCEPTION,
+                                        pool, counter), (first, guard, after)
+                    outputs += 1
+    assert outputs == 528
 
 
 # -- sites moved off their boundaries -----------------------------------------

@@ -1,5 +1,5 @@
-"""Site discovery: boundary counts, guard shapes, token matching, and a
-brute-force insert-probe oracle for statement-level completeness."""
+"""Site discovery: boundary counts, guard shapes, token matching, and
+brute-force insert-probe oracles for statement and member completeness."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from solbugsmith.front import TokenKind, parse, tokenize, validate
 from solbugsmith.locator import (SnippetSite, TransformSite, WeakenSite,
                                  dump_profile, find_all_potential_locations,
                                  find_security_mechanisms,
-                                 find_transformable_code)
+                                 find_transformable_code, snippet_sites)
 from solbugsmith.model import BugType, SnippetForm
 
 
@@ -399,6 +399,49 @@ def test_probe_oracle_agrees_on_small_corpus(corpus_sources, pool):
 def test_probe_oracle_agrees_on_fixture(egame, pool):
     assert probe_oracle_offsets(egame) == _locator_statement_offsets(egame,
                                                                      pool)
+
+
+# ---------------------------------------------------------------------------
+# The same oracle for member sites. A byte offset is a genuine member
+# boundary iff splicing a marker function there yields a source that
+# parses, with the marker landing as exactly one direct member of one
+# contract. The candidates are the ends of ';', '{' and '}' tokens.
+
+MEMBER_PROBE = "function __prb() public {}"
+
+
+def member_probe_offsets(src: str) -> set[int]:
+    data = src.encode("utf-8")
+    accepted = set()
+    for tok in tokenize(src):
+        if tok.kind is not TokenKind.PUNCTUATOR or \
+                tok.text not in (";", "{", "}"):
+            continue
+        spliced = (data[:tok.end] + b" " + MEMBER_PROBE.encode() + b" "
+                   + data[tok.end:]).decode("utf-8")
+        try:
+            unit = parse(spliced)
+        except (LexError, ParseError):
+            continue
+        marker = (tok.end + 1, tok.end + 1 + len(MEMBER_PROBE))
+        landed = [member for contract in unit.contracts
+                  for member in contract.members
+                  if (member.span.start, member.span.end) == marker]
+        if len(landed) == 1 and landed[0].kind == "function":
+            accepted.add(tok.end)
+    return accepted
+
+
+def test_member_probe_agrees_on_every_bundled_contract_and_fixture(
+        corpus_sources, egame, throw_guards):
+    sources = dict(corpus_sources, **{"EGame.sol": egame,
+                                      "ThrowGuards.sol": throw_guards})
+    assert len(sources) == 14
+    for name, src in sources.items():
+        oracle = member_probe_offsets(src)
+        located = {site.offset for site in snippet_sites(
+            parse(src), SnippetForm.FUNCTION_DEFINITION)}
+        assert oracle == located, (name, sorted(oracle ^ located))
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,16 @@ class TestOpaqueFallback:
         unit, stmts = _in_function(f"{block}\n{after}")
         assert [_source_of(unit, stmt) for stmt in stmts] == [block, after]
 
+    @pytest.mark.parametrize("text", [
+        "do x++; while (x < 10);",
+        "do { x++; } while (x < 10);",
+        "do if (x > 0) { x--; } else { x++; } while (x != 5);",
+    ])
+    def test_a_do_and_its_while_are_one_opaque_statement(self, text):
+        unit, stmts = _in_function(text + "\nx = 1;")
+        assert [(stmt.opaque, stmt.children, _source_of(unit, stmt))
+                for stmt in stmts] == [(True, [], text), (False, [], "x = 1;")]
+
     def test_opaque_spans_reported(self, corpus_sources):
         # storage-pointer locals fall back to opaque statements of the bodies
         unit = parse(corpus_sources["Crowdfund.sol"])
@@ -261,6 +271,20 @@ def test_error_position_expected_and_found(src, column, expected, found):
         parse(src)
     assert (err.value.line, err.value.column, err.value.expected,
             err.value.found) == (1, column, expected, found)
+
+
+@pytest.mark.parametrize("body, line, column, expected, found", [
+    ("do { x += 1; } x = 3;", 3, 16, "'while'", "'x'"),
+    ("do x++; y = 1;", 3, 9, "'while'", "'y'"),
+    ("do { x++; } while (x < 10) { }", 3, 28, "';'", "'{'"),
+    ("do { x++; }", 4, 1, "'while'", "'}'"),
+])
+def test_a_do_without_its_while_is_an_error_after_the_body(
+        body, line, column, expected, found):
+    with pytest.raises(ParseError) as err:
+        _in_function(body)
+    assert (err.value.line, err.value.column, err.value.expected,
+            err.value.found) == (line, column, expected, found)
 
 
 def test_end_of_input_error_column_is_within_the_last_line():
