@@ -1,5 +1,5 @@
-"""The bug log: one entry per injected bug, its JSON and CSV documents, and
-the loader that reads a JSON log back.
+"""The bug log: one entry per injected bug, the lines each covers, its JSON
+and CSV documents, and the loader that reads a JSON log back.
 
 The JSON writer lays each entry out from a template over the C string
 encoder, byte for byte as ``json.dumps(..., indent=2)`` would, and the
@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_left, bisect_right
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
@@ -43,6 +44,15 @@ class BugLogEntry(NamedTuple):
             "endLine": self.end_line,
             "byteSpan": {"start": self.byte_start, "end": self.byte_end},
         }
+
+
+def covered_lines(entries, lines, slack: int = 0):
+    """Each of ``entries``, all of one file, with the slice of ``lines``, that
+    file's lines in order, that it covers: its lines widened by ``slack``,
+    found by bisection, never by expanding the range."""
+    for entry in entries:
+        yield entry, lines[bisect_left(lines, entry.start_line - slack):
+                           bisect_right(lines, entry.end_line + slack)]
 
 
 # one entry of a bug log, as json.dumps(..., indent=2) lays it out

@@ -23,12 +23,13 @@ from .buglog import (BugLogEntry, emit_buglog_csv, emit_buglog_json,
 from .errors import (DomainError, MalformedDocument, PoolError,
                      SolBugSmithError, shown)
 from .evaluator import (Finding, evaluate_campaign, fn_csv, fp_csv,
-                        ingest_report, load_capabilities, load_truth_extras,
-                        render_fn_table, render_fp_table, report_tool)
+                        ingest_report, load_capabilities, load_confirmed,
+                        load_truth_extras, render_fn_table, render_fp_table,
+                        report_tool)
 from .front import parse
 from .injector import inject_file
 from .locator import dump_profile, find_all_potential_locations
-from .model import BUG_TYPES, BugType
+from .model import BugType
 from .oracle import (OracleSpec, dump_report, generate_tool_report,
                      uninjected_lines)
 from .pool import BugPool, default_pool, load_pool
@@ -158,24 +159,6 @@ def _resolve_capabilities(path: str | None) -> dict[str, frozenset[BugType]]:
         bundled = resources.files("solbugsmith") / "data" / "capabilities.json"
         return load_capabilities(bundled.read_text(encoding="utf-8"))
     return _load_config(path, load_capabilities)
-
-
-def _load_confirmed(text: str) -> dict[str, dict[str, int]]:
-    try:
-        doc = json.loads(text)
-    except RecursionError as exc:  # nested deeper than the decoder goes
-        raise ValueError(exc) from None
-    if not isinstance(doc, dict) or not all(
-            isinstance(counts, dict)
-            and all(type(n) is int and n >= 0 for n in counts.values())
-            for counts in doc.values()):
-        raise ValueError("expected a JSON object mapping each tool to "
-                         "{bug type: count >= 0}")
-    for tool, counts in doc.items():
-        for name in counts:
-            if name not in BUG_TYPES:
-                raise ValueError(f"{tool}: unknown bug type: {shown(name)}")
-    return doc
 
 
 def _corpus_files(raw: str) -> list[Path]:
@@ -359,7 +342,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     capabilities = _resolve_capabilities(args.capabilities)
-    confirmed = _load_config(args.confirmed, _load_confirmed) \
+    confirmed = _load_config(args.confirmed, load_confirmed) \
         if args.confirmed else {}
     buglogs = _read_buglogs(args.buglogs)
     reports_dir = Path(args.reports)

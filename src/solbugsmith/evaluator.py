@@ -1,22 +1,18 @@
 """Score analyzer reports against injected ground truth.
 
-False negatives are scored per tool and bug type, as SolidiFI scores them:
-the bug-log entries of one type are matched against the tool's findings in
-the files that hold them, so within a type one finding pairs with at most
-one bug. A maximum matching pairs entries with findings in the same file
-whose line falls in the entry's range, type-correct pairs first: findings
-that can pair with an entry of their reported type are matched before those
-that can only pair by line (type misidentifications), and each finding
-tries its entries tightest range first.
+A bug covers its lines widened by the line slack (``buglog.covered_lines``).
+False negatives are scored per tool and bug type, as SolidiFI scores them: a
+maximum matching pairs each bug of the type with at most one finding on a
+line it covers, type-correct pairs first, each finding trying its bugs
+tightest range first. No pair crosses files, so the candidates are indexed
+per file. False positives: findings on covered lines are set aside, then a
+finding is excluded from the suspect set when at least a threshold number of
+tools agree on the same (file, line, type); the rest are suspected false
+positives, confirmed by inspecting a fixed-size sample and extrapolating.
 
-False positives: findings on injected lines, widened by the line slack that
-FN matching uses, are set aside, then a finding is excluded from the
-suspect set when at least a threshold number of tools agree on the same
-(file, line, type); the rest are suspected false positives, confirmed by
-inspecting a fixed-size sample and extrapolating.
-
-``evaluate_campaign`` applies both to every tool of a campaign; the
-``render_*`` and ``*_csv`` functions turn its result into documents.
+``evaluate_campaign`` applies both to every tool of a campaign, from one
+index per run; the ``render_*`` and ``*_csv`` functions turn its result
+into documents.
 """
 
 from __future__ import annotations
@@ -25,13 +21,12 @@ import csv
 import io
 import json
 import random
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .buglog import BugLogEntry
+from .buglog import BugLogEntry, covered_lines
 from .errors import (DomainError, FormatError, MalformedDocument,
                      MissingThreshold, ScopeError, shown)
 from .model import BUG_TYPES, BugType, term
@@ -104,14 +99,6 @@ def report_tool(text: str, tool: str) -> str:
     return name
 
 
-def restrict_to_scope(entries: list[BugLogEntry],
-                      capable: frozenset[BugType] | set[BugType]) -> list[BugLogEntry]:
-    """Keep only bugs the tool claims to detect; reject an empty capability set."""
-    if not capable:
-        raise ScopeError("capability set is empty")
-    return [e for e in entries if e.bug_type in capable]
-
-
 @dataclass(frozen=True)
 class FNScore:
     injected: int
@@ -126,56 +113,58 @@ class FNScore:
 def score_false_negatives(entries: list[BugLogEntry],
                           findings: list[Finding],
                           line_slack: int = 0) -> FNScore:
-    """Match findings to bug-log entries, preferring type-correct pairings;
-    a finding pairs with at most one entry. ``evaluate_campaign`` passes the
-    entries of one bug type.
+    """Match findings to the bug-log entries that cover their lines,
+    widened by ``line_slack``; a finding pairs with at most one entry.
+    Ranges may overlap, so a maximum matching is computed, file by file:
+    first the findings that can pair with an entry of their own type, then
+    those that can only pair by line. Augmentation never unmatches a
+    finding, so type-correct pairings are never sacrificed for line-only
+    ones. ``evaluate_campaign`` matches each tool and bug type so."""
+    by_file = _group(findings, lambda f: f.file)
+    return _fn_score(entries, range(len(entries)), _cover(
+        entries, range(len(entries)), by_file, line_slack), by_file)
 
-    Entry line ranges may overlap (shared context widens the owning entry),
-    so a maximum matching is computed rather than a first-fit scan: first
-    findings that can pair with an entry of their own type, then everything
-    that can only pair by line. Augmentation never unmatches a finding, so
-    type-correct pairings are never sacrificed for line-only ones. A
-    finding's candidate entries are read from the line index ``_covering``,
-    and findings whose candidate lists are equal share one list.
-    """
-    entry_order = sorted(range(len(entries)),
-                         key=lambda i: _tightness(entries[i]))
-    cover = _covering([entries[i] for i in entry_order], findings, line_slack)
-    list_of: dict[tuple[int, ...], int] = {}  # candidate list -> its index
-    key_of: dict[tuple, tuple[int, bool]] = {}  # -> (list index, typed)
-    keys: list[int] = []  # finding -> index of its list
-    typed: list[bool] = []  # finding -> pairs by its own type
-    for finding in findings:
-        key = (finding.file, finding.line, finding.reported_type)
-        if key not in key_of:
-            local = [entry_order[k] for k in
-                     cover.get(finding.file, {}).get(finding.line, ())]
-            same = [i for i in local
-                    if entries[i].bug_type is finding.reported_type]
-            key_of[key] = (list_of.setdefault(tuple(same or local),
-                                              len(list_of)), bool(same))
-        keys.append(key_of[key][0])
-        typed.append(key_of[key][1])
-    edges = list(list_of)
 
-    owner: dict[int, int] = {}
-    finding_order = sorted(
-        range(len(findings)),
-        key=lambda j: (not typed[j], findings[j].line, findings[j].tool, j))
-    for f_idx in finding_order:
-        if edges[keys[f_idx]]:
-            _augment(f_idx, keys, edges, owner)
-
+def _fn_score(entries: list[BugLogEntry], members, cover: dict,
+              by_file: dict[str, list[Finding]]) -> FNScore:
+    """The score of the entries ``entries[i]``, ``i`` in ``members``, whose
+    ``_cover`` index is ``cover``, against the findings ``by_file``. A
+    finding takes the candidates of its own type, else all of them."""
+    findings: list[Finding] = []  # those with candidates
+    cands: list[tuple[int, ...]] = []  # finding -> the entries it may take
+    keys: list[int] = []  # finding -> the number of that list object
+    number: dict[int, int] = {}  # id of a list object -> its number
+    owner: dict[int, int] = {}  # entry -> finding
+    for file, by_line in cover.items():
+        queue = []  # (line-only, line, tool, finding) of the file's findings
+        for finding in by_file.get(file, ()):
+            local = same = by_line.get(finding.line, ())
+            for i in local:
+                if entries[i].bug_type is not finding.reported_type:
+                    same = tuple([i for i in local if entries[i].bug_type
+                                  is finding.reported_type])
+                    break
+            if local:
+                queue.append((not same, finding.line, finding.tool,
+                              len(findings)))
+                findings.append(finding)
+                cands.append(same or local)
+                keys.append(number.setdefault(id(cands[-1]), len(number)))
+        for *_, f_idx in sorted(queue):  # no pair crosses files
+            if cands[f_idx][0] not in owner:  # the first step of _augment
+                owner[cands[f_idx][0]] = f_idx
+            else:
+                _augment(f_idx, keys, cands, owner)
     detected_ids, mis_ids, unreported_ids = [], [], []
-    for i, entry in enumerate(entries):
+    for i in members:
         f_idx = owner.get(i)
         if f_idx is None:
-            unreported_ids.append(entry.bug_id)
-        elif findings[f_idx].reported_type is entry.bug_type:
-            detected_ids.append(entry.bug_id)
+            unreported_ids.append(entries[i].bug_id)
+        elif findings[f_idx].reported_type is entries[i].bug_type:
+            detected_ids.append(entries[i].bug_id)
         else:
-            mis_ids.append(entry.bug_id)
-    return FNScore(len(entries), len(detected_ids), len(mis_ids),
+            mis_ids.append(entries[i].bug_id)
+    return FNScore(len(members), len(detected_ids), len(mis_ids),
                    len(unreported_ids), tuple(detected_ids), tuple(mis_ids),
                    tuple(unreported_ids))
 
@@ -192,12 +181,14 @@ def filter_by_majority(findings: list[Finding],
                        entries: list[BugLogEntry],
                        thresholds: dict[BugType, int],
                        line_slack: int = 0) -> MajorityResult:
-    """Drop findings on injected lines widened by ``line_slack`` (those
-    ``_covered`` yields, as for FN matching), then split the rest by tool
-    agreement."""
-    injected: dict[str, set[int]] = {}
-    for entry, lines in _covered(entries, findings, line_slack):
-        injected.setdefault(entry.file, set()).update(lines)
+    """Drop findings on lines that a bug covers (``buglog.covered_lines``,
+    as for FN matching), then split the rest by tool agreement."""
+    by_file = _group(findings, lambda f: f.file)
+    injected: dict[str, set[int]] = {}  # per file, the lines bugs cover
+    for file, group in _group(entries, lambda e: e.file).items():
+        lines = sorted({f.line for f in by_file.get(file, ())})
+        injected[file] = set().union(*(held for _, held in covered_lines(
+            group, lines, line_slack)))
     candidates = [f for f in findings
                   if f.line not in injected.get(f.file, ())]
     by_key = _group(candidates, lambda f: (f.file, f.line, f.reported_type))
@@ -271,6 +262,27 @@ def load_capabilities(text: str) -> dict[str, frozenset[BugType]]:
             for tool, names in doc.items()}
 
 
+def load_confirmed(text: str) -> dict[str, dict[str, int]]:
+    """``{tool: {bug type name: count >= 0}}``; ValueError for any other
+    shape, or for an unknown name, naming its tool in 100 characters."""
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:  # nested deeper than the decoder goes
+        raise ValueError(exc) from None
+    if not isinstance(doc, dict) or not all(
+            isinstance(counts, dict)
+            and all(type(n) is int and n >= 0 for n in counts.values())
+            for counts in doc.values()):
+        raise ValueError("expected a JSON object mapping each tool to "
+                         "{bug type: count >= 0}")
+    for tool, counts in doc.items():
+        for name in counts:
+            if name not in BUG_TYPES:
+                label = tool if len(tool) <= 100 else tool[:97] + "..."
+                raise ValueError(f"{label}: unknown bug type: {shown(name)}")
+    return doc
+
+
 def load_truth_extras(text: str) -> tuple[str, set[tuple[str, int, str]]]:
     """``(tool, {(file, line, type label)})`` of an oracle truth file: the
     findings the oracle planted off the injected lines."""
@@ -311,10 +323,8 @@ def evaluate_campaign(entries: list[BugLogEntry],
                       confirmed: dict[str, dict[str, int]],
                       line_slack: int = 0, sample_size: int = 20,
                       seed: int = 0) -> Evaluation:
-    """FN scores per tool and type, and one FP cell per capable type. Each
-    type with in-scope entries is one ``score_false_negatives`` matching of
-    its entries against the tool's findings in their files, so a finding
-    pairs with at most one bug of each type. The
+    """FN scores per tool and type, from one index per run, and one FP cell
+    per capable type; a finding pairs with at most one bug of each type. The
     confirmed count of a cell is its sampled findings listed in the tool's
     ``truth_extras``, else its ``confirmed`` count, else the whole sample;
     one above the sample is a ``DomainError`` naming the tool and type, and
@@ -325,18 +335,23 @@ def evaluate_campaign(entries: list[BugLogEntry],
         raise DomainError(
             f"confirmed counts for tool(s) not evaluated: "
             f"{', '.join(map(shown, unknown))} (evaluated: {', '.join(tools)})")
-    scores: dict[str, dict[BugType, FNScore]] = {}
-    for tool in tools:
-        in_scope = restrict_to_scope(entries, capabilities[tool])
-        scores[tool] = {}
-        for bug_type, members in _group(in_scope, lambda e: e.bug_type).items():
-            files = {e.file for e in members}
-            scores[tool][bug_type] = score_false_negatives(
-                members, [f for f in findings_by_tool[tool] if f.file in files],
-                line_slack)
-    thresholds = derive_thresholds(capabilities)
+    if not all(capabilities[tool] for tool in tools):
+        raise ScopeError("capability set is empty")
     pooled = [f for tool in tools for f in findings_by_tool[tool]]
+    thresholds = derive_thresholds(capabilities)
+    # first, so that the filter's passing peak of memory adds to no index
     majority = filter_by_majority(pooled, entries, thresholds, line_slack)
+    pooled_by_file = _group(pooled, lambda f: f.file)
+    by_file = {tool: _group(findings_by_tool[tool], lambda f: f.file)
+               for tool in tools}
+    scores: dict[str, dict[BugType, FNScore]] = {tool: {} for tool in tools}
+    for bug_type, members in _group(range(len(entries)),
+                                    lambda i: entries[i].bug_type).items():
+        cover = _cover(entries, members, pooled_by_file, line_slack)
+        for tool in tools:
+            if bug_type in capabilities[tool]:
+                scores[tool][bug_type] = _fn_score(entries, members, cover,
+                                                   by_file[tool])
 
     reported = Counter((f.tool, f.reported_type) for f in majority.candidates)
     suspects = _group(majority.filtered, lambda f: (f.tool, f.reported_type))
@@ -365,29 +380,23 @@ def evaluate_campaign(entries: list[BugLogEntry],
     return Evaluation(scores, cells, misc, thresholds, missing)
 
 
-def _tightness(entry: BugLogEntry) -> tuple:
-    """The order in which a finding tries its entries: tightest range first."""
-    return entry.end_line - entry.start_line, entry.start_line, entry.bug_id
-
-
-def _augment(root: int, keys: list[int], edges: list[tuple[int, ...]],
+def _augment(root: int, keys: list[int], cands: list[tuple[int, ...]],
              owner: dict[int, int]) -> None:
     """Kuhn's depth-first search for an augmenting path from finding
-    ``root``, with a stack in place of recursion; finding ``f`` may take
-    the entries ``edges[keys[f]]``, and a path found is applied to
-    ``owner``. A frame scans its list in order, skipping the entries
-    already seen, and every entry it passes joins ``seen``. So the frames
-    over equal lists, which share one index, can share one iterator: it
-    skips only entries that a scan from the start would skip too."""
+    ``root``, with a stack in place of recursion, applied to ``owner``;
+    finding ``f`` may take the entries ``cands[f]``, a list of key
+    ``keys[f]``. A frame scans its list in order, skipping the entries
+    seen, and each entry it passes joins ``seen``, so frames over one list
+    can share one iterator: it skips only what a scan from the start would."""
     seen: set[int] = set()
-    scans: dict[int, Iterator[int]] = {}  # one per edge list
+    scans: dict[int, Iterator[int]] = {}  # one per list key
     path: list[tuple[int, int]] = []  # (finding, entry) along the search
     f_idx = root
     while True:
         key = keys[f_idx]
         scan = scans.get(key)
         if scan is None:
-            scan = scans[key] = iter(edges[key])
+            scan = scans[key] = iter(cands[f_idx])
         for e_idx in scan:
             if e_idx not in seen:
                 break
@@ -405,29 +414,27 @@ def _augment(root: int, keys: list[int], edges: list[tuple[int, ...]],
         f_idx = owner[e_idx]
 
 
-def _covering(entries: list[BugLogEntry], findings: list[Finding],
-              slack: int = 0) -> dict[str, dict[int, list[int]]]:
-    """Per file, each finding line that an entry's range widened by ``slack``
-    holds, mapped to the indexes of those entries in ``entries`` order."""
-    index: dict[str, dict[int, list[int]]] = {}
-    for i, (entry, lines) in enumerate(_covered(entries, findings, slack)):
-        by_line = index.setdefault(entry.file, {})
-        for line in lines:
-            by_line.setdefault(line, []).append(i)
+def _cover(entries: list[BugLogEntry], members,
+           by_file: dict[str, list[Finding]],
+           slack: int) -> dict[str, dict[int, tuple[int, ...]]]:
+    """Per file, each line of a finding ``by_file`` that the entries
+    ``entries[i]``, ``i`` in ``members``, cover, mapped to those ``i`` in the
+    order a finding tries them, tightest range first; equal tuples of a
+    file are one object."""
+    index: dict[str, dict[int, tuple[int, ...]]] = {}
+    for file, group in _group(members, lambda i: entries[i].file).items():
+        group.sort(key=lambda i: (entries[i].end_line - entries[i].start_line,
+                                  entries[i].start_line, entries[i].bug_id))
+        lines = sorted({f.line for f in by_file.get(file, ())})
+        by_line: dict[int, list[int]] = {}
+        for i, (_, held) in zip(group, covered_lines(
+                [entries[i] for i in group], lines, slack)):
+            for line in held:
+                by_line.setdefault(line, []).append(i)
+        equal: dict[tuple[int, ...], tuple[int, ...]] = {}
+        index[file] = {line: equal.setdefault(held, held) for line, held
+                       in zip(by_line, map(tuple, by_line.values()))}
     return index
-
-
-def _covered(entries: list[BugLogEntry], findings: list[Finding],
-             slack: int = 0) -> Iterator[tuple[BugLogEntry, list[int]]]:
-    """Each entry, with the sorted lines of its file's findings that its
-    range widened by ``slack`` holds. Each range is bisected into those
-    lines, not expanded."""
-    lines_of = {file: sorted({f.line for f in group})
-                for file, group in _group(findings, lambda f: f.file).items()}
-    for entry in entries:
-        lines = lines_of.get(entry.file, [])
-        yield entry, lines[bisect_left(lines, entry.start_line - slack):
-                           bisect_right(lines, entry.end_line + slack)]
 
 
 def _group(items, key) -> dict:

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .buglog import BugLogEntry
+from .buglog import BugLogEntry, covered_lines
 from .errors import DomainError
 from .model import BugType
 
@@ -52,15 +52,14 @@ def child_seed(seed: int, *parts: str) -> int:
 
 def uninjected_lines(buglogs: dict[str, list[BugLogEntry]],
                      line_counts: dict[str, int]) -> dict[str, list[int]]:
-    """Per file, in order, its lines that no bug-log entry's range holds."""
+    """Per file, in order, its lines that no bug-log entry covers."""
     open_lines = {}
     for file, entries in buglogs.items():
-        covered: set[int] = set()
-        for entry in entries:  # lines past the end of the file are not open
-            covered.update(range(entry.start_line,
-                                 min(entry.end_line, line_counts[file]) + 1))
-        open_lines[file] = sorted(set(range(1, line_counts[file] + 1))
-                                  - covered)
+        # a list: bisecting a range would build an int at every probe
+        lines = list(range(1, line_counts[file] + 1))
+        covered = set().union(*(held for _, held in
+                                covered_lines(entries, lines)))
+        open_lines[file] = [line for line in lines if line not in covered]
     return open_lines
 
 

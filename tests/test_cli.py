@@ -636,6 +636,17 @@ class TestExitCodes:
         assert named in err
         assert "Traceback" not in err
 
+    def test_a_long_tool_key_is_cut_in_a_confirmed_count_error(
+            self, tmp_path, injected, reports, capsys):
+        confirmed = tmp_path / "confirmed.json"
+        confirmed.write_text(json.dumps({"S" * 10_000: {"TxOrigin ": 0}}),
+                             encoding="utf-8")
+        assert main(["evaluate", "--buglogs", str(injected), "--reports",
+                     str(reports), "--confirmed", str(confirmed)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert len(line) <= 300
+        assert line.endswith("S" * 97 + "...: unknown bug type: 'TxOrigin '")
+
     @pytest.mark.parametrize("argv, named", [
         pytest.param(["inject", "--corpus", "{tmp}/corpus", "--out",
                       "{tmp}/out", "--bug-types", "Reentrancy"], "Bad.sol",
@@ -867,17 +878,17 @@ def test_inject_parses_each_source_once_and_lexes_no_output(
 
 def test_evaluate_matches_once_per_tool_and_bug_type(
         injected, reports, capabilities, tmp_path, monkeypatch, capsys):
-    """``evaluate`` calls ``score_false_negatives`` through its module
+    """``evaluate`` calls the matcher ``_fn_score`` through its module
     global, once per tool and bug type with in-scope entries, with the
     entries of that type and the findings of that tool."""
-    real, calls = evaluator.score_false_negatives, []
+    real, calls = evaluator._fn_score, []
 
-    def counting(entries, findings, line_slack=0):
-        calls.append(({e.bug_type for e in entries},
-                      {f.tool for f in findings}))
-        return real(entries, findings, line_slack)
+    def counting(entries, members, cover, by_file):
+        calls.append(({entries[i].bug_type for i in members},
+                      {f.tool for group in by_file.values() for f in group}))
+        return real(entries, members, cover, by_file)
 
-    monkeypatch.setattr(evaluator, "score_false_negatives", counting)
+    monkeypatch.setattr(evaluator, "_fn_score", counting)
     assert main(["evaluate", "--buglogs", str(injected), "--reports",
                  str(reports), "--out", str(tmp_path / "eval")]) == 0
     capsys.readouterr()

@@ -3,26 +3,31 @@ extrapolation, and table rendering."""
 
 import json
 import sys
+from collections import Counter
 from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solbugsmith import evaluator
 from solbugsmith.buglog import BugLogEntry
 from solbugsmith.errors import (DomainError, FormatError, MissingThreshold,
                                 ScopeError)
-from solbugsmith.evaluator import (MISCELLANEOUS, Finding, FNScore, FPCell,
-                                   derive_thresholds,
+from solbugsmith.evaluator import (MISCELLANEOUS, Evaluation, Finding,
+                                   FNScore, FPCell, derive_thresholds,
                                    estimate_false_positives,
                                    evaluate_campaign, filter_by_majority,
                                    fn_cell, fn_csv, fp_csv, ingest_report,
                                    load_capabilities, render_fn_table,
                                    render_fp_table, report_tool,
-                                   restrict_to_scope,
                                    sample_for_inspection,
                                    score_false_negatives)
+from solbugsmith.front import parse
+from solbugsmith.injector import inject_file
 from solbugsmith.model import Approach, BugType
+from solbugsmith.oracle import (OracleSpec, child_seed, generate_tool_report,
+                                uninjected_lines)
 
 
 def entry(bug_id, bug_type, start, end, file="a.sol"):
@@ -101,18 +106,6 @@ class TestIngest:
             ingest_report(json.dumps({"tool": "x"}))  # findings expected
         with pytest.raises(FormatError):
             ingest_report(json.dumps([1, 2]))
-
-
-class TestScope:
-    def test_out_of_scope_entries_dropped(self):
-        entries = [entry("b0", BugType.REENTRANCY, 1, 2),
-                   entry("b1", BugType.TOD, 3, 4)]
-        kept = restrict_to_scope(entries, {BugType.TOD})
-        assert [e.bug_id for e in kept] == ["b1"]
-
-    def test_empty_capability_set_rejected(self):
-        with pytest.raises(ScopeError):
-            restrict_to_scope([], frozenset())
 
 
 class TestFalseNegatives:
@@ -318,6 +311,67 @@ def _pairwise_score(entries, findings, line_slack=0):
                    tuple(unreported_ids))
 
 
+def _pairwise_majority(findings, entries, thresholds, line_slack=0):
+    """The candidates, suspects and miscellaneous findings of the majority
+    filter, each finding scanned against every entry."""
+    candidates = [f for f in findings if not any(
+        e.file == f.file
+        and e.start_line - line_slack <= f.line <= e.end_line + line_slack
+        for e in entries)]
+    tools_at: dict[tuple, set[str]] = {}
+    for f in candidates:
+        tools_at.setdefault((f.file, f.line, f.reported_type), set()).add(
+            f.tool)
+    suspects = [f for f in candidates if f.reported_type is not None
+                and len(tools_at[f.file, f.line, f.reported_type])
+                < thresholds[f.reported_type]]
+    misc = [f for f in candidates if f.reported_type is None]
+    return candidates, suspects, misc
+
+
+def _pairwise_evaluation(entries, findings_by_tool, capabilities,
+                         truth_extras, line_slack, sample_size, seed):
+    """``evaluate_campaign`` without ``confirmed`` counts, from the pairwise
+    references: one ``_pairwise_score`` per tool and bug type, of the
+    entries of that type against the tool's findings in their files."""
+    tools = sorted(t for t in findings_by_tool if t in capabilities)
+    scores = {}
+    for tool in tools:
+        scores[tool] = {}
+        for bug_type in dict.fromkeys(e.bug_type for e in entries):
+            if bug_type in capabilities[tool]:
+                members = [e for e in entries if e.bug_type is bug_type]
+                files = {e.file for e in members}
+                scores[tool][bug_type] = _pairwise_score(
+                    members, [f for f in findings_by_tool[tool]
+                              if f.file in files], line_slack)
+    thresholds = derive_thresholds(capabilities)
+    candidates, suspects, misc = _pairwise_majority(
+        [f for tool in tools for f in findings_by_tool[tool]], entries,
+        thresholds, line_slack)
+    cells = {}
+    for tool in tools:
+        cells[tool] = {}
+        for bug_type in capabilities[tool]:
+            filtered = [f for f in suspects if f.tool == tool
+                        and f.reported_type is bug_type]
+            sample = sample_for_inspection(
+                filtered, sample_size,
+                child_seed(seed, "sample", tool, bug_type.value))
+            confirmed = len(sample) if tool not in truth_extras else sum(
+                (f.file, f.line, f.type_label) in truth_extras[tool]
+                for f in sample)
+            cells[tool][bug_type] = FPCell(
+                sum(f.tool == tool and f.reported_type is bug_type
+                    for f in candidates),
+                len(filtered),
+                estimate_false_positives(len(filtered), len(sample),
+                                         confirmed))
+    return Evaluation(scores, cells, Counter(f.tool for f in misc),
+                      thresholds,
+                      tuple(sorted(set(findings_by_tool) - set(tools))))
+
+
 class TestMajorityFilter:
     THRESHOLDS = {bt: 2 for bt in BugType}
 
@@ -478,6 +532,48 @@ class TestEstimation:
             assert got == filtered
 
 
+def test_each_bug_is_walked_at_most_twice_whatever_the_tool_count(
+        corpus_sources, pool, capabilities, monkeypatch):
+    """Over the bundled campaign, ``evaluate_campaign`` walks each entry
+    once for the FN index and once for the majority filter, however many
+    tools it scores."""
+    buglogs, line_counts = {}, {}
+    for name, text in corpus_sources.items():
+        unit = parse(text)
+        for bug_type in BugType:
+            out_name = f"{name[:-len('.sol')]}.{bug_type.value}.sol"
+            result = inject_file(unit, bug_type, pool, out_name)
+            buglogs[out_name] = result.entries
+            line_counts[out_name] = result.text.count("\n") + 1
+    entries = [e for name in sorted(buglogs) for e in buglogs[name]]
+    open_lines = uninjected_lines(buglogs, line_counts)
+    spec = OracleSpec(miss_rate=0.3, mistype_rate=0.2, extra_per_file=5,
+                      seed=1)
+    reports = {tool: ingest_report(json.dumps(generate_tool_report(
+        tool, capable, buglogs, open_lines, spec)[0]))
+        for tool, capable in capabilities.items()}
+
+    walks: Counter = Counter()
+    real = evaluator.covered_lines
+
+    def counting(entries, lines, slack=0):
+        for entry, held in real(entries, lines, slack):
+            walks[id(entry)] += 1
+            yield entry, held
+
+    monkeypatch.setattr(evaluator, "covered_lines", counting)
+    for copies in (1, 3):
+        caps = {f"{tool}{k}": capable for tool, capable in capabilities.items()
+                for k in range(copies)}
+        findings = {f"{tool}{k}": [f._replace(tool=f"{tool}{k}")
+                                   for f in reports[tool]]
+                    for tool in capabilities for k in range(copies)}
+        walks.clear()
+        evaluate_campaign(entries, findings, caps, {}, {})
+        assert len(walks) == len(entries)
+        assert max(walks.values()) <= 2
+
+
 class TestRendering:
     def test_cell_shows_missed_and_unreported(self):
         assert fn_cell(1343, 1237, 106) == "1343 (106)"
@@ -579,6 +675,11 @@ class TestEvaluateCampaign:
                            "exceeds the 1 sampled"):
             self.run(confirmed={"t1": {"TOD": 2}}, sample_size=1)
 
+    def test_empty_capability_set_rejected(self):
+        with pytest.raises(ScopeError):
+            evaluate_campaign(self.ENTRIES, self.FINDINGS,
+                              {**self.CAPS, "t2": frozenset()}, {}, {})
+
     def test_a_repeated_id_counts_under_each_entrys_own_type(self):
         # ids may repeat within a file (a custom pool can make them), even
         # across types; each entry is scored under its own type
@@ -654,6 +755,42 @@ class TestEvaluateCampaign:
                               for bug_type, scores in per_type.items()}
         assert evaluate_campaign(entries, findings, caps, {}, {},
                                  line_slack=slack).scores == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_the_campaign_is_the_pairwise_reference(self, data):
+        types = [BugType.TOD, BugType.REENTRANCY, BugType.TX_ORIGIN]
+        files = ["a.sol", "b.sol", "c.sol"]
+        entries = []
+        for i in range(data.draw(st.integers(0, 16))):
+            start = data.draw(st.integers(1, 30))
+            # mostly short ranges, some hulls that nest the short ones
+            width = data.draw(st.one_of(st.integers(0, 4), st.integers(5, 40)))
+            entries.append(entry(f"b{i % 5}", data.draw(st.sampled_from(types)),
+                                 start, start + width,
+                                 file=data.draw(st.sampled_from(files))))
+        caps, findings, truth = {}, {}, {}
+        for tool in ("t1", "t2", "t3", "t4"):
+            if tool != "t4":  # t4 reports but has no capabilities
+                caps[tool] = frozenset(data.draw(st.sets(
+                    st.sampled_from([*types, BugType.UNCHECKED_SEND]),
+                    min_size=1)))
+            findings[tool] = [
+                finding(data.draw(st.integers(1, 45)),
+                        data.draw(st.sampled_from([*types, None])),
+                        file=data.draw(st.sampled_from(files + ["d.sol"])),
+                        tool=tool)
+                for _ in range(data.draw(st.integers(0, 14)))]
+            if data.draw(st.booleans()):
+                truth[tool] = {(f.file, f.line, f.type_label)
+                               for f in findings[tool]
+                               if data.draw(st.booleans())}
+        slack = data.draw(st.integers(0, 5))
+        sample_size, seed = data.draw(st.integers(1, 3)), data.draw(
+            st.integers(0, 3))
+        assert evaluate_campaign(entries, findings, caps, truth, {}, slack,
+                                 sample_size, seed) == _pairwise_evaluation(
+            entries, findings, caps, truth, slack, sample_size, seed)
 
     def test_csv_rows_carry_the_table_cells(self):
         result = self.run()
