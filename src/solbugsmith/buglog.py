@@ -3,7 +3,7 @@ and CSV documents, and the loader that reads a JSON log back.
 
 The JSON writer lays each entry out from a template over the C string
 encoder, byte for byte as ``json.dumps(..., indent=2)`` would, and the
-loader looks bug types and approaches up in tables built once.
+writers and loader look bug types and approaches up in tables built once.
 """
 
 from __future__ import annotations
@@ -55,6 +55,11 @@ def covered_lines(entries, lines, slack: int = 0):
                            bisect_right(lines, entry.end_line + slack)]
 
 
+# each bug type and approach's value, and that value as a JSON string
+_VALUES = {member: member.value for terms in (BugType, Approach)
+           for member in terms}
+_JSON_VALUES = {member: _json_str(value) for member, value in _VALUES.items()}
+
 # one entry of a bug log, as json.dumps(..., indent=2) lays it out
 _ENTRY_JSON = """  {{
     "bugId": {},
@@ -75,8 +80,8 @@ def emit_buglog_json(entries) -> str:
     """``json.dumps([e.to_json() for e in entries], indent=2) + "\\n"``,
     written from a template per entry."""
     items = [_ENTRY_JSON.format(
-        _json_str(e.bug_id), _json_str(e.bug_type.value),
-        _json_str(e.approach.value),
+        _json_str(e.bug_id), _JSON_VALUES[e.bug_type],
+        _JSON_VALUES[e.approach],
         "null" if e.snippet_id is None else _json_str(e.snippet_id),
         _json_str(e.file), e.start_line, e.end_line, e.byte_start,
         e.byte_end) for e in entries]
@@ -88,7 +93,7 @@ def emit_buglog_csv(entries) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for e in entries:
-        writer.writerow([e.bug_id, e.bug_type.value, e.approach.value,
+        writer.writerow([e.bug_id, _VALUES[e.bug_type], _VALUES[e.approach],
                          e.snippet_id or "", e.file, e.start_line, e.end_line,
                          e.byte_start, e.byte_end])
     return buf.getvalue()

@@ -93,6 +93,9 @@ class SourceUnit:
     data: bytes = field(repr=False)  # the source, UTF-8 encoded
     # the tokens without comments, as the parser read them
     tokens: list[Token] = field(repr=False, default_factory=list)
+    # the locator's site analysis, filled on first use (locator.site_facts)
+    site_facts: object = field(default=None, init=False, repr=False,
+                               compare=False)
 
     def to_json(self) -> dict:
         return {"kind": "sourceUnit",

@@ -29,6 +29,9 @@ is one of these, checked per edit against the parsed unit and the pool:
 Every indent is taken from the spaces, tabs and carriage returns that lead
 a line, which the lexer skips wherever they stand.
 
+Each check reads the unit's site facts (``locator.site_facts``), shared by
+every bug type, so a call pays only to pick snippets, splice and log.
+
 ``inject_file`` validates, with ``front.validate``, only an output that some
 edit leaves unvouched for.
 """
@@ -38,15 +41,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import attrgetter
 
 from . import front, locator
 from .buglog import BugLogEntry
 from .errors import EditConflict, SolBugSmithError
 from .front import LineIndex, SourceUnit, Span
-from .locator import InjectionProfile, SnippetSite, TransformSite, WeakenSite
-from .model import Approach, BugType, SnippetForm
+from .locator import (_SPACE, InjectionProfile, SnippetSite, TransformSite,
+                      WeakenSite)
+from .model import Approach, BugType
 from .pool import BugPool
 # unused here, but perfbench/tracing.py rebinds these names in this module;
 # its targets name this module as the home of the bug-log functions
@@ -100,45 +103,47 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
     whose entries name the file ``profile.source_id``."""
     unit = profile.unit
     data = unit.data
-    layout = _Layout(unit)
+    facts = locator.site_facts(unit)
     vouched = counter_start >= 0
 
-    # per form, its snippets in pool order, each with its template
-    # reindented per indent
+    # per form, its snippets in pool order, each with its instance text per
+    # (indent, what follows): a new line, the reindented template and that
     variants = {form: [(snippet, {}) for snippet in group]
                 for form, group in pool.variants(profile.bug_type).items()}
     picks: Counter = Counter()
-    # per contract: its context declarations, each with the first site
-    # that needs it
-    context: list[list[tuple[str, int]]] = [[] for _ in unit.contracts]
+    # per contract: its context declarations in order, each with the first
+    # site that needs it
+    context: list[dict[str, int]] = [{} for _ in unit.contracts]
     edits: list[_Edit] = []
     fields: list[tuple[str, Approach, str | None]] = []
     for idx, site in enumerate(profile.sites):
         counter = counter_start + idx
         if isinstance(site, SnippetSite):
             choices = variants[site.form]
-            snippet, bodies = choices[picks[site.form] % len(choices)]
+            snippet, texts = choices[picks[site.form] % len(choices)]
             picks[site.form] += 1
-            indent = _indent_at(data, site.offset)
-            template = bodies.get(indent)
-            if template is None:
+            indent, follows, contract = facts.insertion(site.offset)
+            text = texts.get((indent, follows))
+            if text is None:
                 # {N} never touches the whitespace that leads a line
-                template = bodies[indent] = _reindent(snippet.template,
-                                                      indent)
-            body = template.replace("{N}", str(counter))
-            edits.append(_insertion(data, site.offset, body, indent,
-                                    [(idx, 0, len(body.encode("utf-8")))]))
+                text = texts[indent, follows] = \
+                    "\n" + _reindent(snippet.template, indent) + follows
+            insert = text.replace("{N}", str(counter)).encode("utf-8")
+            edits.append(_Edit(site.offset, site.offset, insert,
+                               [(idx, 1, len(insert) - len(follows))]))
             lead = snippet.lead_name
             fields.append((f"{lead}{counter}" if lead
                            else f"{snippet.id}-{counter}",
                            Approach.FULL_SNIPPET, snippet.id))
             vouched = vouched and snippet.vetted and \
-                layout.takes(site.form, site.offset)
+                site.offset in facts.offsets[site.form]
             if snippet.required_context:
-                decls = context[_contract_at(unit, site.offset)]
+                if contract is None:
+                    raise EditConflict(f"no contract encloses byte "
+                                       f"{site.offset}")
+                decls = context[contract]
                 for decl in snippet.required_context:
-                    if decl not in [seen for seen, _ in decls]:
-                        decls.append((decl, idx))
+                    decls.setdefault(decl, idx)
         elif isinstance(site, TransformSite):
             insert = site.pattern.insert.encode("utf-8")
             edits.append(_Edit(site.match_span.start, site.match_span.end,
@@ -146,27 +151,28 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
             fields.append((f"trans_{profile.bug_type.value}{counter}",
                            Approach.CODE_TRANSFORMATION, None))
             vouched = vouched and site.pattern.keeps_roles and \
-                layout.holds_run(site.match_span, site.pattern.needle)
+                _holds_run(unit, site.match_span, site.pattern.needle)
         else:
             edits.append(_weaken_edit(data, site, idx))
             fields.append((f"weak_{profile.bug_type.value}{counter}",
                            Approach.WEAKEN_SECURITY, None))
-            vouched = vouched and layout.removable(site.revert_stmt_span)
+            # the statement to comment out sits in a braced list
+            vouched = vouched and site.revert_stmt_span in facts.listed
 
     context_edits = []
     for contract, decls in zip(unit.contracts, context):
         if not decls:
             continue
         offset = contract.body_span.start
-        indent = _indent_at(data, offset)
-        logged, rel = [], 0
-        for decl, owner in decls:
-            start = rel + len(indent.encode("utf-8"))
-            rel = start + len(decl.encode("utf-8"))
-            logged.append((owner, start, rel))
-            rel += len(b"\n")
-        body = "\n".join(indent + decl for decl, _ in decls)
-        context_edits.append(_insertion(data, offset, body, indent, logged))
+        indent, follows, _ = facts.insertion(offset)
+        insert, logged = b"", []
+        for decl, owner in decls.items():
+            insert += ("\n" + indent).encode("utf-8")
+            line = decl.encode("utf-8")
+            logged.append((owner, len(insert), len(insert) + len(line)))
+            insert += line
+        insert += follows.encode("utf-8")
+        context_edits.append(_Edit(offset, offset, insert, logged))
 
     # A stable sort: a context insertion, listed first, precedes the site
     # edits at its offset, and site edits at one offset keep profile order.
@@ -196,67 +202,24 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
 
 _token_start = attrgetter("start")
 
-# the whitespace that the lexer skips within a line (front/lexer.py)
-_SPACE = " \t\r"
-
 # the bytes next to which no token can change where it ends
 _INERT = frozenset(b" \t\r\n()[]{};,")
 
 
-class _Layout:
-    """Where the parsed unit takes an edit that keeps it valid: the offsets
-    at which the locator puts a snippet of each form, and the spans of the
-    statements that sit directly in a braced list. Each is worked out from
-    the unit on first use."""
-
-    def __init__(self, unit: SourceUnit) -> None:
-        self.unit = unit
-        self.data = unit.data
-        self.tokens = unit.tokens
-        self._offsets: dict[SnippetForm, frozenset[int]] = {}
-
-    def takes(self, form: SnippetForm, offset: int) -> bool:
-        """Whether a snippet of ``form`` can go in at ``offset``."""
-        offsets = self._offsets.get(form)
-        if offsets is None:
-            offsets = self._offsets[form] = frozenset(
-                site.offset for site in locator.snippet_sites(self.unit, form))
-        return offset in offsets
-
-    @cached_property
-    def listed(self) -> frozenset[Span]:
-        return frozenset(s.span for s in locator.listed_statements(self.unit))
-
-    def holds_run(self, span: Span, needle: tuple[str, ...]) -> bool:
-        """Whether ``span`` covers exactly a run of tokens with the texts
-        ``needle``, between bytes that no token can join."""
-        first = bisect_left(self.tokens, span.start, key=_token_start)
-        run = self.tokens[first:first + len(needle)]
-        return (len(run) == len(needle) and run[0].start == span.start
-                and run[-1].end == span.end
-                and all(tok.text == text for tok, text in zip(run, needle))
-                and _inert(self.data, span.start - 1)
-                and _inert(self.data, span.end))
-
-    def removable(self, span: Span) -> bool:
-        """Whether the statement at ``span`` sits in a braced list."""
-        return span in self.listed
+def _holds_run(unit: SourceUnit, span: Span, needle: tuple[str, ...]) -> bool:
+    """Whether ``span`` covers exactly a run of the unit's tokens with the
+    texts ``needle``, between bytes that no token can join."""
+    first = bisect_left(unit.tokens, span.start, key=_token_start)
+    run = unit.tokens[first:first + len(needle)]
+    return (len(run) == len(needle) and run[0].start == span.start
+            and run[-1].end == span.end
+            and all(tok.text == text for tok, text in zip(run, needle))
+            and _inert(unit.data, span.start - 1)
+            and _inert(unit.data, span.end))
 
 
 def _inert(data: bytes, offset: int) -> bool:
     return not 0 <= offset < len(data) or data[offset] in _INERT
-
-
-def _insertion(data: bytes, offset: int, body: str, indent: str,
-               logged: list[tuple[int, int, int]]) -> _Edit:
-    """Put ``body`` on a new line at ``offset``; code that follows on the
-    same line moves to its own line at ``indent``. ``logged`` ranges are
-    relative to ``body``."""
-    text = "\n" + body
-    if offset < len(data) and data[offset:offset + 1] != b"\n":
-        text += "\n" + indent
-    return _Edit(offset, offset, text.encode("utf-8"),
-                 [(idx, 1 + start, 1 + end) for idx, start, end in logged])
 
 
 def _weaken_edit(data: bytes, site: WeakenSite, idx: int) -> _Edit:
@@ -277,24 +240,8 @@ def _weaken_edit(data: bytes, site: WeakenSite, idx: int) -> _Edit:
                  [(idx, rel_start, rel_start + len(commented.encode("utf-8")))])
 
 
-def _indent_at(data: bytes, offset: int) -> str:
-    line_start = data.rfind(b"\n", 0, offset) + 1
-    prefix = data[line_start:offset].decode("utf-8")
-    lead = prefix[:len(prefix) - len(prefix.lstrip(_SPACE))]
-    if prefix.rstrip().endswith("{"):
-        return lead + "    "
-    return lead
-
-
 def _reindent(text: str, indent: str) -> str:
     lines = text.split("\n")
     widths = [len(l) - len(l.lstrip()) for l in lines if l.strip()]
     common = min(widths, default=0)
     return "\n".join(indent + l[common:] if l.strip() else l for l in lines)
-
-
-def _contract_at(unit, offset: int) -> int:
-    for index, contract in enumerate(unit.contracts):
-        if contract.span.start <= offset <= contract.span.end:
-            return index
-    raise EditConflict(f"no contract encloses byte {offset}")

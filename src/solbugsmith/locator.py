@@ -13,6 +13,9 @@ Three site families, discovered per bug type:
 Opaque regions never produce sites and never host matches: an edit inside
 code the parser cannot model could break it. A profile keeps the parsed
 unit it was located in, so ``injector.inject_all`` edits that same unit.
+What does not depend on the bug type, the unit's ``SiteFacts``, is worked
+out once, on first use, and kept with the unit: locating and injecting
+every bug type share one walk and each insertion offset's indent.
 """
 
 from __future__ import annotations
@@ -109,26 +112,118 @@ def find_all_potential_locations(unit: SourceUnit, bug_type: BugType,
                                  source_id: str = "<memory>") -> InjectionProfile:
     """Union of snippet, transform, and weaken sites for one bug type in
     the parsed source ``unit``; parse once and locate every bug type in the
-    same unit."""
-    sites: list[Site] = []
-    for form in pool.variants(bug_type):
-        sites.extend(snippet_sites(unit, form))
+    same unit, which then shares its site facts."""
+    sites = site_facts(unit).snippet_sites(pool.variants(bug_type))
+    others: list[Site] = []
     if pool.transforms_for(bug_type):
-        sites.extend(find_transformable_code(unit, bug_type, pool))
+        others.extend(find_transformable_code(unit, bug_type, pool))
     for rule in pool.weakenings_for(bug_type):
-        sites.extend(find_security_mechanisms(unit, rule))
-    ordered = sorted(enumerate(sites), key=_order_key)
-    return InjectionProfile(source_id, bug_type,
-                            tuple(site for _, site in ordered), unit)
+        others.extend(find_security_mechanisms(unit, rule))
+    if others:
+        sites = tuple(sorted(sites + tuple(others), key=_order_key))
+    return InjectionProfile(source_id, bug_type, sites, unit)
 
 
-def _order_key(pair: tuple[int, Site]):
-    seq, site = pair
+def _order_key(site: Site):
+    """Sites by offset, then kind and form; a stable sort keeps the order
+    they were found in for the rest."""
     if isinstance(site, SnippetSite):
-        return (site.offset, 0, _FORM_RANK[site.form], seq)
+        return (site.offset, 0, _FORM_RANK[site.form])
     if isinstance(site, TransformSite):
-        return (site.match_span.start, 1, 0, seq)
-    return (site.guard_span.start, 2, 0, seq)
+        return (site.match_span.start, 1, 0)
+    return (site.guard_span.start, 2, 0)
+
+
+# -- site facts -------------------------------------------------------------
+
+# the whitespace that the lexer skips within a line (front/lexer.py)
+_SPACE = " \t\r"
+
+
+class SiteFacts:
+    """The site analysis of one parsed unit that every bug type shares.
+    ``functions``: each function's path and statements, depth first, with
+    their block paths and whether each sits directly in a braced list;
+    ``points`` and ``offsets``: per form, the (offset, line, path) places
+    that take a snippet; ``listed`` and ``opaque``: statement spans."""
+
+    def __init__(self, unit: SourceUnit) -> None:
+        self.data = unit.data
+        self.contracts = unit.contracts
+        self.functions = []
+        # each contract body's opening and member's end; each function
+        # body's and block's opening and listed statement's end
+        members, statements = [], []
+        for contract in unit.contracts:
+            members.append((contract.body_span.start,
+                            contract.body_span.start_line, (contract.name,)))
+            for member in contract.members:
+                members.append((member.span.end, member.span.end_line,
+                                (contract.name,)))
+                if not isinstance(member, FunctionDef):
+                    continue
+                path = (contract.name, _member_label(member))
+                walked = list(_walk(member.statements, path))
+                self.functions.append((path, walked))
+                statements.append((member.body_span.start,
+                                   member.body_span.start_line, path))
+                for stmt, inner, in_list in walked:
+                    if in_list:
+                        statements.append((stmt.span.end, stmt.span.end_line,
+                                           inner))
+                    if stmt.kind == "block":
+                        statements.append((stmt.span.start + 1,
+                                           stmt.span.start_line,
+                                           _block_path(inner, stmt)))
+        self.points = {form: members if form is SnippetForm.FUNCTION_DEFINITION
+                       else statements for form in SnippetForm}
+        self.offsets = {form: frozenset(offset for offset, _, _ in points)
+                        for form, points in self.points.items()}
+        self.listed = frozenset(stmt.span for _, walked in self.functions
+                                for stmt, _, in_list in walked if in_list)
+        self.opaque = [m.span for c in unit.contracts for m in c.members
+                       if m.kind == "opaqueMember"]
+        self.opaque += [stmt.span for _, walked in self.functions
+                        for stmt, _, _ in walked if stmt.opaque]
+        self._sites: dict[frozenset, tuple[SnippetSite, ...]] = {}
+        self._insertions: dict[int, tuple[str, str, int | None]] = {}
+
+    def snippet_sites(self, forms) -> tuple[SnippetSite, ...]:
+        """The sites of every form in ``forms``, in profile order."""
+        key = frozenset(forms)
+        sites = self._sites.get(key)
+        if sites is None:
+            sites = self._sites[key] = tuple(sorted(
+                (SnippetSite(form, *point)
+                 for form in forms for point in self.points[form]),
+                key=_order_key))
+        return sites
+
+    def insertion(self, offset: int) -> tuple[str, str, int | None]:
+        """The (indent, follows, contract) of code put on a new line at
+        ``offset``: the line's lead, four spaces more after a ``{``; ``"\\n"``
+        and the indent unless a newline is next, both ASCII; the index of the
+        first contract that encloses ``offset``, or None."""
+        facts = self._insertions.get(offset)
+        if facts is None:
+            data = self.data
+            prefix = data[data.rfind(b"\n", 0, offset) + 1:offset].decode()
+            indent = prefix[:len(prefix) - len(prefix.lstrip(_SPACE))]
+            if prefix.rstrip().endswith("{"):
+                indent += "    "
+            follows = "\n" + indent if offset < len(data) and \
+                data[offset:offset + 1] != b"\n" else ""
+            contract = next((index for index, c in enumerate(self.contracts)
+                             if c.span.start <= offset <= c.span.end), None)
+            facts = self._insertions[offset] = (indent, follows, contract)
+        return facts
+
+
+def site_facts(unit: SourceUnit) -> SiteFacts:
+    """The site facts of ``unit``, worked out on first use and kept with it."""
+    if unit.site_facts is None:
+        unit.site_facts = SiteFacts(unit)
+    return unit.site_facts
 
 
 # -- snippet sites ----------------------------------------------------------
@@ -137,47 +232,8 @@ def _order_key(pair: tuple[int, Site]):
 def snippet_sites(unit: SourceUnit, form: SnippetForm) -> list[SnippetSite]:
     """The places in ``unit`` that take a snippet of ``form``: member
     boundaries for a function definition, statement boundaries otherwise."""
-    if form is SnippetForm.FUNCTION_DEFINITION:
-        return _member_sites(unit, form)
-    return _statement_sites(unit, form)
-
-
-def _member_sites(unit: SourceUnit, form: SnippetForm) -> list[SnippetSite]:
-    sites = []
-    for contract in unit.contracts:
-        path = (contract.name,)
-        sites.append(SnippetSite(form, contract.body_span.start,
-                                 contract.body_span.start_line, path))
-        for member in contract.members:
-            sites.append(SnippetSite(form, member.span.end,
-                                     member.span.end_line, path))
-    return sites
-
-
-def _statement_sites(unit: SourceUnit, form: SnippetForm) -> list[SnippetSite]:
-    """The opening of every function body and block, and the end of every
-    statement in a braced list."""
-    sites: list[SnippetSite] = []
-    for member, path in _functions(unit):
-        sites.append(SnippetSite(form, member.body_span.start,
-                                 member.body_span.start_line, path))
-        for stmt, inner, in_list in _walk(member.statements, path):
-            if in_list:
-                sites.append(SnippetSite(form, stmt.span.end,
-                                         stmt.span.end_line, inner))
-            if stmt.kind == "block":
-                sites.append(SnippetSite(form, stmt.span.start + 1,
-                                         stmt.span.start_line,
-                                         _block_path(inner, stmt)))
-    return sites
-
-
-def _functions(unit: SourceUnit) -> Iterator[tuple[FunctionDef, tuple[str, ...]]]:
-    """Each function, constructor and modifier with its (contract, label) path."""
-    for contract in unit.contracts:
-        for member in contract.members:
-            if isinstance(member, FunctionDef):
-                yield member, (contract.name, _member_label(member))
+    return [SnippetSite(form, *point)
+            for point in site_facts(unit).points[form]]
 
 
 def _member_label(member: FunctionDef) -> str:
@@ -197,15 +253,6 @@ def _walk(stmts: list[Stmt], path: tuple[str, ...], in_list: bool = True
             yield from _walk(stmt.children, path, False)
 
 
-def listed_statements(unit: SourceUnit) -> Iterator[Stmt]:
-    """Every statement in a function body that sits directly in a braced
-    list, where it can be commented out."""
-    for member, path in _functions(unit):
-        for stmt, _, in_list in _walk(member.statements, path):
-            if in_list:
-                yield stmt
-
-
 def _block_path(path: tuple[str, ...], block: Stmt) -> tuple[str, ...]:
     return path + (f"block@{block.span.start_line}",)
 
@@ -222,8 +269,8 @@ def find_security_mechanisms(unit: SourceUnit,
     construct without a body.
     """
     sites: list[WeakenSite] = []
-    for member, path in _functions(unit):
-        for stmt, _, in_list in _walk(member.statements, path):
+    for path, walked in site_facts(unit).functions:
+        for stmt, _, in_list in walked:
             if stmt.kind == "requireStmt":
                 carrier = stmt if in_list else None
             elif stmt.kind == "ifStmt":
@@ -268,16 +315,14 @@ def find_transformable_code(unit: SourceUnit, bug_type: BugType,
                             pool: BugPool) -> list[TransformSite]:
     """Leftmost-longest non-overlapping pattern matches outside opaque code."""
     stream = [t for t in unit.tokens if t.kind is not TokenKind.PRAGMA]
-    opaque = [m.span for c in unit.contracts for m in c.members
-              if m.kind == "opaqueMember"]
-    opaque += [stmt.span for member, path in _functions(unit)
-               for stmt, _, _ in _walk(member.statements, path) if stmt.opaque]
+    texts = [t.text for t in stream]
+    opaque = site_facts(unit).opaque
     candidates: list[tuple[Span, TransformPattern]] = []
     for pattern in pool.transforms_for(bug_type):
-        needle = pattern.needle
+        needle = list(pattern.needle)  # never empty (load_pool)
         for start in range(len(stream) - len(needle) + 1):
-            if any(stream[start + k].text != needle[k]
-                   for k in range(len(needle))):
+            if texts[start] != needle[0] or \
+                    texts[start:start + len(needle)] != needle:
                 continue
             first = stream[start]
             last = stream[start + len(needle) - 1]

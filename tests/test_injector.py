@@ -3,13 +3,16 @@ bug-log accuracy, and byte-for-byte determinism."""
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from solbugsmith import locator
 from solbugsmith.buglog import (CSV_COLUMNS, BugLogEntry, emit_buglog_csv,
                                 emit_buglog_json, load_buglog)
+from solbugsmith.cli import main
 from solbugsmith.errors import MalformedDocument, SolBugSmithError
 from solbugsmith.front import TokenKind, parse, tokenize, validate
 from solbugsmith.injector import inject_all, inject_file
@@ -343,6 +346,49 @@ class TestInjectFile:
                         BugType.INTEGER_OVERFLOW_UNDERFLOW, pool, "C.sol")
         assert str(err.value) == (
             "output failed validation at line 11: expected ')', found '('")
+
+    def test_every_bug_type_of_a_unit_shares_one_walk(
+            self, corpus_dir, corpus_sources, pool, monkeypatch, tmp_path):
+        """A parsed unit's statements are walked once for all seven bug
+        types, whether each is injected by its own call or by the CLI."""
+        walks = []
+        real = locator._walk
+
+        def counted(stmts, *rest):
+            walks.append(stmts)
+            yield from real(stmts, *rest)
+
+        monkeypatch.setattr(locator, "_walk", counted)
+        once = {}
+        for name, src in corpus_sources.items():
+            locator.site_facts(parse(src))
+            once[name] = len(walks)
+            walks.clear()
+        assert all(once.values())
+
+        unit = parse(corpus_sources["VaultToken.sol"])
+        for bug_type in ALL_TYPES:
+            inject_file(unit, bug_type, pool, f"VaultToken.{bug_type}.sol")
+        assert len(walks) == once["VaultToken.sol"]
+
+        walks.clear()
+        assert main(["inject", "--corpus", str(corpus_dir),
+                     "--out", str(tmp_path)]) == 0
+        assert len(walks) == sum(once.values())
+
+    def test_a_unit_shared_by_every_bug_type_injects_as_a_fresh_parse(
+            self, corpus_sources, pool):
+        fixtures = Path(__file__).parent / "fixtures"
+        sources = dict(corpus_sources, **{
+            path.name: path.read_text(encoding="utf-8")
+            for path in sorted(fixtures.glob("*.sol"))})
+        for name, src in sources.items():
+            shared = parse(src)
+            for bug_type in reversed(ALL_TYPES):
+                got = inject_file(shared, bug_type, pool, name)
+                fresh = inject_file(parse(src), bug_type, pool, name)
+                assert (got.text, got.entries, got.vouched) == \
+                    (fresh.text, fresh.entries, fresh.vouched), (name, bug_type)
 
 
 class TestDeterminism:
