@@ -7,12 +7,14 @@ line it covers, type-correct pairs first, each finding trying its bugs
 tightest range first. No pair crosses files, so the candidates are indexed
 per file. False positives: findings on covered lines are set aside, then a
 finding is excluded from the suspect set when at least a threshold number of
-tools agree on the same (file, line, type); the rest are suspected false
-positives, confirmed by inspecting a fixed-size sample and extrapolating.
+tools agree on the same (file, line, type) (``filter_by_majority``); the
+rest are suspected false positives, confirmed by inspecting a fixed-size
+sample and extrapolating.
 
-``evaluate_campaign`` applies both to every tool of a campaign, from one
-index per run; the ``render_*`` and ``*_csv`` functions turn its result
-into documents.
+``evaluate_campaign`` applies both to every tool of a campaign. It builds
+one coverage index per bug type, walking each bug once: the matching reads
+it, and the lines it holds are the ones the FP step sets aside. The
+``render_*`` and ``*_csv`` functions turn its result into documents.
 """
 
 from __future__ import annotations
@@ -132,8 +134,6 @@ def _fn_score(entries: list[BugLogEntry], members, cover: dict,
     finding takes the candidates of its own type, else all of them."""
     findings: list[Finding] = []  # those with candidates
     cands: list[tuple[int, ...]] = []  # finding -> the entries it may take
-    keys: list[int] = []  # finding -> the number of that list object
-    number: dict[int, int] = {}  # id of a list object -> its number
     owner: dict[int, int] = {}  # entry -> finding
     for file, by_line in cover.items():
         queue = []  # (line-only, line, tool, finding) of the file's findings
@@ -149,12 +149,11 @@ def _fn_score(entries: list[BugLogEntry], members, cover: dict,
                               len(findings)))
                 findings.append(finding)
                 cands.append(same or local)
-                keys.append(number.setdefault(id(cands[-1]), len(number)))
         for *_, f_idx in sorted(queue):  # no pair crosses files
             if cands[f_idx][0] not in owner:  # the first step of _augment
                 owner[cands[f_idx][0]] = f_idx
             else:
-                _augment(f_idx, keys, cands, owner)
+                _augment(f_idx, cands, owner)
     detected_ids, mis_ids, unreported_ids = [], [], []
     for i in members:
         f_idx = owner.get(i)
@@ -177,20 +176,10 @@ class MajorityResult:
     miscellaneous: tuple[Finding, ...]
 
 
-def filter_by_majority(findings: list[Finding],
-                       entries: list[BugLogEntry],
-                       thresholds: dict[BugType, int],
-                       line_slack: int = 0) -> MajorityResult:
-    """Drop findings on lines that a bug covers (``buglog.covered_lines``,
-    as for FN matching), then split the rest by tool agreement."""
-    by_file = _group(findings, lambda f: f.file)
-    injected: dict[str, set[int]] = {}  # per file, the lines bugs cover
-    for file, group in _group(entries, lambda e: e.file).items():
-        lines = sorted({f.line for f in by_file.get(file, ())})
-        injected[file] = set().union(*(held for _, held in covered_lines(
-            group, lines, line_slack)))
-    candidates = [f for f in findings
-                  if f.line not in injected.get(f.file, ())]
+def filter_by_majority(candidates: list[Finding],
+                       thresholds: dict[BugType, int]) -> MajorityResult:
+    """Split ``candidates``, the findings off the lines bugs cover, by tool
+    agreement on their (file, line, type)."""
     by_key = _group(candidates, lambda f: (f.file, f.line, f.reported_type))
     support = {key: len({f.tool for f in group})
                for key, group in by_key.items()}
@@ -338,22 +327,27 @@ def evaluate_campaign(entries: list[BugLogEntry],
     if not all(capabilities[tool] for tool in tools):
         raise ScopeError("capability set is empty")
     pooled = [f for tool in tools for f in findings_by_tool[tool]]
-    thresholds = derive_thresholds(capabilities)
-    # first, so that the filter's passing peak of memory adds to no index
-    majority = filter_by_majority(pooled, entries, thresholds, line_slack)
     pooled_by_file = _group(pooled, lambda f: f.file)
     by_file = {tool: _group(findings_by_tool[tool], lambda f: f.file)
                for tool in tools}
+    injected: dict[str, set[int]] = {}  # per file, the reported lines covered
     scores: dict[str, dict[BugType, FNScore]] = {tool: {} for tool in tools}
     for bug_type, members in _group(range(len(entries)),
                                     lambda i: entries[i].bug_type).items():
         cover = _cover(entries, members, pooled_by_file, line_slack)
+        for file, by_line in cover.items():
+            injected.setdefault(file, set()).update(by_line)
         for tool in tools:
             if bug_type in capabilities[tool]:
                 scores[tool][bug_type] = _fn_score(entries, members, cover,
                                                    by_file[tool])
+        del cover  # before the next type's index is built
 
-    reported = Counter((f.tool, f.reported_type) for f in majority.candidates)
+    # findings on injected lines are set aside: no FP of the original code
+    candidates = [f for f in pooled if f.line not in injected.get(f.file, ())]
+    thresholds = derive_thresholds(capabilities)
+    majority = filter_by_majority(candidates, thresholds)
+    reported = Counter((f.tool, f.reported_type) for f in candidates)
     suspects = _group(majority.filtered, lambda f: (f.tool, f.reported_type))
     cells: dict[str, dict[BugType, FPCell]] = {tool: {} for tool in tools}
     for tool in tools:
@@ -380,20 +374,21 @@ def evaluate_campaign(entries: list[BugLogEntry],
     return Evaluation(scores, cells, misc, thresholds, missing)
 
 
-def _augment(root: int, keys: list[int], cands: list[tuple[int, ...]],
+def _augment(root: int, cands: list[tuple[int, ...]],
              owner: dict[int, int]) -> None:
     """Kuhn's depth-first search for an augmenting path from finding
     ``root``, with a stack in place of recursion, applied to ``owner``;
-    finding ``f`` may take the entries ``cands[f]``, a list of key
-    ``keys[f]``. A frame scans its list in order, skipping the entries
-    seen, and each entry it passes joins ``seen``, so frames over one list
-    can share one iterator: it skips only what a scan from the start would."""
+    finding ``f`` may take the entries ``cands[f]``. A frame scans its list
+    in order, skipping the entries seen, and each entry it passes joins
+    ``seen``, so frames over one list object can share one iterator: it
+    skips only what a scan from the start would. Every list stays alive in
+    ``cands``, so its ``id`` names it for the whole search."""
     seen: set[int] = set()
-    scans: dict[int, Iterator[int]] = {}  # one per list key
+    scans: dict[int, Iterator[int]] = {}  # one per list object, by id
     path: list[tuple[int, int]] = []  # (finding, entry) along the search
     f_idx = root
     while True:
-        key = keys[f_idx]
+        key = id(cands[f_idx])
         scan = scans.get(key)
         if scan is None:
             scan = scans[key] = iter(cands[f_idx])

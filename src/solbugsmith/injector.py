@@ -9,44 +9,43 @@ per contract, directly after the contract's opening brace, and are charged
 to the first bug that needs them: that entry's range is the convex hull of
 its snippet and its context lines.
 
-An output is valid by construction when the source parsed and every edit
-is one of these, checked per edit against the parsed unit and the pool:
+An output is valid by construction when the profile is ``located`` (the
+locator built it, so each site lies where the locator puts it), the counter
+is >= 0, no two edits overlap, and every edit is one of these:
 
 * a snippet or context insertion at an offset where the unit takes a
   statement or a member (a statement or member end, or just after a body's
-  ``{``), of a snippet that ``load_pool`` vetted, at a counter >= 0: the
-  text is ``"\n"`` and the reindented instance, and it ends at a newline or
-  at ``"\n"`` and the indent; reindenting changes only whitespace at the
-  start of a line;
-* a transform of a pattern that keeps token roles, over exactly a run of
-  the unit's tokens with the pattern's texts, between bytes that no token
-  can join (whitespace, brackets, ``;`` and ``,``);
+  ``{``), of a snippet that ``load_pool`` vetted: the text is ``"\n"`` and
+  the reindented instance, and it ends at a newline or at ``"\n"`` and the
+  indent; reindenting changes only whitespace at the start of a line;
+* a transform of a pattern that keeps token roles, over a run of the unit's
+  tokens with the pattern's texts, between bytes that no token can join
+  (whitespace, brackets, ``;`` and ``,``);
 * a weakening of a statement that sits in a braced list: every line of the
   statement gets a ``//`` prefix, and code after it on its line moves to a
   line of its own; as a ``do`` must end with its ``while``, a statement that
   carries on an opaque one before it still ends where it ended alone.
 
-Every indent is taken from the spaces, tabs and carriage returns that lead
-a line, which the lexer skips wherever they stand.
+Where each site lies is the locator's to guarantee; ``inject_all`` checks
+only the rest: the snippet's vetting, the counter, the pattern's roles and
+the two bytes around a rewrite. Every indent is taken from the spaces, tabs
+and carriage returns that lead a line, which the lexer skips wherever they
+stand, and read from the unit's site facts (``locator.site_facts``), shared
+by every bug type.
 
-Each check reads the unit's site facts (``locator.site_facts``), shared by
-every bug type, so a call pays only to pick snippets, splice and log.
-
-``inject_file`` validates, with ``front.validate``, only an output that some
-edit leaves unvouched for.
+``inject_file`` validates, with ``front.validate``, only an output that
+``inject_all`` does not vouch for.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from . import front, locator
 from .buglog import BugLogEntry
 from .errors import EditConflict, SolBugSmithError
-from .front import LineIndex, SourceUnit, Span
+from .front import LineIndex, SourceUnit
 from .locator import (_SPACE, InjectionProfile, SnippetSite, TransformSite,
                       WeakenSite)
 from .model import Approach, BugType
@@ -104,7 +103,9 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
     unit = profile.unit
     data = unit.data
     facts = locator.site_facts(unit)
-    vouched = counter_start >= 0
+    # the locator vouches for where each site lies; a profile built by any
+    # other means is validated
+    vouched = profile.located and counter_start >= 0
 
     # per form, its snippets in pool order, each with its instance text per
     # (indent, what follows): a new line, the reindented template and that
@@ -135,8 +136,7 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
             fields.append((f"{lead}{counter}" if lead
                            else f"{snippet.id}-{counter}",
                            Approach.FULL_SNIPPET, snippet.id))
-            vouched = vouched and snippet.vetted and \
-                site.offset in facts.offsets[site.form]
+            vouched = vouched and snippet.vetted
             if snippet.required_context:
                 if contract is None:
                     raise EditConflict(f"no contract encloses byte "
@@ -151,13 +151,12 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
             fields.append((f"trans_{profile.bug_type.value}{counter}",
                            Approach.CODE_TRANSFORMATION, None))
             vouched = vouched and site.pattern.keeps_roles and \
-                _holds_run(unit, site.match_span, site.pattern.needle)
+                _inert(data, site.match_span.start - 1) and \
+                _inert(data, site.match_span.end)
         else:
             edits.append(_weaken_edit(data, site, idx))
             fields.append((f"weak_{profile.bug_type.value}{counter}",
                            Approach.WEAKEN_SECURITY, None))
-            # the statement to comment out sits in a braced list
-            vouched = vouched and site.revert_stmt_span in facts.listed
 
     context_edits = []
     for contract, decls in zip(unit.contracts, context):
@@ -200,22 +199,8 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
     return InjectionResult(out.decode("utf-8"), entries, vouched)
 
 
-_token_start = attrgetter("start")
-
 # the bytes next to which no token can change where it ends
 _INERT = frozenset(b" \t\r\n()[]{};,")
-
-
-def _holds_run(unit: SourceUnit, span: Span, needle: tuple[str, ...]) -> bool:
-    """Whether ``span`` covers exactly a run of the unit's tokens with the
-    texts ``needle``, between bytes that no token can join."""
-    first = bisect_left(unit.tokens, span.start, key=_token_start)
-    run = unit.tokens[first:first + len(needle)]
-    return (len(run) == len(needle) and run[0].start == span.start
-            and run[-1].end == span.end
-            and all(tok.text == text for tok, text in zip(run, needle))
-            and _inert(unit.data, span.start - 1)
-            and _inert(unit.data, span.end))
 
 
 def _inert(data: bytes, offset: int) -> bool:

@@ -12,7 +12,8 @@ Three site families, discovered per bug type:
 
 Opaque regions never produce sites and never host matches: an edit inside
 code the parser cannot model could break it. A profile keeps the parsed
-unit it was located in, so ``injector.inject_all`` edits that same unit.
+unit it was located in, so ``injector.inject_all`` edits that same unit,
+and is marked ``located``, so ``inject_all`` takes its sites as found.
 What does not depend on the bug type, the unit's ``SiteFacts``, is worked
 out once, on first use, and kept with the unit: locating and injecting
 every bug type share one walk and each insertion offset's indent.
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .front import FunctionDef, SourceUnit, Span, Stmt
-from .front.lexer import TokenKind
 # unused here, but perfbench/tracing.py rebinds these names in this module
 from .front import parse  # noqa: F401
 from .front.lexer import tokenize  # noqa: F401
@@ -101,6 +101,9 @@ class InjectionProfile:
     bug_type: BugType
     sites: tuple[Site, ...]
     unit: SourceUnit = field(compare=False, repr=False)
+    # Set by find_all_potential_locations only: every site is one it found
+    # in ``unit``, so ``injector.inject_all`` need not check where it lies.
+    located: bool = field(default=False, init=False, compare=False)
 
     def to_json(self) -> dict:
         return {"sourceId": self.source_id, "bugType": self.bug_type.value,
@@ -121,7 +124,9 @@ def find_all_potential_locations(unit: SourceUnit, bug_type: BugType,
         others.extend(find_security_mechanisms(unit, rule))
     if others:
         sites = tuple(sorted(sites + tuple(others), key=_order_key))
-    return InjectionProfile(source_id, bug_type, sites, unit)
+    profile = InjectionProfile(source_id, bug_type, sites, unit)
+    object.__setattr__(profile, "located", True)
+    return profile
 
 
 def _order_key(site: Site):
@@ -144,8 +149,8 @@ class SiteFacts:
     """The site analysis of one parsed unit that every bug type shares.
     ``functions``: each function's path and statements, depth first, with
     their block paths and whether each sits directly in a braced list;
-    ``points`` and ``offsets``: per form, the (offset, line, path) places
-    that take a snippet; ``listed`` and ``opaque``: statement spans."""
+    ``points``: per form, the (offset, line, path) places that take a
+    snippet; ``opaque``: the spans of opaque members and statements."""
 
     def __init__(self, unit: SourceUnit) -> None:
         self.data = unit.data
@@ -177,10 +182,6 @@ class SiteFacts:
                                            _block_path(inner, stmt)))
         self.points = {form: members if form is SnippetForm.FUNCTION_DEFINITION
                        else statements for form in SnippetForm}
-        self.offsets = {form: frozenset(offset for offset, _, _ in points)
-                        for form, points in self.points.items()}
-        self.listed = frozenset(stmt.span for _, walked in self.functions
-                                for stmt, _, in_list in walked if in_list)
         self.opaque = [m.span for c in unit.contracts for m in c.members
                        if m.kind == "opaqueMember"]
         self.opaque += [stmt.span for _, walked in self.functions
@@ -313,8 +314,9 @@ def _has_send_call(unit: SourceUnit, span: Span) -> bool:
 
 def find_transformable_code(unit: SourceUnit, bug_type: BugType,
                             pool: BugPool) -> list[TransformSite]:
-    """Leftmost-longest non-overlapping pattern matches outside opaque code."""
-    stream = [t for t in unit.tokens if t.kind is not TokenKind.PRAGMA]
+    """Leftmost-longest non-overlapping pattern matches outside opaque code,
+    each over a run of the unit's tokens."""
+    stream = unit.tokens
     texts = [t.text for t in stream]
     opaque = site_facts(unit).opaque
     candidates: list[tuple[Span, TransformPattern]] = []

@@ -301,8 +301,8 @@ def test_criterion_7_majority_filter_boundary(capabilities):
             from solbugsmith.evaluator import Finding
             return [Finding(f"t{i}", "a.sol", 9, bug_type)
                     for i in range(count)]
-        below = filter_by_majority(reports(threshold - 1), [], derived)
-        at = filter_by_majority(reports(threshold), [], derived)
+        below = filter_by_majority(reports(threshold - 1), derived)
+        at = filter_by_majority(reports(threshold), derived)
         boundary_ok &= len(below.filtered) == threshold - 1 \
             and not below.excluded
         boundary_ok &= len(at.excluded) == threshold and not at.filtered

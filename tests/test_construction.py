@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solbugsmith import locator
+from solbugsmith import front, locator
 from solbugsmith.errors import PoolError, SolBugSmithError
 from solbugsmith.front import parse, validate
 from solbugsmith.injector import inject_all, inject_file
-from solbugsmith.locator import SnippetSite, TransformSite, WeakenSite
+from solbugsmith.locator import (InjectionProfile, SnippetSite,
+                                 TransformSite, WeakenSite)
 from solbugsmith.model import BugType
 from solbugsmith.pool import load_pool
 
@@ -146,6 +147,19 @@ def test_each_check_declines_an_edit_that_breaks_the_output(
         unit, bug_type, pool), pool, counter_start=counter)
     assert validate(result.text) != []
     assert not assert_sound(unit, bug_type, pool, counter)
+
+
+def test_a_pragma_pattern_matches_a_top_level_directive():
+    """The transform scan runs over every token of the unit, so a pattern
+    whose match is a pragma directive finds the one outside the contract."""
+    pool = _pool(transforms=[("pragma solidity ^0.5.0;",
+                              "pragma solidity ^0.4.24;")])
+    unit = parse(HAZARDS)
+    sites = locator.find_all_potential_locations(unit, BugType.TOD,
+                                                 pool).sites
+    assert [(site.match_span.start, site.path) for site in sites
+            if isinstance(site, TransformSite)] == [(0, ())]
+    assert assert_sound(unit, BugType.TOD, pool)
 
 
 def test_an_unbalancing_rewrite_is_not_vouched_for(
@@ -318,6 +332,36 @@ def test_a_weakened_guard_between_any_two_statements_is_vouched_for(
 
 
 # -- sites moved off their boundaries -----------------------------------------
+
+
+def test_a_profile_rebuilt_by_hand_is_validated(corpus_sources, pool,
+                                                monkeypatch):
+    """Only the locator vouches for where sites lie: a profile rebuilt from
+    its own sites, or copied with ``dataclasses.replace``, is not located,
+    so ``inject_file`` validates its output and returns it."""
+    real = locator.find_all_potential_locations
+
+    def rebuilt(*args, **kwargs):
+        profile = real(*args, **kwargs)
+        return InjectionProfile(profile.source_id, profile.bug_type,
+                                profile.sites, profile.unit)
+
+    unit = parse(corpus_sources["Counter.sol"])
+    located = real(unit, BugType.TOD, pool, source_id="X.sol")
+    by_hand = rebuilt(unit, BugType.TOD, pool, source_id="X.sol")
+    assert by_hand == located and located.located
+    assert not by_hand.located and not dataclasses.replace(located).located
+    expected = inject_all(located, pool)
+    assert expected.vouched and not inject_all(by_hand, pool).vouched
+
+    validated = []
+    monkeypatch.setattr(front, "validate",
+                        lambda text: validated.append(text) or validate(text))
+    monkeypatch.setattr(locator, "find_all_potential_locations", rebuilt)
+    result = inject_file(unit, BugType.TOD, pool, "X.sol")
+    assert validated == [result.text]
+    assert (result.text, result.entries) == (expected.text, expected.entries)
+
 
 
 def _moved(site, delta: int, which: int):

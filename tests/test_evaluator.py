@@ -373,14 +373,24 @@ def _pairwise_evaluation(entries, findings_by_tool, capabilities,
 
 
 class TestMajorityFilter:
+    """The FP step: ``evaluate_campaign`` sets aside the findings on lines
+    bugs cover, and ``filter_by_majority`` splits the rest by agreement.
+    The set-aside is read through the cells: with three capable tools, each
+    type's threshold is 2, so a finding of one tool that is not set aside is
+    reported and filtered, and a truth file that lists it confirms it."""
+
     THRESHOLDS = {bt: 2 for bt in BugType}
+    CAPS = {tool: frozenset(BugType) for tool in ("t1", "t2", "t3")}
 
     def test_injected_line_findings_never_become_candidates(self):
         entries = [entry("b0", BugType.TOD, 4, 6)]
         findings = [finding(5, BugType.REENTRANCY),
                     finding(9, BugType.REENTRANCY)]
-        res = filter_by_majority(findings, entries, self.THRESHOLDS)
-        assert [f.line for f in res.candidates] == [9]
+        cells = evaluate_campaign(
+            entries, {"t1": findings}, self.CAPS,
+            {"t1": {("a.sol", 9, "Reentrancy")}}, {}).cells
+        # the one candidate is the finding on line 9
+        assert cells["t1"][BugType.REENTRANCY] == FPCell(1, 1, 1)
 
     def test_overlapping_and_huge_ranges_cover_their_lines(self):
         # a range is checked by its ends, never expanded line by line
@@ -393,10 +403,14 @@ class TestMajorityFilter:
                                        ("a.sol", 10**12 + 1), ("b.sol", 6),
                                        ("b.sol", 7), ("b.sol", 8),
                                        ("c.sol", 7)]]
-        res = filter_by_majority(findings, entries, self.THRESHOLDS)
-        assert [(f.file, f.line) for f in res.candidates] == [
-            ("a.sol", 1), ("a.sol", 10**12 + 1), ("b.sol", 6), ("b.sol", 8),
-            ("c.sol", 7)]
+        candidates = [("a.sol", 1), ("a.sol", 10**12 + 1), ("b.sol", 6),
+                      ("b.sol", 8), ("c.sol", 7)]
+        cells = evaluate_campaign(
+            entries, {"t1": findings}, self.CAPS,
+            {"t1": {(file, line, "Reentrancy") for file, line in candidates}},
+            {}).cells
+        # five candidates, each one of those listed
+        assert cells["t1"][BugType.REENTRANCY] == FPCell(5, 5, 5)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -416,49 +430,62 @@ class TestMajorityFilter:
                     tool=data.draw(st.sampled_from(["t1", "t2", "t3"])))
             for _ in range(data.draw(st.integers(0, 16)))]
         slack = data.draw(st.integers(0, 5))
-        res = filter_by_majority(findings, entries, self.THRESHOLDS, slack)
+        result = evaluate_campaign(
+            entries, {tool: [f for f in findings if f.tool == tool]
+                      for tool in self.CAPS}, self.CAPS, {}, {},
+            line_slack=slack)
         # a finding that FN matching pairs with a bug also pairs on its own
-        for candidate in res.candidates:
-            score = score_false_negatives(entries, [candidate], slack)
-            assert score.detected + score.misidentified == 0, candidate
+        def pairs(f):
+            score = score_false_negatives(entries, [f], slack)
+            return score.detected + score.misidentified
+
+        unpaired = Counter((f.tool, f.reported_type) for f in findings
+                           if not pairs(f))
+        assert {(tool, bug_type): cell.reported
+                for tool, cells in result.cells.items()
+                for bug_type, cell in cells.items() if cell.reported} == {
+            key: n for key, n in unpaired.items() if key[1] is not None}
+        assert result.misc_counts == Counter(
+            {tool: n for (tool, bug_type), n in unpaired.items()
+             if bug_type is None})
 
     def test_agreement_at_threshold_excludes(self):
         findings = [finding(9, BugType.TOD, tool="t1"),
                     finding(9, BugType.TOD, tool="t2")]
-        res = filter_by_majority(findings, [], self.THRESHOLDS)
+        res = filter_by_majority(findings, self.THRESHOLDS)
         assert len(res.excluded) == 2
         assert res.filtered == ()
 
     def test_agreement_below_threshold_filters(self):
         findings = [finding(9, BugType.TOD, tool="t1")]
-        res = filter_by_majority(findings, [], self.THRESHOLDS)
+        res = filter_by_majority(findings, self.THRESHOLDS)
         assert res.filtered == (findings[0],)
         assert res.excluded == ()
 
     def test_same_tool_repeating_itself_is_not_agreement(self):
         findings = [finding(9, BugType.TOD, tool="t1"),
                     finding(9, BugType.TOD, tool="t1")]
-        res = filter_by_majority(findings, [], self.THRESHOLDS)
+        res = filter_by_majority(findings, self.THRESHOLDS)
         assert len(res.filtered) == 2
 
     def test_agreement_requires_same_line_and_type(self):
         findings = [finding(9, BugType.TOD, tool="t1"),
                     finding(9, BugType.REENTRANCY, tool="t2"),
                     finding(10, BugType.TOD, tool="t3")]
-        res = filter_by_majority(findings, [], self.THRESHOLDS)
+        res = filter_by_majority(findings, self.THRESHOLDS)
         assert len(res.filtered) == 3
 
     def test_unknown_type_routes_to_miscellaneous(self):
         findings = [finding(9, None, tool="t1"),
                     finding(9, None, tool="t2")]
-        res = filter_by_majority(findings, [], self.THRESHOLDS)
+        res = filter_by_majority(findings, self.THRESHOLDS)
         assert len(res.miscellaneous) == 2
         assert res.filtered == () and res.excluded == ()
 
     def test_missing_threshold_is_an_error(self):
         findings = [finding(9, BugType.TOD)]
         with pytest.raises(MissingThreshold):
-            filter_by_majority(findings, [], {})
+            filter_by_majority(findings, {})
 
 
 class TestThresholds:
@@ -532,11 +559,11 @@ class TestEstimation:
             assert got == filtered
 
 
-def test_each_bug_is_walked_at_most_twice_whatever_the_tool_count(
+def test_each_bug_is_walked_once_whatever_the_tool_count(
         corpus_sources, pool, capabilities, monkeypatch):
     """Over the bundled campaign, ``evaluate_campaign`` walks each entry
-    once for the FN index and once for the majority filter, however many
-    tools it scores."""
+    once, for the index that both FN matching and the FP set-aside read,
+    however many tools it scores."""
     buglogs, line_counts = {}, {}
     for name, text in corpus_sources.items():
         unit = parse(text)
@@ -571,7 +598,7 @@ def test_each_bug_is_walked_at_most_twice_whatever_the_tool_count(
         walks.clear()
         evaluate_campaign(entries, findings, caps, {}, {})
         assert len(walks) == len(entries)
-        assert max(walks.values()) <= 2
+        assert set(walks.values()) == {1}
 
 
 class TestRendering:
