@@ -164,7 +164,9 @@ def _resolve_capabilities(path: str | None) -> dict[str, frozenset[BugType]]:
 def _corpus_files(raw: str) -> list[Path]:
     path = Path(raw)
     if path.is_dir():
-        return sorted(path.glob("*.sol"))
+        if files := sorted(path.glob("*.sol")):
+            return files
+        raise _ConfigError(f"no *.sol files in {raw}")
     if path.is_file():
         return [path]
     raise _ConfigError(f"corpus path does not exist: {raw}")

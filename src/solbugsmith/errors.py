@@ -68,12 +68,15 @@ class ScopeError(SolBugSmithError):
 
 
 class FormatError(SolBugSmithError):
-    """Malformed analyzer report."""
+    """Malformed analyzer report. ``finding`` is the 1-based index of the
+    faulty finding, ``line`` the line of a JSON syntax error; a fault of
+    the whole document has neither."""
 
-    def __init__(self, line: int, reason: str) -> None:
-        super().__init__(f"line {line}: {reason}")
-        self.line = line
-        self.reason = reason
+    def __init__(self, reason: str, *, finding: int | None = None,
+                 line: int | None = None) -> None:
+        super().__init__(f"finding {finding}: {reason}" if finding else
+                         f"line {line}: {reason}" if line else reason)
+        self.finding, self.line, self.reason = finding, line, reason
 
 
 class MissingThreshold(SolBugSmithError):

@@ -13,7 +13,8 @@ sample and extrapolating.
 
 ``evaluate_campaign`` applies both to every tool of a campaign. It builds
 one coverage index per bug type, walking each bug once: the matching reads
-it, and the lines it holds are the ones the FP step sets aside. The
+it, and the lines it holds are the ones the FP step sets aside.
+``score_false_negatives`` matches one tool's findings so, type by type. The
 ``render_*`` and ``*_csv`` functions turn its result into documents.
 """
 
@@ -25,7 +26,7 @@ import json
 import random
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 from .buglog import BugLogEntry, covered_lines
@@ -57,36 +58,38 @@ def ingest_report(text: str, tool: str | None = None) -> list[Finding]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
-        raise FormatError(err.lineno, f"not valid JSON: {err.msg}") from None
+        raise FormatError(f"not valid JSON: {err.msg}",
+                          line=err.lineno) from None
     except RecursionError as err:  # nested deeper than the decoder goes
-        raise FormatError(0, str(err)) from None
+        raise FormatError(str(err)) from None
     if isinstance(doc, list):
         raw_findings, default_tool = doc, tool
     elif isinstance(doc, dict) and isinstance(doc.get("findings"), list):
         raw_findings, default_tool = doc["findings"], doc.get("tool", tool)
     else:
-        raise FormatError(0, "report must be a JSON array of findings or "
-                             "an object with a findings array")
+        raise FormatError("report must be a JSON array of findings or an "
+                          "object with a findings array")
     findings = []
     for idx, raw in enumerate(raw_findings, start=1):
         if type(raw) is not dict:
-            raise FormatError(idx, "finding must be an object")
+            raise FormatError("finding must be an object", finding=idx)
         name = raw.get("tool", default_tool)
         if not isinstance(name, str) or not name:
-            raise FormatError(idx, "finding has no tool name")
+            raise FormatError("finding has no tool name", finding=idx)
         file = raw.get("file")
         if type(file) is not str or not file:
-            raise FormatError(idx, "finding has no file")
+            raise FormatError("finding has no file", finding=idx)
         line = raw.get("line")
         if type(line) is not int or line < 1:
-            raise FormatError(idx, f"line must be a positive integer, got {shown(line)}")
+            raise FormatError(f"line must be a positive integer, got "
+                              f"{shown(line)}", finding=idx)
         type_name = raw.get("type")
         # a label that is not a string, a list say, is as unknown as any
         reported = BUG_TYPES.get(type_name) if type(type_name) is str \
             else None
         message = raw.get("message", "")
         if type(message) is not str:
-            raise FormatError(idx, "message must be a string")
+            raise FormatError("message must be a string", finding=idx)
         findings.append(Finding(name, file, line, reported, message))
     return findings
 
@@ -97,7 +100,7 @@ def report_tool(text: str, tool: str) -> str:
     doc = json.loads(text)
     name = doc.get("tool", tool) if isinstance(doc, dict) else tool
     if not isinstance(name, str) or not name:
-        raise FormatError(0, "report has no tool name")
+        raise FormatError("report has no tool name")
     return name
 
 
@@ -116,54 +119,55 @@ def score_false_negatives(entries: list[BugLogEntry],
                           findings: list[Finding],
                           line_slack: int = 0) -> FNScore:
     """Match findings to the bug-log entries that cover their lines,
-    widened by ``line_slack``; a finding pairs with at most one entry.
-    Ranges may overlap, so a maximum matching is computed, file by file:
-    first the findings that can pair with an entry of their own type, then
-    those that can only pair by line. Augmentation never unmatches a
-    finding, so type-correct pairings are never sacrificed for line-only
-    ones. ``evaluate_campaign`` matches each tool and bug type so."""
+    widened by ``line_slack``, one bug type at a time, as
+    ``evaluate_campaign`` matches each tool and type: the entries are
+    grouped by type, in the order the types first appear, each group is
+    scored on its own, and the scores are joined. The counts add up; the
+    ids are listed type by type, each type's in entry order."""
     by_file = _group(findings, lambda f: f.file)
-    return _fn_score(entries, range(len(entries)), _cover(
-        entries, range(len(entries)), by_file, line_slack), by_file)
+    rows = [astuple(FNScore(0, 0, 0, 0))] + [
+        astuple(_fn_score(group, _cover(group, by_file, line_slack), by_file))
+        for group in _group(entries, lambda e: e.bug_type).values()]
+    return FNScore(*(sum(rest, first) for first, *rest in zip(*rows)))
 
 
-def _fn_score(entries: list[BugLogEntry], members, cover: dict,
+def _fn_score(entries: list[BugLogEntry], cover: dict,
               by_file: dict[str, list[Finding]]) -> FNScore:
-    """The score of the entries ``entries[i]``, ``i`` in ``members``, whose
-    ``_cover`` index is ``cover``, against the findings ``by_file``. A
-    finding takes the candidates of its own type, else all of them."""
-    findings: list[Finding] = []  # those with candidates
+    """The score of ``entries``, all of one bug type, whose ``_cover`` index
+    is ``cover``, against the findings ``by_file``. A maximum matching pairs
+    each entry with at most one finding on a line it covers, file by file:
+    first the findings of the entries' type, then the others, which pair by
+    line only. Augmentation never unmatches a finding, so type-correct
+    pairings are never sacrificed for line-only ones."""
+    bug_type = entries[0].bug_type
+    typed: list[bool] = []  # per finding with candidates: of bug_type?
     cands: list[tuple[int, ...]] = []  # finding -> the entries it may take
     owner: dict[int, int] = {}  # entry -> finding
     for file, by_line in cover.items():
         queue = []  # (line-only, line, tool, finding) of the file's findings
         for finding in by_file.get(file, ()):
-            local = same = by_line.get(finding.line, ())
-            for i in local:
-                if entries[i].bug_type is not finding.reported_type:
-                    same = tuple([i for i in local if entries[i].bug_type
-                                  is finding.reported_type])
-                    break
-            if local:
-                queue.append((not same, finding.line, finding.tool,
-                              len(findings)))
-                findings.append(finding)
-                cands.append(same or local)
+            held = by_line.get(finding.line)
+            if held:
+                mine = finding.reported_type is bug_type
+                queue.append((not mine, finding.line, finding.tool,
+                              len(cands)))
+                typed.append(mine)
+                cands.append(held)
         for *_, f_idx in sorted(queue):  # no pair crosses files
             if cands[f_idx][0] not in owner:  # the first step of _augment
                 owner[cands[f_idx][0]] = f_idx
             else:
                 _augment(f_idx, cands, owner)
     detected_ids, mis_ids, unreported_ids = [], [], []
-    for i in members:
+    for i, entry in enumerate(entries):
         f_idx = owner.get(i)
         if f_idx is None:
-            unreported_ids.append(entries[i].bug_id)
-        elif findings[f_idx].reported_type is entries[i].bug_type:
-            detected_ids.append(entries[i].bug_id)
+            unreported_ids.append(entry.bug_id)
+        elif typed[f_idx]:
+            detected_ids.append(entry.bug_id)
         else:
-            mis_ids.append(entries[i].bug_id)
-    return FNScore(len(members), len(detected_ids), len(mis_ids),
+            mis_ids.append(entry.bug_id)
+    return FNScore(len(entries), len(detected_ids), len(mis_ids),
                    len(unreported_ids), tuple(detected_ids), tuple(mis_ids),
                    tuple(unreported_ids))
 
@@ -332,15 +336,13 @@ def evaluate_campaign(entries: list[BugLogEntry],
                for tool in tools}
     injected: dict[str, set[int]] = {}  # per file, the reported lines covered
     scores: dict[str, dict[BugType, FNScore]] = {tool: {} for tool in tools}
-    for bug_type, members in _group(range(len(entries)),
-                                    lambda i: entries[i].bug_type).items():
-        cover = _cover(entries, members, pooled_by_file, line_slack)
+    for bug_type, group in _group(entries, lambda e: e.bug_type).items():
+        cover = _cover(group, pooled_by_file, line_slack)
         for file, by_line in cover.items():
             injected.setdefault(file, set()).update(by_line)
         for tool in tools:
             if bug_type in capabilities[tool]:
-                scores[tool][bug_type] = _fn_score(entries, members, cover,
-                                                   by_file[tool])
+                scores[tool][bug_type] = _fn_score(group, cover, by_file[tool])
         del cover  # before the next type's index is built
 
     # findings on injected lines are set aside: no FP of the original code
@@ -409,15 +411,15 @@ def _augment(root: int, cands: list[tuple[int, ...]],
         f_idx = owner[e_idx]
 
 
-def _cover(entries: list[BugLogEntry], members,
-           by_file: dict[str, list[Finding]],
+def _cover(entries: list[BugLogEntry], by_file: dict[str, list[Finding]],
            slack: int) -> dict[str, dict[int, tuple[int, ...]]]:
-    """Per file, each line of a finding ``by_file`` that the entries
-    ``entries[i]``, ``i`` in ``members``, cover, mapped to those ``i`` in the
-    order a finding tries them, tightest range first; equal tuples of a
-    file are one object."""
+    """Per file, each line of a finding ``by_file`` that ``entries``, all of
+    one bug type, cover, mapped to the indexes in ``entries`` of those that
+    cover it, in the order a finding tries them, tightest range first;
+    equal tuples of a file are one object."""
     index: dict[str, dict[int, tuple[int, ...]]] = {}
-    for file, group in _group(members, lambda i: entries[i].file).items():
+    for file, group in _group(range(len(entries)),
+                              lambda i: entries[i].file).items():
         group.sort(key=lambda i: (entries[i].end_line - entries[i].start_line,
                                   entries[i].start_line, entries[i].bug_id))
         lines = sorted({f.line for f in by_file.get(file, ())})

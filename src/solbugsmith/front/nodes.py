@@ -27,7 +27,7 @@ class Stmt:
     span: Span
     children: list["Stmt"]
     opaque: bool = False
-    # For ifStmt/whileStmt/requireStmt: the condition, parentheses excluded.
+    # For ifStmt/requireStmt: the condition, parentheses excluded.
     cond_span: Span | None = None
 
     def to_json(self) -> dict:

@@ -417,9 +417,9 @@ class _Parser:
     def _while_stmt(self) -> Stmt:
         start = self.i
         self._expect("while")
-        cond = self._condition()
+        self._condition()
         children = [self._statement()]
-        return self._stmt("whileStmt", start, children, cond_span=cond)
+        return self._stmt("whileStmt", start, children)
 
     def _do_stmt(self) -> Stmt:
         """``do <statement> while (...);``, as one opaque statement."""

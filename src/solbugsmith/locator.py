@@ -60,7 +60,6 @@ class SnippetSite:
 class TransformSite:
     pattern: TransformPattern
     match_span: Span
-    line: int
     path: tuple[str, ...]
 
     kind = "transform"
@@ -68,8 +67,8 @@ class TransformSite:
     def to_json(self) -> dict:
         return {"kind": self.kind, "match": self.pattern.match,
                 "replace": self.pattern.replace,
-                "span": self.match_span.to_json(), "line": self.line,
-                "path": list(self.path)}
+                "span": self.match_span.to_json(),
+                "line": self.match_span.start_line, "path": list(self.path)}
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,6 @@ class WeakenSite:
     rule: WeakeningRule
     guard_span: Span
     revert_stmt_span: Span
-    line: int
     path: tuple[str, ...]
 
     kind = "weaken"
@@ -86,7 +84,7 @@ class WeakenSite:
         return {"kind": self.kind, "guardShape": self.rule.guard_shape,
                 "guardSpan": self.guard_span.to_json(),
                 "revertStmtSpan": self.revert_stmt_span.to_json(),
-                "line": self.line, "path": list(self.path)}
+                "line": self.guard_span.start_line, "path": list(self.path)}
 
 
 Site = SnippetSite | TransformSite | WeakenSite
@@ -230,13 +228,6 @@ def site_facts(unit: SourceUnit) -> SiteFacts:
 # -- snippet sites ----------------------------------------------------------
 
 
-def snippet_sites(unit: SourceUnit, form: SnippetForm) -> list[SnippetSite]:
-    """The places in ``unit`` that take a snippet of ``form``: member
-    boundaries for a function definition, statement boundaries otherwise."""
-    return [SnippetSite(form, *point)
-            for point in site_facts(unit).points[form]]
-
-
 def _member_label(member: FunctionDef) -> str:
     return f"{member.kind} {member.name}" if member.name else member.kind
 
@@ -279,8 +270,7 @@ def find_security_mechanisms(unit: SourceUnit,
             else:
                 continue
             if carrier is not None and _has_send_call(unit, stmt.cond_span):
-                sites.append(WeakenSite(rule, stmt.span, carrier.span,
-                                        stmt.span.start_line, path))
+                sites.append(WeakenSite(rule, stmt.span, carrier.span, path))
     return sites
 
 
@@ -338,7 +328,7 @@ def find_transformable_code(unit: SourceUnit, bug_type: BugType,
     for span, pattern in candidates:
         if span.start < last_end:
             continue
-        sites.append(TransformSite(pattern, span, span.start_line,
+        sites.append(TransformSite(pattern, span,
                                    _path_for_offset(unit, span.start)))
         last_end = span.end
     return sites

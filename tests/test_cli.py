@@ -453,6 +453,17 @@ class TestExitCodes:
             "4 failure(s):",
             *(f"  {name}: {reason}" for name, reason in zip(names, reasons))]
 
+    @pytest.mark.parametrize("command", ["locate", "inject"])
+    def test_sol_free_corpus_exits_one(self, command, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "notes.txt").write_text("not a contract", encoding="utf-8")
+        assert main([command, "--corpus", str(corpus), "--out",
+                     str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"solbugsmith {command}: error: no *.sol files in {corpus}"]
+        assert not (tmp_path / "out").exists()
+
     def test_buglog_free_directory_exits_one(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
         assert main(["oracle", "--buglogs", str(tmp_path / "empty"),
@@ -646,6 +657,34 @@ class TestExitCodes:
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert len(line) <= 300
         assert line.endswith("S" * 97 + "...: unknown bug type: 'TxOrigin '")
+
+    def test_report_faults_name_the_finding_or_the_json_line(
+            self, injected, reports, tmp_path, capsys):
+        # a finding's fault names its index, a JSON syntax error its line,
+        # and a fault of the whole document no place at all
+        bad = tmp_path / "reports"
+        shutil.copytree(reports, bad)
+        (bad / "Slither.report.json").write_text(json.dumps([
+            {"file": "a.sol", "line": 3, "type": "TOD"},
+            {"file": "a.sol", "type": "TOD"}]), encoding="utf-8")
+        (bad / "Mythril.report.json").write_text(
+            '{"tool": "Mythril",\n "findings": [}', encoding="utf-8")
+        (bad / "Oyente.report.json").write_text('{"tool": "Oyente"}',
+                                                encoding="utf-8")
+        assert main(["evaluate", "--buglogs", str(injected), "--reports",
+                     str(bad)]) == 2
+        err = capsys.readouterr().err
+        named = {line.split(":")[0].strip(): line.strip()
+                 for line in err.splitlines() if ".report.json:" in line}
+        assert named == {
+            "Mythril.report.json": "Mythril.report.json: line 2: not valid "
+                                   "JSON: Expecting value",
+            "Oyente.report.json": "Oyente.report.json: report must be a JSON "
+                                  "array of findings or an object with a "
+                                  "findings array",
+            "Slither.report.json": "Slither.report.json: finding 2: line "
+                                   "must be a positive integer, got None"}
+        assert "line 0" not in err
 
     @pytest.mark.parametrize("argv, named", [
         pytest.param(["inject", "--corpus", "{tmp}/corpus", "--out",
@@ -883,10 +922,10 @@ def test_evaluate_matches_once_per_tool_and_bug_type(
     entries of that type and the findings of that tool."""
     real, calls = evaluator._fn_score, []
 
-    def counting(entries, members, cover, by_file):
-        calls.append(({entries[i].bug_type for i in members},
+    def counting(entries, cover, by_file):
+        calls.append(({entry.bug_type for entry in entries},
                       {f.tool for group in by_file.values() for f in group}))
-        return real(entries, members, cover, by_file)
+        return real(entries, cover, by_file)
 
     monkeypatch.setattr(evaluator, "_fn_score", counting)
     assert main(["evaluate", "--buglogs", str(injected), "--reports",

@@ -84,7 +84,7 @@ class TestIngest:
     def test_bad_finding_reports_its_index(self, bad, index):
         with pytest.raises(FormatError) as err:
             ingest_report(json.dumps(bad), tool="x")
-        assert err.value.line == index
+        assert err.value.finding == index
 
     @pytest.mark.parametrize("doc, tool", [
         ({"tool": "mythril", "findings": []}, "mythril"),
@@ -163,6 +163,66 @@ class TestFalseNegatives:
         score = score_false_negatives(entries, findings)
         assert (score.detected, score.unreported) == (1, 1)
 
+    def test_a_finding_detects_one_type_and_misidentifies_another(self):
+        # each type is matched on its own, as evaluate_campaign matches it:
+        # the TOD finding detects the TOD bug and misidentifies the
+        # Reentrancy bug on its line
+        entries = [entry("b0", BugType.TOD, 3, 3),
+                   entry("b1", BugType.REENTRANCY, 3, 3)]
+        assert score_false_negatives(entries, [finding(3, BugType.TOD)]) == \
+            FNScore(2, 1, 1, 0, ("b0",), ("b1",), ())
+
+    def test_a_line_only_finding_moves_a_type_correct_one_up(self):
+        # the TOD finding on 2 first takes the 1-3 bug, tightest first; the
+        # line-only finding on 1 can only take that bug, so it moves the
+        # TOD finding on to the 2-10 bug. A sweep that froze its
+        # type-correct pairs would leave the 1-3 bug unreported.
+        entries = [entry("b0", BugType.TOD, 1, 3),
+                   entry("b1", BugType.TOD, 2, 10)]
+        findings = [finding(2, BugType.TOD), finding(1, BugType.REENTRANCY)]
+        score = score_false_negatives(entries, findings)
+        assert (score.detected, score.misidentified, score.unreported) == \
+            (1, 1, 0)
+        assert (score.detected_bug_ids, score.misidentified_bug_ids) == \
+            (("b1",), ("b0",))
+
+    def test_type_correct_findings_pair_before_line_order_does(self):
+        # in line order, the line-only finding on 1 would take the 1-2 bug
+        # and leave the TOD finding on 2 nothing but the 1-5 bug, which the
+        # TOD finding on 4 also needs; type-correct first detects both
+        entries = [entry("b0", BugType.TOD, 1, 2),
+                   entry("b1", BugType.TOD, 1, 5)]
+        findings = [finding(1, BugType.REENTRANCY), finding(2, BugType.TOD),
+                    finding(4, BugType.TOD)]
+        score = score_false_negatives(entries, findings)
+        assert (score.detected, score.misidentified, score.unreported) == \
+            (2, 0, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mixed_types_score_as_the_campaign_scores_each(self, data):
+        files = ["a.sol", "b.sol"]
+        entries = []
+        for i in range(data.draw(st.integers(0, 12))):
+            start = data.draw(st.integers(1, 25))
+            entries.append(entry(f"b{i}",
+                                 data.draw(st.sampled_from(list(BugType))),
+                                 start, start + data.draw(st.integers(0, 8)),
+                                 file=data.draw(st.sampled_from(files))))
+        findings = [
+            finding(data.draw(st.integers(1, 35)),
+                    data.draw(st.sampled_from([*BugType, None])),
+                    file=data.draw(st.sampled_from(files)))
+            for _ in range(data.draw(st.integers(0, 14)))]
+        slack = data.draw(st.integers(0, 3))
+        scores = evaluate_campaign(entries, {"t1": findings},
+                                   {"t1": frozenset(BugType)}, {}, {},
+                                   line_slack=slack).scores["t1"]
+        first_seen = dict.fromkeys(e.bug_type for e in entries)
+        assert score_false_negatives(entries, findings, slack) == \
+            _concatenated([FNScore(0, 0, 0, 0)] +
+                          [scores[bug_type] for bug_type in first_seen])
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_counts_partition_the_injected_set(self, data):
@@ -210,8 +270,13 @@ class TestFalseNegatives:
             for _ in range(data.draw(st.integers(0, 16)))
         ]
         slack = data.draw(st.integers(0, 3))
+        by_type = {}  # the entries of each type, types in first-seen order
+        for e in entries:
+            by_type.setdefault(e.bug_type, []).append(e)
         assert score_false_negatives(entries, findings, slack) == \
-            _pairwise_score(entries, findings, slack)
+            _concatenated([FNScore(0, 0, 0, 0)] + [
+                _pairwise_score(group, findings, slack)
+                for group in by_type.values()])
 
     def test_huge_range_and_slack_are_not_expanded(self):
         entries = [entry("b0", BugType.TOD, 1, 10**12),

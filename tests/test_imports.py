@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is read by that module."""
+"""Every name a module of the package imports is read by that module, and
+every private name a module defines is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,49 @@ def test_no_module_imports_a_name_it_never_reads():
     unread = {str(path.relative_to(SRC)): names for path in modules
               if (names := _unread_imports(path))}
     assert unread == {}
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """The private names (``_x``, not dunders) that a module binds at its
+    top level, by a def, a class or an assignment, with their lines."""
+    bound: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                bound[name] = node.lineno
+    return bound
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """The names a module reads, as a name, an attribute or an import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_every_private_name_is_read_somewhere_in_the_package():
+    trees = {str(path.relative_to(SRC)): ast.parse(
+        path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))}
+    assert trees
+    read = set().union(*map(_reads, trees.values()))
+    unread = {module: [f"{line}: {name}" for name, line
+                       in sorted(_private_definitions(tree).items())
+                       if name not in read]
+              for module, tree in trees.items()}
+    assert {module: names for module, names in unread.items() if names} == {}

@@ -8,7 +8,7 @@ from solbugsmith.front import TokenKind, parse, tokenize, validate
 from solbugsmith.locator import (SnippetSite, TransformSite, WeakenSite,
                                  dump_profile, find_all_potential_locations,
                                  find_security_mechanisms,
-                                 find_transformable_code, snippet_sites)
+                                 find_transformable_code, site_facts)
 from solbugsmith.model import BugType, SnippetForm
 
 
@@ -439,8 +439,8 @@ def test_member_probe_agrees_on_every_bundled_contract_and_fixture(
     assert len(sources) == 14
     for name, src in sources.items():
         oracle = member_probe_offsets(src)
-        located = {site.offset for site in snippet_sites(
-            parse(src), SnippetForm.FUNCTION_DEFINITION)}
+        located = {offset for offset, _, _ in site_facts(
+            parse(src)).points[SnippetForm.FUNCTION_DEFINITION]}
         assert oracle == located, (name, sorted(oracle ^ located))
 
 
