@@ -172,6 +172,16 @@ def _corpus_files(raw: str) -> list[Path]:
     raise _ConfigError(f"corpus path does not exist: {raw}")
 
 
+def _out_dir(raw: str) -> Path:
+    """The output directory ``raw``, made with its parents if missing."""
+    path = Path(raw)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _ConfigError(f"cannot make directory {raw}: {exc.strerror}")
+    return path
+
+
 def _sources(files: list[Path], failures: list[tuple[str, str]]):
     """``(path, text)`` for each corpus file that reads as UTF-8; the others
     are recorded as per-file failures."""
@@ -230,9 +240,7 @@ def _cmd_locate(args: argparse.Namespace) -> int:
     pool = _resolve_pool(args.pool)
     bug_types = _resolve_bug_types(args.bug_types)
     files = _corpus_files(args.corpus)
-    out_dir = Path(args.out) if args.out else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out) if args.out else None
     failures: list[tuple[str, str]] = []
 
     for path, source in _sources(files, failures):
@@ -270,8 +278,7 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     pool = _resolve_pool(args.pool)
     bug_types = _resolve_bug_types(args.bug_types)
     files = _corpus_files(args.corpus)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
 
     failures: list[tuple[str, str]] = []
     written = 0
@@ -313,8 +320,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     capabilities = _resolve_capabilities(args.capabilities)
     buglogs = _read_buglogs(args.buglogs)
     root = Path(args.buglogs)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
 
     line_counts: dict[str, int] = {}
     failures: list[tuple[str, str]] = []
@@ -346,6 +352,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     capabilities = _resolve_capabilities(args.capabilities)
     confirmed = _load_config(args.confirmed, load_confirmed) \
         if args.confirmed else {}
+    out_dir = _out_dir(args.out) if args.out else None
     buglogs = _read_buglogs(args.buglogs)
     reports_dir = Path(args.reports)
     if not reports_dir.is_dir():
@@ -401,9 +408,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         "fp_cells.csv": fp_csv(result.cells, result.thresholds,
                                result.misc_counts),
     }
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir is not None:
         for name, text in documents.items():
             (out_dir / name).write_text(text, encoding="utf-8")
         print(f"wrote evaluation documents to {out_dir}")

@@ -46,10 +46,6 @@ class ParseError(SolBugSmithError):
         self.bracket = bracket
 
 
-class OutOfRange(SolBugSmithError):
-    """Byte offset outside the source text."""
-
-
 class PoolError(SolBugSmithError):
     """Malformed pool entry (bad template, duplicate id, unknown bug type)."""
 

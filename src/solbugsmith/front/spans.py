@@ -1,11 +1,8 @@
-"""Byte spans and the line map used to translate offsets to line numbers."""
+"""Byte spans with their line endpoints, and the column of an offset."""
 
 from __future__ import annotations
 
-import bisect
 from typing import NamedTuple
-
-from ..errors import OutOfRange
 
 
 class Span(NamedTuple):
@@ -26,25 +23,6 @@ class Span(NamedTuple):
             "startLine": self.start_line,
             "endLine": self.end_line,
         }
-
-
-class LineIndex:
-    """Offsets of line starts for one source buffer (byte offsets)."""
-
-    def __init__(self, data: bytes) -> None:
-        self.length = len(data)
-        starts = [0]
-        pos = data.find(b"\n")
-        while pos != -1:
-            starts.append(pos + 1)
-            pos = data.find(b"\n", pos + 1)
-        self.starts = starts
-
-    def line_of(self, offset: int) -> int:
-        """1-based line containing ``offset``; ``offset == length`` maps to the last line."""
-        if offset < 0 or offset > self.length:
-            raise OutOfRange(f"offset {offset} outside [0, {self.length}]")
-        return bisect.bisect_right(self.starts, offset)
 
 
 def column_of(data: bytes, offset: int) -> int:

@@ -4,10 +4,11 @@ ground truth.
 Each site becomes one byte edit of the source, and one front-to-back pass
 splices the edits in and records where each landed. Every site in the
 profile produces exactly one log entry whose line range and byte span
-refer to the OUTPUT file. Shared context declarations are inserted once
-per contract, directly after the contract's opening brace, and are charged
-to the first bug that needs them: that entry's range is the convex hull of
-its snippet and its context lines.
+refer to the OUTPUT file; the pass counts the newlines it copies, so each
+entry's lines come from the splice. Shared context declarations are
+inserted once per contract, directly after the contract's opening brace,
+and are charged to the first bug that needs them: that entry's range is
+the convex hull of its snippet and its context lines.
 
 An output is valid by construction when the profile is ``located`` (the
 locator built it, so each site lies where the locator puts it), the counter
@@ -45,9 +46,9 @@ from dataclasses import dataclass, field
 from . import front, locator
 from .buglog import BugLogEntry
 from .errors import EditConflict, SolBugSmithError
-from .front import LineIndex, SourceUnit
-from .locator import (_SPACE, InjectionProfile, SnippetSite, TransformSite,
-                      WeakenSite)
+from .front import SourceUnit
+from .locator import (InjectionProfile, SnippetSite, TransformSite,
+                      WeakenSite, line_lead)
 from .model import Approach, BugType
 from .pool import BugPool
 # unused here, but perfbench/tracing.py rebinds these names in this module;
@@ -175,27 +176,36 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
 
     # A stable sort: a context insertion, listed first, precedes the site
     # edits at its offset, and site edits at one offset keep profile order.
-    hull: list[tuple[int, int] | None] = [None] * len(fields)
-    out, pos = bytearray(), 0
+    # Lines are counted as the bytes are copied. Per entry: the (offset,
+    # line) of its first byte and of its end; an entry charged context
+    # declarations spans the hull of its ranges, as lines rise with offsets.
+    hull: list[tuple | None] = [None] * len(fields)
+    out, pos, line = bytearray(), 0, 1
     for edit in sorted(context_edits + edits, key=lambda e: e.start):
         if edit.start < pos:
             raise EditConflict(f"edits overlap at bytes {edit.start}..{pos}")
+        line += data.count(b"\n", pos, edit.start)
         out += data[pos:edit.start]
+        insert = edit.insert
         for idx, rel_start, rel_end in edit.logged:
-            start, end = len(out) + rel_start, len(out) + rel_end
+            first = (len(out) + rel_start,
+                     line + insert.count(b"\n", 0, rel_start))
+            last = (len(out) + rel_end,
+                    line + insert.count(b"\n", 0, max(rel_start, rel_end - 1)))
             if hull[idx] is not None:
-                start, end = min(start, hull[idx][0]), max(end, hull[idx][1])
-            hull[idx] = (start, end)
-        out += edit.insert
+                first, last = min(first, hull[idx][0]), max(last, hull[idx][1])
+            hull[idx] = (first, last)
+        line += insert.count(b"\n")
+        out += insert
         pos = edit.end
     out += data[pos:]
 
-    line_index = LineIndex(bytes(out))
     entries = tuple(
         BugLogEntry(bug_id, profile.bug_type, approach, snippet_id,
-                    profile.source_id, line_index.line_of(start),
-                    line_index.line_of(max(start, end - 1)), start, end)
-        for (bug_id, approach, snippet_id), (start, end) in zip(fields, hull))
+                    profile.source_id, start_line, end_line, start, end)
+        for (bug_id, approach, snippet_id), ((start, start_line),
+                                             (end, end_line))
+        in zip(fields, hull))
     return InjectionResult(out.decode("utf-8"), entries, vouched)
 
 
@@ -209,14 +219,11 @@ def _inert(data: bytes, offset: int) -> bool:
 
 def _weaken_edit(data: bytes, site: WeakenSite, idx: int) -> _Edit:
     start, end = site.revert_stmt_span.start, site.revert_stmt_span.end
-    line_start = data.rfind(b"\n", 0, start) + 1
-    before = data[line_start:start]
+    before, indent = line_lead(data, start)
     line_end = data.find(b"\n", end)
     if line_end < 0:
         line_end = len(data)
     after = data[end:line_end]
-    indent = before.decode("utf-8")
-    indent = indent[:len(indent) - len(indent.lstrip(_SPACE))]
     commented = "//" + data[start:end].decode("utf-8").replace("\n", "\n//")
     prefix = ("\n" + indent) if before.strip() else ""
     suffix = ("\n" + indent) if after.strip() else ""

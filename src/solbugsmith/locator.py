@@ -143,6 +143,13 @@ def _order_key(site: Site):
 _SPACE = " \t\r"
 
 
+def line_lead(data: bytes, offset: int) -> tuple[str, str]:
+    """The (prefix, indent) of ``offset``'s line: its text before
+    ``offset``, and the spaces, tabs and carriage returns that lead it."""
+    prefix = data[data.rfind(b"\n", 0, offset) + 1:offset].decode("utf-8")
+    return prefix, prefix[:len(prefix) - len(prefix.lstrip(_SPACE))]
+
+
 class SiteFacts:
     """The site analysis of one parsed unit that every bug type shares.
     ``functions``: each function's path and statements, depth first, with
@@ -206,8 +213,7 @@ class SiteFacts:
         facts = self._insertions.get(offset)
         if facts is None:
             data = self.data
-            prefix = data[data.rfind(b"\n", 0, offset) + 1:offset].decode()
-            indent = prefix[:len(prefix) - len(prefix.lstrip(_SPACE))]
+            prefix, indent = line_lead(data, offset)
             if prefix.rstrip().endswith("{"):
                 indent += "    "
             follows = "\n" + indent if offset < len(data) and \

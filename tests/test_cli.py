@@ -4,6 +4,7 @@ run-to-run reproducibility of everything written to disk."""
 import argparse
 import ast
 import csv
+import errno
 import importlib
 import inspect
 import json
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import solbugsmith
-from solbugsmith import evaluator
+from solbugsmith import cli, evaluator
 from solbugsmith.buglog import CSV_COLUMNS
 from solbugsmith.cli import _COMMANDS, _build_parser, main
 from solbugsmith.errors import shown
@@ -463,6 +464,27 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             f"solbugsmith {command}: error: no *.sol files in {corpus}"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under"])
+    @pytest.mark.parametrize("command", ["locate", "inject", "oracle",
+                                         "evaluate"])
+    def test_an_out_path_at_or_under_a_file_exits_one(
+            self, command, under, mini_corpus, injected, reports, tmp_path,
+            monkeypatch, capsys):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out = tmp_path / "file" / "x" if under else tmp_path / "file"
+        inputs = {"locate": ["--corpus", mini_corpus],
+                  "inject": ["--corpus", mini_corpus],
+                  "oracle": ["--buglogs", injected],
+                  "evaluate": ["--buglogs", injected, "--reports", reports]}
+        # evaluate checks --out before it scores anything
+        monkeypatch.setattr(cli, "evaluate_campaign", None)
+        assert main([command, *map(str, inputs[command]),
+                     "--out", str(out)]) == 1
+        strerror = os.strerror(errno.ENOTDIR if under else errno.EEXIST)
+        assert capsys.readouterr().err.splitlines() == [
+            f"solbugsmith {command}: error: cannot make directory {out}: "
+            f"{strerror}"]
 
     def test_buglog_free_directory_exits_one(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()

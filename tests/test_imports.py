@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is read by that module, and
-every private name a module defines is read somewhere in the package."""
+"""Every name a module of the package imports is read by that module, no
+module imports another's private name, and every private name a module
+defines is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -43,6 +44,25 @@ def test_no_module_imports_a_name_it_never_reads():
     unread = {str(path.relative_to(SRC)): names for path in modules
               if (names := _unread_imports(path))}
     assert unread == {}
+
+
+def _private_imports(path: Path) -> list[str]:
+    """The private names (``_x``, not dunders) that ``path`` imports from a
+    module of the package, each as ``line: name``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{node.lineno}: {alias.name}" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == SRC.name)
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.startswith("__")]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    modules = sorted(SRC.rglob("*.py"))
+    assert modules
+    imported = {str(path.relative_to(SRC)): names for path in modules
+                if (names := _private_imports(path))}
+    assert imported == {}
 
 
 def _private_definitions(tree: ast.Module) -> dict[str, int]:

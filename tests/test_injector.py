@@ -75,17 +75,30 @@ class TestSnippetInjection:
                 assert validate(result.text) == [], (name, bug_type)
 
     def test_logged_lines_match_byte_spans(self, corpus_sources, pool):
-        src = corpus_sources["SimpleWallet.sol"]
-        unit = parse(src)
-        for bug_type in ALL_TYPES:
-            profile = find_all_potential_locations(unit, bug_type, pool)
-            result = inject_all(profile, pool)
-            data = result.text.encode()
-            for e in result.entries:
-                assert e.byte_start < e.byte_end <= len(data)
-                assert e.start_line == data[:e.byte_start].count(b"\n") + 1
-                last = max(e.byte_start, e.byte_end - 1)
-                assert e.end_line == data[:last].count(b"\n") + 1
+        """Over every bundled contract and fixture, each as it is, with
+        CRLF line ends, with no trailing newline, and with multi-byte UTF-8
+        comments ahead of the sites and after the code of every line."""
+        fixtures = Path(__file__).parent / "fixtures"
+        sources = list(corpus_sources.values()) + [
+            path.read_text(encoding="utf-8")
+            for path in sorted(fixtures.glob("*.sol"))]
+        variants = [variant for src in sources for variant in (
+            src, src.replace("\n", "\r\n"), src.rstrip("\n"),
+            "// ¿Qué? → ✓ 𝄞\n" + "\n".join(
+                line + " // ü→✓" if line.strip() else line
+                for line in src.split("\n")))]
+        for src in variants:
+            unit = parse(src)
+            for bug_type in ALL_TYPES:
+                profile = find_all_potential_locations(unit, bug_type, pool)
+                result = inject_all(profile, pool)
+                data = result.text.encode()
+                for e in result.entries:
+                    assert e.byte_start < e.byte_end <= len(data)
+                    assert e.start_line == \
+                        data[:e.byte_start].count(b"\n") + 1
+                    last = max(e.byte_start, e.byte_end - 1)
+                    assert e.end_line == data[:last].count(b"\n") + 1
 
     def test_introduced_identifiers_are_fresh(self, corpus_sources, pool):
         src = corpus_sources["Counter.sol"]
