@@ -4,6 +4,17 @@ and CSV documents, and the loader that reads a JSON log back.
 The JSON writer lays each entry out from a template over the C string
 encoder, byte for byte as ``json.dumps(..., indent=2)`` would, and the
 writers and loader look bug types and approaches up in tables built once.
+Each writer builds its document in one join over its parts.
+
+The CSV writer lays each row out from a template too, as
+``csv.writer(..., lineterminator="\\n")`` writes it. A row whose id,
+snippet id or file name holds a ``,``, a ``"``, a ``\\r`` or a ``\\n`` is
+written by ``csv.writer`` itself, which quotes that field: Python 3.13
+quotes a bare ``\\r`` and 3.10 to 3.12 do not, so the template never makes
+that choice.
+
+The loader keeps one string per distinct file name and snippet id of a log,
+shared by its entries.
 """
 
 from __future__ import annotations
@@ -11,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from bisect import bisect_left, bisect_right
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
@@ -79,24 +91,45 @@ _ENTRY_JSON = """  {{
 def emit_buglog_json(entries) -> str:
     """``json.dumps([e.to_json() for e in entries], indent=2) + "\\n"``,
     written from a template per entry."""
-    items = [_ENTRY_JSON.format(
-        _json_str(e.bug_id), _JSON_VALUES[e.bug_type],
-        _JSON_VALUES[e.approach],
-        "null" if e.snippet_id is None else _json_str(e.snippet_id),
-        _json_str(e.file), e.start_line, e.end_line, e.byte_start,
-        e.byte_end) for e in entries]
-    return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"
+    parts = ["[\n"]
+    for e in entries:
+        parts += (_ENTRY_JSON.format(
+            _json_str(e.bug_id), _JSON_VALUES[e.bug_type],
+            _JSON_VALUES[e.approach],
+            "null" if e.snippet_id is None else _json_str(e.snippet_id),
+            _json_str(e.file), e.start_line, e.end_line, e.byte_start,
+            e.byte_end), ",\n")
+    if len(parts) == 1:
+        return "[]\n"
+    parts[-1] = "\n]\n"
+    return "".join(parts)
+
+
+# one row of a CSV bug log, for rows whose text fields hold none of the
+# characters that csv.writer quotes a field for on some Python
+_ROW_CSV = ",".join(["{}"] * len(CSV_COLUMNS)) + "\n"
+_QUOTED = re.compile('[,"\r\n]').search
+
+
+def _csv_row(*fields) -> str:
+    """``fields`` as the one row that ``csv.writer`` writes of them."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
 
 
 def emit_buglog_csv(entries) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    """The entries as ``csv.writer(..., lineterminator="\\n")`` writes them
+    under a ``CSV_COLUMNS`` header, written from a template per row."""
+    parts = [_csv_row(*CSV_COLUMNS)]
     for e in entries:
-        writer.writerow([e.bug_id, _VALUES[e.bug_type], _VALUES[e.approach],
-                         e.snippet_id or "", e.file, e.start_line, e.end_line,
-                         e.byte_start, e.byte_end])
-    return buf.getvalue()
+        snippet_id = e.snippet_id or ""
+        row = _csv_row if (_QUOTED(e.bug_id) or _QUOTED(snippet_id)
+                           or _QUOTED(e.file)) else _ROW_CSV.format
+        parts.append(row(e.bug_id, _VALUES[e.bug_type], _VALUES[e.approach],
+                         snippet_id, e.file, e.start_line, e.end_line,
+                         e.byte_start, e.byte_end))
+    return "".join(parts)
 
 
 def load_buglog(text: str) -> list[BugLogEntry]:
@@ -105,13 +138,14 @@ def load_buglog(text: str) -> list[BugLogEntry]:
         doc = json.loads(text)
         if not isinstance(doc, list):
             raise TypeError("expected a JSON array of entries")
-        return [_entry_from_json(raw) for raw in doc]
+        shared: dict[str, str] = {}  # each file name and snippet id, once
+        return [_entry_from_json(raw, shared) for raw in doc]
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         reason = f"entry without {exc}" if isinstance(exc, KeyError) else exc
         raise MalformedDocument(f"malformed bug log: {reason}") from None
 
 
-def _entry_from_json(raw: object) -> BugLogEntry:
+def _entry_from_json(raw: object, shared: dict[str, str]) -> BugLogEntry:
     if type(raw) is not dict:
         raise TypeError("each entry must be a JSON object")
     span = raw["byteSpan"]
@@ -123,7 +157,8 @@ def _entry_from_json(raw: object) -> BugLogEntry:
             is type(byte_end) is int):
         raise TypeError("lines and byte offsets must be integers: " +
                         shown((start_line, end_line, byte_start, byte_end)))
-    if type(raw["bugId"]) is not str or type(raw["file"]) is not str:
+    file = raw["file"]
+    if type(raw["bugId"]) is not str or type(file) is not str:
         raise TypeError("bugId and file must be strings")
     if not (1 <= start_line <= end_line and 0 <= byte_start <= byte_end):
         raise ValueError(f"entry {shown(raw['bugId'])} has a reversed or "
@@ -132,7 +167,10 @@ def _entry_from_json(raw: object) -> BugLogEntry:
     bug_type = term(BUG_TYPES, raw["bugType"], "BugType")
     approach = term(APPROACHES, raw["approach"], "Approach")
     snippet_id = raw.get("snippetId")
-    if snippet_id is not None and type(snippet_id) is not str:
-        raise TypeError("snippetId must be a string or null")
+    if snippet_id is not None:
+        if type(snippet_id) is not str:
+            raise TypeError("snippetId must be a string or null")
+        snippet_id = shared.setdefault(snippet_id, snippet_id)
     return BugLogEntry(raw["bugId"], bug_type, approach, snippet_id,
-                       raw["file"], start_line, end_line, byte_start, byte_end)
+                       shared.setdefault(file, file), start_line, end_line,
+                       byte_start, byte_end)

@@ -182,6 +182,18 @@ def _out_dir(raw: str) -> Path:
     return path
 
 
+def _write(out_dir: Path, name: str, text: str,
+           failures: list[tuple[str, str]]) -> bool:
+    """Write ``text`` to ``out_dir / name``, or record why it cannot be
+    written as a failure of ``name``; True if it was written."""
+    try:
+        (out_dir / name).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        failures.append((name, f"cannot write: {exc.strerror}"))
+        return False
+    return True
+
+
 def _sources(files: list[Path], failures: list[tuple[str, str]]):
     """``(path, text)`` for each corpus file that reads as UTF-8; the others
     are recorded as per-file failures."""
@@ -254,8 +266,7 @@ def _cmd_locate(args: argparse.Namespace) -> int:
         if args.dump_ast:
             doc = json.dumps(unit.to_json(), indent=2)
             if out_dir is not None:
-                (out_dir / f"{path.stem}.ast.json").write_text(doc + "\n",
-                                                               encoding="utf-8")
+                _write(out_dir, f"{path.stem}.ast.json", doc + "\n", failures)
             else:
                 print(doc)
             continue
@@ -265,9 +276,8 @@ def _cmd_locate(args: argparse.Namespace) -> int:
             if args.dump_bip:
                 print(dump_profile(profile), end="")
             if out_dir is not None:
-                name = f"{path.stem}.{bug_type.value}.bip.json"
-                (out_dir / name).write_text(dump_profile(profile),
-                                            encoding="utf-8")
+                _write(out_dir, f"{path.stem}.{bug_type.value}.bip.json",
+                       dump_profile(profile), failures)
             elif not args.dump_bip:
                 print(f"{path.name} {bug_type.value}: "
                       f"{len(profile.sites)} site(s)")
@@ -298,14 +308,15 @@ def _cmd_inject(args: argparse.Namespace) -> int:
             except SolBugSmithError as exc:
                 failures.append((out_name, str(exc)))
                 continue
-            (out_dir / out_name).write_text(result.text, encoding="utf-8")
             stem = out_name[:-len(".sol")]
-            (out_dir / f"{stem}.buglog.json").write_text(
-                emit_buglog_json(result.entries), encoding="utf-8")
-            (out_dir / f"{stem}.buglog.csv").write_text(
-                emit_buglog_csv(result.entries), encoding="utf-8")
-            written += 1
-            total_bugs += len(result.entries)
+            # a pair counts as written once its last file is
+            if (_write(out_dir, out_name, result.text, failures)
+                    and _write(out_dir, f"{stem}.buglog.json",
+                               emit_buglog_json(result.entries), failures)
+                    and _write(out_dir, f"{stem}.buglog.csv",
+                               emit_buglog_csv(result.entries), failures)):
+                written += 1
+                total_bugs += len(result.entries)
     print(f"wrote {written} buggy file(s), {total_bugs} bug(s) total")
     return _summarize(failures)
 
@@ -339,10 +350,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     for tool in sorted(capabilities):
         report, truth = generate_tool_report(tool, capabilities[tool], usable,
                                              open_lines, spec)
-        (out_dir / f"{tool}.report.json").write_text(dump_report(report),
-                                                     encoding="utf-8")
-        (out_dir / f"{tool}.truth.json").write_text(dump_report(truth),
-                                                    encoding="utf-8")
+        _write(out_dir, f"{tool}.report.json", dump_report(report), failures)
+        _write(out_dir, f"{tool}.truth.json", dump_report(truth), failures)
     print(f"wrote reports for {len(capabilities)} tool(s) "
           f"over {len(usable)} file(s)")
     return _summarize(failures)
@@ -408,16 +417,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         "fp_cells.csv": fp_csv(result.cells, result.thresholds,
                                result.misc_counts),
     }
+    if failures:
+        print("partial results: some reports or tools were skipped",
+              file=sys.stderr)
     if out_dir is not None:
         for name, text in documents.items():
-            (out_dir / name).write_text(text, encoding="utf-8")
+            _write(out_dir, name, text, failures)
         print(f"wrote evaluation documents to {out_dir}")
     else:
         print(documents["fn_report.md"])
         print(documents["fp_report.md"], end="")
-    if failures:
-        print("partial results: some reports or tools were skipped",
-              file=sys.stderr)
     return _summarize(failures)
 
 

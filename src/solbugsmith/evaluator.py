@@ -43,7 +43,6 @@ class Finding(NamedTuple):
     file: str
     line: int
     reported_type: BugType | None
-    message: str = ""
 
     @property
     def type_label(self) -> str:
@@ -54,7 +53,9 @@ def ingest_report(text: str, tool: str | None = None) -> list[Finding]:
     """Parse a report document into findings; unknown types become
     Miscellaneous. A JSON array is a list of findings; an object holds them
     in a ``findings`` array and may name its ``tool``. A finding without a
-    tool is the document's, else ``tool``'s."""
+    tool is the document's, else ``tool``'s. A finding's ``message``, when
+    present, must be a string; it is not kept. The findings share one
+    string per distinct file name."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -70,6 +71,7 @@ def ingest_report(text: str, tool: str | None = None) -> list[Finding]:
         raise FormatError("report must be a JSON array of findings or an "
                           "object with a findings array")
     findings = []
+    files: dict[str, str] = {}  # each file name, once
     for idx, raw in enumerate(raw_findings, start=1):
         if type(raw) is not dict:
             raise FormatError("finding must be an object", finding=idx)
@@ -87,10 +89,10 @@ def ingest_report(text: str, tool: str | None = None) -> list[Finding]:
         # a label that is not a string, a list say, is as unknown as any
         reported = BUG_TYPES.get(type_name) if type(type_name) is str \
             else None
-        message = raw.get("message", "")
-        if type(message) is not str:
+        if type(raw.get("message", "")) is not str:
             raise FormatError("message must be a string", finding=idx)
-        findings.append(Finding(name, file, line, reported, message))
+        findings.append(Finding(name, files.setdefault(file, file), line,
+                                reported))
     return findings
 
 

@@ -10,7 +10,8 @@ the report can be checked for exact agreement.
 
 ``dump_report`` writes both documents, and only them, byte for byte as
 ``json.dumps(..., indent=2)`` would: each record from a fixed template over
-the C string encoder, as the bug-log writer does.
+the C string encoder, and the document in one join over its parts, as the
+bug-log writer does.
 """
 
 from __future__ import annotations
@@ -134,22 +135,26 @@ _EXTRA = """    {{
 def dump_report(doc: dict) -> str:
     """``json.dumps(doc, indent=2) + "\\n"`` for a report or truth document
     as ``generate_tool_report`` builds it, with its keys in that order,
-    written from a template per record."""
+    written from a template per record and joined once."""
     if "findings" in doc:
-        lists = {"findings": [_FINDING.format(
+        lists = {"findings": (_FINDING.format(
             _json_str(f["file"]), f["line"], _json_str(f["type"]),
-            _json_str(f["message"])) for f in doc["findings"]]}
+            _json_str(f["message"])) for f in doc["findings"])}
     else:
         lists = {
-            "missed": ["    " + _json_str(bug_id) for bug_id in doc["missed"]],
-            "mistyped": [_MISTYPING.format(
+            "missed": ("    " + _json_str(bug_id) for bug_id in doc["missed"]),
+            "mistyped": (_MISTYPING.format(
                 _json_str(m["bugId"]), _json_str(m["reportedType"]))
-                for m in doc["mistyped"]],
-            "extras": [_EXTRA.format(
+                for m in doc["mistyped"]),
+            "extras": (_EXTRA.format(
                 _json_str(e["file"]), e["line"], _json_str(e["type"]))
-                for e in doc["extras"]]}
-    fields = [f'  "tool": {_json_str(doc["tool"])}']
-    fields += [f'  "{key}": ' + ("[\n" + ",\n".join(items) + "\n  ]"
-                                 if items else "[]")
-               for key, items in lists.items()]
-    return "{\n" + ",\n".join(fields) + "\n}\n"
+                for e in doc["extras"])}
+    parts = ['{\n  "tool": ', _json_str(doc["tool"])]
+    for key, items in lists.items():
+        parts.append(f',\n  "{key}": [\n')
+        opened = len(parts)
+        for item in items:
+            parts += (item, ",\n")
+        parts[-1] = "\n  ]" if len(parts) > opened else f',\n  "{key}": []'
+    parts.append("\n}\n")
+    return "".join(parts)

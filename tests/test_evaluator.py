@@ -51,7 +51,7 @@ class TestIngest:
         assert got[0].reported_type is BugType.REENTRANCY
         assert got[1].reported_type is None
         assert got[1].type_label == MISCELLANEOUS
-        assert got[1].message == "odd"
+        assert got[1] == Finding("osiris", "a.sol", 9, None)
 
     @pytest.mark.parametrize("label", [["Reentrancy"], 7, None, {"a": 1},
                                        "reentrancy", "Miscellaneous"])
@@ -60,6 +60,14 @@ class TestIngest:
         (got,) = ingest_report(text, tool="t")
         assert got.reported_type is None
         assert got.type_label == MISCELLANEOUS
+
+    def test_findings_hold_each_file_name_once(self):
+        text = json.dumps([{"file": name, "line": line, "type": "TOD"}
+                           for line in (1, 2, 3)
+                           for name in ("a.sol", "b.sol")])
+        got = ingest_report(text, tool="t")
+        assert [f.file for f in got] == ["a.sol", "b.sol"] * 3
+        assert len({id(f.file) for f in got}) == 2
 
     def test_oracle_document_supplies_tool(self):
         text = json.dumps({"tool": "mythril", "findings": [

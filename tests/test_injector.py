@@ -1,7 +1,9 @@
 """Edit application: snippet splicing, token rewrites, guard weakening,
 bug-log accuracy, and byte-for-byte determinism."""
 
+import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -226,6 +228,8 @@ class TestGuardWeakening:
 _LOG_TEXT = st.text(st.characters(exclude_categories=()), max_size=8) \
     | st.sampled_from(["", "é.sol", "a\x00\n\t\"\\b", "\u2028", "\ud800"])
 _LOG_INT = st.integers(min_value=0, max_value=2**40)
+# those, and the characters that csv.writer quotes a field for
+_CSV_TEXT = _LOG_TEXT | st.sampled_from([",", '"', "a\rb", "a\nb", ""])
 
 
 class TestBugLogSerialization:
@@ -250,6 +254,24 @@ class TestBugLogSerialization:
     def test_json_writer_writes_what_json_dumps_does(self, logged):
         assert emit_buglog_json(logged) == \
             json.dumps([e.to_json() for e in logged], indent=2) + "\n"
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.builds(
+        BugLogEntry, bug_id=_CSV_TEXT, bug_type=st.sampled_from(BugType),
+        approach=st.sampled_from(Approach),
+        snippet_id=st.none() | _CSV_TEXT, file=_CSV_TEXT,
+        start_line=_LOG_INT, end_line=_LOG_INT, byte_start=_LOG_INT,
+        byte_end=_LOG_INT), max_size=4))
+    @example([])
+    def test_csv_writer_writes_what_csv_writer_does(self, logged):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([e.bug_id, e.bug_type.value, e.approach.value,
+                          e.snippet_id or "", e.file, e.start_line,
+                          e.end_line, e.byte_start, e.byte_end]
+                         for e in logged)
+        assert emit_buglog_csv(logged) == buf.getvalue()
 
     def test_csv_header_and_row_count(self, entries):
         rows = emit_buglog_csv(entries).strip().split("\n")
@@ -317,6 +339,20 @@ class TestBugLogSerialization:
         with pytest.raises(MalformedDocument) as err:
             load_buglog(json.dumps(doc))
         assert str(err.value).startswith(f"malformed bug log: {message}")
+
+    def test_a_loaded_log_holds_each_file_and_snippet_id_once(self):
+        doc = [{"bugId": f"b{i}", "bugType": "TOD",
+                "approach": "FullSnippet", "snippetId": snippet_id,
+                "file": file, "startLine": 1, "endLine": 1,
+                "byteSpan": {"start": 0, "end": 1}}
+               for i, (file, snippet_id) in enumerate(
+                   [("a.sol", "s1"), ("a.sol", "s2"), ("a.sol", None)] * 3
+                   + [("b.sol", "s1")])]
+        loaded = load_buglog(json.dumps(doc))
+        assert [(e.file, e.snippet_id) for e in loaded] == \
+            [(raw["file"], raw["snippetId"]) for raw in doc]
+        assert len({id(e.file) for e in loaded}) == 2
+        assert len({id(e.snippet_id) for e in loaded}) == 3  # None once
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.builds(
