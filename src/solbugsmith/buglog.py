@@ -4,14 +4,9 @@ and CSV documents, and the loader that reads a JSON log back.
 The JSON writer lays each entry out from a template over the C string
 encoder, byte for byte as ``json.dumps(..., indent=2)`` would, and the
 writers and loader look bug types and approaches up in tables built once.
-Each writer builds its document in one join over its parts.
-
-The CSV writer lays each row out from a template too, as
-``csv.writer(..., lineterminator="\\n")`` writes it. A row whose id,
-snippet id or file name holds a ``,``, a ``"``, a ``\\r`` or a ``\\n`` is
-written by ``csv.writer`` itself, which quotes that field: Python 3.13
-quotes a bare ``\\r`` and 3.10 to 3.12 do not, so the template never makes
-that choice.
+The CSV writer is ``csv.writer`` itself, so a field is quoted as the
+running Python's ``csv`` module quotes it: 3.13 quotes a field holding a
+bare ``\r`` and 3.10 to 3.12 do not.
 
 The loader keeps one string per distinct file name and snippet id of a log,
 shared by its entries.
@@ -22,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from bisect import bisect_left, bisect_right
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
@@ -91,45 +85,24 @@ _ENTRY_JSON = """  {{
 def emit_buglog_json(entries) -> str:
     """``json.dumps([e.to_json() for e in entries], indent=2) + "\\n"``,
     written from a template per entry."""
-    parts = ["[\n"]
-    for e in entries:
-        parts += (_ENTRY_JSON.format(
-            _json_str(e.bug_id), _JSON_VALUES[e.bug_type],
-            _JSON_VALUES[e.approach],
-            "null" if e.snippet_id is None else _json_str(e.snippet_id),
-            _json_str(e.file), e.start_line, e.end_line, e.byte_start,
-            e.byte_end), ",\n")
-    if len(parts) == 1:
-        return "[]\n"
-    parts[-1] = "\n]\n"
-    return "".join(parts)
-
-
-# one row of a CSV bug log, for rows whose text fields hold none of the
-# characters that csv.writer quotes a field for on some Python
-_ROW_CSV = ",".join(["{}"] * len(CSV_COLUMNS)) + "\n"
-_QUOTED = re.compile('[,"\r\n]').search
-
-
-def _csv_row(*fields) -> str:
-    """``fields`` as the one row that ``csv.writer`` writes of them."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(fields)
-    return buf.getvalue()
+    items = [_ENTRY_JSON.format(
+        _json_str(e.bug_id), _JSON_VALUES[e.bug_type],
+        _JSON_VALUES[e.approach],
+        "null" if e.snippet_id is None else _json_str(e.snippet_id),
+        _json_str(e.file), e.start_line, e.end_line, e.byte_start,
+        e.byte_end) for e in entries]
+    return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"
 
 
 def emit_buglog_csv(entries) -> str:
-    """The entries as ``csv.writer(..., lineterminator="\\n")`` writes them
-    under a ``CSV_COLUMNS`` header, written from a template per row."""
-    parts = [_csv_row(*CSV_COLUMNS)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
     for e in entries:
-        snippet_id = e.snippet_id or ""
-        row = _csv_row if (_QUOTED(e.bug_id) or _QUOTED(snippet_id)
-                           or _QUOTED(e.file)) else _ROW_CSV.format
-        parts.append(row(e.bug_id, _VALUES[e.bug_type], _VALUES[e.approach],
-                         snippet_id, e.file, e.start_line, e.end_line,
-                         e.byte_start, e.byte_end))
-    return "".join(parts)
+        writer.writerow([e.bug_id, _VALUES[e.bug_type], _VALUES[e.approach],
+                         e.snippet_id or "", e.file, e.start_line, e.end_line,
+                         e.byte_start, e.byte_end])
+    return buf.getvalue()
 
 
 def load_buglog(text: str) -> list[BugLogEntry]:

@@ -309,12 +309,18 @@ def _cmd_inject(args: argparse.Namespace) -> int:
                 failures.append((out_name, str(exc)))
                 continue
             stem = out_name[:-len(".sol")]
-            # a pair counts as written once its last file is
-            if (_write(out_dir, out_name, result.text, failures)
-                    and _write(out_dir, f"{stem}.buglog.json",
-                               emit_buglog_json(result.entries), failures)
-                    and _write(out_dir, f"{stem}.buglog.csv",
-                               emit_buglog_csv(result.entries), failures)):
+            outputs = {out_name: result.text,
+                       f"{stem}.buglog.json": emit_buglog_json(result.entries),
+                       f"{stem}.buglog.csv": emit_buglog_csv(result.entries)}
+            done: list[str] = []
+            for name, text in outputs.items():
+                if not _write(out_dir, name, text, failures):
+                    # leave no buggy file without both of its logs
+                    for gone in done:
+                        (out_dir / gone).unlink()
+                    break
+                done.append(name)
+            else:
                 written += 1
                 total_bugs += len(result.entries)
     print(f"wrote {written} buggy file(s), {total_bugs} bug(s) total")
@@ -347,12 +353,17 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
               if name in line_counts}
 
     open_lines = uninjected_lines(usable, line_counts)
+    written = 0
     for tool in sorted(capabilities):
         report, truth = generate_tool_report(tool, capabilities[tool], usable,
                                              open_lines, spec)
-        _write(out_dir, f"{tool}.report.json", dump_report(report), failures)
-        _write(out_dir, f"{tool}.truth.json", dump_report(truth), failures)
-    print(f"wrote reports for {len(capabilities)} tool(s) "
+        # a tool counts as written once its truth file is
+        if (_write(out_dir, f"{tool}.report.json", dump_report(report),
+                   failures)
+                and _write(out_dir, f"{tool}.truth.json", dump_report(truth),
+                           failures)):
+            written += 1
+    print(f"wrote reports for {written} tool(s) "
           f"over {len(usable)} file(s)")
     return _summarize(failures)
 
@@ -421,9 +432,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         print("partial results: some reports or tools were skipped",
               file=sys.stderr)
     if out_dir is not None:
-        for name, text in documents.items():
-            _write(out_dir, name, text, failures)
-        print(f"wrote evaluation documents to {out_dir}")
+        if all([_write(out_dir, name, text, failures)
+                for name, text in documents.items()]):
+            print(f"wrote evaluation documents to {out_dir}")
     else:
         print(documents["fn_report.md"])
         print(documents["fp_report.md"], end="")

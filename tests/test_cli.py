@@ -486,18 +486,20 @@ class TestExitCodes:
             f"solbugsmith {command}: error: cannot make directory {out}: "
             f"{strerror}"]
 
-    @pytest.mark.parametrize("command, blocked, others", [
+    @pytest.mark.parametrize("command, blocked, others, said", [
         ("locate", "Counter.Reentrancy.bip.json",
-         ["Counter.TxOrigin.bip.json", "PiggyBank.Reentrancy.bip.json"]),
-        ("inject", "Counter.Reentrancy.sol",
-         ["Counter.TxOrigin.sol", "PiggyBank.Reentrancy.buglog.csv"]),
+         ["Counter.TxOrigin.bip.json", "PiggyBank.Reentrancy.bip.json"], ""),
+        ("inject", "Counter.Reentrancy.buglog.csv",
+         ["Counter.TxOrigin.sol", "PiggyBank.Reentrancy.buglog.csv"],
+         "wrote 3 buggy file(s), "),
         ("oracle", "Slither.report.json",
-         ["Slither.truth.json", "Oyente.report.json"]),
-        ("evaluate", "fn_report.md", ["fp_report.md", "fp_cells.csv"]),
+         ["Oyente.report.json", "Oyente.truth.json"],
+         "wrote reports for 5 tool(s) over 4 file(s)\n"),
+        ("evaluate", "fn_report.md", ["fp_report.md", "fp_cells.csv"], ""),
     ])
     def test_an_output_that_cannot_be_written_fails_that_file(
-            self, command, blocked, others, mini_corpus, injected, reports,
-            tmp_path, capsys):
+            self, command, blocked, others, said, mini_corpus, injected,
+            reports, tmp_path, capsys):
         out = tmp_path / "out"
         (out / blocked).mkdir(parents=True)
         types = ["--bug-types", "Reentrancy,TxOrigin"]
@@ -507,12 +509,18 @@ class TestExitCodes:
                   "evaluate": ["--buglogs", injected, "--reports", reports]}
         assert main([command, *map(str, inputs[command]),
                      "--out", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == [
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
             "1 failure(s):",
             f"  {blocked}: cannot write: {os.strerror(errno.EISDIR)}"]
+        # stdout counts only what was written
+        assert captured.out.startswith(said) and (said or not captured.out)
         assert all((out / name).is_file() for name in others)
-        if command == "inject":  # a pair stops at its first unwritten file
+        if command == "inject":  # no buggy file stays without both its logs
+            assert not (out / "Counter.Reentrancy.sol").exists()
             assert not (out / "Counter.Reentrancy.buglog.json").exists()
+        if command == "oracle":  # a tool stops at its first unwritten file
+            assert not (out / "Slither.truth.json").exists()
 
     def test_buglog_free_directory_exits_one(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
@@ -1059,15 +1067,14 @@ def test_scoring_loads_neither_the_front_end_nor_the_injector():
         for name in ("buglog", "errors", "evaluator", "model", "oracle")]
 
 
-def _python(minor: int) -> str | None:
-    """A Python 3.``minor`` interpreter that runs: ``python3.minor`` on PATH,
-    else one that pyenv installed under ``$PYENV_ROOT/versions``."""
-    candidates = [shutil.which(f"python3.{minor}")]
+def _python_3_10() -> str | None:
+    """A Python 3.10 interpreter that runs: ``python3.10`` on PATH, else
+    one that pyenv installed under ``$PYENV_ROOT/versions``."""
+    candidates = [shutil.which("python3.10")]
     if os.environ.get("PYENV_ROOT"):
         versions = Path(os.environ["PYENV_ROOT"]) / "versions"
-        candidates += sorted(map(str,
-                                 versions.glob(f"3.{minor}.*/bin/python")))
-    check = f"import sys\nassert sys.version_info[:2] == (3, {minor})"
+        candidates += sorted(map(str, versions.glob("3.10*/bin/python")))
+    check = "import sys\nassert sys.version_info[:2] == (3, 10)"
     for python in filter(None, candidates):
         probe = subprocess.run([python, "-c", check], capture_output=True)
         if probe.returncode == 0:
@@ -1080,7 +1087,7 @@ def test_python_3_10_imports_the_package_and_writes_the_same_files(
     """pyproject.toml allows Python 3.10: the package imports there, the
     bundled pool loads, and a campaign over the fixtures writes the bytes
     it writes here."""
-    python = _python(10)
+    python = _python_3_10()
     if python is None:
         pytest.skip("no Python 3.10: put python3.10 on PATH or install "
                     "one with pyenv")
@@ -1095,41 +1102,3 @@ def test_python_3_10_imports_the_package_and_writes_the_same_files(
         shutil.copy(FIXTURES / name, corpus / name)
     assert _campaign(python, corpus, tmp_path / "3.10") == \
         _campaign(sys.executable, corpus, tmp_path / "here")
-
-
-# compares emit_buglog_csv with the running interpreter's own csv.writer on
-# rows whose text fields hold each character csv may quote a field for
-_CSV_CHECK = """
-import csv, io, sys
-from solbugsmith.buglog import CSV_COLUMNS, BugLogEntry, emit_buglog_csv
-from solbugsmith.model import Approach, BugType
-texts = ["a\\rb", "\\r", "a\\nb", "a\\r\\nb", "a,b", 'a"b', "", "x.sol",
-         "\\xe9"]
-entries = [BugLogEntry(bug_id, BugType.TOD, Approach.FULL_SNIPPET, snippet,
-                       file, 1, 2, 3, 4)
-           for bug_id in texts for snippet in [None, *texts] for file in texts]
-buf = io.StringIO()
-writer = csv.writer(buf, lineterminator="\\n")
-writer.writerow(CSV_COLUMNS)
-writer.writerows([e.bug_id, e.bug_type.value, e.approach.value,
-                  e.snippet_id or "", e.file, e.start_line, e.end_line,
-                  e.byte_start, e.byte_end] for e in entries)
-got = emit_buglog_csv(entries).split("\\n")
-want = buf.getvalue().split("\\n")
-bad = [(g, w) for g, w in zip(got, want) if g != w]
-assert got == want, (sys.version, len(got), len(want), bad[:3])
-"""
-
-
-def test_the_csv_writer_quotes_as_each_supported_pythons_csv_does():
-    """Python 3.13's csv quotes a bare \\r and 3.10 to 3.12 do not, so
-    ``emit_buglog_csv`` must write what each supported interpreter's own
-    ``csv.writer`` writes, row for row."""
-    pythons = list(filter(None, map(_python, (10, 11, 12, 13))))
-    if not pythons:
-        pytest.skip("no Python 3.10 to 3.13: put python3.N on PATH or "
-                    "install one with pyenv")
-    for python in pythons:
-        proc = subprocess.run([python, "-c", _CSV_CHECK], env=_child_env(),
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, (python, proc.stderr)
