@@ -52,13 +52,19 @@ class BugLogEntry(NamedTuple):
         }
 
 
+def widened(entry: BugLogEntry, slack: int = 0) -> tuple[int, int]:
+    """The first and last line ``entry`` covers: its own lines, widened by
+    ``slack`` on each side."""
+    return entry.start_line - slack, entry.end_line + slack
+
+
 def covered_lines(entries, lines, slack: int = 0):
     """Each of ``entries``, all of one file, with the slice of ``lines``, that
-    file's lines in order, that it covers: its lines widened by ``slack``,
-    found by bisection, never by expanding the range."""
+    file's lines in order, that it covers (``widened``), found by bisection,
+    never by expanding the range."""
     for entry in entries:
-        yield entry, lines[bisect_left(lines, entry.start_line - slack):
-                           bisect_right(lines, entry.end_line + slack)]
+        first, last = widened(entry, slack)
+        yield entry, lines[bisect_left(lines, first):bisect_right(lines, last)]
 
 
 # each bug type and approach's value, and that value as a JSON string

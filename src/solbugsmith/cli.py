@@ -200,7 +200,9 @@ def _sources(files: list[Path], failures: list[tuple[str, str]]):
     for path in files:
         try:
             yield path, path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
+        except OSError as exc:
+            failures.append((path.name, f"cannot read: {exc.strerror}"))
+        except UnicodeDecodeError as exc:
             failures.append((path.name, f"cannot read source: {exc}"))
 
 
@@ -213,7 +215,10 @@ def _read_documents(root: Path, suffix: str, load) -> dict:
         try:
             docs[path.name[:-len(suffix)]] = load(
                 path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, MalformedDocument) as exc:
+        except OSError as exc:
+            raise MalformedDocument(f"{path}: cannot read: {exc.strerror}") \
+                from None
+        except (UnicodeDecodeError, MalformedDocument) as exc:
             raise MalformedDocument(f"{path}: {exc}") from None
     return docs
 
@@ -392,7 +397,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             findings = ingest_report(text, tool=stem)
             if not findings:  # a tool that reports nothing is still scored
                 findings_by_tool.setdefault(report_tool(text, stem), [])
-        except (OSError, UnicodeDecodeError, SolBugSmithError) as exc:
+        except OSError as exc:
+            failures.append((path.name, f"cannot read: {exc.strerror}"))
+            continue
+        except (UnicodeDecodeError, SolBugSmithError) as exc:
             failures.append((path.name, str(exc)))
             continue
         for finding in findings:

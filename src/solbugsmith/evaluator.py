@@ -1,21 +1,21 @@
 """Score analyzer reports against injected ground truth.
 
-A bug covers its lines widened by the line slack (``buglog.covered_lines``).
+A bug covers its lines widened by the line slack (``buglog.widened``).
 False negatives are scored per tool and bug type, as SolidiFI scores them: a
 maximum matching pairs each bug of the type with at most one finding on a
-line it covers, type-correct pairs first, each finding trying its bugs
-tightest range first. No pair crosses files, so the candidates are indexed
-per file. False positives: findings on covered lines are set aside, then a
-finding is excluded from the suspect set when at least a threshold number of
-tools agree on the same (file, line, type) (``filter_by_majority``); the
-rest are suspected false positives, confirmed by inspecting a fixed-size
-sample and extrapolating.
+line it covers, with as many type-correct pairs as a matching can hold; one
+greedy sweep per file finds it (``_match``). False positives: findings on
+covered lines are set aside, then a finding is excluded from the suspect
+set when at least a threshold number of tools agree on the same (file,
+line, type) (``filter_by_majority``); the rest are suspected false
+positives, confirmed by inspecting a fixed-size sample and extrapolating.
 
-``evaluate_campaign`` applies both to every tool of a campaign. It builds
-one coverage index per bug type, walking each bug once: the matching reads
-it, and the lines it holds are the ones the FP step sets aside.
-``score_false_negatives`` matches one tool's findings so, type by type. The
-``render_*`` and ``*_csv`` functions turn its result into documents.
+``evaluate_campaign`` applies both to every tool of a campaign. It widens
+each bug once and sorts each type's ranges once per file, for every tool's
+matching and for the lines the FP step sets aside, and sorts each tool's
+findings once per file, for every type. ``score_false_negatives`` matches
+one tool's findings so, type by type. The ``render_*`` and ``*_csv``
+functions turn its result into documents.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ import io
 import json
 import random
 from collections import Counter
-from collections.abc import Iterator
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import NamedTuple
 
-from .buglog import BugLogEntry, covered_lines
+from .buglog import BugLogEntry, widened
 from .errors import (DomainError, FormatError, MalformedDocument,
                      MissingThreshold, ScopeError, shown)
 from .model import BUG_TYPES, BugType, term
@@ -126,52 +126,86 @@ def score_false_negatives(entries: list[BugLogEntry],
     grouped by type, in the order the types first appear, each group is
     scored on its own, and the scores are joined. The counts add up; the
     ids are listed type by type, each type's in entry order."""
-    by_file = _group(findings, lambda f: f.file)
-    rows = [astuple(FNScore(0, 0, 0, 0))] + [
-        astuple(_fn_score(group, _cover(group, by_file, line_slack), by_file))
+    by_file = _by_line(findings)
+    rows = [vars(FNScore(0, 0, 0, 0)).values()] + [
+        vars(_fn_score(group, _spans(group, line_slack), by_file)).values()
         for group in _group(entries, lambda e: e.bug_type).values()]
     return FNScore(*(sum(rest, first) for first, *rest in zip(*rows)))
 
 
-def _fn_score(entries: list[BugLogEntry], cover: dict,
+def _fn_score(entries: list[BugLogEntry],
+              spans: dict[str, list[tuple[int, int, int]]],
               by_file: dict[str, list[Finding]]) -> FNScore:
-    """The score of ``entries``, all of one bug type, whose ``_cover`` index
-    is ``cover``, against the findings ``by_file``. A maximum matching pairs
-    each entry with at most one finding on a line it covers, file by file:
-    first the findings of the entries' type, then the others, which pair by
-    line only. Augmentation never unmatches a finding, so type-correct
-    pairings are never sacrificed for line-only ones."""
+    """The score of ``entries``, all of one bug type, whose ``_spans`` are
+    ``spans``, against the findings ``by_file``, each file's in line order:
+    per file, a maximum matching of entries to findings on lines they cover
+    that holds the most pairs of a finding of the entries' type."""
     bug_type = entries[0].bug_type
-    typed: list[bool] = []  # per finding with candidates: of bug_type?
-    cands: list[tuple[int, ...]] = []  # finding -> the entries it may take
-    owner: dict[int, int] = {}  # entry -> finding
-    for file, by_line in cover.items():
-        queue = []  # (line-only, line, tool, finding) of the file's findings
-        for finding in by_file.get(file, ()):
-            held = by_line.get(finding.line)
-            if held:
-                mine = finding.reported_type is bug_type
-                queue.append((not mine, finding.line, finding.tool,
-                              len(cands)))
-                typed.append(mine)
-                cands.append(held)
-        for *_, f_idx in sorted(queue):  # no pair crosses files
-            if cands[f_idx][0] not in owner:  # the first step of _augment
-                owner[cands[f_idx][0]] = f_idx
-            else:
-                _augment(f_idx, cands, owner)
+    typed: dict[int, bool] = {}  # matched entry -> its finding of bug_type?
+    for file, ranges in spans.items():
+        findings = by_file.get(file, [])
+        for e_idx, f_idx in _match(ranges, findings, bug_type).items():
+            typed[e_idx] = findings[f_idx].reported_type is bug_type
     detected_ids, mis_ids, unreported_ids = [], [], []
     for i, entry in enumerate(entries):
-        f_idx = owner.get(i)
-        if f_idx is None:
+        mine = typed.get(i)
+        if mine is None:
             unreported_ids.append(entry.bug_id)
-        elif typed[f_idx]:
+        elif mine:
             detected_ids.append(entry.bug_id)
         else:
             mis_ids.append(entry.bug_id)
     return FNScore(len(entries), len(detected_ids), len(mis_ids),
                    len(unreported_ids), tuple(detected_ids), tuple(mis_ids),
                    tuple(unreported_ids))
+
+
+def _match(ranges: list[tuple[int, int, int]], findings: list[Finding],
+           bug_type: BugType) -> dict[int, int]:
+    """Entry -> finding of a maximum matching of ``findings``, in line
+    order, to the sorted ``ranges`` ``(first, last, entry)`` that hold their
+    lines, with as many findings of ``bug_type`` as a matching holds.
+
+    One sweep builds two matchings by Glover's greedy: each finding takes,
+    of the ranges open at its line, the one that ends first. ``typed``
+    matches the findings of ``bug_type`` only, so it holds the most of
+    them; ``every`` matches all findings, so it holds the most pairs, and
+    it matches each entry ``typed`` does (a sweep over more findings leaves
+    no range unmatched that one over fewer matches). From each entry only
+    ``every`` matches, the path alternating ``every`` and ``typed`` edges,
+    which ends at a finding ``typed`` leaves free, is switched to its
+    ``every`` edges. The result keeps each finding ``typed`` matches and
+    each entry ``every`` matches (Mendelsohn-Dulmage)."""
+    typed, every = {}, {}  # entry -> finding
+    open_typed, open_every = [], []  # (last, entry) of the ranges begun
+    k, n = 0, len(ranges)
+    for f_idx, finding in enumerate(findings):
+        line = finding.line
+        while k < n and ranges[k][0] <= line:
+            key = ranges[k][1:]
+            heappush(open_typed, key)
+            heappush(open_every, key)
+            k += 1
+        while open_every and open_every[0][0] < line:
+            heappop(open_every)
+        if open_every:
+            every[heappop(open_every)[1]] = f_idx
+        if finding.reported_type is bug_type:
+            while open_typed and open_typed[0][0] < line:
+                heappop(open_typed)
+            if open_typed:
+                typed[heappop(open_typed)[1]] = f_idx
+    merged = dict(typed)
+    holder = None  # finding -> its entry in typed, once a path needs it
+    for e_idx in every:
+        if e_idx in typed:
+            continue
+        if holder is None:
+            holder = {f: e for e, f in typed.items()}
+        while e_idx is not None:
+            merged[e_idx] = f_idx = every[e_idx]
+            e_idx = holder.get(f_idx)
+    return merged
 
 
 @dataclass(frozen=True)
@@ -318,12 +352,12 @@ def evaluate_campaign(entries: list[BugLogEntry],
                       confirmed: dict[str, dict[str, int]],
                       line_slack: int = 0, sample_size: int = 20,
                       seed: int = 0) -> Evaluation:
-    """FN scores per tool and type, from one index per run, and one FP cell
-    per capable type; a finding pairs with at most one bug of each type. The
-    confirmed count of a cell is its sampled findings listed in the tool's
-    ``truth_extras``, else its ``confirmed`` count, else the whole sample;
-    one above the sample is a ``DomainError`` naming the tool and type, and
-    so are ``confirmed`` counts for a tool that is not evaluated."""
+    """FN scores per tool and type, and one FP cell per capable type; a
+    finding pairs with at most one bug of each type. The confirmed count of
+    a cell is its sampled findings listed in the tool's ``truth_extras``,
+    else its ``confirmed`` count, else the whole sample; one above the
+    sample is a ``DomainError`` naming the tool and type, and so are
+    ``confirmed`` counts for a tool that is not evaluated."""
     tools = sorted(t for t in findings_by_tool if t in capabilities)
     unknown = sorted(set(confirmed) - set(tools))
     if unknown:
@@ -332,22 +366,24 @@ def evaluate_campaign(entries: list[BugLogEntry],
             f"{', '.join(map(shown, unknown))} (evaluated: {', '.join(tools)})")
     if not all(capabilities[tool] for tool in tools):
         raise ScopeError("capability set is empty")
-    pooled = [f for tool in tools for f in findings_by_tool[tool]]
-    pooled_by_file = _group(pooled, lambda f: f.file)
-    by_file = {tool: _group(findings_by_tool[tool], lambda f: f.file)
-               for tool in tools}
+    by_file = {tool: _by_line(findings_by_tool[tool]) for tool in tools}
+    reported: dict[str, set[int]] = {}  # per file, the lines reported
+    for groups in by_file.values():
+        for file, group in groups.items():
+            reported.setdefault(file, set()).update([f.line for f in group])
     injected: dict[str, set[int]] = {}  # per file, the reported lines covered
     scores: dict[str, dict[BugType, FNScore]] = {tool: {} for tool in tools}
     for bug_type, group in _group(entries, lambda e: e.bug_type).items():
-        cover = _cover(group, pooled_by_file, line_slack)
-        for file, by_line in cover.items():
-            injected.setdefault(file, set()).update(by_line)
+        spans = _spans(group, line_slack)
+        for file, ranges in spans.items():
+            injected.setdefault(file, set()).update(
+                _held(ranges, sorted(reported.get(file, ()))))
         for tool in tools:
             if bug_type in capabilities[tool]:
-                scores[tool][bug_type] = _fn_score(group, cover, by_file[tool])
-        del cover  # before the next type's index is built
+                scores[tool][bug_type] = _fn_score(group, spans, by_file[tool])
 
     # findings on injected lines are set aside: no FP of the original code
+    pooled = [f for tool in tools for f in findings_by_tool[tool]]
     candidates = [f for f in pooled if f.line not in injected.get(f.file, ())]
     thresholds = derive_thresholds(capabilities)
     majority = filter_by_majority(candidates, thresholds)
@@ -378,62 +414,36 @@ def evaluate_campaign(entries: list[BugLogEntry],
     return Evaluation(scores, cells, misc, thresholds, missing)
 
 
-def _augment(root: int, cands: list[tuple[int, ...]],
-             owner: dict[int, int]) -> None:
-    """Kuhn's depth-first search for an augmenting path from finding
-    ``root``, with a stack in place of recursion, applied to ``owner``;
-    finding ``f`` may take the entries ``cands[f]``. A frame scans its list
-    in order, skipping the entries seen, and each entry it passes joins
-    ``seen``, so frames over one list object can share one iterator: it
-    skips only what a scan from the start would. Every list stays alive in
-    ``cands``, so its ``id`` names it for the whole search."""
-    seen: set[int] = set()
-    scans: dict[int, Iterator[int]] = {}  # one per list object, by id
-    path: list[tuple[int, int]] = []  # (finding, entry) along the search
-    f_idx = root
-    while True:
-        key = id(cands[f_idx])
-        scan = scans.get(key)
-        if scan is None:
-            scan = scans[key] = iter(cands[f_idx])
-        for e_idx in scan:
-            if e_idx not in seen:
-                break
-        else:  # the list is spent: back to the parent's scan
-            if not path:
-                return
-            f_idx = path.pop()[0]
-            continue
-        seen.add(e_idx)
-        path.append((f_idx, e_idx))
-        if e_idx not in owner:
-            for f, e in path:
-                owner[e] = f
-            return
-        f_idx = owner[e_idx]
+def _spans(entries: list[BugLogEntry], slack: int) -> dict:
+    """Per file, the lines each of ``entries`` covers, widened by ``slack``,
+    as ``(first, last, index in entries)``, sorted."""
+    spans: dict[str, list[tuple[int, int, int]]] = {}
+    for i, entry in enumerate(entries):
+        spans.setdefault(entry.file, []).append((*widened(entry, slack), i))
+    for ranges in spans.values():
+        ranges.sort()
+    return spans
 
 
-def _cover(entries: list[BugLogEntry], by_file: dict[str, list[Finding]],
-           slack: int) -> dict[str, dict[int, tuple[int, ...]]]:
-    """Per file, each line of a finding ``by_file`` that ``entries``, all of
-    one bug type, cover, mapped to the indexes in ``entries`` of those that
-    cover it, in the order a finding tries them, tightest range first;
-    equal tuples of a file are one object."""
-    index: dict[str, dict[int, tuple[int, ...]]] = {}
-    for file, group in _group(range(len(entries)),
-                              lambda i: entries[i].file).items():
-        group.sort(key=lambda i: (entries[i].end_line - entries[i].start_line,
-                                  entries[i].start_line, entries[i].bug_id))
-        lines = sorted({f.line for f in by_file.get(file, ())})
-        by_line: dict[int, list[int]] = {}
-        for i, (_, held) in zip(group, covered_lines(
-                [entries[i] for i in group], lines, slack)):
-            for line in held:
-                by_line.setdefault(line, []).append(i)
-        equal: dict[tuple[int, ...], tuple[int, ...]] = {}
-        index[file] = {line: equal.setdefault(held, held) for line, held
-                       in zip(by_line, map(tuple, by_line.values()))}
-    return index
+def _held(ranges: list[tuple[int, int, int]], lines: list[int]) -> set[int]:
+    """Those of the sorted ``lines`` that one of the sorted ``ranges``
+    ``(first, last, _)`` holds."""
+    held, reach, k = set(), float("-inf"), 0
+    for line in lines:
+        while k < len(ranges) and ranges[k][0] <= line:
+            reach = max(reach, ranges[k][1])
+            k += 1
+        if line <= reach:
+            held.add(line)
+    return held
+
+
+def _by_line(findings: list[Finding]) -> dict[str, list[Finding]]:
+    """``findings`` in lists by file, each in line order."""
+    by_file = _group(findings, lambda f: f.file)
+    for group in by_file.values():
+        group.sort(key=lambda f: f.line)
+    return by_file
 
 
 def _group(items, key) -> dict:

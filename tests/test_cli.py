@@ -522,6 +522,33 @@ class TestExitCodes:
         if command == "oracle":  # a tool stops at its first unwritten file
             assert not (out / "Slither.truth.json").exists()
 
+    @pytest.mark.parametrize("reader", ["source", "buglog", "report",
+                                        "truth"])
+    def test_an_input_that_cannot_be_read_says_why(
+            self, reader, mini_corpus, injected, reports, tmp_path, capsys):
+        corpus, buggy, found = (tmp_path / d for d in ("c", "b", "r"))
+        for source, copy in ((mini_corpus, corpus), (injected, buggy),
+                             (reports, found)):
+            shutil.copytree(source, copy)
+        blocked = {"source": corpus / "Broken.sol",
+                   "buglog": buggy / "Broken.buglog.json",
+                   "report": found / "Slither.report.json",
+                   "truth": found / "Slither.truth.json"}[reader]
+        if blocked.exists():
+            blocked.unlink()
+        blocked.mkdir()
+        if reader == "source":
+            argv = ["inject", "--corpus", corpus, "--bug-types", "Reentrancy"]
+        else:
+            argv = ["evaluate", "--buglogs", buggy, "--reports", found]
+        assert main([*map(str, argv), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        why = f"cannot read: {os.strerror(errno.EISDIR)}"
+        if reader in ("source", "report"):  # a per-file failure
+            assert err[-2:] == ["1 failure(s):", f"  {blocked.name}: {why}"]
+        else:  # the campaign cannot be scored without it
+            assert err == [f"solbugsmith {argv[0]}: error: {blocked}: {why}"]
+
     def test_buglog_free_directory_exits_one(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
         assert main(["oracle", "--buglogs", str(tmp_path / "empty"),

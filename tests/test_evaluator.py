@@ -1,10 +1,11 @@
 """Report ingestion, false-negative matching, majority filtering, sampling,
 extrapolation, and table rendering."""
 
+import itertools
 import json
 import sys
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given, settings
@@ -281,10 +282,44 @@ class TestFalseNegatives:
         by_type = {}  # the entries of each type, types in first-seen order
         for e in entries:
             by_type.setdefault(e.bug_type, []).append(e)
-        assert score_false_negatives(entries, findings, slack) == \
-            _concatenated([FNScore(0, 0, 0, 0)] + [
-                _pairwise_score(group, findings, slack)
-                for group in by_type.values()])
+        score = score_false_negatives(entries, findings, slack)
+        assert _counts(score) == _counts(_concatenated(
+            [FNScore(0, 0, 0, 0)] + [_pairwise_score(group, findings, slack)
+                                     for group in by_type.values()]))
+        # ids never steer the matching; with distinct ids, they name one
+        unique = _unique_ids(entries)
+        distinct = score_false_negatives(unique, findings, slack)
+        assert _relabelled(distinct, entries) == score
+        _assert_realisable(distinct, unique, findings, slack)
+
+    @pytest.mark.parametrize("slack", [0, 1])
+    def test_counts_are_the_brute_force_maxima_of_every_small_graph(
+            self, slack):
+        # one file and one bug type: every multiset of up to three ranges
+        # on four lines against every multiset of up to four findings
+        # there, each of the type or not. The most pairs of a finding of
+        # the type, and the most pairs, are found by trying every matching.
+        lines = range(1, 5)
+        ranges = [(a, b) for a in lines for b in lines if a <= b]
+        points = [(line, bug_type) for line in lines
+                  for bug_type in (BugType.TOD, BugType.REENTRANCY)]
+        for n in range(4):
+            for spans in itertools.combinations_with_replacement(ranges, n):
+                entries = [entry(f"b{i}", BugType.TOD, a, b)
+                           for i, (a, b) in enumerate(spans)]
+                for m in range(5):
+                    for marks in itertools.combinations_with_replacement(
+                            points, m):
+                        findings = [finding(line, bug_type)
+                                    for line, bug_type in marks]
+                        score = score_false_negatives(entries, findings,
+                                                      slack)
+                        typed = [f for f in findings
+                                 if f.reported_type is BugType.TOD]
+                        assert (score.detected,
+                                score.detected + score.misidentified) == (
+                            _most_pairs(entries, typed, slack),
+                            _most_pairs(entries, findings, slack))
 
     def test_huge_range_and_slack_are_not_expanded(self):
         entries = [entry("b0", BugType.TOD, 1, 10**12),
@@ -320,14 +355,75 @@ def _concatenated(scores: list[FNScore]) -> FNScore:
                      in zip(*map(astuple, scores))))
 
 
+def _counts(score: FNScore) -> tuple[int, int, int, int]:
+    return score.injected, score.detected, score.misidentified, \
+        score.unreported
+
+
+def _unique_ids(entries):
+    """``entries`` with the distinct ids ``u0``, ``u1``, ... in order."""
+    return [e._replace(bug_id=f"u{i}") for i, e in enumerate(entries)]
+
+
+def _relabelled(score: FNScore, entries) -> FNScore:
+    """``score``, of ``_unique_ids(entries)``, with the ids of ``entries``."""
+    def back(ids):
+        return tuple(entries[int(bug_id[1:])].bug_id for bug_id in ids)
+    return FNScore(*_counts(score), back(score.detected_bug_ids),
+                   back(score.misidentified_bug_ids),
+                   back(score.unreported_bug_ids))
+
+
+def _in_range(entry, finding, line_slack):
+    return finding.file == entry.file and \
+        entry.start_line - line_slack <= finding.line \
+        <= entry.end_line + line_slack
+
+
+def _assert_realisable(score, entries, findings, line_slack):
+    """A Kuhn search finds, for ``score`` of ``entries`` (distinct ids)
+    against ``findings``, one matching per bug type that pairs each
+    detected entry with a finding of its type and each misidentified entry
+    with a finding of another type, each on a line the entry covers and no
+    finding twice."""
+    detected = set(score.detected_bug_ids)
+    edges = {e.bug_id: [(e.bug_type, j) for j, f in enumerate(findings)
+                        if _in_range(e, f, line_slack)
+                        and (f.reported_type is e.bug_type)
+                        == (e.bug_id in detected)]
+             for e in entries if e.bug_id in detected
+             or e.bug_id in score.misidentified_bug_ids}
+    owner: dict[tuple, str] = {}  # (bug type, finding) -> entry id
+
+    def augment(bug_id, seen):
+        for node in edges[bug_id]:
+            if node not in seen:
+                seen.add(node)
+                if node not in owner or augment(owner[node], seen):
+                    owner[node] = bug_id
+                    return True
+        return False
+
+    assert all(augment(bug_id, set()) for bug_id in edges)
+
+
+def _most_pairs(entries, findings, line_slack):
+    """The size of a maximum matching of ``entries`` to ``findings`` on
+    lines they cover, found by trying every matching: the sets of entries,
+    as bit masks, that the findings seen so far can take, grown one finding
+    at a time."""
+    taken = {0}
+    for f in findings:
+        bits = [1 << i for i, e in enumerate(entries)
+                if _in_range(e, f, line_slack)]
+        taken |= {held | bit for held in taken for bit in bits
+                  if not held & bit}
+    return max(held.bit_count() for held in taken)
+
+
 def _pairwise_score(entries, findings, line_slack=0):
     """The FN matcher as it was before the line index: each finding scanned
     against every entry of its file, twice."""
-    def in_range(entry: BugLogEntry, finding: Finding) -> bool:
-        return finding.file == entry.file and \
-            entry.start_line - line_slack <= finding.line \
-            <= entry.end_line + line_slack
-
     entry_order = sorted(
         range(len(entries)),
         key=lambda i: (entries[i].end_line - entries[i].start_line,
@@ -342,13 +438,13 @@ def _pairwise_score(entries, findings, line_slack=0):
         local = per_file.get(finding.file, ())
         same = [i for i in local
                 if entries[i].bug_type is finding.reported_type
-                and in_range(entries[i], finding)]
+                and _in_range(entries[i], finding, line_slack)]
         if same:
             edges.append(same)
             typed.append(True)
         else:
             edges.append([i for i in local
-                          if in_range(entries[i], finding)])
+                          if _in_range(entries[i], finding, line_slack)])
             typed.append(False)
 
     owner: dict[int, int] = {}
@@ -632,11 +728,12 @@ class TestEstimation:
             assert got == filtered
 
 
-def test_each_bug_is_walked_once_whatever_the_tool_count(
+def test_each_bug_is_widened_once_and_each_sweep_is_linear(
         corpus_sources, pool, capabilities, monkeypatch):
-    """Over the bundled campaign, ``evaluate_campaign`` walks each entry
-    once, for the index that both FN matching and the FP set-aside read,
-    however many tools it scores."""
+    """Over the bundled campaign, ``evaluate_campaign`` widens each entry
+    once, for every tool's matching and the FP set-aside, however many
+    tools it scores; and the sweeps of one tool and bug type push at most
+    two heap items per entry of that type, whatever the line slack."""
     buglogs, line_counts = {}, {}
     for name, text in corpus_sources.items():
         unit = parse(text)
@@ -653,25 +750,44 @@ def test_each_bug_is_walked_once_whatever_the_tool_count(
         tool, capable, buglogs, open_lines, spec)[0]))
         for tool, capable in capabilities.items()}
 
-    walks: Counter = Counter()
-    real = evaluator.covered_lines
+    widenings: Counter = Counter()
+    pushes = [0]
+    work = []  # (heap pushes, entries) of each tool and bug type
+    real_widened, real_push = evaluator.widened, evaluator.heappush
+    real_score = evaluator._fn_score
 
-    def counting(entries, lines, slack=0):
-        for entry, held in real(entries, lines, slack):
-            walks[id(entry)] += 1
-            yield entry, held
+    def widened(entry, slack=0):
+        widenings[id(entry)] += 1
+        return real_widened(entry, slack)
 
-    monkeypatch.setattr(evaluator, "covered_lines", counting)
+    def heappush(heap, item):
+        pushes[0] += 1
+        real_push(heap, item)
+
+    def fn_score(group, spans, by_file):
+        before = pushes[0]
+        score = real_score(group, spans, by_file)
+        work.append((pushes[0] - before, len(group)))
+        return score
+
+    monkeypatch.setattr(evaluator, "widened", widened)
+    monkeypatch.setattr(evaluator, "heappush", heappush)
+    monkeypatch.setattr(evaluator, "_fn_score", fn_score)
     for copies in (1, 3):
         caps = {f"{tool}{k}": capable for tool, capable in capabilities.items()
                 for k in range(copies)}
         findings = {f"{tool}{k}": [f._replace(tool=f"{tool}{k}")
                                    for f in reports[tool]]
                     for tool in capabilities for k in range(copies)}
-        walks.clear()
-        evaluate_campaign(entries, findings, caps, {}, {})
-        assert len(walks) == len(entries)
-        assert set(walks.values()) == {1}
+        for slack in (0, 10**6):
+            widenings.clear()
+            work.clear()
+            evaluate_campaign(entries, findings, caps, {}, {}, slack)
+            assert len(widenings) == len(entries)
+            assert set(widenings.values()) == {1}
+            assert len(work) == sum(map(len, caps.values()))
+            assert all(n <= 2 * size for n, size in work)
+            assert sum(n for n, _ in work) > 0
 
 
 class TestRendering:
@@ -888,9 +1004,27 @@ class TestEvaluateCampaign:
         slack = data.draw(st.integers(0, 5))
         sample_size, seed = data.draw(st.integers(1, 3)), data.draw(
             st.integers(0, 3))
-        assert evaluate_campaign(entries, findings, caps, truth, {}, slack,
-                                 sample_size, seed) == _pairwise_evaluation(
-            entries, findings, caps, truth, slack, sample_size, seed)
+        result = evaluate_campaign(entries, findings, caps, truth, {}, slack,
+                                   sample_size, seed)
+        reference = _pairwise_evaluation(entries, findings, caps, truth,
+                                         slack, sample_size, seed)
+        assert replace(result, scores={}) == replace(reference, scores={})
+        assert {tool: {bug_type: _counts(score) for bug_type, score
+                       in scores.items()}
+                for tool, scores in result.scores.items()} == \
+            {tool: {bug_type: _counts(score) for bug_type, score
+                    in scores.items()}
+             for tool, scores in reference.scores.items()}
+        # ids never steer the matching; with distinct ids, they name one
+        unique = _unique_ids(entries)
+        distinct = evaluate_campaign(unique, findings, caps, truth, {},
+                                     slack, sample_size, seed).scores
+        assert {tool: {bug_type: _relabelled(score, entries)
+                       for bug_type, score in scores.items()}
+                for tool, scores in distinct.items()} == result.scores
+        for tool, scores in distinct.items():
+            for score in scores.values():
+                _assert_realisable(score, unique, findings[tool], slack)
 
     def test_csv_rows_carry_the_table_cells(self):
         result = self.run()
