@@ -1,5 +1,7 @@
-"""The bug log: one entry per injected bug, the lines each covers, its JSON
-and CSV documents, and the loader that reads a JSON log back.
+"""The bug log: one entry per injected bug, the lines each covers
+(``widened``), the one sweep that finds which lines bugs cover (``held``, for
+the oracle and the evaluator alike), its JSON and CSV documents, and the
+loader that reads a JSON log back.
 
 The JSON writer lays each entry out from a template over the C string
 encoder, byte for byte as ``json.dumps(..., indent=2)`` would, and the
@@ -17,7 +19,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from bisect import bisect_left, bisect_right
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
@@ -58,13 +59,18 @@ def widened(entry: BugLogEntry, slack: int = 0) -> tuple[int, int]:
     return entry.start_line - slack, entry.end_line + slack
 
 
-def covered_lines(entries, lines, slack: int = 0):
-    """Each of ``entries``, all of one file, with the slice of ``lines``, that
-    file's lines in order, that it covers (``widened``), found by bisection,
-    never by expanding the range."""
-    for entry in entries:
-        first, last = widened(entry, slack)
-        yield entry, lines[bisect_left(lines, first):bisect_right(lines, last)]
+def held(ranges, lines) -> set[int]:
+    """Those of the sorted ``lines`` that one of the sorted ``ranges``
+    ``(first, last, ...)`` holds, in one sweep that reads each range by its
+    ends, never expanding it."""
+    covered, reach, k, n = set(), float("-inf"), 0, len(ranges)
+    for line in lines:
+        while k < n and ranges[k][0] <= line:
+            reach = max(reach, ranges[k][1])
+            k += 1
+        if line <= reach:
+            covered.add(line)
+    return covered
 
 
 # each bug type and approach's value, and that value as a JSON string

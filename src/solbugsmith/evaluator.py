@@ -5,10 +5,11 @@ False negatives are scored per tool and bug type, as SolidiFI scores them: a
 maximum matching pairs each bug of the type with at most one finding on a
 line it covers, with as many type-correct pairs as a matching can hold; one
 greedy sweep per file finds it (``_match``). False positives: findings on
-covered lines are set aside, then a finding is excluded from the suspect
-set when at least a threshold number of tools agree on the same (file,
-line, type) (``filter_by_majority``); the rest are suspected false
-positives, confirmed by inspecting a fixed-size sample and extrapolating.
+covered lines are set aside (``buglog.held``, as the oracle finds its open
+lines), then a finding is excluded from the suspect set when at least a
+threshold number of tools agree on the same (file, line, type)
+(``filter_by_majority``); the rest are suspected false positives, confirmed
+by inspecting a fixed-size sample and extrapolating.
 
 ``evaluate_campaign`` applies both to every tool of a campaign. It widens
 each bug once and sorts each type's ranges once per file, for every tool's
@@ -29,11 +30,10 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import NamedTuple
 
-from .buglog import BugLogEntry, widened
+from .buglog import BugLogEntry, held, widened
 from .errors import (DomainError, FormatError, MalformedDocument,
                      MissingThreshold, ScopeError, shown)
-from .model import BUG_TYPES, BugType, term
-from .oracle import child_seed
+from .model import BUG_TYPES, BugType, child_seed, term
 
 MISCELLANEOUS = "Miscellaneous"
 
@@ -56,20 +56,7 @@ def ingest_report(text: str, tool: str | None = None) -> list[Finding]:
     tool is the document's, else ``tool``'s. A finding's ``message``, when
     present, must be a string; it is not kept. The findings share one
     string per distinct file name."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise FormatError(f"not valid JSON: {err.msg}",
-                          line=err.lineno) from None
-    except RecursionError as err:  # nested deeper than the decoder goes
-        raise FormatError(str(err)) from None
-    if isinstance(doc, list):
-        raw_findings, default_tool = doc, tool
-    elif isinstance(doc, dict) and isinstance(doc.get("findings"), list):
-        raw_findings, default_tool = doc["findings"], doc.get("tool", tool)
-    else:
-        raise FormatError("report must be a JSON array of findings or an "
-                          "object with a findings array")
+    raw_findings, default_tool = _read_report(text, tool)
     findings = []
     files: dict[str, str] = {}  # each file name, once
     for idx, raw in enumerate(raw_findings, start=1):
@@ -99,11 +86,27 @@ def ingest_report(text: str, tool: str | None = None) -> list[Finding]:
 def report_tool(text: str, tool: str) -> str:
     """The tool that a report document names, else ``tool``; ``evaluate``
     files a report that holds no findings under it."""
-    doc = json.loads(text)
-    name = doc.get("tool", tool) if isinstance(doc, dict) else tool
+    name = _read_report(text, tool)[1]
     if not isinstance(name, str) or not name:
         raise FormatError("report has no tool name")
     return name
+
+
+def _read_report(text: str, tool: str | None) -> tuple[list, object]:
+    """A report document's findings array and tool, else ``tool``."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise FormatError(f"not valid JSON: {err.msg}",
+                          line=err.lineno) from None
+    except RecursionError as err:  # nested deeper than the decoder goes
+        raise FormatError(str(err)) from None
+    if isinstance(doc, list):
+        return doc, tool
+    if isinstance(doc, dict) and isinstance(doc.get("findings"), list):
+        return doc["findings"], doc.get("tool", tool)
+    raise FormatError("report must be a JSON array of findings or an "
+                      "object with a findings array")
 
 
 @dataclass(frozen=True)
@@ -146,18 +149,12 @@ def _fn_score(entries: list[BugLogEntry],
         findings = by_file.get(file, [])
         for e_idx, f_idx in _match(ranges, findings, bug_type).items():
             typed[e_idx] = findings[f_idx].reported_type is bug_type
-    detected_ids, mis_ids, unreported_ids = [], [], []
+    ids: dict = {True: [], False: [], None: []}  # typed.get(entry) -> ids
     for i, entry in enumerate(entries):
-        mine = typed.get(i)
-        if mine is None:
-            unreported_ids.append(entry.bug_id)
-        elif mine:
-            detected_ids.append(entry.bug_id)
-        else:
-            mis_ids.append(entry.bug_id)
-    return FNScore(len(entries), len(detected_ids), len(mis_ids),
-                   len(unreported_ids), tuple(detected_ids), tuple(mis_ids),
-                   tuple(unreported_ids))
+        ids[typed.get(i)].append(entry.bug_id)
+    detected, mis, unreported = map(tuple, ids.values())
+    return FNScore(len(entries), len(detected), len(mis), len(unreported),
+                   detected, mis, unreported)
 
 
 def _match(ranges: list[tuple[int, int, int]], findings: list[Finding],
@@ -377,14 +374,14 @@ def evaluate_campaign(entries: list[BugLogEntry],
         spans = _spans(group, line_slack)
         for file, ranges in spans.items():
             injected.setdefault(file, set()).update(
-                _held(ranges, sorted(reported.get(file, ()))))
+                held(ranges, sorted(reported.get(file, ()))))
         for tool in tools:
             if bug_type in capabilities[tool]:
                 scores[tool][bug_type] = _fn_score(group, spans, by_file[tool])
 
     # findings on injected lines are set aside: no FP of the original code
-    pooled = [f for tool in tools for f in findings_by_tool[tool]]
-    candidates = [f for f in pooled if f.line not in injected.get(f.file, ())]
+    candidates = [f for tool in tools for f in findings_by_tool[tool]
+                  if f.line not in injected.get(f.file, ())]
     thresholds = derive_thresholds(capabilities)
     majority = filter_by_majority(candidates, thresholds)
     reported = Counter((f.tool, f.reported_type) for f in candidates)
@@ -423,19 +420,6 @@ def _spans(entries: list[BugLogEntry], slack: int) -> dict:
     for ranges in spans.values():
         ranges.sort()
     return spans
-
-
-def _held(ranges: list[tuple[int, int, int]], lines: list[int]) -> set[int]:
-    """Those of the sorted ``lines`` that one of the sorted ``ranges``
-    ``(first, last, _)`` holds."""
-    held, reach, k = set(), float("-inf"), 0
-    for line in lines:
-        while k < len(ranges) and ranges[k][0] <= line:
-            reach = max(reach, ranges[k][1])
-            k += 1
-        if line <= reach:
-            held.add(line)
-    return held
 
 
 def _by_line(findings: list[Finding]) -> dict[str, list[Finding]]:

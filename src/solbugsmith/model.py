@@ -1,7 +1,9 @@
-"""Shared vocabulary: bug categories, snippet forms, injection approaches."""
+"""Shared vocabulary: bug categories, snippet forms, injection approaches,
+and the per-part seeds of a run (``child_seed``)."""
 
 from __future__ import annotations
 
+from _blake2 import blake2b  # hashlib's blake2b, without loading hashlib
 from enum import Enum
 
 from .errors import shown
@@ -51,3 +53,9 @@ def term(table: dict, value: object, kind: str):
     if type(value) is str and value in table:
         return table[value]
     raise ValueError(f"{shown(value)} is not a valid {kind}")
+
+
+def child_seed(seed: int, *parts: str) -> int:
+    """A stable seed for the part of a run that ``parts`` names."""
+    label = "|".join([str(seed), *parts]).encode("utf-8")
+    return int.from_bytes(blake2b(label, digest_size=8).digest(), "big")

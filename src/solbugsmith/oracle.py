@@ -3,10 +3,10 @@
 Each virtual tool reads the bug logs of a corpus and emits findings the way
 a real analyzer would: it skips bugs outside its capability set, misses a
 seeded fraction, reports another fraction under the wrong type, and adds
-spurious findings on lines where nothing was injected. Everything derives
-from a stable per-(tool, file) seed, so a run is reproducible bit for bit,
-and the planted truth is written alongside the report so an evaluation of
-the report can be checked for exact agreement.
+spurious findings on the lines that no bug covers (``buglog.held``).
+Everything derives from a stable per-(tool, file) seed, so a run is
+reproducible bit for bit, and the planted truth is written alongside the
+report so an evaluation of the report can be checked for exact agreement.
 
 ``dump_report`` writes both documents, and only them, byte for byte as
 ``json.dumps(..., indent=2)`` would: each record from a fixed template over
@@ -16,14 +16,13 @@ bug-log writer does.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .buglog import BugLogEntry, covered_lines
+from .buglog import BugLogEntry, held, widened
 from .errors import DomainError
-from .model import BugType
+from .model import BugType, child_seed
 
 EXTRA_TYPE_LABEL = "assembly-usage"
 
@@ -46,20 +45,13 @@ class OracleSpec:
             raise DomainError("extra findings per file must be >= 0")
 
 
-def child_seed(seed: int, *parts: str) -> int:
-    label = "|".join([str(seed), *parts]).encode("utf-8")
-    return int.from_bytes(hashlib.blake2b(label, digest_size=8).digest(), "big")
-
-
 def uninjected_lines(buglogs: dict[str, list[BugLogEntry]],
                      line_counts: dict[str, int]) -> dict[str, list[int]]:
     """Per file, in order, its lines that no bug-log entry covers."""
     open_lines = {}
     for file, entries in buglogs.items():
-        # a list: bisecting a range would build an int at every probe
-        lines = list(range(1, line_counts[file] + 1))
-        covered = set().union(*(held for _, held in
-                                covered_lines(entries, lines)))
+        lines = range(1, line_counts[file] + 1)
+        covered = held(sorted(map(widened, entries)), lines)
         open_lines[file] = [line for line in lines if line not in covered]
     return open_lines
 

@@ -1,3 +1,4 @@
+import ast
 import json
 from importlib import resources
 from pathlib import Path
@@ -19,6 +20,18 @@ def corpus_dir() -> Path:
 def corpus_sources(corpus_dir) -> dict[str, str]:
     return {p.name: p.read_text(encoding="utf-8")
             for p in sorted(corpus_dir.glob("*.sol"))}
+
+
+@pytest.fixture(scope="session")
+def tracer_targets() -> dict[str, tuple[str, str, tuple[str, ...]]]:
+    """``_TARGETS`` of the benchmark's tracer: per span, the module that
+    defines the function it times, the function's name, and the modules
+    that import it, in each of which the tracer rebinds that name."""
+    tracing = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(encoding="utf-8"))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["_TARGETS"])
 
 
 @pytest.fixture(scope="session")

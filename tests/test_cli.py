@@ -2,7 +2,6 @@
 run-to-run reproducibility of everything written to disk."""
 
 import argparse
-import ast
 import csv
 import errno
 import importlib
@@ -278,10 +277,12 @@ class TestEvaluate:
 
     def test_slack_wider_than_the_file_scores_without_a_traceback(
             self, tmp_path, capsys):
-        # Every finding covers every entry, so the k-th finding's augmenting
-        # path has k links: more than the interpreter's recursion limit. The
-        # findings sit on distinct lines; a search that rescans each line's
-        # candidates along the path is cubic and takes about half a minute.
+        # Every finding lies in every entry's widened range, so all 2000
+        # entries are open at each of the 2000 findings, more than the
+        # interpreter's recursion limit. The findings sit on distinct
+        # lines; a matcher that rescans the open entries at each finding
+        # is quadratic or worse, while the two sweeps pop each entry from
+        # a heap once.
         n = 2000
         buggy, reports, out = (tmp_path / d for d in ("b", "r", "e"))
         buggy.mkdir()
@@ -1023,17 +1024,12 @@ def test_evaluate_matches_once_per_tool_and_bug_type(
     assert Counter(next(iter(types)) for types, _ in calls) == expected
 
 
-def test_traced_bindings_exist_in_every_importing_module():
+def test_traced_bindings_exist_in_every_importing_module(tracer_targets):
     """The benchmark's tracer rebinds each function of ``_TARGETS`` by name
     in its defining module and in every module listed as importing it, so
     each of those names must be bound to the defining module's function."""
-    tracing = Path(__file__).parent.parent / "perfbench" / "tracing.py"
-    tree = ast.parse(tracing.read_text(encoding="utf-8"))
-    targets = next(ast.literal_eval(node.value) for node in tree.body
-                   if isinstance(node, ast.Assign)
-                   and [t.id for t in node.targets] == ["_TARGETS"])
-    assert targets
-    for home, attr, importers in targets.values():
+    assert tracer_targets
+    for home, attr, importers in tracer_targets.values():
         defined = getattr(importlib.import_module(f"solbugsmith.{home}"), attr)
         for owner in importers:
             module = importlib.import_module(f"solbugsmith.{owner}")
@@ -1084,14 +1080,20 @@ def test_outputs_do_not_depend_on_the_hash_seed(mini_corpus, tmp_path):
 
 
 def test_scoring_loads_neither_the_front_end_nor_the_injector():
-    code = ("import sys\nimport solbugsmith.evaluator, solbugsmith.oracle\n"
-            "print(' '.join(sorted(m for m in sys.modules\n"
-            "                      if m.startswith('solbugsmith.'))))")
-    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == [
-        f"solbugsmith.{name}"
-        for name in ("buglog", "errors", "evaluator", "model", "oracle")]
+    """Nor ``hashlib``; and the evaluator alone does not load the oracle."""
+    for imported, loaded in [
+            ("solbugsmith.evaluator, solbugsmith.oracle",
+             ("buglog", "errors", "evaluator", "model", "oracle")),
+            ("solbugsmith.evaluator", ("buglog", "errors", "evaluator",
+                                       "model"))]:
+        code = (f"import sys\nimport {imported}\n"
+                "print(' '.join(sorted(m for m in sys.modules\n"
+                "                      if m.startswith('solbugsmith.')\n"
+                "                      or m == 'hashlib')))")
+        proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == [f"solbugsmith.{name}"
+                                       for name in loaded], imported
 
 
 def _python_3_10() -> str | None:

@@ -115,6 +115,13 @@ class TestIngest:
             ingest_report(json.dumps({"tool": "x"}))  # findings expected
         with pytest.raises(FormatError):
             ingest_report(json.dumps([1, 2]))
+        # report_tool reads the document as ingest_report does
+        too_deep = "[" * 100_000 + "]" * 100_000
+        for text in ("not json at all", too_deep):
+            with pytest.raises(FormatError):
+                ingest_report(text, tool="x")
+            with pytest.raises(FormatError):
+                report_tool(text, "x")
 
 
 class TestFalseNegatives:
@@ -182,10 +189,12 @@ class TestFalseNegatives:
             FNScore(2, 1, 1, 0, ("b0",), ("b1",), ())
 
     def test_a_line_only_finding_moves_a_type_correct_one_up(self):
-        # the TOD finding on 2 first takes the 1-3 bug, tightest first; the
-        # line-only finding on 1 can only take that bug, so it moves the
-        # TOD finding on to the 2-10 bug. A sweep that froze its
-        # type-correct pairs would leave the 1-3 bug unreported.
+        # the sweep over TOD findings pairs the one on 2 with the 1-3 bug,
+        # which ends first; the sweep over all findings pairs the line-only
+        # finding on 1 with that bug, the only one open there, and the TOD
+        # finding with the 2-10 bug. Merging the two keeps both bugs
+        # matched, so the TOD finding moves on to the 2-10 bug; keeping the
+        # TOD sweep's pairs as they are would leave the 2-10 bug unreported.
         entries = [entry("b0", BugType.TOD, 1, 3),
                    entry("b1", BugType.TOD, 2, 10)]
         findings = [finding(2, BugType.TOD), finding(1, BugType.REENTRANCY)]
@@ -331,9 +340,10 @@ class TestFalseNegatives:
         assert score.misidentified_bug_ids == ("b1",)
 
 
-    def test_a_long_augmenting_path_needs_no_deep_stack(self):
-        # every finding covers every entry, so the k-th finding's augmenting
-        # path has k links; the stack is allowed 100 more frames than this
+    def test_many_findings_open_to_every_entry_need_no_deep_stack(self):
+        # every finding lies in every entry's range, so all n entries are
+        # open at each finding; the sweeps are loops, and the stack is
+        # allowed 100 more frames than this
         n = 300
         entries = [entry(f"b{i}", BugType.TOD, 1, 10) for i in range(n)]
         findings = [finding(5, BugType.TOD) for _ in range(n)]

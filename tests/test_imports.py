@@ -1,6 +1,7 @@
-"""Every name a module of the package imports is read by that module, no
-module imports another's private name, and every private name a module
-defines is read somewhere in the package."""
+"""Every name a module of the package imports is read by that module, or
+is one the benchmark's tracer rebinds there; no module imports another's
+private name, and every private name a module defines is read somewhere in
+the package."""
 
 import ast
 from pathlib import Path
@@ -22,8 +23,7 @@ def _unread_imports(path: Path) -> list[str]:
         if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
                 getattr(node, "module", None) == "__future__":
             continue
-        if any("# noqa: F401" in line
-               for line in lines[node.lineno - 1:node.end_lineno]):
+        if _marked_unread(node, lines):
             continue
         for alias in node.names:
             bound[alias.asname or alias.name.split(".")[0]] = node.lineno
@@ -38,12 +38,39 @@ def _unread_imports(path: Path) -> list[str]:
             if name not in read]
 
 
+def _marked_unread(node: ast.stmt, lines: list[str]) -> bool:
+    """Whether the import ``node`` is marked ``# noqa: F401``."""
+    return any("# noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno])
+
+
 def test_no_module_imports_a_name_it_never_reads():
     modules = sorted(SRC.rglob("*.py"))
     assert modules
     unread = {str(path.relative_to(SRC)): names for path in modules
               if (names := _unread_imports(path))}
     assert unread == {}
+
+
+def test_every_import_marked_unread_is_one_the_tracer_rebinds(
+        tracer_targets):
+    """An import marked ``# noqa: F401`` must bind a function of the
+    tracer's ``_TARGETS`` in its home module or one it lists as importing
+    it, so that an import the tracer no longer rebinds fails here."""
+    rebound = {(owner, attr) for home, attr, importers
+               in tracer_targets.values() for owner in (home, *importers)}
+    marked = []
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and _marked_unread(node, lines):
+                marked += [(module, alias.asname or alias.name)
+                           for alias in node.names]
+    assert marked
+    assert [pair for pair in marked if pair not in rebound] == []
 
 
 def _private_imports(path: Path) -> list[str]:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from solbugsmith import locator
 from solbugsmith.buglog import (CSV_COLUMNS, BugLogEntry, emit_buglog_csv,
-                                emit_buglog_json, load_buglog)
+                                emit_buglog_json, held, load_buglog)
 from solbugsmith.cli import main
 from solbugsmith.errors import MalformedDocument, SolBugSmithError
 from solbugsmith.front import TokenKind, parse, tokenize, validate
@@ -367,6 +367,33 @@ class TestBugLogSerialization:
     @example([])
     def test_a_written_log_loads_back(self, logged):
         assert load_buglog(emit_buglog_json(logged)) == logged
+
+
+# a line or range end: small, so that ranges nest, repeat and touch, or
+# anywhere up to 10**12
+_END = st.integers(1, 40) | st.integers(1, 10**12)
+
+
+class TestHeld:
+    @settings(max_examples=300, deadline=None)
+    @given(ends=st.lists(st.tuples(_END, _END), max_size=8),
+           lines=st.sets(_END, max_size=20),
+           span=st.tuples(_END, st.integers(0, 50)))
+    @example(ends=[], lines=set(), span=(1, 0))
+    @example(ends=[(1, 10), (3, 4), (3, 4), (11, 12), (12, 20), (30, 10**12)],
+             lines={2, 4, 5, 10, 11, 12, 21, 29, 30, 10**12, 10**12 + 1},
+             span=(10**12 - 2, 5))
+    def test_held_is_every_line_some_range_holds(self, ends, lines, span):
+        """``ranges`` as a campaign passes them, ``(first, last, index)``
+        sorted; ``lines`` both as a sorted list and as a range. Each line
+        is tested against every range."""
+        ranges = sorted((min(a, b), max(a, b), i)
+                        for i, (a, b) in enumerate(ends))
+        start, count = span
+        for given_lines in (sorted(lines), range(start, start + count)):
+            want = {line for line in given_lines
+                    if any(first <= line <= last for first, last, _ in ranges)}
+            assert held(ranges, given_lines) == want
 
 
 class TestInjectFile:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solbugsmith.buglog import BugLogEntry, covered_lines
+from solbugsmith.buglog import BugLogEntry
 from solbugsmith.errors import DomainError
 from solbugsmith.evaluator import (derive_thresholds, evaluate_campaign,
                                    ingest_report, score_false_negatives)
@@ -174,6 +174,25 @@ class TestExtras:
         _, truth = report_over(logs, spec, lines={"tiny.sol": 10})
         assert sorted(e["line"] for e in truth["extras"]) == list(range(1, 9))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.sampled_from(["a.sol", "b.sol", "c.sol"]),
+                           st.tuples(st.integers(0, 40), st.lists(st.tuples(
+                               st.integers(1, 50),
+                               st.integers(0, 8) | st.integers(0, 10**12)),
+                               max_size=6))))
+    def test_open_lines_are_the_lines_no_entry_covers(self, files):
+        """Entries in any order, overlapping or past the end of the file;
+        each line is tested against every entry."""
+        buglogs = {file: [entry(f"b{i}", BugType.TOD, start, start + extra,
+                                file=file)
+                          for i, (start, extra) in enumerate(spans)]
+                   for file, (_, spans) in files.items()}
+        line_counts = {file: n for file, (n, _) in files.items()}
+        want = {file: [line for line in range(1, n + 1) if not any(
+            e.start_line <= line <= e.end_line for e in buglogs[file])]
+            for file, n in line_counts.items()}
+        assert uninjected_lines(buglogs, line_counts) == want
+
 
 class TestClosure:
     @settings(max_examples=20, deadline=None)
@@ -224,8 +243,9 @@ class TestClosure:
         for slack in range(6):
             result = evaluate_campaign(entries, findings, capabilities, {},
                                        {}, line_slack=slack, seed=seed)
-            near = {file: set().union(*(held for _, held in covered_lines(
-                buglogs[file], sorted(lines), slack)))
+            near = {file: {line for line in lines if any(
+                e.start_line - slack <= line <= e.end_line + slack
+                for e in buglogs[file])}
                 for file, lines in extra_lines.items()}
             kept = {tool: [key for key in keys if key[1] not in near[key[0]]]
                     for tool, keys in extras.items()}
