@@ -5,6 +5,10 @@ Subcommands cover the whole workflow: ``locate`` finds injection sites,
 analyzer reports with planted truth, and ``evaluate`` scores reports
 against bug logs. The driver only reads files, writes files and renders;
 ``injector.inject_file`` injects and ``evaluator.evaluate_campaign`` scores.
+Each stage runs as its own process, so each subcommand imports only the
+modules it runs: ``oracle`` and ``evaluate`` never load the front end, the
+locator, the pool or the injector, and ``inject`` never loads the oracle
+or the evaluator.
 
 Exit codes: 0 all ok, 1 usage or configuration error, 2 at least one
 per-file failure (processing continues and a summary is printed).
@@ -15,28 +19,37 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
+from importlib import import_module, resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .buglog import (BugLogEntry, emit_buglog_csv, emit_buglog_json,
                      load_buglog)
 from .errors import (DomainError, MalformedDocument, PoolError,
                      SolBugSmithError, shown)
-from .evaluator import (Finding, evaluate_campaign, fn_csv, fp_csv,
-                        ingest_report, load_capabilities, load_confirmed,
-                        load_truth_extras, render_fn_table, render_fp_table,
-                        report_tool)
-from .front import parse
-from .injector import inject_file
-from .locator import dump_profile, find_all_potential_locations
 from .model import BugType
-from .oracle import (OracleSpec, dump_report, generate_tool_report,
-                     uninjected_lines)
-from .pool import BugPool, default_pool, load_pool
-# unused here, but perfbench/tracing.py rebinds these names in this module
-from .evaluator import filter_by_majority, score_false_negatives  # noqa: F401
-from .front import validate  # noqa: F401
-from .injector import inject_all  # noqa: F401
+
+if TYPE_CHECKING:
+    from .pool import BugPool
+
+# perfbench/tracing.py reads and rebinds these names in this module, though
+# the subcommands import them where they run; ``__getattr__`` serves each
+# from its module when it is asked for, so that importing this module loads
+# none of them. This goes when the tracer wraps each function once, in its
+# defining module (ROADMAP item 2).
+_TRACED = {"parse": "front", "validate": "front",
+           "find_all_potential_locations": "locator", "inject_all": "injector",
+           "load_pool": "pool", "generate_tool_report": "oracle",
+           "dump_report": "oracle", "ingest_report": "evaluator",
+           "score_false_negatives": "evaluator",
+           "filter_by_majority": "evaluator", "render_fn_table": "evaluator",
+           "render_fp_table": "evaluator"}
+
+
+def __getattr__(name: str):
+    if name not in _TRACED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_TRACED[name]}", __package__), name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,12 +162,14 @@ def _load_config(path: str, load):
 
 
 def _resolve_pool(path: str | None) -> BugPool:
+    from .pool import default_pool, load_pool
     if path is None:
         return default_pool()
     return _load_config(path, load_pool)
 
 
 def _resolve_capabilities(path: str | None) -> dict[str, frozenset[BugType]]:
+    from .evaluator import load_capabilities
     if path is None:
         bundled = resources.files("solbugsmith") / "data" / "capabilities.json"
         return load_capabilities(bundled.read_text(encoding="utf-8"))
@@ -254,6 +269,9 @@ def _summarize(failures: list[tuple[str, str]]) -> int:
 
 
 def _cmd_locate(args: argparse.Namespace) -> int:
+    from .front import parse
+    from .locator import dump_profile, find_all_potential_locations
+
     pool = _resolve_pool(args.pool)
     bug_types = _resolve_bug_types(args.bug_types)
     files = _corpus_files(args.corpus)
@@ -290,6 +308,9 @@ def _cmd_locate(args: argparse.Namespace) -> int:
 
 
 def _cmd_inject(args: argparse.Namespace) -> int:
+    from .front import parse
+    from .injector import inject_file
+
     pool = _resolve_pool(args.pool)
     bug_types = _resolve_bug_types(args.bug_types)
     files = _corpus_files(args.corpus)
@@ -333,6 +354,9 @@ def _cmd_inject(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import (OracleSpec, dump_report, generate_tool_report,
+                         uninjected_lines)
+
     try:
         spec = OracleSpec(miss_rate=args.miss_rate,
                           mistype_rate=args.mistype_rate,
@@ -374,6 +398,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from .evaluator import (Finding, evaluate_campaign, fn_csv, fp_csv,
+                            ingest_report, load_confirmed, load_truth_extras,
+                            render_fn_table, render_fp_table, report_tool)
+
     capabilities = _resolve_capabilities(args.capabilities)
     confirmed = _load_config(args.confirmed, load_confirmed) \
         if args.confirmed else {}

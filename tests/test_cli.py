@@ -8,6 +8,7 @@ import importlib
 import inspect
 import json
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -479,7 +480,7 @@ class TestExitCodes:
                   "oracle": ["--buglogs", injected],
                   "evaluate": ["--buglogs", injected, "--reports", reports]}
         # evaluate checks --out before it scores anything
-        monkeypatch.setattr(cli, "evaluate_campaign", None)
+        monkeypatch.setattr(evaluator, "evaluate_campaign", None)
         assert main([command, *map(str, inputs[command]),
                      "--out", str(out)]) == 1
         strerror = os.strerror(errno.ENOTDIR if under else errno.EEXIST)
@@ -1094,6 +1095,64 @@ def test_scoring_loads_neither_the_front_end_nor_the_injector():
                               capture_output=True, text=True, check=True)
         assert proc.stdout.split() == [f"solbugsmith.{name}"
                                        for name in loaded], imported
+
+
+# run ``main`` on argv in a child interpreter, then print its exit code and
+# each package module loaded, the front end's submodules counted as ``front``
+_RUN_AND_LIST = """\
+import contextlib, io, sys
+from solbugsmith.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(code, *sorted({m.split('.')[1] for m in sys.modules
+                     if m.startswith('solbugsmith.')}))
+"""
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("--help", "buglog cli errors model"),
+    ("locate", "buglog cli errors front locator model pool"),
+    ("inject", "buglog cli errors front injector locator model pool"),
+    ("oracle", "buglog cli errors evaluator model oracle"),
+    ("evaluate", "buglog cli errors evaluator model"),
+], ids=["help", "locate", "inject", "oracle", "evaluate"])
+def test_each_subcommand_loads_only_its_own_modules(
+        command, loaded, mini_corpus, injected, reports, tmp_path):
+    """Each stage is its own process, and none compiles or imports another
+    stage's modules; ``oracle`` loads the evaluator for
+    ``load_capabilities`` alone."""
+    inputs = {"--help": [],
+              "locate": ["--corpus", mini_corpus, "--out", tmp_path],
+              "inject": ["--corpus", mini_corpus, "--out", tmp_path],
+              "oracle": ["--buglogs", injected, "--out", tmp_path],
+              "evaluate": ["--buglogs", injected, "--reports", reports,
+                           "--out", tmp_path]}
+    proc = subprocess.run([sys.executable, "-c", _RUN_AND_LIST, command,
+                           *map(str, inputs[command])],
+                          env=_child_env(), capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.split() == ["0", *loaded.split()]
+
+
+def test_cli_serves_exactly_the_names_the_tracer_rebinds_there(
+        tracer_targets):
+    """A ``_TARGETS`` function the tracer rebinds in ``cli`` that ``cli``
+    does not bind at import is served from its module when asked for, and
+    no other name of the package is. (That importing ``cli`` loads none of
+    those modules is the ``help`` case above.)"""
+    rebound = {attr for _, attr, importers in tracer_targets.values()
+               if "cli" in importers}
+    bound = set(vars(cli))
+    modules = [importlib.import_module(info.name) for info in
+               pkgutil.walk_packages(solbugsmith.__path__, "solbugsmith.")]
+    names = {name for module in modules for name in vars(module)
+             if not name.startswith("_")}
+    served = {name for name in names - bound if hasattr(cli, name)}
+    assert rebound - bound and served == rebound - bound
+    assert not hasattr(cli, "no_such_name")
 
 
 def _python_3_10() -> str | None:
