@@ -3,7 +3,7 @@
 the oracle and the evaluator alike), its JSON and CSV documents, and the
 loader that reads a JSON log back.
 
-The JSON writer lays each entry out from a template over the C string
+The JSON writer lays each entry out by one f-string over the C string
 encoder, byte for byte as ``json.dumps(..., indent=2)`` would, and the
 writers and loader look bug types and approaches up in tables built once.
 The CSV writer is ``csv.writer`` itself, so a field is quoted as the
@@ -78,31 +78,21 @@ _VALUES = {member: member.value for terms in (BugType, Approach)
            for member in terms}
 _JSON_VALUES = {member: _json_str(value) for member, value in _VALUES.items()}
 
-# one entry of a bug log, as json.dumps(..., indent=2) lays it out
-_ENTRY_JSON = """  {{
-    "bugId": {},
-    "bugType": {},
-    "approach": {},
-    "snippetId": {},
-    "file": {},
-    "startLine": {},
-    "endLine": {},
-    "byteSpan": {{
-      "start": {},
-      "end": {}
-    }}
-  }}"""
-
 
 def emit_buglog_json(entries) -> str:
     """``json.dumps([e.to_json() for e in entries], indent=2) + "\\n"``,
-    written from a template per entry."""
-    items = [_ENTRY_JSON.format(
-        _json_str(e.bug_id), _JSON_VALUES[e.bug_type],
-        _JSON_VALUES[e.approach],
-        "null" if e.snippet_id is None else _json_str(e.snippet_id),
-        _json_str(e.file), e.start_line, e.end_line, e.byte_start,
-        e.byte_end) for e in entries]
+    each entry laid out by one f-string."""
+    items = [
+        f'  {{\n    "bugId": {_json_str(e.bug_id)},\n'
+        f'    "bugType": {_JSON_VALUES[e.bug_type]},\n'
+        f'    "approach": {_JSON_VALUES[e.approach]},\n    "snippetId": '
+        f'{"null" if e.snippet_id is None else _json_str(e.snippet_id)},\n'
+        f'    "file": {_json_str(e.file)},\n'
+        f'    "startLine": {e.start_line},\n'
+        f'    "endLine": {e.end_line},\n'
+        f'    "byteSpan": {{\n      "start": {e.byte_start},\n'
+        f'      "end": {e.byte_end}\n    }}\n  }}'
+        for e in entries]
     return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"
 
 

@@ -7,8 +7,8 @@ against bug logs. The driver only reads files, writes files and renders;
 ``injector.inject_file`` injects and ``evaluator.evaluate_campaign`` scores.
 Each stage runs as its own process, so each subcommand imports only the
 modules it runs: ``oracle`` and ``evaluate`` never load the front end, the
-locator, the pool or the injector, and ``inject`` never loads the oracle
-or the evaluator.
+locator, the pool or the injector, ``inject`` never loads the oracle or the
+evaluator, and ``oracle`` never loads the evaluator.
 
 Exit codes: 0 all ok, 1 usage or configuration error, 2 at least one
 per-file failure (processing continues and a summary is printed).
@@ -27,7 +27,7 @@ from .buglog import (BugLogEntry, emit_buglog_csv, emit_buglog_json,
                      load_buglog)
 from .errors import (DomainError, MalformedDocument, PoolError,
                      SolBugSmithError, shown)
-from .model import BugType
+from .model import BugType, load_capabilities
 
 if TYPE_CHECKING:
     from .pool import BugPool
@@ -169,7 +169,6 @@ def _resolve_pool(path: str | None) -> BugPool:
 
 
 def _resolve_capabilities(path: str | None) -> dict[str, frozenset[BugType]]:
-    from .evaluator import load_capabilities
     if path is None:
         bundled = resources.files("solbugsmith") / "data" / "capabilities.json"
         return load_capabilities(bundled.read_text(encoding="utf-8"))

@@ -33,7 +33,12 @@ from typing import NamedTuple
 from .buglog import BugLogEntry, held, widened
 from .errors import (DomainError, FormatError, MalformedDocument,
                      MissingThreshold, ScopeError, shown)
-from .model import BUG_TYPES, BugType, child_seed, term
+from .model import BUG_TYPES, BugType, child_seed, load_capabilities
+
+# ``load_capabilities`` lives in ``model``, so that ``oracle`` need not load
+# this module; perfbench/run.py's set-up sample and tests/conftest.py still
+# import it from here
+__all__ = ["load_capabilities"]
 
 MISCELLANEOUS = "Miscellaneous"
 
@@ -264,28 +269,6 @@ def estimate_false_positives(filtered: int, sampled: int, confirmed: int) -> int
     if sampled == 0:
         return 0
     return (2 * filtered * confirmed + sampled) // (2 * sampled)
-
-
-def load_capabilities(text: str) -> dict[str, frozenset[BugType]]:
-    """``{tool: [bug type name, ...]}``; ValueError for any other shape, an
-    empty list, an unknown bug type name, or a tool name that is empty or
-    holds a ``/`` or an unprintable character (it names ``<tool>.report.json``
-    and a table column)."""
-    try:
-        doc = json.loads(text)
-    except RecursionError as exc:  # nested deeper than the decoder goes
-        raise ValueError(exc) from None
-    if not isinstance(doc, dict) or not all(
-            isinstance(names, list) and names
-            and all(isinstance(n, str) for n in names)
-            for names in doc.values()):
-        raise ValueError("expected a JSON object mapping each tool to a "
-                         "non-empty list of bug type names")
-    for tool in doc:
-        if not tool or "/" in tool or not tool.isprintable():
-            raise ValueError(f"tool name {shown(tool)} cannot name a report file")
-    return {tool: frozenset(term(BUG_TYPES, n, "BugType") for n in names)
-            for tool, names in doc.items()}
 
 
 def load_confirmed(text: str) -> dict[str, dict[str, int]]:

@@ -1,8 +1,11 @@
 """Shared vocabulary: bug categories, snippet forms, injection approaches,
-and the per-part seeds of a run (``child_seed``)."""
+the per-part seeds of a run (``child_seed``), and each tool's capabilities,
+the bug types it can report (``load_capabilities``): the oracle and the
+evaluator both read them, so neither stage loads the other for them."""
 
 from __future__ import annotations
 
+import json
 from _blake2 import blake2b  # hashlib's blake2b, without loading hashlib
 from enum import Enum
 
@@ -59,3 +62,25 @@ def child_seed(seed: int, *parts: str) -> int:
     """A stable seed for the part of a run that ``parts`` names."""
     label = "|".join([str(seed), *parts]).encode("utf-8")
     return int.from_bytes(blake2b(label, digest_size=8).digest(), "big")
+
+
+def load_capabilities(text: str) -> dict[str, frozenset[BugType]]:
+    """``{tool: [bug type name, ...]}``; ValueError for any other shape, an
+    empty list, an unknown bug type name, or a tool name that is empty or
+    holds a ``/`` or an unprintable character (it names ``<tool>.report.json``
+    and a table column)."""
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:  # nested deeper than the decoder goes
+        raise ValueError(exc) from None
+    if not isinstance(doc, dict) or not all(
+            isinstance(names, list) and names
+            and all(isinstance(n, str) for n in names)
+            for names in doc.values()):
+        raise ValueError("expected a JSON object mapping each tool to a "
+                         "non-empty list of bug type names")
+    for tool in doc:
+        if not tool or "/" in tool or not tool.isprintable():
+            raise ValueError(f"tool name {shown(tool)} cannot name a report file")
+    return {tool: frozenset(term(BUG_TYPES, n, "BugType") for n in names)
+            for tool, names in doc.items()}

@@ -9,15 +9,15 @@ reproducible bit for bit, and the planted truth is written alongside the
 report so an evaluation of the report can be checked for exact agreement.
 
 ``dump_report`` writes both documents, and only them, byte for byte as
-``json.dumps(..., indent=2)`` would: each record from a fixed template over
-the C string encoder, and the document in one join over its parts, as the
-bug-log writer does.
+``json.dumps(..., indent=2)`` would: each record laid out by one f-string
+over the C string encoder, as the bug-log writer does, and the document in
+one join over its parts.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .buglog import BugLogEntry, held, widened
@@ -27,22 +27,27 @@ from .model import BugType, child_seed
 EXTRA_TYPE_LABEL = "assembly-usage"
 
 
-@dataclass(frozen=True)
-class OracleSpec:
-    miss_rate: float = 0.0
-    mistype_rate: float = 0.0
-    extra_per_file: int = 0
-    seed: int = 0
+class OracleSpec(namedtuple("OracleSpec", "miss_rate mistype_rate "
+                            "extra_per_file seed")):
+    """How a virtual tool errs: the share of its bugs it misses, the share
+    it reports under a wrong type, the spurious findings it adds per file,
+    and the seed they are drawn from. A spec is immutable and compares by
+    value; the constructor checks it, and ``_replace`` skips the checks."""
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.miss_rate <= 1.0:
-            raise DomainError(f"miss rate out of range: {self.miss_rate}")
-        if not 0.0 <= self.mistype_rate <= 1.0:
-            raise DomainError(f"mistype rate out of range: {self.mistype_rate}")
-        if self.miss_rate + self.mistype_rate > 1.0:
+    __slots__ = ()
+
+    def __new__(cls, miss_rate: float = 0.0, mistype_rate: float = 0.0,
+                extra_per_file: int = 0, seed: int = 0) -> OracleSpec:
+        if not 0.0 <= miss_rate <= 1.0:
+            raise DomainError(f"miss rate out of range: {miss_rate}")
+        if not 0.0 <= mistype_rate <= 1.0:
+            raise DomainError(f"mistype rate out of range: {mistype_rate}")
+        if miss_rate + mistype_rate > 1.0:
             raise DomainError("miss rate plus mistype rate exceeds 1")
-        if self.extra_per_file < 0:
+        if extra_per_file < 0:
             raise DomainError("extra findings per file must be >= 0")
+        return super().__new__(cls, miss_rate, mistype_rate, extra_per_file,
+                               seed)
 
 
 def uninjected_lines(buglogs: dict[str, list[BugLogEntry]],
@@ -105,48 +110,33 @@ def generate_tool_report(tool: str, capable: frozenset[BugType],
     return report, truth
 
 
-# the records of both documents, as json.dumps(..., indent=2) lays each out
-# in its document's list
-_FINDING = """    {{
-      "file": {},
-      "line": {},
-      "type": {},
-      "message": {}
-    }}"""
-_MISTYPING = """    {{
-      "bugId": {},
-      "reportedType": {}
-    }}"""
-_EXTRA = """    {{
-      "file": {},
-      "line": {},
-      "type": {}
-    }}"""
-
-
 def dump_report(doc: dict) -> str:
     """``json.dumps(doc, indent=2) + "\\n"`` for a report or truth document
-    as ``generate_tool_report`` builds it, with its keys in that order,
-    written from a template per record and joined once."""
+    as ``generate_tool_report`` builds it, with its keys in that order:
+    each record laid out by one f-string, each list joined once, and the
+    document in one join over its parts."""
     if "findings" in doc:
-        lists = {"findings": (_FINDING.format(
-            _json_str(f["file"]), f["line"], _json_str(f["type"]),
-            _json_str(f["message"])) for f in doc["findings"])}
+        lists = {"findings": [
+            f'    {{\n      "file": {_json_str(f["file"])},\n'
+            f'      "line": {f["line"]},\n'
+            f'      "type": {_json_str(f["type"])},\n'
+            f'      "message": {_json_str(f["message"])}\n    }}'
+            for f in doc["findings"]]}
     else:
         lists = {
-            "missed": ("    " + _json_str(bug_id) for bug_id in doc["missed"]),
-            "mistyped": (_MISTYPING.format(
-                _json_str(m["bugId"]), _json_str(m["reportedType"]))
-                for m in doc["mistyped"]),
-            "extras": (_EXTRA.format(
-                _json_str(e["file"]), e["line"], _json_str(e["type"]))
-                for e in doc["extras"])}
+            "missed": [f"    {_json_str(bug_id)}" for bug_id in doc["missed"]],
+            "mistyped": [
+                f'    {{\n      "bugId": {_json_str(m["bugId"])},\n'
+                f'      "reportedType": {_json_str(m["reportedType"])}\n    }}'
+                for m in doc["mistyped"]],
+            "extras": [
+                f'    {{\n      "file": {_json_str(e["file"])},\n'
+                f'      "line": {e["line"]},\n'
+                f'      "type": {_json_str(e["type"])}\n    }}'
+                for e in doc["extras"]]}
     parts = ['{\n  "tool": ', _json_str(doc["tool"])]
     for key, items in lists.items():
-        parts.append(f',\n  "{key}": [\n')
-        opened = len(parts)
-        for item in items:
-            parts += (item, ",\n")
-        parts[-1] = "\n  ]" if len(parts) > opened else f',\n  "{key}": []'
+        parts += (f',\n  "{key}": [\n', ",\n".join(items), "\n  ]") if items \
+            else (f',\n  "{key}": []',)
     parts.append("\n}\n")
     return "".join(parts)

@@ -1116,21 +1116,23 @@ print(code, *sorted({m.split('.')[1] for m in sys.modules
     ("--help", "buglog cli errors model"),
     ("locate", "buglog cli errors front locator model pool"),
     ("inject", "buglog cli errors front injector locator model pool"),
-    ("oracle", "buglog cli errors evaluator model oracle"),
+    ("oracle", "buglog cli errors model oracle"),
     ("evaluate", "buglog cli errors evaluator model"),
 ], ids=["help", "locate", "inject", "oracle", "evaluate"])
 def test_each_subcommand_loads_only_its_own_modules(
         command, loaded, mini_corpus, injected, reports, tmp_path):
     """Each stage is its own process, and none compiles or imports another
-    stage's modules; ``oracle`` loads the evaluator for
-    ``load_capabilities`` alone."""
+    stage's modules; ``oracle`` loads no ``dataclasses`` either."""
     inputs = {"--help": [],
               "locate": ["--corpus", mini_corpus, "--out", tmp_path],
               "inject": ["--corpus", mini_corpus, "--out", tmp_path],
               "oracle": ["--buglogs", injected, "--out", tmp_path],
               "evaluate": ["--buglogs", injected, "--reports", reports,
                            "--out", tmp_path]}
-    proc = subprocess.run([sys.executable, "-c", _RUN_AND_LIST, command,
+    child = _RUN_AND_LIST
+    if command == "oracle":
+        child += "assert 'dataclasses' not in sys.modules, 'dataclasses'\n"
+    proc = subprocess.run([sys.executable, "-c", child, command,
                            *map(str, inputs[command])],
                           env=_child_env(), capture_output=True, text=True,
                           check=True)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solbugsmith import evaluator
+from solbugsmith import evaluator, model
 from solbugsmith.buglog import BugLogEntry
 from solbugsmith.errors import (DomainError, FormatError, MissingThreshold,
                                 ScopeError)
@@ -690,6 +690,11 @@ class TestThresholds:
     def test_unknown_type_name_rejected(self):
         with pytest.raises(ValueError):
             load_capabilities(json.dumps({"t": ["Reentrancy", "BadName"]}))
+
+    def test_evaluator_still_serves_load_capabilities(self):
+        # it lives in model; perfbench/run.py's set-up sample and
+        # tests/conftest.py import it from the evaluator
+        assert evaluator.load_capabilities is model.load_capabilities
 
 
 class TestSampling:

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is read by that module, or
-is one the benchmark's tracer rebinds there; no module imports another's
-private name, and every private name a module defines is read somewhere in
-the package."""
+is one the benchmark's tracer rebinds there; every name a module lists in
+``__all__`` is bound at its top level; no module imports another's private
+name, and every private name a module defines is read somewhere in the
+package."""
 
 import ast
 from pathlib import Path
@@ -29,13 +30,17 @@ def _unread_imports(path: Path) -> list[str]:
             bound[alias.asname or alias.name.split(".")[0]] = node.lineno
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets):
-            read |= set(ast.literal_eval(node.value))
+    read.update(_exported(tree))
     return [f"{line}: {name}" for name, line in sorted(bound.items())
             if name not in read]
+
+
+def _exported(tree: ast.Module) -> list[str]:
+    """The names a module lists in ``__all__``."""
+    return [name for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            for name in ast.literal_eval(node.value)]
 
 
 def _marked_unread(node: ast.stmt, lines: list[str]) -> bool:
@@ -92,9 +97,9 @@ def test_no_module_imports_a_private_name_of_another():
     assert imported == {}
 
 
-def _private_definitions(tree: ast.Module) -> dict[str, int]:
-    """The private names (``_x``, not dunders) that a module binds at its
-    top level, by a def, a class or an assignment, with their lines."""
+def _definitions(tree: ast.Module) -> dict[str, int]:
+    """The names that a module binds at its top level, by a def, a class or
+    an assignment, with their lines."""
     bound: dict[str, int] = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -107,10 +112,25 @@ def _private_definitions(tree: ast.Module) -> dict[str, int]:
                      if isinstance(n, ast.Name)]
         else:
             continue
-        for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                bound[name] = node.lineno
+        bound.update(dict.fromkeys(names, node.lineno))
     return bound
+
+
+def test_every_name_in_all_is_bound_at_top_level():
+    """A name listed in ``__all__`` counts as read, so the import behind a
+    re-export must fail here when it goes, not only under ``import *``."""
+    trees = {str(path.relative_to(SRC)): ast.parse(
+        path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))}
+    unbound = {}
+    for module, tree in trees.items():
+        bound = set(_definitions(tree)) | {
+            alias.asname or alias.name.split(".")[0] for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names}
+        unbound[module] = [name for name in _exported(tree)
+                           if name not in bound]
+    assert any(map(_exported, trees.values()))
+    assert {module: names for module, names in unbound.items() if names} == {}
 
 
 def _reads(tree: ast.Module) -> set[str]:
@@ -132,7 +152,8 @@ def test_every_private_name_is_read_somewhere_in_the_package():
     assert trees
     read = set().union(*map(_reads, trees.values()))
     unread = {module: [f"{line}: {name}" for name, line
-                       in sorted(_private_definitions(tree).items())
-                       if name not in read]
+                       in sorted(_definitions(tree).items())
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in read]
               for module, tree in trees.items()}
     assert {module: names for module, names in unread.items() if names} == {}

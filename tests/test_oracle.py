@@ -137,6 +137,18 @@ class TestRates:
         with pytest.raises(DomainError):
             OracleSpec(**kwargs)
 
+    def test_spec_is_an_immutable_value(self):
+        spec = OracleSpec(0.3, 0.2, 5, 7)
+        assert spec == OracleSpec(miss_rate=0.3, mistype_rate=0.2,
+                                  extra_per_file=5, seed=7)
+        assert hash(spec) == hash(OracleSpec(0.3, 0.2, 5, 7))
+        assert spec != OracleSpec(0.3, 0.2, 5, 8)
+        assert OracleSpec() == OracleSpec(0.0, 0.0, 0, 0)
+        with pytest.raises(AttributeError):
+            spec.seed = 8
+        with pytest.raises(AttributeError):
+            spec.unknown = 1
+
 
 class TestExtras:
     def test_extras_avoid_planted_line_ranges(self, buglogs):
