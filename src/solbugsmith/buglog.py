@@ -6,9 +6,9 @@ loader that reads a JSON log back.
 The JSON writer lays each entry out by one f-string over the C string
 encoder, byte for byte as ``json.dumps(..., indent=2)`` would, and the
 writers and loader look bug types and approaches up in tables built once.
-The CSV writer is ``csv.writer`` itself, so a field is quoted as the
-running Python's ``csv`` module quotes it: 3.13 quotes a field holding a
-bare ``\r`` and 3.10 to 3.12 do not.
+The CSV writer is ``csv.writer`` itself. No field holds an unprintable
+character (``load_pool`` refuses such a snippet id and ``inject`` such a
+file name), so every supported Python quotes the fields alike.
 
 The loader keeps one string per distinct file name and snippet id of a log,
 shared by its entries.

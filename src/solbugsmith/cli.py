@@ -315,10 +315,16 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     files = _corpus_files(args.corpus)
     out_dir = _out_dir(args.out)
 
-    failures: list[tuple[str, str]] = []
+    # a file name goes into every bug log, and a CSV field with an
+    # unprintable character is quoted differently by different Pythons
+    failures: list[tuple[str, str]] = [
+        (shown(path.name), "a file name with an unprintable character cannot "
+                           "go into a bug log")
+        for path in files if not path.name.isprintable()]
     written = 0
     total_bugs = 0
-    for path, source in _sources(files, failures):
+    for path, source in _sources([path for path in files
+                                  if path.name.isprintable()], failures):
         try:
             unit = parse(source)
         except SolBugSmithError as exc:
@@ -375,8 +381,15 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             failures.append((sol_name, "buggy source missing next to its log"))
             continue
         for _, text in _sources([sol_path], failures):
-            line_counts[sol_name] = text.count("\n") + (
-                0 if text.endswith("\n") else 1)
+            lines = text.count("\n") + (0 if text.endswith("\n") else 1)
+            past = next((e for e in buglogs[sol_name] if e.end_line > lines),
+                        None)
+            if past is None:
+                line_counts[sol_name] = lines
+            else:
+                failures.append((sol_name, f"entry {shown(past.bug_id)} ends "
+                                 f"at line {past.end_line}, past the file's "
+                                 f"{lines} line(s)"))
     usable = {name: entries for name, entries in buglogs.items()
               if name in line_counts}
 
@@ -433,8 +446,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         for finding in findings:
             findings_by_tool.setdefault(finding.tool, []).append(finding)
 
-    truth_extras = dict(_read_documents(reports_dir, ".truth.json",
-                                        load_truth_extras).values())
+    truth_extras, truth_files = {}, {}
+    for stem, (tool, extras) in _read_documents(reports_dir, ".truth.json",
+                                                load_truth_extras).items():
+        path = reports_dir / f"{stem}.truth.json"
+        if tool in truth_files:
+            raise MalformedDocument(f"{truth_files[tool]} and {path} are "
+                                    f"both truth files of {shown(tool)}")
+        truth_files[tool], truth_extras[tool] = path, extras
     entries = [e for name in sorted(buglogs) for e in buglogs[name]]
     try:
         result = evaluate_campaign(entries, findings_by_tool, capabilities,

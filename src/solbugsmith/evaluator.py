@@ -26,7 +26,6 @@ import io
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import NamedTuple
 
@@ -114,8 +113,7 @@ def _read_report(text: str, tool: str | None) -> tuple[list, object]:
                       "object with a findings array")
 
 
-@dataclass(frozen=True)
-class FNScore:
+class FNScore(NamedTuple):
     injected: int
     detected: int
     misidentified: int
@@ -135,8 +133,8 @@ def score_false_negatives(entries: list[BugLogEntry],
     scored on its own, and the scores are joined. The counts add up; the
     ids are listed type by type, each type's in entry order."""
     by_file = _by_line(findings)
-    rows = [vars(FNScore(0, 0, 0, 0)).values()] + [
-        vars(_fn_score(group, _spans(group, line_slack), by_file)).values()
+    rows = [FNScore(0, 0, 0, 0)] + [
+        _fn_score(group, _spans(group, line_slack), by_file)
         for group in _group(entries, lambda e: e.bug_type).values()]
     return FNScore(*(sum(rest, first) for first, *rest in zip(*rows)))
 
@@ -210,8 +208,7 @@ def _match(ranges: list[tuple[int, int, int]], findings: list[Finding],
     return merged
 
 
-@dataclass(frozen=True)
-class MajorityResult:
+class MajorityResult(NamedTuple):
     candidates: tuple[Finding, ...]
     excluded: tuple[Finding, ...]
     filtered: tuple[Finding, ...]
@@ -306,15 +303,13 @@ def load_truth_extras(text: str) -> tuple[str, set[tuple[str, int, str]]]:
         raise MalformedDocument(f"malformed truth file: {reason}") from None
 
 
-@dataclass(frozen=True)
-class FPCell:
+class FPCell(NamedTuple):
     reported: int
     filtered: int
     estimated: int
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(NamedTuple):
     """Scores of every tool that has both findings and capabilities; the
     tools with findings but no capabilities are in ``missing_tools``."""
 

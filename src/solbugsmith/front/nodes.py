@@ -7,6 +7,7 @@ correct spans; they are excluded from injection sites but never dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .lexer import Token
 from .spans import Span
@@ -18,8 +19,7 @@ SIMPLE_STMT_KINDS = frozenset(
 COMPOUND_STMT_KINDS = frozenset({"ifStmt", "forStmt", "whileStmt", "block"})
 
 
-@dataclass
-class Stmt:
+class Stmt(NamedTuple):
     """A statement. Only ``expressionStmt`` leaves are ever ``opaque``: a
     statement the parser cannot model is kept whole, with no children."""
 
@@ -38,8 +38,7 @@ class Stmt:
         return out
 
 
-@dataclass
-class Decl:
+class Decl(NamedTuple):
     """A member without a parsed body: a named ``stateVar`` or ``event``, or
     an ``opaqueMember`` (no name) that the parser keeps whole."""
 
@@ -55,8 +54,7 @@ class Decl:
                 "span": self.span.to_json(), "children": []}
 
 
-@dataclass
-class FunctionDef:
+class FunctionDef(NamedTuple):
     """A function, constructor, or modifier definition with a parsed body."""
 
     kind: str  # "function" | "constructor" | "modifier"
@@ -73,8 +71,7 @@ class FunctionDef:
 Member = Decl | FunctionDef
 
 
-@dataclass
-class ContractDef:
+class ContractDef(NamedTuple):
     name: str
     members: list[Member]
     span: Span

@@ -10,7 +10,7 @@ the parse error's position: the closer, or the end of input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import LexError, ParseError
 from .parser import parse
@@ -18,8 +18,7 @@ from .parser import parse
 from .lexer import tokenize  # noqa: F401
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     line: int
     column: int
     message: str

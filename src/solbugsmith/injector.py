@@ -41,7 +41,7 @@ by every bug type.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import front, locator
 from .buglog import BugLogEntry
@@ -57,16 +57,14 @@ from .buglog import emit_buglog_csv, emit_buglog_json, load_buglog  # noqa: F401
 from .front import parse  # noqa: F401
 
 
-@dataclass(frozen=True)
-class InjectionResult:
+class InjectionResult(NamedTuple):
     text: str
     entries: tuple[BugLogEntry, ...]
     # whether every edit keeps the source valid (see the module docstring)
-    vouched: bool = field(default=False, compare=False)
+    vouched: bool = False
 
 
-@dataclass(frozen=True)
-class _Edit:
+class _Edit(NamedTuple):
     """Replace bytes [start, end) with ``insert``; ``logged`` holds a
     (site index, start, end) range relative to ``insert`` for each bug-log
     entry that covers part of it."""

@@ -26,6 +26,7 @@ from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import NamedTuple
 
 from .front import FunctionDef, SourceUnit, Span, Stmt
 # unused here, but perfbench/tracing.py rebinds these names in this module
@@ -41,8 +42,7 @@ _FORM_RANK = {
 }
 
 
-@dataclass(frozen=True)
-class SnippetSite:
+class SnippetSite(NamedTuple):
     form: SnippetForm
     offset: int
     line: int
@@ -56,8 +56,7 @@ class SnippetSite:
                 "path": list(self.path)}
 
 
-@dataclass(frozen=True)
-class TransformSite:
+class TransformSite(NamedTuple):
     pattern: TransformPattern
     match_span: Span
     path: tuple[str, ...]
@@ -71,8 +70,7 @@ class TransformSite:
                 "line": self.match_span.start_line, "path": list(self.path)}
 
 
-@dataclass(frozen=True)
-class WeakenSite:
+class WeakenSite(NamedTuple):
     rule: WeakeningRule
     guard_span: Span
     revert_stmt_span: Span

@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from .errors import LexError, ParseError, PoolError, shown
 from .front import FunctionDef, parse_member_fragment, parse_statement_fragment
@@ -83,14 +84,12 @@ class TransformPattern:
     keeps_roles: bool = field(default=False, init=False, compare=False)
 
 
-@dataclass(frozen=True)
-class WeakeningRule:
+class WeakeningRule(NamedTuple):
     bug_type: BugType
     guard_shape: str
 
 
-@dataclass(frozen=True)
-class BugPool:
+class BugPool(NamedTuple):
     snippets: tuple[BugSnippet, ...] = ()
     transforms: tuple[TransformPattern, ...] = ()
     weakenings: tuple[WeakeningRule, ...] = ()
@@ -177,6 +176,10 @@ def _snippet_from_json(raw: object) -> BugSnippet:
     entry_id = raw.get("id")
     if not isinstance(entry_id, str) or not entry_id:
         raise PoolError("<snippet>", "missing or empty id")
+    # the id goes into every bug log, and a CSV field with an unprintable
+    # character (a bare \r) is quoted differently by different Pythons
+    if not entry_id.isprintable():
+        raise PoolError("<snippet>", f"id {shown(entry_id)} is not printable")
     try:
         bug_type = term(BUG_TYPES, raw["bugType"], "BugType")
         form = term(SNIPPET_FORMS, raw["form"], "SnippetForm")

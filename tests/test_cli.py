@@ -661,6 +661,10 @@ class TestExitCodes:
                        "guard shape:", id=f"pool-guard-shape-{kind}")
           for kind in ("list", "object")),
         pytest.param(["inject", "--corpus", "{tmp}", "--out", "{tmp}/out",
+                      "--pool", "{tmp}/pool_cr_id.json"],
+                     "pool_cr_id.json: <snippet>: id 'cr\\rX' is not "
+                     "printable", id="pool-snippet-id-unprintable"),
+        pytest.param(["inject", "--corpus", "{tmp}", "--out", "{tmp}/out",
                       "--pool", "{tmp}/pool_weakening_twice.json"],
                      "pool_weakening_twice.json: <weakening #1>: duplicate "
                      "bugType and guardShape", id="pool-weakening-twice"),
@@ -706,6 +710,8 @@ class TestExitCodes:
                                                    "uint a{N} = 1 # 2;"),
                 "pool_surrogate.json": _one_snippet_pool(
                     "surrogate", "uint a{N} = \ud800;"),
+                "pool_cr_id.json": _one_snippet_pool("cr\rX",
+                                                     "uint a{N} = 1;"),
                 "caps_surrogate.json": '{"\\ud800": ["TOD"]}',
                 "caps_slash.json": '{"../Slither": ["TOD"]}',
                 "pool_snippets.json": '{"snippets": 3}',
@@ -773,6 +779,33 @@ class TestExitCodes:
                                    "must be a positive integer, got None"}
         assert "line 0" not in err
 
+    def test_an_entry_past_the_end_of_its_file_fails_that_file(
+            self, injected, tmp_path, capsys):
+        buglogs = tmp_path / "buglogs"
+        shutil.copytree(injected, buglogs)
+        log = buglogs / "Counter.TxOrigin.buglog.json"
+        entries = json.loads(log.read_text(encoding="utf-8"))
+        entries[0]["endLine"] = 10 ** 9
+        log.write_text(json.dumps(entries), encoding="utf-8")
+        lines = len((buglogs / "Counter.TxOrigin.sol").read_text(
+            encoding="utf-8").splitlines())
+        out = tmp_path / "out"
+        code = main(["oracle", "--buglogs", str(buglogs), "--out", str(out),
+                     "--extra-per-file", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == [
+            "1 failure(s):", f"  Counter.TxOrigin.sol: entry "
+            f"{entries[0]['bugId']!r} ends at line 1000000000, past the "
+            f"file's {lines} line(s)"]
+        assert captured.out == "wrote reports for 6 tool(s) over 3 file(s)\n"
+        for tool in TOOLS:
+            report = json.loads((out / f"{tool}.report.json").read_text(
+                encoding="utf-8"))
+            assert {f["file"] for f in report["findings"]} <= {
+                "Counter.Reentrancy.sol", "PiggyBank.Reentrancy.sol",
+                "PiggyBank.TxOrigin.sol"}
+
     @pytest.mark.parametrize("argv, named", [
         pytest.param(["inject", "--corpus", "{tmp}/corpus", "--out",
                       "{tmp}/out", "--bug-types", "Reentrancy"], "Bad.sol",
@@ -813,6 +846,14 @@ class TestExitCodes:
         pytest.param(["evaluate", "--buglogs", "{injected}",
                       "--reports", "{tmp}/deeptruth"], "Slither.truth.json",
                      id="truth-file-nested-too-deeply"),
+        pytest.param(["inject", "--corpus", "{tmp}/unprintable", "--out",
+                      "{tmp}/out", "--bug-types", "Reentrancy"],
+                     "'Cou\\rnter.sol': a file name with an unprintable",
+                     id="inject-unprintable-file-name"),
+        pytest.param(["evaluate", "--buglogs", "{injected}",
+                      "--reports", "{tmp}/twotruths"],
+                     "Slither.truth.json are both truth files of 'Mythril'",
+                     id="two-truth-files-for-one-tool"),
     ])
     def test_bad_input_file_exits_two_naming_it(
             self, argv, named, tmp_path, mini_corpus, injected, reports,
@@ -855,6 +896,18 @@ class TestExitCodes:
                 ("deeptruth", reports, "Slither.truth.json")):
             shutil.copytree(source, tmp_path / name)
             (tmp_path / name / deep_file).write_text("[" * 200_000)
+        # a file name goes into its bug logs, and Python 3.13's csv quotes
+        # a bare carriage return where 3.10 to 3.12 do not
+        (tmp_path / "unprintable").mkdir()
+        for name in ("Cou\rnter.sol", "Good.sol"):
+            shutil.copy(mini_corpus / "Counter.sol",
+                        tmp_path / "unprintable" / name)
+        # truth files are filed by the tool they name
+        shutil.copytree(reports, tmp_path / "twotruths")
+        truth = tmp_path / "twotruths" / "Slither.truth.json"
+        doc = json.loads(truth.read_text(encoding="utf-8"))
+        truth.write_text(json.dumps(dict(doc, tool="Mythril")),
+                         encoding="utf-8")
 
         code = main([arg.format(tmp=tmp_path, injected=injected,
                                 reports=reports) for arg in argv])
@@ -1051,12 +1104,15 @@ def _child_env(**extra: str) -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
 
 
-def _campaign(python: str, corpus: Path, root: Path,
-              hash_seed: str = "0") -> dict[str, bytes]:
+def _campaign(python: str, corpus: Path, root: Path, hash_seed: str = "0",
+              pool: Path | None = None) -> dict[str, bytes]:
     """Each file that ``inject``, ``oracle`` and ``evaluate`` write under
-    ``root``, each stage run as a process of ``python``."""
+    ``root``, each stage run as a process of ``python``; ``inject`` reads
+    ``pool`` if one is given."""
     buggy, reports = root / "buggy", root / "reports"
-    for argv in (["inject", "--corpus", str(corpus), "--out", str(buggy)],
+    pool_flag = ["--pool", str(pool)] if pool else []
+    for argv in (["inject", "--corpus", str(corpus), "--out", str(buggy),
+                  *pool_flag],
                  ["oracle", "--buglogs", str(buggy), "--out", str(reports),
                   "--miss-rate", "0.3", "--mistype-rate", "0.2",
                   "--extra-per-file", "3", "--seed", "5"],
@@ -1122,7 +1178,8 @@ print(code, *sorted({m.split('.')[1] for m in sys.modules
 def test_each_subcommand_loads_only_its_own_modules(
         command, loaded, mini_corpus, injected, reports, tmp_path):
     """Each stage is its own process, and none compiles or imports another
-    stage's modules; ``oracle`` loads no ``dataclasses`` either."""
+    stage's modules; ``oracle`` and ``evaluate`` load no ``dataclasses``
+    either."""
     inputs = {"--help": [],
               "locate": ["--corpus", mini_corpus, "--out", tmp_path],
               "inject": ["--corpus", mini_corpus, "--out", tmp_path],
@@ -1130,7 +1187,7 @@ def test_each_subcommand_loads_only_its_own_modules(
               "evaluate": ["--buglogs", injected, "--reports", reports,
                            "--out", tmp_path]}
     child = _RUN_AND_LIST
-    if command == "oracle":
+    if command in ("oracle", "evaluate"):
         child += "assert 'dataclasses' not in sys.modules, 'dataclasses'\n"
     proc = subprocess.run([sys.executable, "-c", child, command,
                            *map(str, inputs[command])],
@@ -1157,14 +1214,16 @@ def test_cli_serves_exactly_the_names_the_tracer_rebinds_there(
     assert not hasattr(cli, "no_such_name")
 
 
-def _python_3_10() -> str | None:
-    """A Python 3.10 interpreter that runs: ``python3.10`` on PATH, else
-    one that pyenv installed under ``$PYENV_ROOT/versions``."""
-    candidates = [shutil.which("python3.10")]
+def _python(version: str) -> str | None:
+    """A Python ``version`` (``"3.10"``, say) interpreter that runs:
+    ``python<version>`` on PATH, else one that pyenv installed under
+    ``$PYENV_ROOT/versions``."""
+    candidates = [shutil.which(f"python{version}")]
     if os.environ.get("PYENV_ROOT"):
         versions = Path(os.environ["PYENV_ROOT"]) / "versions"
-        candidates += sorted(map(str, versions.glob("3.10*/bin/python")))
-    check = "import sys\nassert sys.version_info[:2] == (3, 10)"
+        candidates += sorted(map(str, versions.glob(f"{version}*/bin/python")))
+    wanted = tuple(map(int, version.split(".")))
+    check = f"import sys\nassert sys.version_info[:2] == {wanted}"
     for python in filter(None, candidates):
         probe = subprocess.run([python, "-c", check], capture_output=True)
         if probe.returncode == 0:
@@ -1172,15 +1231,17 @@ def _python_3_10() -> str | None:
     return None
 
 
-def test_python_3_10_imports_the_package_and_writes_the_same_files(
-        tmp_path):
-    """pyproject.toml allows Python 3.10: the package imports there, the
-    bundled pool loads, and a campaign over the fixtures writes the bytes
-    it writes here."""
-    python = _python_3_10()
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_each_interpreter_imports_the_package_and_writes_the_same_files(
+        version, tmp_path):
+    """pyproject.toml allows Python 3.10 and up: under each installed minor
+    version the package imports, the bundled pool loads, and a campaign
+    over the fixtures writes the bytes it writes here. Every snippet id
+    holds a ``,`` and a ``"``, so the CSV bug logs quote fields."""
+    python = _python(version)
     if python is None:
-        pytest.skip("no Python 3.10: put python3.10 on PATH or install "
-                    "one with pyenv")
+        pytest.skip(f"no Python {version}: put python{version} on PATH or "
+                    "install one with pyenv")
     probe = subprocess.run(
         [python, "-c", "import solbugsmith.cli\n"
          "from solbugsmith.pool import default_pool\ndefault_pool()"],
@@ -1190,5 +1251,13 @@ def test_python_3_10_imports_the_package_and_writes_the_same_files(
     corpus.mkdir()
     for name in ("EGame.sol", "ThrowGuards.sol"):
         shutil.copy(FIXTURES / name, corpus / name)
-    assert _campaign(python, corpus, tmp_path / "3.10") == \
-        _campaign(sys.executable, corpus, tmp_path / "here")
+    doc = json.loads((Path(solbugsmith.__file__).parent / "data" /
+                      "default_pool.json").read_text(encoding="utf-8"))
+    for snippet in doc["snippets"]:
+        snippet["id"] += ', "quoted"'
+    pool = tmp_path / "pool.json"
+    pool.write_text(json.dumps(doc), encoding="utf-8")
+    here = _campaign(sys.executable, corpus, tmp_path / "here", pool=pool)
+    assert any(b'""quoted""' in data for name, data in here.items()
+               if name.endswith(".buglog.csv"))
+    assert _campaign(python, corpus, tmp_path / version, pool=pool) == here

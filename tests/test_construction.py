@@ -368,13 +368,13 @@ def _moved(site, delta: int, which: int):
     """``site`` with one of its edit offsets moved by ``delta`` bytes:
     ``which`` picks the start (0) or the end (1) of a span."""
     if isinstance(site, SnippetSite):
-        return dataclasses.replace(site, offset=site.offset + delta)
+        return site._replace(offset=site.offset + delta)
     field = "match_span" if isinstance(site, TransformSite) \
         else "revert_stmt_span"
     span = getattr(site, field)
     span = span._replace(start=span.start + delta) if which == 0 \
         else span._replace(end=span.end + delta)
-    return dataclasses.replace(site, **{field: span})
+    return site._replace(**{field: span})
 
 
 def _ends_of_each_kind(sites):

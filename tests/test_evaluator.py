@@ -5,7 +5,6 @@ import itertools
 import json
 import sys
 from collections import Counter
-from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given, settings
@@ -362,7 +361,7 @@ class TestFalseNegatives:
 def _concatenated(scores: list[FNScore]) -> FNScore:
     """One score holding ``scores`` in order: counts added, ids joined."""
     return FNScore(*(sum(rest, first) for first, *rest
-                     in zip(*map(astuple, scores))))
+                     in zip(*scores)))
 
 
 def _counts(score: FNScore) -> tuple[int, int, int, int]:
@@ -1023,7 +1022,7 @@ class TestEvaluateCampaign:
                                    sample_size, seed)
         reference = _pairwise_evaluation(entries, findings, caps, truth,
                                          slack, sample_size, seed)
-        assert replace(result, scores={}) == replace(reference, scores={})
+        assert result._replace(scores={}) == reference._replace(scores={})
         assert {tool: {bug_type: _counts(score) for bug_type, score
                        in scores.items()}
                 for tool, scores in result.scores.items()} == \
