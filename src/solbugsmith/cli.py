@@ -208,6 +208,13 @@ def _write(out_dir: Path, name: str, text: str,
     return True
 
 
+def _label(name: str | Path) -> str:
+    """A file name or path as it is, or as ``shown`` puts it if it holds an
+    unprintable character (a newline or a bare \\r, say)."""
+    name = str(name)
+    return name if name.isprintable() else shown(name)
+
+
 def _sources(files: list[Path], failures: list[tuple[str, str]]):
     """``(path, text)`` for each corpus file that reads as UTF-8; the others
     are recorded as per-file failures."""
@@ -230,10 +237,10 @@ def _read_documents(root: Path, suffix: str, load) -> dict:
             docs[path.name[:-len(suffix)]] = load(
                 path.read_text(encoding="utf-8"))
         except OSError as exc:
-            raise MalformedDocument(f"{path}: cannot read: {exc.strerror}") \
-                from None
+            raise MalformedDocument(f"{_label(path)}: cannot read: "
+                                    f"{exc.strerror}") from None
         except (UnicodeDecodeError, MalformedDocument) as exc:
-            raise MalformedDocument(f"{path}: {exc}") from None
+            raise MalformedDocument(f"{_label(path)}: {exc}") from None
     return docs
 
 
@@ -250,8 +257,9 @@ def _read_buglogs(raw: str) -> dict[str, list[BugLogEntry]]:
         name = f"{stem}.sol"
         other = next((e.file for e in entries if e.file != name), None)
         if other is not None:
-            raise MalformedDocument(f"{root / stem}.buglog.json: an entry "
-                                    f"names {shown(other)}, not {name!r}")
+            log = _label(f"{root / stem}.buglog.json")
+            raise MalformedDocument(f"{log}: an entry names {shown(other)}, "
+                                    f"not {name!r}")
         logs[name] = entries
     if not logs:
         raise _ConfigError(f"no *.buglog.json files in {raw}")
@@ -263,7 +271,7 @@ def _summarize(failures: list[tuple[str, str]]) -> int:
         return 0
     print(f"{len(failures)} failure(s):", file=sys.stderr)
     for name, reason in failures:
-        print(f"  {name}: {reason}", file=sys.stderr)
+        print(f"  {_label(name)}: {reason}", file=sys.stderr)
     return 2
 
 
@@ -278,11 +286,12 @@ def _cmd_locate(args: argparse.Namespace) -> int:
     failures: list[tuple[str, str]] = []
 
     for path, source in _sources(files, failures):
+        label = _label(path.name)
         try:
             unit = parse(source)
         except SolBugSmithError as exc:
-            names = [path.name] if args.dump_ast else \
-                [f"{path.name} ({bug_type})" for bug_type in bug_types]
+            names = [label] if args.dump_ast else \
+                [f"{label} ({bug_type})" for bug_type in bug_types]
             failures.extend((name, str(exc)) for name in names)
             continue
         if args.dump_ast:
@@ -301,7 +310,7 @@ def _cmd_locate(args: argparse.Namespace) -> int:
                 _write(out_dir, f"{path.stem}.{bug_type.value}.bip.json",
                        dump_profile(profile), failures)
             elif not args.dump_bip:
-                print(f"{path.name} {bug_type.value}: "
+                print(f"{label} {bug_type.value}: "
                       f"{len(profile.sites)} site(s)")
     return _summarize(failures)
 
@@ -318,8 +327,8 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     # a file name goes into every bug log, and a CSV field with an
     # unprintable character is quoted differently by different Pythons
     failures: list[tuple[str, str]] = [
-        (shown(path.name), "a file name with an unprintable character cannot "
-                           "go into a bug log")
+        (path.name, "a file name with an unprintable character cannot go "
+                    "into a bug log")
         for path in files if not path.name.isprintable()]
     written = 0
     total_bugs = 0
@@ -451,7 +460,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                                                 load_truth_extras).items():
         path = reports_dir / f"{stem}.truth.json"
         if tool in truth_files:
-            raise MalformedDocument(f"{truth_files[tool]} and {path} are "
+            raise MalformedDocument(f"{_label(truth_files[tool])} and "
+                                    f"{_label(path)} are "
                                     f"both truth files of {shown(tool)}")
         truth_files[tool], truth_extras[tool] = path, extras
     entries = [e for name in sorted(buglogs) for e in buglogs[name]]

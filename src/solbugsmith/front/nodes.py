@@ -6,7 +6,6 @@ correct spans; they are excluded from injection sites but never dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .lexer import Token
@@ -84,15 +83,18 @@ class ContractDef(NamedTuple):
                 "children": [m.to_json() for m in self.members]}
 
 
-@dataclass
 class SourceUnit:
-    contracts: list[ContractDef]
-    data: bytes = field(repr=False)  # the source, UTF-8 encoded
-    # the tokens without comments, as the parser read them
-    tokens: list[Token] = field(repr=False, default_factory=list)
-    # the locator's site analysis, filled on first use (locator.site_facts)
-    site_facts: object = field(default=None, init=False, repr=False,
-                               compare=False)
+    """A parsed source: its contracts, its bytes (``data``, UTF-8), the
+    tokens less comments as the parser read them, and the locator's site
+    analysis, filled on first use (``locator.site_facts``). Unlike every
+    node, it is a plain class, and units compare by identity."""
+
+    __slots__ = ("contracts", "data", "tokens", "site_facts")
+
+    def __init__(self, contracts: list[ContractDef], data: bytes,
+                 tokens: list[Token]) -> None:
+        self.contracts, self.data, self.tokens = contracts, data, tokens
+        self.site_facts = None
 
     def to_json(self) -> dict:
         return {"kind": "sourceUnit",

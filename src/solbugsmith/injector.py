@@ -10,16 +10,16 @@ inserted once per contract, directly after the contract's opening brace,
 and are charged to the first bug that needs them: that entry's range is
 the convex hull of its snippet and its context lines.
 
-An output is valid by construction when the profile is ``located`` (the
-locator built it, so each site lies where the locator puts it), the counter
-is >= 0, no two edits overlap, and every edit is one of these:
+An output is valid by construction when the profile is ``locator.located``
+(each site lies where the locator put it), the counter is >= 0, no two
+edits overlap, and every edit is one of these:
 
 * a snippet or context insertion at an offset where the unit takes a
   statement or a member (a statement or member end, or just after a body's
-  ``{``), of a snippet that ``load_pool`` vetted: the text is ``"\n"`` and
-  the reindented instance, and it ends at a newline or at ``"\n"`` and the
+  ``{``), of a snippet ``pool.vouched`` for: the text is ``"\n"`` and the
+  reindented instance, and it ends at a newline or at ``"\n"`` and the
   indent; reindenting changes only whitespace at the start of a line;
-* a transform of a pattern that keeps token roles, over a run of the unit's
+* a transform of a pattern ``pool.vouched`` for, over a run of the unit's
   tokens with the pattern's texts, between bytes that no token can join
   (whitespace, brackets, ``;`` and ``,``);
 * a weakening of a statement that sits in a braced list: every line of the
@@ -28,11 +28,11 @@ is >= 0, no two edits overlap, and every edit is one of these:
   carries on an opaque one before it still ends where it ended alone.
 
 Where each site lies is the locator's to guarantee; ``inject_all`` checks
-only the rest: the snippet's vetting, the counter, the pattern's roles and
-the two bytes around a rewrite. Every indent is taken from the spaces, tabs
-and carriage returns that lead a line, which the lexer skips wherever they
-stand, and read from the unit's site facts (``locator.site_facts``), shared
-by every bug type.
+only the rest: the pool's word for each snippet and pattern, the counter
+and the two bytes around a rewrite. Every indent is taken from the spaces,
+tabs and carriage returns that lead a line, which the lexer skips wherever
+they stand, and read from the unit's site facts (``locator.site_facts``),
+shared by every bug type.
 
 ``inject_file`` validates, with ``front.validate``, only an output that
 ``inject_all`` does not vouch for.
@@ -40,7 +40,7 @@ by every bug type.
 
 from __future__ import annotations
 
-from collections import Counter
+from itertools import cycle
 from typing import NamedTuple
 
 from . import front, locator
@@ -50,7 +50,7 @@ from .front import SourceUnit
 from .locator import (InjectionProfile, SnippetSite, TransformSite,
                       WeakenSite, line_lead)
 from .model import Approach, BugType
-from .pool import BugPool
+from .pool import BugPool, vouched
 # unused here, but perfbench/tracing.py rebinds these names in this module;
 # its targets name this module as the home of the bug-log functions
 from .buglog import emit_buglog_csv, emit_buglog_json, load_buglog  # noqa: F401
@@ -104,13 +104,14 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
     facts = locator.site_facts(unit)
     # the locator vouches for where each site lies; a profile built by any
     # other means is validated
-    vouched = profile.located and counter_start >= 0
+    sound = locator.located(profile) and counter_start >= 0
 
-    # per form, its snippets in pool order, each with its instance text per
-    # (indent, what follows): a new line, the reindented template and that
-    variants = {form: [(snippet, {}) for snippet in group]
+    # per form, its snippets in pool order, taken in turn, each with its bug
+    # ids' prefix, the pool's word for it, and its instance text per (indent,
+    # what follows): a new line, the reindented template and that
+    variants = {form: cycle([(snippet, snippet.lead_name or f"{snippet.id}-",
+                              vouched(snippet), {}) for snippet in group])
                 for form, group in pool.variants(profile.bug_type).items()}
-    picks: Counter = Counter()
     # per contract: its context declarations in order, each with the first
     # site that needs it
     context: list[dict[str, int]] = [{} for _ in unit.contracts]
@@ -119,9 +120,7 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
     for idx, site in enumerate(profile.sites):
         counter = counter_start + idx
         if isinstance(site, SnippetSite):
-            choices = variants[site.form]
-            snippet, texts = choices[picks[site.form] % len(choices)]
-            picks[site.form] += 1
+            snippet, prefix, trusted, texts = next(variants[site.form])
             indent, follows, contract = facts.insertion(site.offset)
             text = texts.get((indent, follows))
             if text is None:
@@ -131,11 +130,9 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
             insert = text.replace("{N}", str(counter)).encode("utf-8")
             edits.append(_Edit(site.offset, site.offset, insert,
                                [(idx, 1, len(insert) - len(follows))]))
-            lead = snippet.lead_name
-            fields.append((f"{lead}{counter}" if lead
-                           else f"{snippet.id}-{counter}",
-                           Approach.FULL_SNIPPET, snippet.id))
-            vouched = vouched and snippet.vetted
+            fields.append((f"{prefix}{counter}", Approach.FULL_SNIPPET,
+                           snippet.id))
+            sound = sound and trusted
             if snippet.required_context:
                 if contract is None:
                     raise EditConflict(f"no contract encloses byte "
@@ -149,7 +146,7 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
                                insert, [(idx, 0, len(insert))]))
             fields.append((f"trans_{profile.bug_type.value}{counter}",
                            Approach.CODE_TRANSFORMATION, None))
-            vouched = vouched and site.pattern.keeps_roles and \
+            sound = sound and vouched(site.pattern) and \
                 _inert(data, site.match_span.start - 1) and \
                 _inert(data, site.match_span.end)
         else:
@@ -204,7 +201,7 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
         for (bug_id, approach, snippet_id), ((start, start_line),
                                              (end, end_line))
         in zip(fields, hull))
-    return InjectionResult(out.decode("utf-8"), entries, vouched)
+    return InjectionResult(out.decode("utf-8"), entries, sound)
 
 
 # the bytes next to which no token can change where it ends

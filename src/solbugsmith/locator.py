@@ -12,11 +12,11 @@ Three site families, discovered per bug type:
 
 Opaque regions never produce sites and never host matches: an edit inside
 code the parser cannot model could break it. A profile keeps the parsed
-unit it was located in, so ``injector.inject_all`` edits that same unit,
-and is marked ``located``, so ``inject_all`` takes its sites as found.
+unit it was located in, so ``injector.inject_all`` edits that same unit.
 What does not depend on the bug type, the unit's ``SiteFacts``, is worked
 out once, on first use, and kept with the unit: locating and injecting
-every bug type share one walk and each insertion offset's indent.
+every bug type share one walk and each insertion offset's indent, and
+record the sites last found per bug type, which ``located`` reads.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -88,18 +87,14 @@ class WeakenSite(NamedTuple):
 Site = SnippetSite | TransformSite | WeakenSite
 
 
-@dataclass(frozen=True)
-class InjectionProfile:
+class InjectionProfile(NamedTuple):
     """The sites of one bug type in ``unit``, the parsed source they were
-    located in; ``unit`` is not part of the profile's JSON or equality."""
+    located in; ``unit`` is not part of the profile's JSON."""
 
     source_id: str
     bug_type: BugType
     sites: tuple[Site, ...]
-    unit: SourceUnit = field(compare=False, repr=False)
-    # Set by find_all_potential_locations only: every site is one it found
-    # in ``unit``, so ``injector.inject_all`` need not check where it lies.
-    located: bool = field(default=False, init=False, compare=False)
+    unit: SourceUnit
 
     def to_json(self) -> dict:
         return {"sourceId": self.source_id, "bugType": self.bug_type.value,
@@ -120,9 +115,15 @@ def find_all_potential_locations(unit: SourceUnit, bug_type: BugType,
         others.extend(find_security_mechanisms(unit, rule))
     if others:
         sites = tuple(sorted(sites + tuple(others), key=_order_key))
-    profile = InjectionProfile(source_id, bug_type, sites, unit)
-    object.__setattr__(profile, "located", True)
-    return profile
+    site_facts(unit).located[bug_type] = sites
+    return InjectionProfile(source_id, bug_type, sites, unit)
+
+
+def located(profile: InjectionProfile) -> bool:
+    """Whether ``profile.sites`` is the tuple last found for its bug type in
+    its unit, so ``injector.inject_all`` need not check where each lies."""
+    facts = site_facts(profile.unit)
+    return facts.located.get(profile.bug_type) is profile.sites
 
 
 def _order_key(site: Site):
@@ -153,7 +154,8 @@ class SiteFacts:
     ``functions``: each function's path and statements, depth first, with
     their block paths and whether each sits directly in a braced list;
     ``points``: per form, the (offset, line, path) places that take a
-    snippet; ``opaque``: the spans of opaque members and statements."""
+    snippet; ``opaque``: the spans of opaque members and statements;
+    ``located``: per bug type, the sites its last locating returned."""
 
     def __init__(self, unit: SourceUnit) -> None:
         self.data = unit.data
@@ -189,6 +191,7 @@ class SiteFacts:
                        if m.kind == "opaqueMember"]
         self.opaque += [stmt.span for _, walked in self.functions
                         for stmt, _, _ in walked if stmt.opaque]
+        self.located: dict[BugType, tuple[Site, ...]] = {}
         self._sites: dict[frozenset, tuple[SnippetSite, ...]] = {}
         self._insertions: dict[int, tuple[str, str, int | None]] = {}
 

@@ -8,17 +8,16 @@ before they can ever reach an injection run; a ``{N}`` where some counter
 would lex as another kind of token than the probe's is an error.
 
 The loader also records what lets the injector vouch for its output without
-a re-parse: a snippet is ``vetted`` when it passed those checks, and a
-transform ``keeps_roles`` when its replacement can stand wherever its match
-parses.
+a re-parse: ``vouched`` is true of a snippet that passed those checks, and
+of a transform whose replacement can stand wherever its match parses. Both
+checks read only the entry's fields, so an equal copy is vouched for too.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
 
@@ -47,18 +46,14 @@ _COUNTER_HAZARD = re.compile(
 _SWAPPABLE_TYPES = ELEMENTARY_TYPES - {"address"}
 
 
-@dataclass(frozen=True)
-class BugSnippet:
+class BugSnippet(NamedTuple):
     id: str
     bug_type: BugType
     form: SnippetForm
     template: str
     required_context: tuple[str, ...] = ()
-    # Set by load_pool only: the instance at any counter >= 0 parses as one
-    # fragment of ``form``, so it ends any opaque statement it carries on.
-    vetted: bool = field(default=False, init=False, compare=False)
 
-    @cached_property
+    @property
     def lead_name(self) -> str | None:
         """The first marked identifier without its marker; an instance's
         bug id is this name followed by the counter."""
@@ -66,22 +61,16 @@ class BugSnippet:
         return None if match is None else match.group(1)
 
 
-@dataclass(frozen=True)
-class TransformPattern:
+class TransformPattern(NamedTuple):
     """A token rewrite; ``needle`` holds the token texts of ``match`` less
     its comments, and ``insert`` is ``replace`` with each whitespace run
-    collapsed to one space. ``keeps_roles`` is set by load_pool only, when
-    ``insert`` lexes to tokens of the same kinds as the needle's, one for
-    one, that the parser reads alike: equal punctuators, keywords that are
-    equal or both elementary types other than ``address``, and identifiers
-    whose text the parser does not read."""
+    collapsed to one space."""
 
     bug_type: BugType
     match: str
     replace: str
     needle: tuple[str, ...]
     insert: str
-    keeps_roles: bool = field(default=False, init=False, compare=False)
 
 
 class WeakeningRule(NamedTuple):
@@ -112,6 +101,17 @@ class BugPool(NamedTuple):
         return tuple(w for w in self.weakenings if w.bug_type is bug_type)
 
 
+_VOUCHED: set[BugSnippet | TransformPattern] = set()
+
+
+def vouched(entry: BugSnippet | TransformPattern) -> bool:
+    """Whether ``load_pool`` found ``entry``, or an equal one, sound: a
+    snippet whose instance at any counter >= 0 parses as one fragment of
+    its form, or a pattern whose ``insert`` the parser reads wherever it
+    reads the needle, token for token (``_same_role``)."""
+    return entry in _VOUCHED
+
+
 def instantiate(snippet: BugSnippet, counter: int) -> str:
     """Render the template with ``counter`` substituted for every marker."""
     return snippet.template.replace("{N}", str(counter))
@@ -136,7 +136,7 @@ def load_pool(text: str) -> BugPool:
             raise PoolError(snippet.id, "duplicate snippet id")
         seen_ids.add(snippet.id)
         _check_snippet(snippet)
-        object.__setattr__(snippet, "vetted", True)
+        _VOUCHED.add(snippet)
         snippets.append(snippet)
 
     transforms = []
@@ -242,9 +242,7 @@ def _parsed(snippet: BugSnippet, what: str, parse, text: str):
 
 
 def _has_opaque(stmt: Stmt) -> bool:
-    if stmt.opaque:
-        return True
-    return any(_has_opaque(child) for child in stmt.children)
+    return stmt.opaque or any(map(_has_opaque, stmt.children))
 
 
 def _transform_from_json(raw: object, idx: int) -> TransformPattern:
@@ -276,8 +274,8 @@ def _transform_from_json(raw: object, idx: int) -> TransformPattern:
         raise PoolError(label, f"replacement does not lex: {err}") from None
     pattern = TransformPattern(bug_type, match, replace,
                                tuple(t.text for t in needle), insert)
-    object.__setattr__(pattern, "keeps_roles", len(inserted) == len(needle)
-                       and all(map(_same_role, needle, inserted)))
+    if len(inserted) == len(needle) and all(map(_same_role, needle, inserted)):
+        _VOUCHED.add(pattern)
     return pattern
 
 

@@ -27,7 +27,7 @@ from solbugsmith.front import parse, parser
 from solbugsmith.injector import inject_all
 from solbugsmith.locator import find_all_potential_locations
 from solbugsmith.model import BugType
-from solbugsmith.pool import default_pool, load_pool
+from solbugsmith.pool import default_pool, load_pool, vouched
 
 TOOLS = ["Manticore", "Mythril", "Oyente", "Securify", "SmartCheck",
          "Slither"]
@@ -919,6 +919,53 @@ class TestExitCodes:
             assert (tmp_path / "out" / "Good.Reentrancy.sol").is_file()
 
 
+@pytest.mark.parametrize("case", ["locate", "oracle", "misnamed-log"])
+def test_an_unprintable_file_name_is_shown_on_one_line(
+        case, tmp_path, mini_corpus, injected, capsys):
+    """A file whose name holds a newline or a bare carriage return is named
+    as ``shown`` puts it: in a ``locate`` site line, in the failure summary
+    of ``locate`` and of ``oracle`` (keyed by the bug log's stem), and in
+    the error for a log whose entries name another file. Every line is
+    printable, and each failure takes one."""
+    corpus, logs = tmp_path / "corpus", tmp_path / "logs"
+    corpus.mkdir()
+    shutil.copy(mini_corpus / "Counter.sol", corpus / "Cou\rnter.sol")
+    (corpus / "Bad\nName.sol").write_bytes(b"contract Bad { \xff }")
+    shutil.copytree(injected, logs)
+    entries = json.loads((injected / "Counter.TxOrigin.buglog.json")
+                         .read_text(encoding="utf-8"))
+    for stem in ("Cou\rnter", "Bad\nName"):
+        file = "Counter.sol" if case == "misnamed-log" else f"{stem}.sol"
+        (logs / f"{stem}.buglog.json").write_text(json.dumps(
+            [dict(entry, file=file) for entry in entries]))
+    # one log's buggy file does not read as UTF-8, the other's is missing
+    (logs / "Cou\rnter.sol").write_bytes(b"contract C { \xff }")
+    argv = ["locate", "--corpus", corpus, "--bug-types", "TOD"] \
+        if case == "locate" else ["oracle", "--buglogs", logs,
+                                  "--out", tmp_path / "out"]
+
+    assert main(list(map(str, argv))) == 2
+    out, err = capsys.readouterr()
+    lines = (out + err).split("\n")[:-1]
+    assert lines and all(line.isprintable() for line in lines)
+    if case == "misnamed-log":
+        # ``shown`` cuts a long path short in its middle
+        assert err.startswith("solbugsmith oracle: error: '")
+        assert "Name.buglog.json': an entry names 'Counter.sol'" in err
+        assert len(lines) == 1
+        return
+    head, *summary = err.splitlines()
+    assert head == f"{len(summary)} failure(s):"
+    if case == "locate":
+        assert out == "'Cou\\rnter.sol' TOD: 57 site(s)\n"
+        assert summary == ["  'Bad\\nName.sol': cannot read source: 'utf-8' "
+                           "codec can't decode byte 0xff in position 15: "
+                           "invalid start byte"]
+    else:
+        assert [line.split(":")[0] for line in summary] == [
+            "  'Bad\\nName.sol'", "  'Cou\\rnter.sol'"]
+
+
 _DEEP = "[" * 800 + "]" * 800  # nested short of the decoder's limit
 _LONG = json.dumps("x" * 10_000)
 _ENTRY = {"bugId": "b1", "bugType": "TOD", "approach": "FullSnippet",
@@ -1007,7 +1054,7 @@ def test_inject_parses_each_source_once_and_lexes_no_output(
     bad_pool = load_pool(unbalancing_pool_text)
     sources = [p.read_text(encoding="utf-8")
                for p in sorted(mini_corpus.glob("*.sol"))]
-    (rewrite,) = [t for t in bad_pool.transforms if not t.keeps_roles]
+    (rewrite,) = [t for t in bad_pool.transforms if not vouched(t)]
     unvouched = []
     for source in sources:
         profile = find_all_potential_locations(
@@ -1178,17 +1225,15 @@ print(code, *sorted({m.split('.')[1] for m in sys.modules
 def test_each_subcommand_loads_only_its_own_modules(
         command, loaded, mini_corpus, injected, reports, tmp_path):
     """Each stage is its own process, and none compiles or imports another
-    stage's modules; ``oracle`` and ``evaluate`` load no ``dataclasses``
-    either."""
+    stage's modules; none loads ``dataclasses`` either."""
     inputs = {"--help": [],
               "locate": ["--corpus", mini_corpus, "--out", tmp_path],
               "inject": ["--corpus", mini_corpus, "--out", tmp_path],
               "oracle": ["--buglogs", injected, "--out", tmp_path],
               "evaluate": ["--buglogs", injected, "--reports", reports,
                            "--out", tmp_path]}
-    child = _RUN_AND_LIST
-    if command in ("oracle", "evaluate"):
-        child += "assert 'dataclasses' not in sys.modules, 'dataclasses'\n"
+    child = _RUN_AND_LIST + \
+        "assert 'dataclasses' not in sys.modules, 'dataclasses'\n"
     proc = subprocess.run([sys.executable, "-c", child, command,
                            *map(str, inputs[command])],
                           env=_child_env(), capture_output=True, text=True,

@@ -2,7 +2,6 @@
 output, ``validate`` accepts it, and ``inject_file`` returns what an
 injector that validates every output returns, or raises its message."""
 
-import dataclasses
 import json
 
 import pytest
@@ -336,23 +335,34 @@ def test_a_weakened_guard_between_any_two_statements_is_vouched_for(
 
 def test_a_profile_rebuilt_by_hand_is_validated(corpus_sources, pool,
                                                 monkeypatch):
-    """Only the locator vouches for where sites lie: a profile rebuilt from
-    its own sites, or copied with ``dataclasses.replace``, is not located,
-    so ``inject_file`` validates its output and returns it."""
+    """Only the locator vouches for where sites lie, and only for the sites
+    tuple it last returned for a bug type in a unit: a profile rebuilt from
+    a copy of its sites is not located, so ``inject_file`` validates its
+    output and returns it. A profile relabelled over the located tuple is
+    vouched for; once the unit is located again with another pool, the
+    earlier profile is validated, and writes the same bytes."""
     real = locator.find_all_potential_locations
 
     def rebuilt(*args, **kwargs):
         profile = real(*args, **kwargs)
         return InjectionProfile(profile.source_id, profile.bug_type,
-                                profile.sites, profile.unit)
+                                tuple(list(profile.sites)), profile.unit)
 
     unit = parse(corpus_sources["Counter.sol"])
     located = real(unit, BugType.TOD, pool, source_id="X.sol")
     by_hand = rebuilt(unit, BugType.TOD, pool, source_id="X.sol")
-    assert by_hand == located and located.located
-    assert not by_hand.located and not dataclasses.replace(located).located
+    assert by_hand == located and by_hand.sites is not located.sites
+    assert not locator.located(by_hand) and locator.located(located)
     expected = inject_all(located, pool)
     assert expected.vouched and not inject_all(by_hand, pool).vouched
+    relabelled = inject_all(located._replace(source_id="Y.sol"), pool)
+    assert relabelled.vouched and relabelled.text == expected.text
+    assert {e.file for e in relabelled.entries} == {"Y.sol"}
+
+    real(unit, BugType.TOD, _pool(snippets=[("x = 1;", ())]))
+    again = inject_all(located, pool)
+    assert not locator.located(located) and not again.vouched
+    assert (again.text, again.entries) == (expected.text, expected.entries)
 
     validated = []
     monkeypatch.setattr(front, "validate",
@@ -407,7 +417,7 @@ def test_a_site_moved_by_one_byte_gives_the_validating_outcome(
                     profile = real(*args, **kwargs)
                     changed = list(profile.sites)
                     changed[index] = _moved(changed[index], delta, which)
-                    return dataclasses.replace(profile, sites=tuple(changed))
+                    return profile._replace(sites=tuple(changed))
 
                 monkeypatch.setattr(locator, "find_all_potential_locations",
                                     shifted)

@@ -2,8 +2,8 @@
 is one the benchmark's tracer rebinds there; every name a module lists in
 ``__all__`` is bound at its top level; no module imports another's private
 name, every private name a module defines is read somewhere in the
-package, and a class is a dataclass only for a field its constructor must
-not take."""
+package, and no module imports ``dataclasses`` or calls
+``object.__setattr__``."""
 
 import ast
 from pathlib import Path
@@ -160,33 +160,31 @@ def test_every_private_name_is_read_somewhere_in_the_package():
     assert {module: names for module, names in unread.items() if names} == {}
 
 
-def _named(node: ast.expr, name: str) -> bool:
-    """Whether ``node`` is ``name`` or ``name(...)``, bare or as an
-    attribute (``dataclasses.name``)."""
-    if isinstance(node, ast.Call):
-        node = node.func
-    return getattr(node, "id", getattr(node, "attr", None)) == name
-
-
-def _skips_init(stmt: ast.stmt) -> bool:
-    """Whether ``stmt`` declares a ``field(..., init=False)``."""
-    value = getattr(stmt, "value", None)
-    return isinstance(stmt, ast.AnnAssign) and isinstance(value, ast.Call) \
-        and _named(value, "field") and any(
-            k.arg == "init" and isinstance(k.value, ast.Constant)
-            and k.value.value is False for k in value.keywords)
-
-
-def test_a_dataclass_declares_a_field_its_constructor_skips():
-    """A value record is a ``NamedTuple``. ``@dataclass`` is for a class
-    with a ``field(..., init=False)``, which a named tuple cannot hold."""
-    dataclasses, plain = [], []
+def _package_nodes():
+    """Each AST node of each module of the package, with the module's path."""
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ClassDef) and any(
-                    _named(d, "dataclass") for d in node.decorator_list):
-                dataclasses.append(node.name)
-                if not any(map(_skips_init, node.body)):
-                    plain.append(f"{path.relative_to(SRC)}: {node.name}")
-    assert dataclasses
-    assert plain == []
+            yield str(path.relative_to(SRC)), node
+
+
+def test_no_module_imports_dataclasses():
+    """Every record is a named tuple, or a plain class where a field is
+    filled after construction, so no stage loads ``dataclasses`` (and with
+    it ``inspect``, ``ast``, ``dis`` and ``tokenize``)."""
+    imports = [f"{path}:{node.lineno}" for path, node in _package_nodes()
+               if isinstance(node, ast.ImportFrom)
+               and node.module == "dataclasses"
+               or isinstance(node, ast.Import)
+               and any(a.name == "dataclasses" for a in node.names)]
+    assert imports == []
+
+
+def test_no_module_calls_object_setattr():
+    """What a check found is kept by the code that checked, not written
+    into a frozen record behind its constructor's back."""
+    calls = [f"{path}:{node.lineno}" for path, node in _package_nodes()
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "__setattr__"
+             and getattr(node.func.value, "id", None) == "object"]
+    assert calls == []

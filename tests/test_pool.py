@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from solbugsmith.errors import PoolError
 from solbugsmith.model import BugType, SnippetForm
 from solbugsmith.pool import (BugSnippet, TransformPattern, instantiate,
-                              load_pool)
+                              load_pool, vouched)
 
 
 class TestDefaultPool:
@@ -262,22 +262,29 @@ def test_variants_group_a_types_snippets_by_form_in_pool_order(pool):
     "owner = 'bytes{N}';", "owner = /* uint{N}\n {N}x */ 1; // int{N}"])
 def test_a_counter_that_cannot_change_token_kinds_loads(template):
     (snippet,) = load_pool(json.dumps(_snippet(template=template))).snippets
-    assert snippet.vetted
+    assert vouched(snippet)
 
 
 def test_bundled_entries_are_vetted_and_keep_roles(pool,
                                                    unbalancing_pool_text):
-    assert all(s.vetted for s in pool.snippets)
-    assert all(t.keeps_roles for t in pool.transforms)
+    assert all(map(vouched, pool.snippets))
+    assert all(map(vouched, pool.transforms))
     bad = load_pool(unbalancing_pool_text).transforms
-    assert [t.insert for t in bad if not t.keeps_roles] == ["uint256 ("]
+    assert [t.insert for t in bad if not vouched(t)] == ["uint256 ("]
 
 
 def test_only_load_pool_vouches_for_an_entry(pool):
-    snippet = pool.snippets[0]
+    """The loader keeps the entries it checked by value: an equal copy of
+    one is vouched for, an entry it never loaded is not, and no
+    constructor takes a word of trust."""
+    snippet, pattern = pool.snippets[0], pool.transforms[0]
     copy = BugSnippet(snippet.id, snippet.bug_type, snippet.form,
                       snippet.template, snippet.required_context)
-    assert copy == snippet and not copy.vetted
+    assert copy == snippet and copy is not snippet and vouched(copy)
+    assert vouched(TransformPattern(*pattern))
+    assert not vouched(copy._replace(id="never-loaded"))
+    assert not vouched(copy._replace(template="never loaded"))
+    assert not vouched(pattern._replace(insert="never loaded"))
     with pytest.raises(TypeError):
         BugSnippet(snippet.id, snippet.bug_type, snippet.form,
                    snippet.template, vetted=True)
@@ -300,7 +307,7 @@ def test_a_snippet_that_could_continue_an_opaque_statement_is_vetted(
     form = "SimpleStatement" if template.endswith(";") else "NonFunctionBlock"
     (snippet,) = load_pool(json.dumps(_snippet(
         template=template, form=form))).snippets
-    assert snippet.vetted
+    assert vouched(snippet)
 
 
 @pytest.mark.parametrize("match, replace, keeps", [
@@ -323,4 +330,4 @@ def test_a_transform_keeps_roles_when_the_parser_reads_it_alike(
         match, replace, keeps):
     (pattern,) = load_pool(json.dumps(_transform(
         match=match, replace=replace))).transforms
-    assert pattern.keeps_roles is keeps
+    assert vouched(pattern) is keeps
