@@ -10,8 +10,8 @@ The CSV writer is ``csv.writer`` itself. No field holds an unprintable
 character (``load_pool`` refuses such a snippet id and ``inject`` such a
 file name), so every supported Python quotes the fields alike.
 
-The loader keeps one string per distinct file name and snippet id of a log,
-shared by its entries.
+The loader refuses an entry that names a file other than the one the log is
+for; the entries share that file name string, and one per snippet id.
 """
 
 from __future__ import annotations
@@ -107,20 +107,22 @@ def emit_buglog_csv(entries) -> str:
     return buf.getvalue()
 
 
-def load_buglog(text: str) -> list[BugLogEntry]:
-    """Entries of a bug-log document; MalformedDocument for any other shape."""
+def load_buglog(text: str, file: str) -> list[BugLogEntry]:
+    """Entries of the bug log of the buggy file ``file``; MalformedDocument
+    for any other shape, or for an entry that names another file."""
     try:
         doc = json.loads(text)
         if not isinstance(doc, list):
             raise TypeError("expected a JSON array of entries")
-        shared: dict[str, str] = {}  # each file name and snippet id, once
-        return [_entry_from_json(raw, shared) for raw in doc]
+        snippet_ids: dict[str, str] = {}  # each snippet id, once
+        return [_entry_from_json(raw, file, snippet_ids) for raw in doc]
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         reason = f"entry without {exc}" if isinstance(exc, KeyError) else exc
         raise MalformedDocument(f"malformed bug log: {reason}") from None
 
 
-def _entry_from_json(raw: object, shared: dict[str, str]) -> BugLogEntry:
+def _entry_from_json(raw: object, file: str,
+                     snippet_ids: dict[str, str]) -> BugLogEntry:
     if type(raw) is not dict:
         raise TypeError("each entry must be a JSON object")
     span = raw["byteSpan"]
@@ -132,11 +134,14 @@ def _entry_from_json(raw: object, shared: dict[str, str]) -> BugLogEntry:
             is type(byte_end) is int):
         raise TypeError("lines and byte offsets must be integers: " +
                         shown((start_line, end_line, byte_start, byte_end)))
-    file = raw["file"]
-    if type(raw["bugId"]) is not str or type(file) is not str:
+    bug_id, named = raw["bugId"], raw["file"]
+    if type(bug_id) is not str or type(named) is not str:
         raise TypeError("bugId and file must be strings")
+    if named != file:
+        raise ValueError(f"entry {shown(bug_id)} names {shown(named)}, "
+                         f"not {shown(file)}")
     if not (1 <= start_line <= end_line and 0 <= byte_start <= byte_end):
-        raise ValueError(f"entry {shown(raw['bugId'])} has a reversed or "
+        raise ValueError(f"entry {shown(bug_id)} has a reversed or "
                          f"non-positive range: lines {start_line}..{end_line}"
                          f", bytes {byte_start}..{byte_end}")
     bug_type = term(BUG_TYPES, raw["bugType"], "BugType")
@@ -145,7 +150,6 @@ def _entry_from_json(raw: object, shared: dict[str, str]) -> BugLogEntry:
     if snippet_id is not None:
         if type(snippet_id) is not str:
             raise TypeError("snippetId must be a string or null")
-        snippet_id = shared.setdefault(snippet_id, snippet_id)
-    return BugLogEntry(raw["bugId"], bug_type, approach, snippet_id,
-                       shared.setdefault(file, file), start_line, end_line,
-                       byte_start, byte_end)
+        snippet_id = snippet_ids.setdefault(snippet_id, snippet_id)
+    return BugLogEntry(bug_id, bug_type, approach, snippet_id, file,
+                       start_line, end_line, byte_start, byte_end)

@@ -5,6 +5,9 @@ Subcommands cover the whole workflow: ``locate`` finds injection sites,
 analyzer reports with planted truth, and ``evaluate`` scores reports
 against bug logs. The driver only reads files, writes files and renders;
 ``injector.inject_file`` injects and ``evaluator.evaluate_campaign`` scores.
+Each file is checked where it is loaded, against the name it is read under
+or the buggy file it is for: ``buglog.load_buglog(text, file)``,
+``evaluator.load_truth_extras(text, tool)``, ``oracle.uninjected_lines``.
 Each stage runs as its own process, so each subcommand imports only the
 modules it runs: ``oracle`` and ``evaluate`` never load the front end, the
 locator, the pool or the injector, ``inject`` never loads the oracle or the
@@ -93,7 +96,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--bug-types", metavar="LIST",
                        help="comma-separated bug type names (default: all)")
 
-    p = sub.add_parser("locate", parents=[], help="write injection profiles")
+    p = sub.add_parser("locate", help="write injection profiles")
     p.add_argument("--corpus", required=True, metavar="PATH")
     p.add_argument("--out", metavar="DIR")
     p.add_argument("--dump-bip", action="store_true",
@@ -227,15 +230,15 @@ def _sources(files: list[Path], failures: list[tuple[str, str]]):
             failures.append((path.name, f"cannot read source: {exc}"))
 
 
-def _read_documents(root: Path, suffix: str, load) -> dict:
-    """``load`` applied to the text of each ``*suffix`` file in ``root``,
-    keyed by the file name less ``suffix``; a file that cannot be read or
-    loaded is a ``MalformedDocument`` naming it."""
+def _read_documents(root: Path, suffix: str, load, ext: str = "") -> dict:
+    """``load(text, name)`` of each ``*suffix`` file in ``root``, keyed by
+    ``name``, the file name with ``ext`` in place of ``suffix``; a file
+    that cannot be read or loaded is a ``MalformedDocument`` naming it."""
     docs = {}
     for path in sorted(root.glob(f"*{suffix}")):
+        name = path.name[:-len(suffix)] + ext
         try:
-            docs[path.name[:-len(suffix)]] = load(
-                path.read_text(encoding="utf-8"))
+            docs[name] = load(path.read_text(encoding="utf-8"), name)
         except OSError as exc:
             raise MalformedDocument(f"{_label(path)}: cannot read: "
                                     f"{exc.strerror}") from None
@@ -245,22 +248,13 @@ def _read_documents(root: Path, suffix: str, load) -> dict:
 
 
 def _read_buglogs(raw: str) -> dict[str, list[BugLogEntry]]:
-    """Bug-log entries by the buggy file each log is named after; a log
-    whose entries name another file is a ``MalformedDocument``, since
-    findings are filed under the log's name and matched on the entries'."""
+    """Bug-log entries by the buggy file ``<stem>.sol`` that each log
+    ``<stem>.buglog.json`` is for."""
     root = Path(raw)
     if not root.is_dir():
         raise _ConfigError(f"buglog directory does not exist: {raw}")
-    logs = {}
-    for stem, entries in _read_documents(root, ".buglog.json",
-                                         load_buglog).items():
-        name = f"{stem}.sol"
-        other = next((e.file for e in entries if e.file != name), None)
-        if other is not None:
-            log = _label(f"{root / stem}.buglog.json")
-            raise MalformedDocument(f"{log}: an entry names {shown(other)}, "
-                                    f"not {name!r}")
-        logs[name] = entries
+    # perfbench/tracing.py rebinds load_buglog here, so look it up as it runs
+    logs = _read_documents(root, ".buglog.json", load_buglog, ".sol")
     if not logs:
         raise _ConfigError(f"no *.buglog.json files in {raw}")
     return logs
@@ -304,11 +298,12 @@ def _cmd_locate(args: argparse.Namespace) -> int:
         for bug_type in bug_types:
             profile = find_all_potential_locations(unit, bug_type, pool,
                                                    source_id=path.name)
+            doc = dump_profile(profile) if args.dump_bip or out_dir else None
             if args.dump_bip:
-                print(dump_profile(profile), end="")
+                print(doc, end="")
             if out_dir is not None:
                 _write(out_dir, f"{path.stem}.{bug_type.value}.bip.json",
-                       dump_profile(profile), failures)
+                       doc, failures)
             elif not args.dump_bip:
                 print(f"{label} {bug_type.value}: "
                       f"{len(profile.sites)} site(s)")
@@ -382,7 +377,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     root = Path(args.buglogs)
     out_dir = _out_dir(args.out)
 
-    line_counts: dict[str, int] = {}
+    open_lines: dict[str, list[int]] = {}
     failures: list[tuple[str, str]] = []
     for sol_name in sorted(buglogs):
         sol_path = root / sol_name
@@ -390,19 +385,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             failures.append((sol_name, "buggy source missing next to its log"))
             continue
         for _, text in _sources([sol_path], failures):
-            lines = text.count("\n") + (0 if text.endswith("\n") else 1)
-            past = next((e for e in buglogs[sol_name] if e.end_line > lines),
-                        None)
-            if past is None:
-                line_counts[sol_name] = lines
-            else:
-                failures.append((sol_name, f"entry {shown(past.bug_id)} ends "
-                                 f"at line {past.end_line}, past the file's "
-                                 f"{lines} line(s)"))
-    usable = {name: entries for name, entries in buglogs.items()
-              if name in line_counts}
+            try:
+                open_lines[sol_name] = uninjected_lines(buglogs[sol_name],
+                                                        text)
+            except MalformedDocument as exc:
+                failures.append((sol_name, str(exc)))
+    usable = {name: buglogs[name] for name in open_lines}
 
-    open_lines = uninjected_lines(usable, line_counts)
     written = 0
     for tool in sorted(capabilities):
         report, truth = generate_tool_report(tool, capabilities[tool], usable,
@@ -455,15 +444,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         for finding in findings:
             findings_by_tool.setdefault(finding.tool, []).append(finding)
 
-    truth_extras, truth_files = {}, {}
-    for stem, (tool, extras) in _read_documents(reports_dir, ".truth.json",
-                                                load_truth_extras).items():
-        path = reports_dir / f"{stem}.truth.json"
-        if tool in truth_files:
-            raise MalformedDocument(f"{_label(truth_files[tool])} and "
-                                    f"{_label(path)} are "
-                                    f"both truth files of {shown(tool)}")
-        truth_files[tool], truth_extras[tool] = path, extras
+    truth_extras = _read_documents(reports_dir, ".truth.json",
+                                   load_truth_extras)
     entries = [e for name in sorted(buglogs) for e in buglogs[name]]
     try:
         result = evaluate_campaign(entries, findings_by_tool, capabilities,

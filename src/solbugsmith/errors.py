@@ -63,18 +63,6 @@ class ScopeError(SolBugSmithError):
     """Tool capability set is empty or otherwise unusable."""
 
 
-class FormatError(SolBugSmithError):
-    """Malformed analyzer report. ``finding`` is the 1-based index of the
-    faulty finding, ``line`` the line of a JSON syntax error; a fault of
-    the whole document has neither."""
-
-    def __init__(self, reason: str, *, finding: int | None = None,
-                 line: int | None = None) -> None:
-        super().__init__(f"finding {finding}: {reason}" if finding else
-                         f"line {line}: {reason}" if line else reason)
-        self.finding, self.line, self.reason = finding, line, reason
-
-
 class MissingThreshold(SolBugSmithError):
     """A bug type present in findings has no majority threshold."""
 
@@ -88,4 +76,14 @@ class DomainError(SolBugSmithError):
 
 
 class MalformedDocument(SolBugSmithError):
-    """A bug log or truth file does not have its documented shape."""
+    """A bug log, report or truth file does not have its documented shape,
+    or names a file or tool other than the one it is read as. For a
+    report, ``finding`` is the 1-based index of the faulty finding and
+    ``line`` the line of a JSON syntax error; a fault of the whole document
+    has neither."""
+
+    def __init__(self, reason: str, *, finding: int | None = None,
+                 line: int | None = None) -> None:
+        super().__init__(f"finding {finding}: {reason}" if finding else
+                         f"line {line}: {reason}" if line else reason)
+        self.finding, self.line, self.reason = finding, line, reason

@@ -30,8 +30,8 @@ from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .buglog import BugLogEntry, held, widened
-from .errors import (DomainError, FormatError, MalformedDocument,
-                     MissingThreshold, ScopeError, shown)
+from .errors import (DomainError, MalformedDocument, MissingThreshold,
+                     ScopeError, shown)
 from .model import BUG_TYPES, BugType, child_seed, load_capabilities
 
 # ``load_capabilities`` lives in ``model``, so that ``oracle`` need not load
@@ -65,23 +65,23 @@ def ingest_report(text: str, tool: str | None = None) -> list[Finding]:
     files: dict[str, str] = {}  # each file name, once
     for idx, raw in enumerate(raw_findings, start=1):
         if type(raw) is not dict:
-            raise FormatError("finding must be an object", finding=idx)
+            raise MalformedDocument("finding must be an object", finding=idx)
         name = raw.get("tool", default_tool)
         if not isinstance(name, str) or not name:
-            raise FormatError("finding has no tool name", finding=idx)
+            raise MalformedDocument("finding has no tool name", finding=idx)
         file = raw.get("file")
         if type(file) is not str or not file:
-            raise FormatError("finding has no file", finding=idx)
+            raise MalformedDocument("finding has no file", finding=idx)
         line = raw.get("line")
         if type(line) is not int or line < 1:
-            raise FormatError(f"line must be a positive integer, got "
-                              f"{shown(line)}", finding=idx)
+            raise MalformedDocument(f"line must be a positive integer, "
+                                    f"got {shown(line)}", finding=idx)
         type_name = raw.get("type")
         # a label that is not a string, a list say, is as unknown as any
         reported = BUG_TYPES.get(type_name) if type(type_name) is str \
             else None
         if type(raw.get("message", "")) is not str:
-            raise FormatError("message must be a string", finding=idx)
+            raise MalformedDocument("message must be a string", finding=idx)
         findings.append(Finding(name, files.setdefault(file, file), line,
                                 reported))
     return findings
@@ -92,7 +92,7 @@ def report_tool(text: str, tool: str) -> str:
     files a report that holds no findings under it."""
     name = _read_report(text, tool)[1]
     if not isinstance(name, str) or not name:
-        raise FormatError("report has no tool name")
+        raise MalformedDocument("report has no tool name")
     return name
 
 
@@ -101,16 +101,16 @@ def _read_report(text: str, tool: str | None) -> tuple[list, object]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
-        raise FormatError(f"not valid JSON: {err.msg}",
-                          line=err.lineno) from None
+        raise MalformedDocument(f"not valid JSON: {err.msg}",
+                                line=err.lineno) from None
     except RecursionError as err:  # nested deeper than the decoder goes
-        raise FormatError(str(err)) from None
+        raise MalformedDocument(str(err)) from None
     if isinstance(doc, list):
         return doc, tool
     if isinstance(doc, dict) and isinstance(doc.get("findings"), list):
         return doc["findings"], doc.get("tool", tool)
-    raise FormatError("report must be a JSON array of findings or an "
-                      "object with a findings array")
+    raise MalformedDocument("report must be a JSON array of findings or "
+                            "an object with a findings array")
 
 
 class FNScore(NamedTuple):
@@ -289,15 +289,19 @@ def load_confirmed(text: str) -> dict[str, dict[str, int]]:
     return doc
 
 
-def load_truth_extras(text: str) -> tuple[str, set[tuple[str, int, str]]]:
-    """``(tool, {(file, line, type label)})`` of an oracle truth file: the
-    findings the oracle planted off the injected lines."""
+def load_truth_extras(text: str, tool: str) -> set[tuple[str, int, str]]:
+    """``{(file, line, type label)}`` of ``tool``'s oracle truth file: the
+    findings the oracle planted off the injected lines. A truth file of
+    another tool is a MalformedDocument: its extras would score ``tool``."""
     try:
         doc = json.loads(text)
         if not isinstance(doc, dict) or not isinstance(doc.get("tool"), str):
             raise TypeError("expected a JSON object with a string tool")
-        return doc["tool"], {(e["file"], e["line"], e["type"])
-                             for e in doc.get("extras", ())}
+        if doc["tool"] != tool:
+            raise ValueError(f"its tool is {shown(doc['tool'])}, "
+                             f"not {shown(tool)}")
+        return {(e["file"], e["line"], e["type"])
+                for e in doc.get("extras", ())}
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         reason = f"no {exc} field" if isinstance(exc, KeyError) else exc
         raise MalformedDocument(f"malformed truth file: {reason}") from None

@@ -21,7 +21,7 @@ from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .buglog import BugLogEntry, held, widened
-from .errors import DomainError
+from .errors import DomainError, MalformedDocument, shown
 from .model import BugType, child_seed
 
 EXTRA_TYPE_LABEL = "assembly-usage"
@@ -50,15 +50,19 @@ class OracleSpec(namedtuple("OracleSpec", "miss_rate mistype_rate "
                                seed)
 
 
-def uninjected_lines(buglogs: dict[str, list[BugLogEntry]],
-                     line_counts: dict[str, int]) -> dict[str, list[int]]:
-    """Per file, in order, its lines that no bug-log entry covers."""
-    open_lines = {}
-    for file, entries in buglogs.items():
-        lines = range(1, line_counts[file] + 1)
-        covered = held(sorted(map(widened, entries)), lines)
-        open_lines[file] = [line for line in lines if line not in covered]
-    return open_lines
+def uninjected_lines(entries: list[BugLogEntry], text: str) -> list[int]:
+    """In order, the lines of the buggy file ``text`` that none of its
+    bug-log ``entries`` covers; MalformedDocument naming the first entry
+    that ends past the file's last line."""
+    last = text.count("\n") + (0 if text.endswith("\n") else 1)
+    past = next((e for e in entries if e.end_line > last), None)
+    if past is not None:
+        raise MalformedDocument(f"entry {shown(past.bug_id)} ends at line "
+                                f"{past.end_line}, past the file's {last} "
+                                f"line(s)")
+    lines = range(1, last + 1)
+    covered = held(sorted(map(widened, entries)), lines)
+    return [line for line in lines if line not in covered]
 
 
 def generate_tool_report(tool: str, capable: frozenset[BugType],
@@ -66,8 +70,8 @@ def generate_tool_report(tool: str, capable: frozenset[BugType],
                          open_lines: dict[str, list[int]],
                          spec: OracleSpec) -> tuple[dict, dict]:
     """Report and truth documents for one virtual tool over a corpus, with
-    its spurious findings on ``open_lines``, the
-    ``uninjected_lines(buglogs, line_counts)`` of the corpus."""
+    its spurious findings on ``open_lines``, each file's
+    ``uninjected_lines(buglogs[file], text)``."""
     findings: list[dict] = []
     missed: list[str] = []
     mistyped: list[dict] = []

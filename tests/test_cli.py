@@ -9,6 +9,7 @@ import inspect
 import json
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import solbugsmith
-from solbugsmith import cli, evaluator
+from solbugsmith import cli, evaluator, locator
 from solbugsmith.buglog import CSV_COLUMNS
 from solbugsmith.cli import _COMMANDS, _build_parser, main
 from solbugsmith.errors import shown
@@ -100,6 +101,51 @@ class TestLocate:
                          "Counter.TOD.bip.json",
                          "PiggyBank.Reentrancy.bip.json",
                          "PiggyBank.TOD.bip.json"]
+
+    def test_dump_bip_with_out_prints_what_it_writes(
+            self, mini_corpus, tmp_path, monkeypatch, capsys):
+        """Each profile is laid out once, printed and written alike, as
+        ``--out`` alone writes it."""
+        types = ["--bug-types", "Reentrancy,TOD"]
+        assert main(["locate", "--corpus", str(mini_corpus), "--out",
+                     str(tmp_path / "alone"), *types]) == 0
+        real, calls = locator.dump_profile, []
+
+        def counting(profile):
+            calls.append(profile)
+            return real(profile)
+
+        monkeypatch.setattr(locator, "dump_profile", counting)
+        out = tmp_path / "both"
+        assert main(["locate", "--corpus", str(mini_corpus), "--out",
+                     str(out), "--dump-bip", *types]) == 0
+        written = [p.read_text(encoding="utf-8")
+                   for p in sorted(out.iterdir())]
+        assert len(calls) == len(written) == 4
+        assert capsys.readouterr().out == "".join(written)
+        assert written == [p.read_text(encoding="utf-8")
+                           for p in sorted((tmp_path / "alone").iterdir())]
+
+    def test_dump_ast_with_out_writes_one_tree_per_source(
+            self, mini_corpus, tmp_path, capsys):
+        out = tmp_path / "trees"
+        assert main(["locate", "--corpus", str(mini_corpus / "Counter.sol"),
+                     "--dump-ast"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["locate", "--corpus", str(mini_corpus), "--dump-ast",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert sorted(p.name for p in out.iterdir()) == [
+            "Counter.ast.json", "PiggyBank.ast.json"]
+        assert (out / "Counter.ast.json").read_text(encoding="utf-8") \
+            == printed
+
+    def test_an_empty_bug_type_item_is_skipped(self, mini_corpus, capsys):
+        assert main(["locate", "--corpus", str(mini_corpus / "Counter.sol"),
+                     "--bug-types", "TOD,,Reentrancy,TOD"]) == 0
+        assert [line.split(":")[0] for line in
+                capsys.readouterr().out.splitlines()] == [
+            "Counter.sol TOD", "Counter.sol Reentrancy"]
 
 
 class TestInject:
@@ -692,6 +738,26 @@ class TestExitCodes:
         pytest.param(["inject", "--corpus", "{tmp}", "--out", "{tmp}/out",
                       "--seed", "1"],
                      "unrecognized arguments: --seed 1", id="inject-seed"),
+        pytest.param(["oracle", "--buglogs", "{tmp}/missing", "--out",
+                      "{tmp}/out"],
+                     "buglog directory does not exist: ",
+                     id="oracle-missing-buglogs"),
+        pytest.param(["evaluate", "--buglogs", "{tmp}/missing", "--reports",
+                      "{reports}"],
+                     "buglog directory does not exist: ",
+                     id="evaluate-missing-buglogs"),
+        pytest.param(["evaluate", "--buglogs", "{injected}", "--reports",
+                      "{tmp}/missing"],
+                     "reports directory does not exist: ",
+                     id="evaluate-missing-reports"),
+        pytest.param(["inject", "--corpus", "{tmp}", "--out", "{tmp}/out",
+                      "--counter-start", "x"],
+                     "--counter-start: expected an integer >= 0, got 'x'",
+                     id="non-integer-counter-start"),
+        pytest.param(["evaluate", "--buglogs", "{tmp}", "--reports", "{tmp}",
+                      "--line-slack", "1.5"],
+                     "--line-slack: expected an integer >= 0, got '1.5'",
+                     id="non-integer-line-slack"),
     ])
     def test_bad_flag_or_config_file_exits_one_with_one_line(
             self, argv, named, tmp_path, injected, reports, capsys):
@@ -852,8 +918,14 @@ class TestExitCodes:
                      id="inject-unprintable-file-name"),
         pytest.param(["evaluate", "--buglogs", "{injected}",
                       "--reports", "{tmp}/twotruths"],
-                     "Slither.truth.json are both truth files of 'Mythril'",
+                     "Slither.truth.json: malformed truth file: its tool is "
+                     "'Mythril', not 'Slither'",
                      id="two-truth-files-for-one-tool"),
+        pytest.param(["evaluate", "--buglogs", "{injected}",
+                      "--reports", "{tmp}/mistruth"],
+                     "Slither.truth.json: malformed truth file: its tool is "
+                     "'Mythril', not 'Slither'",
+                     id="truth-file-naming-another-tool"),
     ])
     def test_bad_input_file_exits_two_naming_it(
             self, argv, named, tmp_path, mini_corpus, injected, reports,
@@ -902,12 +974,15 @@ class TestExitCodes:
         for name in ("Cou\rnter.sol", "Good.sol"):
             shutil.copy(mini_corpus / "Counter.sol",
                         tmp_path / "unprintable" / name)
-        # truth files are filed by the tool they name
-        shutil.copytree(reports, tmp_path / "twotruths")
-        truth = tmp_path / "twotruths" / "Slither.truth.json"
-        doc = json.loads(truth.read_text(encoding="utf-8"))
-        truth.write_text(json.dumps(dict(doc, tool="Mythril")),
-                         encoding="utf-8")
+        # a truth file's tool is its file stem, with the other tool's truth
+        # file beside it or not
+        for name in ("twotruths", "mistruth"):
+            shutil.copytree(reports, tmp_path / name)
+            truth = tmp_path / name / "Slither.truth.json"
+            doc = json.loads(truth.read_text(encoding="utf-8"))
+            truth.write_text(json.dumps(dict(doc, tool="Mythril")),
+                             encoding="utf-8")
+        (tmp_path / "mistruth" / "Mythril.truth.json").unlink()
 
         code = main([arg.format(tmp=tmp_path, injected=injected,
                                 reports=reports) for arg in argv])
@@ -915,6 +990,8 @@ class TestExitCodes:
         assert code == 2
         assert "Traceback" not in err
         assert len([line for line in err.splitlines() if named in line]) == 1
+        if ".buglog.json" in named or ".truth.json" in named:
+            assert len(err.splitlines()) == 1  # it stops the command
         if argv[0] == "inject":  # the campaign goes on past the bad file
             assert (tmp_path / "out" / "Good.Reentrancy.sol").is_file()
 
@@ -951,7 +1028,9 @@ def test_an_unprintable_file_name_is_shown_on_one_line(
     if case == "misnamed-log":
         # ``shown`` cuts a long path short in its middle
         assert err.startswith("solbugsmith oracle: error: '")
-        assert "Name.buglog.json': an entry names 'Counter.sol'" in err
+        assert ("Name.buglog.json': malformed bug log: entry "
+                f"{entries[0]['bugId']!r} names 'Counter.sol', not "
+                "'Bad\\nName.sol'") in err
         assert len(lines) == 1
         return
     head, *summary = err.splitlines()
@@ -1136,6 +1215,33 @@ def test_traced_bindings_exist_in_every_importing_module(tracer_targets):
             module = importlib.import_module(f"solbugsmith.{owner}")
             assert getattr(module, attr, None) is defined, \
                 f"solbugsmith.{owner}.{attr}"
+
+
+def test_the_readme_library_examples_run(mini_corpus, tmp_path, monkeypatch,
+                                         capsys):
+    """The ``python`` blocks of the README's "Library use" run as written,
+    on the files of a one-contract ``inject`` and ``oracle``."""
+    readme = Path(solbugsmith.__file__).parents[2] / "README.md"
+    section = readme.read_text(encoding="utf-8").split(
+        "\n## Library use\n")[1].split("\n## ")[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, re.M | re.S)
+    assert len(blocks) == 2
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(mini_corpus / "Counter.sol", "Example.sol")
+    data = Path("src/solbugsmith/data")
+    data.mkdir(parents=True)
+    shutil.copy(Path(solbugsmith.__file__).parent / "data" /
+                "capabilities.json", data)
+    assert main(["inject", "--corpus", str(mini_corpus / "Counter.sol"),
+                 "--out", "buggy", "--bug-types", "Reentrancy"]) == 0
+    assert main(["oracle", "--buglogs", "buggy", "--out", "reports",
+                 "--extra-per-file", "5", "--seed", "11"]) == 0
+    capsys.readouterr()
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})
+    out = capsys.readouterr().out
+    assert "contract Counter" in out and "| Bug type | Slither |" in out
+    assert "FPCell(reported=" in out
 
 
 # -- whole processes ----------------------------------------------------------

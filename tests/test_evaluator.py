@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from solbugsmith import evaluator, model
 from solbugsmith.buglog import BugLogEntry
-from solbugsmith.errors import (DomainError, FormatError, MissingThreshold,
-                                ScopeError)
+from solbugsmith.errors import (DomainError, MalformedDocument,
+                                MissingThreshold, ScopeError)
 from solbugsmith.evaluator import (MISCELLANEOUS, Evaluation, Finding,
                                    FNScore, FPCell, derive_thresholds,
                                    estimate_false_positives,
@@ -90,7 +90,7 @@ class TestIngest:
         ([{"file": "a.sol", "line": 4, "message": 9}], 1),
     ])
     def test_bad_finding_reports_its_index(self, bad, index):
-        with pytest.raises(FormatError) as err:
+        with pytest.raises(MalformedDocument) as err:
             ingest_report(json.dumps(bad), tool="x")
         assert err.value.finding == index
 
@@ -104,22 +104,22 @@ class TestIngest:
 
     @pytest.mark.parametrize("name", ["", 5, None])
     def test_report_tool_must_be_a_name(self, name):
-        with pytest.raises(FormatError):
+        with pytest.raises(MalformedDocument):
             report_tool(json.dumps({"tool": name, "findings": []}), "stem")
 
     def test_rejects_non_json_and_wrong_shape(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(MalformedDocument):
             ingest_report("not json at all")
-        with pytest.raises(FormatError):
+        with pytest.raises(MalformedDocument):
             ingest_report(json.dumps({"tool": "x"}))  # findings expected
-        with pytest.raises(FormatError):
+        with pytest.raises(MalformedDocument):
             ingest_report(json.dumps([1, 2]))
         # report_tool reads the document as ingest_report does
         too_deep = "[" * 100_000 + "]" * 100_000
         for text in ("not json at all", too_deep):
-            with pytest.raises(FormatError):
+            with pytest.raises(MalformedDocument):
                 ingest_report(text, tool="x")
-            with pytest.raises(FormatError):
+            with pytest.raises(MalformedDocument):
                 report_tool(text, "x")
 
 
@@ -748,16 +748,16 @@ def test_each_bug_is_widened_once_and_each_sweep_is_linear(
     once, for every tool's matching and the FP set-aside, however many
     tools it scores; and the sweeps of one tool and bug type push at most
     two heap items per entry of that type, whatever the line slack."""
-    buglogs, line_counts = {}, {}
+    buglogs, open_lines = {}, {}
     for name, text in corpus_sources.items():
         unit = parse(text)
         for bug_type in BugType:
             out_name = f"{name[:-len('.sol')]}.{bug_type.value}.sol"
             result = inject_file(unit, bug_type, pool, out_name)
             buglogs[out_name] = result.entries
-            line_counts[out_name] = result.text.count("\n") + 1
+            open_lines[out_name] = uninjected_lines(result.entries,
+                                                    result.text)
     entries = [e for name in sorted(buglogs) for e in buglogs[name]]
-    open_lines = uninjected_lines(buglogs, line_counts)
     spec = OracleSpec(miss_rate=0.3, mistype_rate=0.2, extra_per_file=5,
                       seed=1)
     reports = {tool: ingest_report(json.dumps(generate_tool_report(

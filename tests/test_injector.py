@@ -241,7 +241,8 @@ class TestBugLogSerialization:
         return inject_all(profile, pool).entries
 
     def test_json_round_trip(self, entries):
-        assert load_buglog(emit_buglog_json(entries)) == list(entries)
+        assert load_buglog(emit_buglog_json(entries),
+                           entries[0].file) == list(entries)
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.builds(
@@ -297,7 +298,7 @@ class TestBugLogSerialization:
         doc[0]["startLine"], doc[0]["endLine"] = lines
         doc[0]["byteSpan"] = dict(zip(("start", "end"), span))
         with pytest.raises(MalformedDocument, match="reversed or non-positive"):
-            load_buglog(json.dumps(doc))
+            load_buglog(json.dumps(doc), entries[0].file)
 
     @pytest.mark.parametrize("change, message", [
         pytest.param(lambda doc: {}, "expected a JSON array of entries",
@@ -333,40 +334,45 @@ class TestBugLogSerialization:
         pytest.param(lambda doc: [{**doc[0], "approach": "Manual"}],
                      "'Manual' is not a valid Approach",
                      id="unknown-approach"),
+        pytest.param(lambda doc: [doc[0], {**doc[0], "bugId": "b2",
+                                           "file": "Other.sol"}],
+                     "entry 'b2' names 'Other.sol', not ",
+                     id="entry-naming-another-file"),
     ])
     def test_wrong_shape_is_malformed(self, entries, change, message):
         doc = change([entries[0].to_json()])
         with pytest.raises(MalformedDocument) as err:
-            load_buglog(json.dumps(doc))
+            load_buglog(json.dumps(doc), entries[0].file)
         assert str(err.value).startswith(f"malformed bug log: {message}")
 
     def test_a_loaded_log_holds_each_file_and_snippet_id_once(self):
+        """Every entry holds the file name string it was loaded under."""
         doc = [{"bugId": f"b{i}", "bugType": "TOD",
                 "approach": "FullSnippet", "snippetId": snippet_id,
-                "file": file, "startLine": 1, "endLine": 1,
+                "file": "a.sol", "startLine": 1, "endLine": 1,
                 "byteSpan": {"start": 0, "end": 1}}
-               for i, (file, snippet_id) in enumerate(
-                   [("a.sol", "s1"), ("a.sol", "s2"), ("a.sol", None)] * 3
-                   + [("b.sol", "s1")])]
-        loaded = load_buglog(json.dumps(doc))
-        assert [(e.file, e.snippet_id) for e in loaded] == \
-            [(raw["file"], raw["snippetId"]) for raw in doc]
-        assert len({id(e.file) for e in loaded}) == 2
+               for i, snippet_id in enumerate(["s1", "s2", None] * 3)]
+        file = "a.sol"
+        loaded = load_buglog(json.dumps(doc), file)
+        assert [e.snippet_id for e in loaded] == \
+            [raw["snippetId"] for raw in doc]
+        assert all(e.file is file for e in loaded)
         assert len({id(e.snippet_id) for e in loaded}) == 3  # None once
 
     @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.builds(
+    @given(_LOG_TEXT, st.lists(st.builds(
         lambda first, lines, start, length, **fields: BugLogEntry(
-            start_line=first, end_line=first + lines, byte_start=start,
-            byte_end=start + length, **fields),
+            file="", start_line=first, end_line=first + lines,
+            byte_start=start, byte_end=start + length, **fields),
         bug_id=_LOG_TEXT, bug_type=st.sampled_from(BugType),
         approach=st.sampled_from(Approach),
-        snippet_id=st.none() | _LOG_TEXT, file=_LOG_TEXT,
+        snippet_id=st.none() | _LOG_TEXT,
         first=st.integers(min_value=1, max_value=2**40), lines=_LOG_INT,
         start=_LOG_INT, length=_LOG_INT), max_size=4))
-    @example([])
-    def test_a_written_log_loads_back(self, logged):
-        assert load_buglog(emit_buglog_json(logged)) == logged
+    @example("", [])
+    def test_a_written_log_loads_back(self, file, logged):
+        logged = [e._replace(file=file) for e in logged]
+        assert load_buglog(emit_buglog_json(logged), file) == logged
 
 
 # a line or range end: small, so that ranges nest, repeat and touch, or

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solbugsmith.buglog import BugLogEntry
-from solbugsmith.errors import DomainError
+from solbugsmith.errors import DomainError, MalformedDocument
 from solbugsmith.evaluator import (derive_thresholds, evaluate_campaign,
                                    ingest_report, score_false_negatives)
 from solbugsmith.front import parse
@@ -44,17 +44,18 @@ def buglogs():
 
 @pytest.fixture(scope="module")
 def campaign(corpus_sources, pool):
-    """Bug logs and line counts of two bundled contracts, each injected
+    """Bug logs and open lines of two bundled contracts, each injected
     once with every bug type."""
-    buglogs, line_counts = {}, {}
+    buglogs, open_lines = {}, {}
     for name in ("Counter.sol", "PiggyBank.sol"):
         unit = parse(corpus_sources[name])
         for bug_type in BugType:
             out_name = f"{name[:-len('.sol')]}.{bug_type.value}.sol"
             result = inject_file(unit, bug_type, pool, out_name)
             buglogs[out_name] = result.entries
-            line_counts[out_name] = result.text.count("\n") + 1
-    return buglogs, uninjected_lines(buglogs, line_counts)
+            open_lines[out_name] = uninjected_lines(result.entries,
+                                                    result.text)
+    return buglogs, open_lines
 
 
 LINES = {"a.sol": 40, "b.sol": 60}
@@ -63,8 +64,9 @@ LINES = {"a.sol": 40, "b.sol": 60}
 def report_over(buglogs, spec, tool="t", capable=ALL, lines=LINES):
     """``generate_tool_report`` with the open lines of ``buglogs`` in files
     of ``lines`` lines."""
-    return generate_tool_report(tool, capable, buglogs,
-                                uninjected_lines(buglogs, lines), spec)
+    open_lines = {file: uninjected_lines(entries, "\n" * lines[file])
+                  for file, entries in buglogs.items()}
+    return generate_tool_report(tool, capable, buglogs, open_lines, spec)
 
 
 class TestSeeding:
@@ -179,31 +181,36 @@ class TestExtras:
         assert len(truth["extras"]) == 2  # only lines 9 and 10 are free
 
 
-    def test_range_past_the_end_of_the_file_is_not_expanded(self):
-        logs = {"tiny.sol": [entry("b0", BugType.TOD, 9, 10**12,
-                                   file="tiny.sol")]}
-        spec = OracleSpec(extra_per_file=50, seed=1)
-        _, truth = report_over(logs, spec, lines={"tiny.sol": 10})
-        assert sorted(e["line"] for e in truth["extras"]) == list(range(1, 9))
+    def test_range_past_the_end_of_the_file_is_refused(self):
+        logs = [entry("b0", BugType.TOD, 2, 3), entry("b1", BugType.TOD, 9,
+                                                      10**12)]
+        with pytest.raises(MalformedDocument) as err:
+            uninjected_lines(logs, "\n" * 10)
+        assert str(err.value) == ("entry 'b1' ends at line 1000000000000, "
+                                  "past the file's 10 line(s)")
 
     @settings(max_examples=150, deadline=None)
-    @given(st.dictionaries(st.sampled_from(["a.sol", "b.sol", "c.sol"]),
-                           st.tuples(st.integers(0, 40), st.lists(st.tuples(
-                               st.integers(1, 50),
-                               st.integers(0, 8) | st.integers(0, 10**12)),
-                               max_size=6))))
-    def test_open_lines_are_the_lines_no_entry_covers(self, files):
-        """Entries in any order, overlapping or past the end of the file;
-        each line is tested against every entry."""
-        buglogs = {file: [entry(f"b{i}", BugType.TOD, start, start + extra,
-                                file=file)
-                          for i, (start, extra) in enumerate(spans)]
-                   for file, (_, spans) in files.items()}
-        line_counts = {file: n for file, (n, _) in files.items()}
-        want = {file: [line for line in range(1, n + 1) if not any(
-            e.start_line <= line <= e.end_line for e in buglogs[file])]
-            for file, n in line_counts.items()}
-        assert uninjected_lines(buglogs, line_counts) == want
+    @given(st.integers(1, 40), st.booleans(), st.lists(st.tuples(
+        st.integers(1, 50), st.integers(0, 8) | st.integers(0, 10**12)),
+        max_size=6))
+    def test_open_lines_are_the_lines_no_entry_covers(self, n, ended, spans):
+        """Entries in any order, overlapping or past the end of a file of
+        ``n`` lines, the last ended by a newline or not; each line is tested
+        against every entry, and the first entry past the end is named."""
+        entries = [entry(f"b{i}", BugType.TOD, start, start + extra)
+                   for i, (start, extra) in enumerate(spans)]
+        text = "x\n" * (n - 1) + ("x\n" if ended else "x")
+        past = [e for e in entries if e.end_line > n]
+        if past:
+            with pytest.raises(MalformedDocument) as err:
+                uninjected_lines(entries, text)
+            assert str(err.value) == (
+                f"entry {past[0].bug_id!r} ends at line {past[0].end_line}, "
+                f"past the file's {n} line(s)")
+        else:
+            assert uninjected_lines(entries, text) == [
+                line for line in range(1, n + 1) if not any(
+                    e.start_line <= line <= e.end_line for e in entries)]
 
 
 class TestClosure:
