@@ -6,9 +6,11 @@ loader that reads a JSON log back.
 The JSON writer lays each entry out by one f-string over the C string
 encoder, byte for byte as ``json.dumps(..., indent=2)`` would, and the
 writers and loader look bug types and approaches up in tables built once.
-The CSV writer is ``csv.writer`` itself. No field holds an unprintable
-character (``load_pool`` refuses such a snippet id and ``inject`` such a
-file name), so every supported Python quotes the fields alike.
+The CSV writer lays each row out by one f-string too. It quotes a field
+that holds a ``,``, a ``"``, a newline or a carriage return, RFC 4180's
+rule: what ``csv.writer`` writes from Python 3.13 on, and on earlier
+Pythons for every field without a carriage return. The bytes are the same
+under every supported Python, and no stage but ``evaluate`` loads ``csv``.
 
 The loader refuses an entry that names a file other than the one the log is
 for; the entries share that file name string, and one per snippet id.
@@ -16,8 +18,6 @@ for; the entries share that file name string, and one per snippet id.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
@@ -97,14 +97,28 @@ def emit_buglog_json(entries) -> str:
 
 
 def emit_buglog_csv(entries) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for e in entries:
-        writer.writerow([e.bug_id, _VALUES[e.bug_type], _VALUES[e.approach],
-                         e.snippet_id or "", e.file, e.start_line, e.end_line,
-                         e.byte_start, e.byte_end])
-    return buf.getvalue()
+    """The CSV document of ``entries``, a header and one row per entry,
+    each row laid out by one f-string."""
+    rows = [
+        f"{_csv_field(e.bug_id)},{_VALUES[e.bug_type]},{_VALUES[e.approach]},"
+        f"{_csv_field(e.snippet_id or '')},{_csv_field(e.file)},"
+        f"{e.start_line},{e.end_line},{e.byte_start},{e.byte_end}\n"
+        for e in entries]
+    return _CSV_HEADER + "".join(rows)
+
+
+_CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as a CSV field: quoted, its quotes doubled, if it holds a
+    ``,``, a ``"``, a ``\\n`` or a ``\\r`` (RFC 4180's rule, and
+    ``csv.writer``'s from Python 3.13 on)."""
+    if '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    if "," in text or "\n" in text or "\r" in text:
+        return '"' + text + '"'
+    return text
 
 
 def load_buglog(text: str, file: str) -> list[BugLogEntry]:

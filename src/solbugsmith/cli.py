@@ -20,6 +20,7 @@ per-file failure (processing continues and a summary is printed).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from importlib import import_module, resources
@@ -319,8 +320,8 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     files = _corpus_files(args.corpus)
     out_dir = _out_dir(args.out)
 
-    # a file name goes into every bug log, and a CSV field with an
-    # unprintable character is quoted differently by different Pythons
+    # a file name goes into every bug log, whose CSV rows stay one line of
+    # printable text each
     failures: list[tuple[str, str]] = [
         (path.name, "a file name with an unprintable character cannot go "
                     "into a bug log")
@@ -508,5 +509,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def entry() -> int:
+    """``main`` on the command line, as a process of its own runs it (``python
+    -m solbugsmith.cli`` and the ``solbugsmith`` script): the objects made
+    up to here, the interpreter's and this module's, are frozen first, so
+    that no collection while the subcommand runs scans them again."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

@@ -4,11 +4,14 @@ ground truth.
 Each site becomes one byte edit of the source, and one front-to-back pass
 splices the edits in and records where each landed. Every site in the
 profile produces exactly one log entry whose line range and byte span
-refer to the OUTPUT file; the pass counts the newlines it copies, so each
-entry's lines come from the splice. Shared context declarations are
-inserted once per contract, directly after the contract's opening brace,
-and are charged to the first bug that needs them: that entry's range is
-the convex hull of its snippet and its context lines.
+refer to the OUTPUT file; the pass counts the newlines of the source it
+copies, and each edit brings the newline counts of its insert, so each
+entry's lines come from the splice. A snippet instance's counts are worked
+out once per snippet, indent and what follows, with ``{N}`` unfilled: a
+counter adds no newline, however many digits it has. Shared context
+declarations are inserted once per contract, directly after the contract's
+opening brace, and are charged to the first bug that needs them: that
+entry's range is the convex hull of its snippet and its context lines.
 
 An output is valid by construction when the profile is ``locator.located``
 (each site lies where the locator put it), the counter is >= 0, no two
@@ -41,6 +44,7 @@ shared by every bug type.
 from __future__ import annotations
 
 from itertools import cycle
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import front, locator
@@ -64,15 +68,12 @@ class InjectionResult(NamedTuple):
     vouched: bool = False
 
 
-class _Edit(NamedTuple):
-    """Replace bytes [start, end) with ``insert``; ``logged`` holds a
-    (site index, start, end) range relative to ``insert`` for each bug-log
-    entry that covers part of it."""
-
-    start: int
-    end: int
-    insert: bytes
-    logged: list[tuple[int, int, int]]
+# An edit replaces bytes [start, end) with ``insert``, which holds
+# ``newlines`` newlines; ``logged`` holds a (site index, start, end, newlines
+# before start, newlines before the last byte) range relative to ``insert``
+# for each bug-log entry that covers part of it.
+_Edit = tuple[int, int, bytes, int,
+              tuple[tuple[int, int, int, int, int], ...]]
 
 
 def inject_file(unit: SourceUnit, bug_type: BugType, pool: BugPool,
@@ -107,8 +108,8 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
     sound = locator.located(profile) and counter_start >= 0
 
     # per form, its snippets in pool order, taken in turn, each with its bug
-    # ids' prefix, the pool's word for it, and its instance text per (indent,
-    # what follows): a new line, the reindented template and that
+    # ids' prefix, the pool's word for it, and its instances per (indent,
+    # what follows)
     variants = {form: cycle([(snippet, snippet.lead_name or f"{snippet.id}-",
                               vouched(snippet), {}) for snippet in group])
                 for form, group in pool.variants(profile.bug_type).items()}
@@ -120,16 +121,16 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
     for idx, site in enumerate(profile.sites):
         counter = counter_start + idx
         if isinstance(site, SnippetSite):
-            snippet, prefix, trusted, texts = next(variants[site.form])
+            snippet, prefix, trusted, instances = next(variants[site.form])
             indent, follows, contract = facts.insertion(site.offset)
-            text = texts.get((indent, follows))
-            if text is None:
-                # {N} never touches the whitespace that leads a line
-                text = texts[indent, follows] = \
-                    "\n" + _reindent(snippet.template, indent) + follows
-            insert = text.replace("{N}", str(counter)).encode("utf-8")
-            edits.append(_Edit(site.offset, site.offset, insert,
-                               [(idx, 1, len(insert) - len(follows))]))
+            instance = instances.get((indent, follows))
+            if instance is None:
+                instance = instances[indent, follows] = \
+                    _instance(snippet.template, indent, follows)
+            text, tail, last_newlines, newlines = instance
+            insert = text.replace(b"{N}", b"%d" % counter)
+            edits.append((site.offset, site.offset, insert, newlines,
+                          ((idx, 1, len(insert) - tail, 1, last_newlines),)))
             fields.append((f"{prefix}{counter}", Approach.FULL_SNIPPET,
                            snippet.id))
             sound = sound and trusted
@@ -142,7 +143,7 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
                     decls.setdefault(decl, idx)
         elif isinstance(site, TransformSite):
             insert = site.pattern.insert.encode("utf-8")
-            edits.append(_Edit(site.match_span.start, site.match_span.end,
+            edits.append(_edit(site.match_span.start, site.match_span.end,
                                insert, [(idx, 0, len(insert))]))
             fields.append((f"trans_{profile.bug_type.value}{counter}",
                            Approach.CODE_TRANSFORMATION, None))
@@ -167,41 +168,65 @@ def inject_all(profile: InjectionProfile, pool: BugPool,
             logged.append((owner, len(insert), len(insert) + len(line)))
             insert += line
         insert += follows.encode("utf-8")
-        context_edits.append(_Edit(offset, offset, insert, logged))
+        context_edits.append(_edit(offset, offset, insert, logged))
 
     # A stable sort: a context insertion, listed first, precedes the site
     # edits at its offset, and site edits at one offset keep profile order.
-    # Lines are counted as the bytes are copied. Per entry: the (offset,
-    # line) of its first byte and of its end; an entry charged context
-    # declarations spans the hull of its ranges, as lines rise with offsets.
-    hull: list[tuple | None] = [None] * len(fields)
+    # Lines are counted as the source bytes are copied; each insert brings
+    # its own counts. Per entry: its first and last line and its byte span;
+    # an entry charged context declarations spans the hull of its ranges,
+    # as lines rise with offsets.
+    spans: list[tuple[int, int, int, int] | None] = [None] * len(fields)
     out, pos, line = bytearray(), 0, 1
-    for edit in sorted(context_edits + edits, key=lambda e: e.start):
-        if edit.start < pos:
-            raise EditConflict(f"edits overlap at bytes {edit.start}..{pos}")
-        line += data.count(b"\n", pos, edit.start)
-        out += data[pos:edit.start]
-        insert = edit.insert
-        for idx, rel_start, rel_end in edit.logged:
-            first = (len(out) + rel_start,
-                     line + insert.count(b"\n", 0, rel_start))
-            last = (len(out) + rel_end,
-                    line + insert.count(b"\n", 0, max(rel_start, rel_end - 1)))
-            if hull[idx] is not None:
-                first, last = min(first, hull[idx][0]), max(last, hull[idx][1])
-            hull[idx] = (first, last)
-        line += insert.count(b"\n")
+    for start, end, insert, newlines, logged in sorted(context_edits + edits,
+                                                       key=itemgetter(0)):
+        if start < pos:
+            raise EditConflict(f"edits overlap at bytes {start}..{pos}")
+        line += data.count(b"\n", pos, start)
+        out += data[pos:start]
+        at = len(out)
+        for idx, rel_start, rel_end, first_newlines, last_newlines in logged:
+            span = (line + first_newlines, line + last_newlines,
+                    at + rel_start, at + rel_end)
+            held = spans[idx]
+            if held is not None:
+                span = (min(held[0], span[0]), max(held[1], span[1]),
+                        min(held[2], span[2]), max(held[3], span[3]))
+            spans[idx] = span
+        line += newlines
         out += insert
-        pos = edit.end
+        pos = end
     out += data[pos:]
 
+    bug_type, source_id = profile.bug_type, profile.source_id
     entries = tuple(
-        BugLogEntry(bug_id, profile.bug_type, approach, snippet_id,
-                    profile.source_id, start_line, end_line, start, end)
-        for (bug_id, approach, snippet_id), ((start, start_line),
-                                             (end, end_line))
-        in zip(fields, hull))
+        BugLogEntry(bug_id, bug_type, approach, snippet_id, source_id, *span)
+        for (bug_id, approach, snippet_id), span in zip(fields, spans))
     return InjectionResult(out.decode("utf-8"), entries, sound)
+
+
+def _instance(template: str, indent: str, follows: str
+              ) -> tuple[bytes, int, int, int]:
+    """A snippet's instance put on a new line with ``indent``, before
+    ``follows``: its UTF-8 text with the ``{N}`` markers left in, the length
+    of ``follows``, the newlines ahead of the last byte the bug log covers
+    and all of its newlines. A counter adds no newline, so the counts hold
+    for every counter, however many digits it has."""
+    logged = "\n" + _reindent(template, indent)
+    return ((logged + follows).encode("utf-8"), len(follows),
+            logged.count("\n", 0, max(1, len(logged) - 1)),
+            logged.count("\n") + follows.count("\n"))
+
+
+def _edit(start: int, end: int, insert: bytes,
+          logged: list[tuple[int, int, int]]) -> _Edit:
+    """An edit of bytes [start, end) whose ``logged`` ranges of ``insert``
+    get their newline counts."""
+    return (start, end, insert, insert.count(b"\n"),
+            tuple((idx, rel_start, rel_end,
+                   insert.count(b"\n", 0, rel_start),
+                   insert.count(b"\n", 0, max(rel_start, rel_end - 1)))
+                  for idx, rel_start, rel_end in logged))
 
 
 # the bytes next to which no token can change where it ends
@@ -223,7 +248,7 @@ def _weaken_edit(data: bytes, site: WeakenSite, idx: int) -> _Edit:
     prefix = ("\n" + indent) if before.strip() else ""
     suffix = ("\n" + indent) if after.strip() else ""
     rel_start = len(prefix.encode("utf-8"))
-    return _Edit(start, end, (prefix + commented + suffix).encode("utf-8"),
+    return _edit(start, end, (prefix + commented + suffix).encode("utf-8"),
                  [(idx, rel_start, rel_start + len(commented.encode("utf-8")))])
 
 

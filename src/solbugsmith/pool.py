@@ -176,8 +176,8 @@ def _snippet_from_json(raw: object) -> BugSnippet:
     entry_id = raw.get("id")
     if not isinstance(entry_id, str) or not entry_id:
         raise PoolError("<snippet>", "missing or empty id")
-    # the id goes into every bug log, and a CSV field with an unprintable
-    # character (a bare \r) is quoted differently by different Pythons
+    # the id goes into every bug log, whose CSV rows stay one line of
+    # printable text each
     if not entry_id.isprintable():
         raise PoolError("<snippet>", f"id {shown(entry_id)} is not printable")
     try:

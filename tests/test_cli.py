@@ -4,6 +4,7 @@ run-to-run reproducibility of everything written to disk."""
 import argparse
 import csv
 import errno
+import gc
 import importlib
 import inspect
 import json
@@ -968,8 +969,8 @@ class TestExitCodes:
                 ("deeptruth", reports, "Slither.truth.json")):
             shutil.copytree(source, tmp_path / name)
             (tmp_path / name / deep_file).write_text("[" * 200_000)
-        # a file name goes into its bug logs, and Python 3.13's csv quotes
-        # a bare carriage return where 3.10 to 3.12 do not
+        # a file name goes into its bug logs, whose CSV rows stay one line
+        # of printable text each
         (tmp_path / "unprintable").mkdir()
         for name in ("Cou\rnter.sol", "Good.sol"):
             shutil.copy(mini_corpus / "Counter.sol",
@@ -1331,20 +1332,72 @@ print(code, *sorted({m.split('.')[1] for m in sys.modules
 def test_each_subcommand_loads_only_its_own_modules(
         command, loaded, mini_corpus, injected, reports, tmp_path):
     """Each stage is its own process, and none compiles or imports another
-    stage's modules; none loads ``dataclasses`` either."""
+    stage's modules; none loads ``dataclasses`` either, and only
+    ``evaluate`` loads ``csv``."""
     inputs = {"--help": [],
               "locate": ["--corpus", mini_corpus, "--out", tmp_path],
               "inject": ["--corpus", mini_corpus, "--out", tmp_path],
               "oracle": ["--buglogs", injected, "--out", tmp_path],
               "evaluate": ["--buglogs", injected, "--reports", reports,
                            "--out", tmp_path]}
-    child = _RUN_AND_LIST + \
-        "assert 'dataclasses' not in sys.modules, 'dataclasses'\n"
+    unloaded = ["dataclasses"] if command == "evaluate" else \
+        ["dataclasses", "csv"]
+    child = _RUN_AND_LIST + "".join(
+        f"assert {name!r} not in sys.modules, {name!r}\n"
+        for name in unloaded)
     proc = subprocess.run([sys.executable, "-c", child, command,
                            *map(str, inputs[command])],
                           env=_child_env(), capture_output=True, text=True,
                           check=True)
     assert proc.stdout.split() == ["0", *loaded.split()]
+
+
+def test_main_leaves_the_collector_as_it_found_it(mini_corpus, tmp_path):
+    """In process, ``main`` freezes nothing: the caller's collector is its
+    own."""
+    before = gc.get_freeze_count()
+    assert main(["inject", "--corpus", str(mini_corpus), "--out",
+                 str(tmp_path), "--bug-types", "TOD"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def _script_target() -> tuple[str, str]:
+    """The module and function that the ``solbugsmith`` script runs."""
+    tomllib = pytest.importorskip("tomllib")
+    doc = tomllib.loads((Path(__file__).parent.parent / "pyproject.toml")
+                        .read_text(encoding="utf-8"))
+    module, function = doc["project"]["scripts"]["solbugsmith"].split(":")
+    return module, function
+
+
+@pytest.mark.parametrize("launch", ["module", "script"])
+def test_a_stage_process_freezes_its_start_up_objects(launch, mini_corpus,
+                                                      tmp_path):
+    """``python -m solbugsmith.cli`` and the ``solbugsmith`` script freeze
+    the objects made before the subcommand runs; the child reports the
+    frozen count as it exits."""
+    hook = tmp_path / "hook"
+    hook.mkdir()
+    (hook / "sitecustomize.py").write_text(
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(),\n"
+        "                              file=sys.stderr))\n", encoding="utf-8")
+    if launch == "module":
+        command = ["-m", "solbugsmith.cli"]
+    else:  # as the script pip writes for the entry point does
+        module, function = _script_target()
+        command = ["-c", f"import sys\nfrom {module} import {function}\n"
+                   f"sys.exit({function}())"]
+    env = _child_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(hook), env["PYTHONPATH"]])
+    proc = subprocess.run(
+        [sys.executable, *command, "inject", "--corpus", str(mini_corpus),
+         "--out", str(tmp_path / "out"), "--bug-types", "TOD"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "Counter.TOD.buglog.csv").is_file()
+    frozen = re.fullmatch(r"frozen (\d+)\n", proc.stderr)
+    assert frozen and int(frozen.group(1)) > 0, proc.stderr
 
 
 def test_cli_serves_exactly_the_names_the_tracer_rebinds_there(
