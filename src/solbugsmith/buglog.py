@@ -7,10 +7,12 @@ The JSON writer lays each entry out by one f-string over the C string
 encoder, byte for byte as ``json.dumps(..., indent=2)`` would, and the
 writers and loader look bug types and approaches up in tables built once.
 The CSV writer lays each row out by one f-string too. It quotes a field
-that holds a ``,``, a ``"``, a newline or a carriage return, RFC 4180's
-rule: what ``csv.writer`` writes from Python 3.13 on, and on earlier
-Pythons for every field without a carriage return. The bytes are the same
-under every supported Python, and no stage but ``evaluate`` loads ``csv``.
+that holds a ``,``, a ``"``, a newline or a carriage return
+(``csv_field``), RFC 4180's rule: what ``csv.writer`` writes from Python
+3.13 on, and on earlier Pythons for every field without a carriage return.
+The evaluator's CSV tables quote their fields by the same rule, so the
+bytes are the same under every supported Python, and no stage loads
+``csv``.
 
 The loader refuses an entry that names a file other than the one the log is
 for; the entries share that file name string, and one per snippet id.
@@ -81,36 +83,38 @@ _JSON_VALUES = {member: _json_str(value) for member, value in _VALUES.items()}
 
 def emit_buglog_json(entries) -> str:
     """``json.dumps([e.to_json() for e in entries], indent=2) + "\\n"``,
-    each entry laid out by one f-string."""
+    each entry unpacked and laid out by one f-string."""
     items = [
-        f'  {{\n    "bugId": {_json_str(e.bug_id)},\n'
-        f'    "bugType": {_JSON_VALUES[e.bug_type]},\n'
-        f'    "approach": {_JSON_VALUES[e.approach]},\n    "snippetId": '
-        f'{"null" if e.snippet_id is None else _json_str(e.snippet_id)},\n'
-        f'    "file": {_json_str(e.file)},\n'
-        f'    "startLine": {e.start_line},\n'
-        f'    "endLine": {e.end_line},\n'
-        f'    "byteSpan": {{\n      "start": {e.byte_start},\n'
-        f'      "end": {e.byte_end}\n    }}\n  }}'
-        for e in entries]
+        f'  {{\n    "bugId": {_json_str(bug_id)},\n'
+        f'    "bugType": {_JSON_VALUES[bug_type]},\n'
+        f'    "approach": {_JSON_VALUES[approach]},\n    "snippetId": '
+        f'{"null" if snippet_id is None else _json_str(snippet_id)},\n'
+        f'    "file": {_json_str(file)},\n'
+        f'    "startLine": {start_line},\n'
+        f'    "endLine": {end_line},\n'
+        f'    "byteSpan": {{\n      "start": {byte_start},\n'
+        f'      "end": {byte_end}\n    }}\n  }}'
+        for (bug_id, bug_type, approach, snippet_id, file, start_line,
+             end_line, byte_start, byte_end) in entries]
     return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"
 
 
 def emit_buglog_csv(entries) -> str:
     """The CSV document of ``entries``, a header and one row per entry,
-    each row laid out by one f-string."""
+    each entry unpacked and laid out by one f-string."""
     rows = [
-        f"{_csv_field(e.bug_id)},{_VALUES[e.bug_type]},{_VALUES[e.approach]},"
-        f"{_csv_field(e.snippet_id or '')},{_csv_field(e.file)},"
-        f"{e.start_line},{e.end_line},{e.byte_start},{e.byte_end}\n"
-        for e in entries]
+        f"{csv_field(bug_id)},{_VALUES[bug_type]},{_VALUES[approach]},"
+        f"{csv_field(snippet_id or '')},{csv_field(file)},"
+        f"{start_line},{end_line},{byte_start},{byte_end}\n"
+        for (bug_id, bug_type, approach, snippet_id, file, start_line,
+             end_line, byte_start, byte_end) in entries]
     return _CSV_HEADER + "".join(rows)
 
 
 _CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 
 
-def _csv_field(text: str) -> str:
+def csv_field(text: str) -> str:
     """``text`` as a CSV field: quoted, its quotes doubled, if it holds a
     ``,``, a ``"``, a ``\\n`` or a ``\\r`` (RFC 4180's rule, and
     ``csv.writer``'s from Python 3.13 on)."""

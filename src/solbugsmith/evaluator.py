@@ -11,25 +11,24 @@ threshold number of tools agree on the same (file, line, type)
 (``filter_by_majority``); the rest are suspected false positives, confirmed
 by inspecting a fixed-size sample and extrapolating.
 
-``evaluate_campaign`` applies both to every tool of a campaign. It widens
-each bug once and sorts each type's ranges once per file, for every tool's
-matching and for the lines the FP step sets aside, and sorts each tool's
-findings once per file, for every type. ``score_false_negatives`` matches
-one tool's findings so, type by type. The ``render_*`` and ``*_csv``
-functions turn its result into documents.
+``evaluate_campaign`` applies both to every tool of a campaign. Its FN
+step is one pass over the files of the bug log (``_fn_pass``) that also
+finds the lines the FP step sets aside; a type's ids are so listed file by
+file, in the order the files first appear, each file's in entry order.
+``score_false_negatives`` is that pass for one tool capable of every type.
+The ``render_*`` and ``*_csv`` functions turn its result into documents,
+the CSV ones quoting each field as the bug logs do (``buglog.csv_field``).
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import random
 from collections import Counter
 from heapq import heappop, heappush
 from typing import NamedTuple
 
-from .buglog import BugLogEntry, held, widened
+from .buglog import BugLogEntry, csv_field, held, widened
 from .errors import (DomainError, MalformedDocument, MissingThreshold,
                      ScopeError, shown)
 from .model import BUG_TYPES, BugType, child_seed, load_capabilities
@@ -127,37 +126,57 @@ def score_false_negatives(entries: list[BugLogEntry],
                           findings: list[Finding],
                           line_slack: int = 0) -> FNScore:
     """Match findings to the bug-log entries that cover their lines,
-    widened by ``line_slack``, one bug type at a time, as
-    ``evaluate_campaign`` matches each tool and type: the entries are
-    grouped by type, in the order the types first appear, each group is
-    scored on its own, and the scores are joined. The counts add up; the
-    ids are listed type by type, each type's in entry order."""
-    by_file = _by_line(findings)
-    rows = [FNScore(0, 0, 0, 0)] + [
-        _fn_score(group, _spans(group, line_slack), by_file)
-        for group in _group(entries, lambda e: e.bug_type).values()]
+    widened by ``line_slack``: the scores ``evaluate_campaign`` gives a
+    tool capable of every bug type, joined in the order the types first
+    appear. The counts add up; the ids are listed type by type, each
+    type's file by file, in the order the files first appear, and each
+    file's in entry order."""
+    scores = _fn_pass(entries, {"": _by_line(findings)},
+                      {"": frozenset(BugType)}, line_slack)[0][""]
+    rows = [FNScore(0, 0, 0, 0), *scores.values()]
     return FNScore(*(sum(rest, first) for first, *rest in zip(*rows)))
 
 
-def _fn_score(entries: list[BugLogEntry],
-              spans: dict[str, list[tuple[int, int, int]]],
-              by_file: dict[str, list[Finding]]) -> FNScore:
-    """The score of ``entries``, all of one bug type, whose ``_spans`` are
-    ``spans``, against the findings ``by_file``, each file's in line order:
-    per file, a maximum matching of entries to findings on lines they cover
-    that holds the most pairs of a finding of the entries' type."""
-    bug_type = entries[0].bug_type
-    typed: dict[int, bool] = {}  # matched entry -> its finding of bug_type?
-    for file, ranges in spans.items():
-        findings = by_file.get(file, [])
-        for e_idx, f_idx in _match(ranges, findings, bug_type).items():
-            typed[e_idx] = findings[f_idx].reported_type is bug_type
-    ids: dict = {True: [], False: [], None: []}  # typed.get(entry) -> ids
-    for i, entry in enumerate(entries):
-        ids[typed.get(i)].append(entry.bug_id)
-    detected, mis, unreported = map(tuple, ids.values())
-    return FNScore(len(entries), len(detected), len(mis), len(unreported),
-                   detected, mis, unreported)
+def _fn_pass(entries: list[BugLogEntry],
+             by_file: dict[str, dict[str, list[Finding]]],
+             capabilities: dict[str, frozenset[BugType]],
+             slack: int) -> tuple[dict, dict[str, set[int]]]:
+    """The FN scores of each tool of ``by_file`` (its findings by file, each
+    file's in line order) per capable bug type, types in the order they
+    first appear in ``entries``; and per file, the reported lines a bug
+    covers. One pass over the files: each file's reported lines are sorted
+    once, each of its types' ranges are widened and sorted once, and each
+    capable tool is matched to them (``_match``), a maximum matching that
+    holds the most pairs of a finding of the type."""
+    types = dict.fromkeys(e.bug_type for e in entries)
+    ids = {tool: {bug_type: {True: [], False: [], None: []}  # typed? -> ids
+                  for bug_type in types if bug_type in capabilities[tool]}
+           for tool in by_file}
+    covered: dict[str, set[int]] = {}
+    for file, in_file in _group(entries, lambda e: e.file).items():
+        found = {tool: groups.get(file, []) for tool, groups in by_file.items()}
+        lines = sorted({f.line for group in found.values() for f in group})
+        covered[file] = set()
+        for bug_type, group in _group(in_file, lambda e: e.bug_type).items():
+            ranges = sorted([(*widened(e, slack), i)
+                             for i, e in enumerate(group)])
+            covered[file] |= held(ranges, lines)
+            for tool, findings in found.items():
+                if bug_type not in capabilities[tool]:
+                    continue
+                pairs = _match(ranges, findings, bug_type)
+                filed = ids[tool][bug_type]
+                for i, entry in enumerate(group):
+                    f_idx = pairs.get(i)
+                    typed = None if f_idx is None else \
+                        findings[f_idx].reported_type is bug_type
+                    filed[typed].append(entry.bug_id)
+    for by_type in ids.values():  # each type's lists freed as it is filed
+        for bug_type, filed in by_type.items():
+            by_type[bug_type] = FNScore(sum(map(len, filed.values())),
+                                        *map(len, filed.values()),
+                                        *map(tuple, filed.values()))
+    return ids, covered
 
 
 def _match(ranges: list[tuple[int, int, int]], findings: list[Finding],
@@ -345,21 +364,9 @@ def evaluate_campaign(entries: list[BugLogEntry],
             f"{', '.join(map(shown, unknown))} (evaluated: {', '.join(tools)})")
     if not all(capabilities[tool] for tool in tools):
         raise ScopeError("capability set is empty")
-    by_file = {tool: _by_line(findings_by_tool[tool]) for tool in tools}
-    reported: dict[str, set[int]] = {}  # per file, the lines reported
-    for groups in by_file.values():
-        for file, group in groups.items():
-            reported.setdefault(file, set()).update([f.line for f in group])
-    injected: dict[str, set[int]] = {}  # per file, the reported lines covered
-    scores: dict[str, dict[BugType, FNScore]] = {tool: {} for tool in tools}
-    for bug_type, group in _group(entries, lambda e: e.bug_type).items():
-        spans = _spans(group, line_slack)
-        for file, ranges in spans.items():
-            injected.setdefault(file, set()).update(
-                held(ranges, sorted(reported.get(file, ()))))
-        for tool in tools:
-            if bug_type in capabilities[tool]:
-                scores[tool][bug_type] = _fn_score(group, spans, by_file[tool])
+    scores, injected = _fn_pass(
+        entries, {tool: _by_line(findings_by_tool[tool]) for tool in tools},
+        capabilities, line_slack)
 
     # findings on injected lines are set aside: no FP of the original code
     candidates = [f for tool in tools for f in findings_by_tool[tool]
@@ -391,17 +398,6 @@ def evaluate_campaign(entries: list[BugLogEntry],
     misc = Counter(f.tool for f in majority.miscellaneous)
     missing = tuple(sorted(set(findings_by_tool) - set(tools)))
     return Evaluation(scores, cells, misc, thresholds, missing)
-
-
-def _spans(entries: list[BugLogEntry], slack: int) -> dict:
-    """Per file, the lines each of ``entries`` covers, widened by ``slack``,
-    as ``(first, last, index in entries)``, sorted."""
-    spans: dict[str, list[tuple[int, int, int]]] = {}
-    for i, entry in enumerate(entries):
-        spans.setdefault(entry.file, []).append((*widened(entry, slack), i))
-    for ranges in spans.values():
-        ranges.sort()
-    return spans
 
 
 def _by_line(findings: list[Finding]) -> dict[str, list[Finding]]:
@@ -458,14 +454,15 @@ def render_fn_table(scores: dict[str, dict[BugType, FNScore]],
 
 def fn_csv(scores: dict[str, dict[BugType, FNScore]],
            capabilities: dict[str, frozenset[BugType]]) -> str:
-    rows = ["tool,bugType,injected,detected,misidentified,unreported,cell"
-            .split(",")]
+    rows = ["tool,bugType,injected,detected,misidentified,unreported,cell\n"]
     for tool in sorted(scores):
+        name = csv_field(tool)
         for bug_type in BugType:
             score, cell = _fn_entry(scores, capabilities, tool, bug_type)
-            rows.append((tool, bug_type.value, score.injected, score.detected,
-                         score.misidentified, score.unreported, cell))
-    return _csv_text(rows)
+            rows.append(f"{name},{bug_type.value},{score.injected},"
+                        f"{score.detected},{score.misidentified},"
+                        f"{score.unreported},{cell}\n")
+    return "".join(rows)
 
 
 def _fp_entry(cell: FPCell | None) -> tuple:
@@ -495,17 +492,13 @@ def render_fp_table(cells: dict[str, dict[BugType, FPCell]],
 def fp_csv(cells: dict[str, dict[BugType, FPCell]],
            thresholds: dict[BugType, int],
            misc_counts: dict[str, int]) -> str:
-    rows = ["tool,bugType,threshold,reported,filtered,estimated".split(",")]
+    rows = ["tool,bugType,threshold,reported,filtered,estimated\n"]
     for tool in sorted(cells):
+        name = csv_field(tool)
         for bug_type in BugType:
             if bug_type in cells[tool]:
-                rows.append((tool, bug_type.value, thresholds[bug_type],
-                             *_fp_entry(cells[tool][bug_type])))
-        rows.append((tool, MISCELLANEOUS, "", misc_counts.get(tool, 0), "", ""))
-    return _csv_text(rows)
-
-
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+                reported, filtered, estimated = cells[tool][bug_type]
+                rows.append(f"{name},{bug_type.value},{thresholds[bug_type]},"
+                            f"{reported},{filtered},{estimated}\n")
+        rows.append(f"{name},{MISCELLANEOUS},,{misc_counts.get(tool, 0)},,\n")
+    return "".join(rows)

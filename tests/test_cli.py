@@ -1184,25 +1184,30 @@ def test_inject_parses_each_source_once_and_lexes_no_output(
 
 def test_evaluate_matches_once_per_tool_and_bug_type(
         injected, reports, capabilities, tmp_path, monkeypatch, capsys):
-    """``evaluate`` calls the matcher ``_fn_score`` through its module
-    global, once per tool and bug type with in-scope entries, with the
-    entries of that type and the findings of that tool."""
-    real, calls = evaluator._fn_score, []
+    """``evaluate`` calls the matcher ``_match`` through its module global,
+    once per buggy file, capable tool and bug type the file holds, with the
+    file's ranges of that type and that tool's findings in the file."""
+    real, calls = evaluator._match, []
 
-    def counting(entries, cover, by_file):
-        calls.append(({entry.bug_type for entry in entries},
-                      {f.tool for group in by_file.values() for f in group}))
-        return real(entries, cover, by_file)
+    def counting(ranges, findings, bug_type):
+        calls.append((len(ranges), bug_type,
+                      {(f.tool, f.file) for f in findings}))
+        return real(ranges, findings, bug_type)
 
-    monkeypatch.setattr(evaluator, "_fn_score", counting)
+    monkeypatch.setattr(evaluator, "_match", counting)
     assert main(["evaluate", "--buglogs", str(injected), "--reports",
                  str(reports), "--out", str(tmp_path / "eval")]) == 0
     capsys.readouterr()
-    logged = {BugType.REENTRANCY, BugType.TX_ORIGIN}
-    expected = Counter(bug_type for caps in capabilities.values()
-                       for bug_type in caps & logged)
-    assert all(len(types) == 1 and len(tools) <= 1 for types, tools in calls)
-    assert Counter(next(iter(types)) for types, _ in calls) == expected
+    logs = [json.loads(path.read_text(encoding="utf-8"))
+            for path in injected.glob("*.buglog.json")]
+    expected = Counter((len(log), BugType(log[0]["bugType"]))
+                       for log in logs if log for caps in capabilities.values()
+                       if BugType(log[0]["bugType"]) in caps)
+    assert {bug_type for _, bug_type in expected} == \
+        {BugType.REENTRANCY, BugType.TX_ORIGIN}
+    assert all(len(owners) <= 1 for *_, owners in calls)
+    assert Counter((size, bug_type) for size, bug_type, _ in calls) == \
+        expected
 
 
 def test_traced_bindings_exist_in_every_importing_module(tracer_targets):
@@ -1332,19 +1337,16 @@ print(code, *sorted({m.split('.')[1] for m in sys.modules
 def test_each_subcommand_loads_only_its_own_modules(
         command, loaded, mini_corpus, injected, reports, tmp_path):
     """Each stage is its own process, and none compiles or imports another
-    stage's modules; none loads ``dataclasses`` either, and only
-    ``evaluate`` loads ``csv``."""
+    stage's modules; none loads ``dataclasses`` or ``csv`` either."""
     inputs = {"--help": [],
               "locate": ["--corpus", mini_corpus, "--out", tmp_path],
               "inject": ["--corpus", mini_corpus, "--out", tmp_path],
               "oracle": ["--buglogs", injected, "--out", tmp_path],
               "evaluate": ["--buglogs", injected, "--reports", reports,
                            "--out", tmp_path]}
-    unloaded = ["dataclasses"] if command == "evaluate" else \
-        ["dataclasses", "csv"]
     child = _RUN_AND_LIST + "".join(
         f"assert {name!r} not in sys.modules, {name!r}\n"
-        for name in unloaded)
+        for name in ("dataclasses", "csv"))
     proc = subprocess.run([sys.executable, "-c", child, command,
                            *map(str, inputs[command])],
                           env=_child_env(), capture_output=True, text=True,
